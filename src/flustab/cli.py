@@ -30,7 +30,7 @@ from .model import (
     StateVector,
     validate as validate_params,
 )
-from .spectrum import analyze, classify, eigenvector, full_spectrum_numeric, real_roots
+from .spectrum import analyze, classify, eigenvector, real_roots
 from .surface import (
     BlowUpError,
     Trajectory,
@@ -319,18 +319,25 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
         T = float(T)
         kind = classify(params, T).kind
         A = coefficient_matrix(params, T)
-        eigs = full_spectrum_numeric(params, T)
+        eigs = np.linalg.eigvals(A.entries)
         ztol = zero_rel * max(A.inf_norm, 1.0)
         max_real, n_positive = _sweep_row_stats(eigs, ztol)
         out.write(f"{_fmt(T)},{kind},{_fmt(max_real)},{n_positive}\n")
     return EXIT_OK
 
 
-def _write_state_csv(out, names: list[str], rows) -> None:
+_CSV_BLOCK_ROWS = 256
+
+
+def _write_state_csv(out, names: list[str], table: np.ndarray) -> None:
+    """One CSV line per table row (x, t, state.., mismatch). "%.17g" gives
+    the text of _fmt; rows are turned into Python floats a block at a time,
+    which bounds the memory that takes."""
     out.write("x,t," + ",".join(names) + ",mismatch\n")
-    for x, t, state, mismatch in rows:
-        cells = [_fmt(x), _fmt(t)] + [_fmt(v) for v in state] + [_fmt(mismatch)]
-        out.write(",".join(cells) + "\n")
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        out.write("".join([line % tuple(row) for row in block]))
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:
@@ -375,7 +382,8 @@ def cmd_simulate(cfg: RunConfig, args, out) -> int:
         traj = integrate_time(params, coeffs, s0, t_span, h_t)
         table = traj.states
 
-    _write_state_csv(out, names, ((0.0, t, row, 0.0) for t, row in zip(traj.times, table)))
+    zeros = np.zeros(traj.times.size)
+    _write_state_csv(out, names, np.column_stack([zeros, traj.times, table, zeros]))
     _emit_asymptotics_footer(traj, cfg.grid)
     return EXIT_OK
 
@@ -396,13 +404,14 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
     grid = trace_surface(
         params, coeffs, s0, cfg.grid["x_span"], cfg.grid["t_span"], cfg.grid["h_x"], cfg.grid["h_t"]
     )
-    names = _state_names(params)
-    rows = (
-        (float(grid.x_nodes[i]), float(grid.t_nodes[j]), grid.states[i, j], float(grid.mismatch[i, j]))
-        for i in range(grid.x_nodes.size)
-        for j in range(grid.t_nodes.size)
-    )
-    _write_state_csv(out, names, rows)
+    nx, nt = grid.x_nodes.size, grid.t_nodes.size
+    table = np.column_stack([
+        np.repeat(grid.x_nodes, nt),
+        np.tile(grid.t_nodes, nx),
+        grid.states.reshape(nx * nt, -1),
+        grid.mismatch.ravel(),
+    ])
+    _write_state_csv(out, _state_names(params), table)
     base_fiber = Trajectory(times=grid.t_nodes, states=grid.states[0], h=grid.h_t)
     _emit_asymptotics_footer(base_fiber, cfg.grid)
     return EXIT_OK
@@ -553,7 +562,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _emit_error(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
-    except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
         _emit_error(EXIT_NUMERIC, f"numeric failure: {exc}")
         return EXIT_NUMERIC
 

@@ -21,23 +21,34 @@ from .model import (
 )
 
 
-def _check_dims(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray):
+def _checked_state(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
+    """The raw array of s, after the checks time_rhs and x_rhs leave out:
+    the state's length, the field coefficients and the cascade rates."""
+    y = s.to_array()
     expected = params.n_E + params.n_I + 3
     if y.shape != (expected,):
         raise ValueError(f"state has shape {y.shape}, expected ({expected},)")
     problems = coeffs.problems_for(params)
     if problems:
         raise InvalidParamsError(problems)
+    derived_rates(params)
+    return y
 
 
 def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.ndarray:
-    """Time-direction field on a raw state array (T, E.., I.., V, W).
+    """Time-direction field on a raw state (T, E.., I.., V, W).
 
-    No validation; integrators call this in their inner loop after checking
-    inputs once. Use time_field for the checked StateVector version.
+    y is one state of shape (dim,) or a block of shape (dim, m) holding one
+    state per column; every element gets the same arithmetic in both
+    shapes, so a column of a block's result equals, bit for bit, the result
+    for that column alone. Nothing is validated, not even the cascade
+    rates: integrators check the state and the parameters once per run
+    (_checked_state) and call this in their inner loop. Use time_field for
+    the checked StateVector version.
     """
-    c_E, c_I = derived_rates(params)
     n_E, n_I = params.n_E, params.n_I
+    c_E = n_E / params.tau_E if n_E > 0 else 0.0
+    c_I = n_I / params.tau_I
     T = y[0]
     E = y[1 : 1 + n_E]
     I = y[1 + n_E : 1 + n_E + n_I]
@@ -53,14 +64,18 @@ def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> n
     for j in range(n_I):
         out[1 + n_E + j] = inflow - c_I * I[j]
         inflow = c_I * I[j]
-    out[-2] = params.p * float(np.sum(I)) - params.c * V + params.D_PCF * params.a + params.v_a * W
+    # A 1-D np.sum adds pairwise from 8 terms on, a sum over axis 0 of a
+    # block row by row; each column is summed as a contiguous row instead,
+    # which adds in the 1-D order.
+    I_total = float(np.sum(I)) if y.ndim == 1 else np.ascontiguousarray(I.T).sum(axis=1)
+    out[-2] = params.p * I_total - params.c * V + params.D_PCF * params.a + params.v_a * W
     out[-1] = coeffs.psi
     return out
 
 
 def x_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.ndarray:
-    """x-direction field on a raw state array; see time_rhs for the calling
-    convention."""
+    """x-direction field on a raw state or block of states; see time_rhs for
+    the calling convention."""
     W = y[-1]
     out = np.empty_like(y)
     r = coeffs.r
@@ -72,15 +87,11 @@ def x_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.n
 
 
 def time_field(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
-    y = s.to_array()
-    _check_dims(params, coeffs, y)
-    return time_rhs(params, coeffs, y)
+    return time_rhs(params, coeffs, _checked_state(params, coeffs, s))
 
 
 def x_field(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
-    y = s.to_array()
-    _check_dims(params, coeffs, y)
-    return x_rhs(params, coeffs, y)
+    return x_rhs(params, coeffs, _checked_state(params, coeffs, s))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ here, so all input checking lives in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -271,5 +271,4 @@ __all__ = [
     "target_cell_threshold",
     "validate",
     "require_valid",
-    "replace",
 ]

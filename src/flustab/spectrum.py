@@ -31,8 +31,6 @@ from .charpoly import (
 )
 from .model import InvalidParamsError, ModelParams, derived_rates
 
-SIGN_CLASS_ORDER = ("neg_below_cI", "neg_in_cI_0", "zero", "positive")
-
 
 def viral_pressure(params: ModelParams, T: float) -> float:
     # Canonical evaluation order; the Critical/equality tests in this module
@@ -589,7 +587,6 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
 
 
 __all__ = [
-    "SIGN_CLASS_ORDER",
     "Classification",
     "SignPattern",
     "RootReport",

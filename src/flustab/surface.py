@@ -17,8 +17,8 @@ import numpy as np
 
 from . import numdiff
 from .charpoly import coefficient_matrix
-from .dynamics import time_rhs, x_rhs
-from .model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
+from .dynamics import _checked_state, time_rhs, x_rhs
+from .model import FieldCoefficients, ModelParams, StateVector
 
 BLOWUP_LIMIT = 1e12
 
@@ -55,33 +55,55 @@ class Trajectory:
 
 def _rk4_run(f, y0: np.ndarray, span: tuple[float, float], h: float, where: str = ""):
     """Fixed-step RK4 over span; the step is adjusted to divide the span
-    exactly (n = round(span/h), at least 1). Returns (times, states)."""
+    exactly (n = round(span/h), at least 1). y0 is one state (dim,) or a
+    block (dim, m) of states, one per column, advanced together; f takes
+    and returns that shape. Returns (times, states, step), with states of
+    shape (n + 1, *y0.shape)."""
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("span must be finite")
     if not (h > 0):
         raise ValueError("step must be > 0")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
-    states = np.empty((n + 1, y0.size))
+    states = np.empty((n + 1,) + y0.shape)
     times = np.empty(n + 1)
     states[0] = y0
     times[0] = t0
     if n == 0:
         return times, states, h
     dt = (t1 - t0) / n
-    y = y0.astype(float, copy=True)
+    y = np.array(y0, dtype=float, order="C")
     for k in range(n):
-        t = t0 + k * dt
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
+        # one reduction; a NaN or an inf anywhere fails the comparison too
+        if not (np.abs(y).max() <= BLOWUP_LIMIT):
             raise BlowUpError(times[: k + 1], states[: k + 1], where)
         times[k + 1] = t0 + (k + 1) * dt
         states[k + 1] = y
     return times, states, abs(dt)
+
+
+def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label: str):
+    """One RK4 run from every row of starts (m, dim), as a single block.
+
+    A block can blow up in a later state before an earlier one does. On a
+    blow-up the states are therefore run again one at a time, in index
+    order, and the first that fails is reported as "{label}={index}" with
+    its own prefix, exactly as a run of that state alone reports it.
+    """
+    try:
+        return _rk4_run(f, starts.T, span, h)
+    except BlowUpError:
+        for i, start in enumerate(starts):
+            try:
+                _rk4_run(f, start, span, h)
+            except BlowUpError as e:
+                raise BlowUpError(e.times, e.states, where=f"{label}={i}") from None
+        raise
 
 
 def _as_span(span) -> tuple[float, float]:
@@ -89,27 +111,6 @@ def _as_span(span) -> tuple[float, float]:
         return (0.0, float(span))
     lo, hi = span
     return (float(lo), float(hi))
-
-
-def _grid_nodes(span: tuple[float, float], h: float):
-    # same arithmetic as _rk4_run so node times match recorded times exactly
-    t0, t1 = span
-    if t1 == t0:
-        return np.array([t0]), h
-    n = max(1, round(abs(t1 - t0) / h))
-    dt = (t1 - t0) / n
-    return t0 + dt * np.arange(n + 1), abs(dt)
-
-
-def _checked_y0(params: ModelParams, coeffs: FieldCoefficients, s0: StateVector) -> np.ndarray:
-    y0 = s0.to_array()
-    expected = params.n_E + params.n_I + 3
-    if y0.size != expected:
-        raise ValueError(f"initial state has {y0.size} components, expected {expected}")
-    problems = coeffs.problems_for(params)
-    if problems:
-        raise InvalidParamsError(problems)
-    return y0
 
 
 def integrate_time(
@@ -121,7 +122,7 @@ def integrate_time(
 ) -> Trajectory:
     """Integrate the time-direction field from s0. Deterministic: the same
     inputs give bit-identical trajectories."""
-    y0 = _checked_y0(params, coeffs, s0)
+    y0 = _checked_state(params, coeffs, s0)
     f = lambda y: time_rhs(params, coeffs, y)
     times, states, h = _rk4_run(f, y0, _as_span(t_span), h_t)
     return Trajectory(times=times, states=states, h=h)
@@ -135,7 +136,7 @@ def integrate_x(
     h_x: float,
 ) -> Trajectory:
     """Integrate the x-direction field from s0 (a single surface fiber)."""
-    y0 = _checked_y0(params, coeffs, s0)
+    y0 = _checked_state(params, coeffs, s0)
     f = lambda y: x_rhs(params, coeffs, y)
     times, states, h = _rk4_run(f, y0, _as_span(x_span), h_x)
     return Trajectory(times=times, states=states, h=h)
@@ -213,38 +214,24 @@ def trace_surface(
     """Trace the integral surface candidate through s0 over a rectangle.
 
     Canonical order: one x-fiber through the corner, then the time field up
-    each column. The opposite order (time first, then x across each row) is
-    traced only to fill the mismatch field. Blow-ups abort with the failing
-    node recorded.
+    all columns as one batched run. The opposite order (time first, then x
+    across all rows as one batched run) is traced only to fill the mismatch
+    field. Every column and row equals, bit for bit, its own integrate_time
+    or integrate_x run. Blow-ups abort with the failing column or row
+    recorded, the lowest-index one when several fail.
     """
-    y0 = _checked_y0(params, coeffs, s0)
+    y0 = _checked_state(params, coeffs, s0)
     ft = lambda y: time_rhs(params, coeffs, y)
     fx = lambda y: x_rhs(params, coeffs, y)
     xs = _as_span(x_span)
     ts = _as_span(t_span)
 
     x_nodes, bottom, hx = _rk4_run(fx, y0, xs, h_x, where="corner x-fiber")
-    nx = len(x_nodes)
-    t_nodes, ht = _grid_nodes(ts, h_t)
-    nt = len(t_nodes)
-    dim = y0.size
-
-    states = np.empty((nx, nt, dim))
-    for i in range(nx):
-        try:
-            _, col, _ = _rk4_run(ft, bottom[i], ts, h_t)
-        except BlowUpError as e:
-            raise BlowUpError(e.times, e.states, where=f"canonical column i={i}") from None
-        states[i] = col
-
-    opposite = np.empty_like(states)
-    left = states[0]  # time integration up the x0 column, shared by both orders
-    for j in range(nt):
-        try:
-            _, row, _ = _rk4_run(fx, left[j], xs, h_x)
-        except BlowUpError as e:
-            raise BlowUpError(e.times, e.states, where=f"opposite row j={j}") from None
-        opposite[:, j, :] = row
+    t_nodes, columns, ht = _rk4_each(ft, bottom, ts, h_t, "canonical column i")
+    states = np.ascontiguousarray(columns.transpose(2, 0, 1))
+    # the x0 column is shared by both orders
+    _, rows, _ = _rk4_each(fx, states[0], xs, h_x, "opposite row j")
+    opposite = rows.transpose(0, 2, 1)
 
     mismatch = np.max(np.abs(states - opposite), axis=2)
     return SurfaceGrid(
@@ -269,7 +256,7 @@ def lie_bracket(
     span{X(s), Y(s)}. A zero defect at every state is the involutivity
     condition that guarantees integral surfaces exist.
     """
-    y = _checked_y0(params, coeffs, s)
+    y = _checked_state(params, coeffs, s)
     if h is None:
         # quadratic fields make central differences truncation-free, so a
         # generous step only suppresses rounding in the quotient

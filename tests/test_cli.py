@@ -93,6 +93,14 @@ class TestAnalyze:
         assert code == 2
         assert "params" in error_doc(err)["message"]
 
+    def test_overflow_exits_3_with_error_object(self, capsys, tmp_path):
+        # the closed-form characteristic polynomial overflows at this depth
+        cfg = write_config(tmp_path, {"params": params_doc(n_I=150), "T": 0.75})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert error_doc(err)["code"] == 3
+
 
 class TestConfigRejection:
     # every rejection must exit 2 with a single machine-readable error line

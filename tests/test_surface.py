@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from flustab import dynamics, surface
 from flustab.charpoly import coefficient_matrix
+from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.surface import (
     BlowUpError,
@@ -143,6 +145,117 @@ class TestSurfaceGrid:
         with pytest.raises(BlowUpError) as err:
             trace_surface(params, coeffs, s0, (0.0, 2.0), (0.0, 60.0), 0.5, 0.5)
         assert "column" in err.value.where or "fiber" in err.value.where or "row" in err.value.where
+
+
+def deep_setup(n_I, n_E):
+    """A surface with a != 0, psi != 0 and unequal compartments, so that the
+    order of every sum shows in the last bit."""
+    params = make_params(beta=1.3, p=1.7, c=0.9, n_I=n_I, tau_I=1.1, n_E=n_E,
+                         tau_E=0.7 if n_E else None, D_PCF=0.2, v_a=0.4, a=0.3)
+    rng = np.random.default_rng([n_I, n_E])
+    k = n_E + n_I
+    coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, k + 1)) + (1.0,), psi=0.05)
+    s0 = StateVector.for_params(params, [1.4, *rng.uniform(0.0, 0.01, k), 0.02, 0.01])
+    return params, coeffs, s0
+
+
+@pytest.mark.parametrize("n_E", [0, 2])
+@pytest.mark.parametrize("n_I", [2, 12, 40])
+class TestBatchedRuns:
+    """trace_surface runs all columns, then all rows, as one block each; every
+    one must equal its single-state run bit for bit."""
+
+    def test_block_fields_match_columns(self, n_I, n_E):
+        params, coeffs, _ = deep_setup(n_I, n_E)
+        block = np.random.default_rng(n_I).uniform(-1.0, 1.0, (params.state_dim, 7))
+        for rhs in (time_rhs, x_rhs):
+            out = rhs(params, coeffs, block)
+            for m in range(block.shape[1]):
+                np.testing.assert_array_equal(out[:, m], rhs(params, coeffs, block[:, m].copy()))
+
+    def test_columns_and_rows_match_single_runs(self, n_I, n_E):
+        params, coeffs, s0 = deep_setup(n_I, n_E)
+        x_span, t_span, h_x, h_t = (0.0, 0.3), (0.0, 1.0), 0.05, 0.02
+        grid = trace_surface(params, coeffs, s0, x_span, t_span, h_x, h_t)
+        for i in range(grid.x_nodes.size):
+            bottom = StateVector.for_params(params, grid.states[i, 0])
+            column = integrate_time(params, coeffs, bottom, t_span, h_t)
+            np.testing.assert_array_equal(column.times, grid.t_nodes)
+            np.testing.assert_array_equal(column.states, grid.states[i])
+        for j in range(grid.t_nodes.size):
+            left = StateVector.for_params(params, grid.states[0, j])
+            row = integrate_x(params, coeffs, left, x_span, h_x)
+            np.testing.assert_array_equal(row.times, grid.x_nodes)
+            gap = np.max(np.abs(grid.states[:, j] - row.states), axis=1)
+            np.testing.assert_array_equal(gap, grid.mismatch[:, j])
+
+
+def test_surface_makes_one_batched_field_call_per_stage(monkeypatch):
+    # time_rhs is looked up by its module-level name, where tracers wrap it
+    assert surface.time_rhs is dynamics.time_rhs and surface.x_rhs is dynamics.x_rhs
+    calls = {"t": 0, "x": 0}
+
+    def counted(key, rhs):
+        def wrapper(*args):
+            calls[key] += 1
+            return rhs(*args)
+        return wrapper
+
+    monkeypatch.setattr(surface, "time_rhs", counted("t", dynamics.time_rhs))
+    monkeypatch.setattr(surface, "x_rhs", counted("x", dynamics.x_rhs))
+    params, coeffs, s0 = deep_setup(4, 0)
+    grid = trace_surface(params, coeffs, s0, (0.0, 0.4), (0.0, 4.0), 0.05, 0.02)
+    assert grid.states.shape[:2] == (9, 201)
+    # 8 steps of the corner fiber, 200 of the columns, 8 of the rows
+    assert calls == {"t": 4 * 200, "x": 4 * (8 + 8)}
+
+
+class TestSurfaceBlowUp:
+    """A block can blow up in a later column or row first; the report must
+    name the lowest-index one that fails, as it would fail on its own."""
+
+    @staticmethod
+    def single_failure(run):
+        with pytest.raises(BlowUpError) as err:
+            run()
+        return err.value
+
+    def test_reports_first_column_not_first_to_fail(self):
+        params = make_params(beta=1.0, p=2.0, c=0.5)
+        coeffs = FieldCoefficients.default_for(params)
+        s0 = StateVector.for_params(params, [1.0, 0.0, -1.0, -1.0])
+        fiber = integrate_x(params, coeffs, s0, (0.0, 1.0), 0.5)
+        alone = [
+            self.single_failure(lambda: integrate_time(
+                params, coeffs, StateVector.for_params(params, y), (0.0, 10.0), 0.05))
+            for y in fiber.states[:2]
+        ]
+        assert alone[1].t_last < alone[0].t_last
+        exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, (0.0, 1.0), (0.0, 10.0), 0.5, 0.05))
+        assert exc.where == "canonical column i=0"
+        assert exc.t_last == alone[0].t_last
+        np.testing.assert_array_equal(exc.times, alone[0].times)
+        np.testing.assert_array_equal(exc.states, alone[0].states)
+
+    def test_reports_first_row_not_first_to_fail(self):
+        # the T slot moves by -1e5 * W along x while W grows by 1e6 per unit t
+        params = make_params(beta=0.0, n_I=2, v_a=0.1)
+        coeffs = FieldCoefficients(r=(1e5, 1.0, 1.0, 1.0), psi=1e6)
+        s0 = StateVector.for_params(params, [1.0, 0.0, 0.0, 0.0, 0.0])
+        grid_args = ((0.0, 2.0), (0.0, 10.0), 0.1, 0.5)
+        left = integrate_time(params, coeffs, s0, grid_args[1], grid_args[3])
+        failures = {}
+        for j, y in enumerate(left.states):
+            try:
+                integrate_x(params, coeffs, StateVector.for_params(params, y), grid_args[0], grid_args[2])
+            except BlowUpError as e:
+                failures[j] = e
+        first = min(failures)
+        assert failures[max(failures)].t_last < failures[first].t_last
+        exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, *grid_args))
+        assert exc.where == f"opposite row j={first}"
+        assert exc.t_last == failures[first].t_last
+        np.testing.assert_array_equal(exc.states, failures[first].states)
 
 
 class TestLieBracket:
