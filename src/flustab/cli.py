@@ -6,8 +6,10 @@ samples the two vector fields on eigen-direction lattices, and `validate`
 runs the randomized oracle suites.
 
 Exit codes are a stable contract: 0 success, 1 validation-suite failure,
-2 invalid config, 3 numeric failure, 4 trajectory blow-up. Machine-readable
-errors go to standard error as a single JSON object.
+2 invalid config, 3 numeric failure, 4 trajectory blow-up, 141 output pipe
+closed by the reader (as in `flustab simulate ... | head -1`; 128 + SIGPIPE,
+the shell's code for a writer the pipe killed). Machine-readable errors go
+to standard error as a single JSON object; a closed pipe ends the run quietly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -46,6 +49,7 @@ EXIT_SUITE_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_BLOW_UP = 4
+EXIT_BROKEN_PIPE = 141
 
 _TOP_KEYS = {"params", "coeffs", "T", "initial_state", "grid", "linearized", "tolerances", "seed"}
 _GRID_KEYS = {"x_span", "t_span", "h_x", "h_t", "asymptotics_window"}
@@ -69,6 +73,20 @@ class NumericError(Exception):
 def _fmt(x: float) -> str:
     # 17 significant digits survive a float64 round trip
     return format(float(x), ".17g")
+
+
+def _silence_stdout() -> None:
+    """Point the standard output descriptor at the null device, so the
+    interpreter's flush at exit meets no closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor; nothing is flushed to a pipe
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _emit_error(code: int, message: str, details: dict | None = None) -> None:
@@ -565,6 +583,10 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
         _emit_error(EXIT_NUMERIC, f"numeric failure: {exc}")
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # the reader has all it wants; no traceback, no error object
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

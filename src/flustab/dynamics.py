@@ -5,6 +5,11 @@ field is the heuristic spatial companion: every slot moves proportionally to
 W (coefficients r_i, the T slot with a minus sign), the V slot moves by
 exactly W so that the defining relation dV/dx = W holds, and the W slot
 moves by the constant curvature a.
+
+Both fields are written slot by slot, so one definition takes a state as a
+list of Python floats (the integrators' single-state form), as an array, or
+a block of states, one per column, and gives the same bits for a state in
+every form. The I compartments are added in index order, starting from 0.0.
 """
 from __future__ import annotations
 
@@ -35,49 +40,48 @@ def _checked_state(params: ModelParams, coeffs: FieldCoefficients, s: StateVecto
     return y
 
 
-def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.ndarray:
+def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
     """Time-direction field on a raw state (T, E.., I.., V, W).
 
-    y is one state of shape (dim,) or a block of shape (dim, m) holding one
-    state per column; every element gets the same arithmetic in both
-    shapes, so a column of a block's result equals, bit for bit, the result
-    for that column alone. Nothing is validated, not even the cascade
-    rates: integrators check the state and the parameters once per run
-    (_checked_state) and call this in their inner loop. Use time_field for
-    the checked StateVector version.
+    y is one state, as a list of floats or an array of shape (dim,), or a
+    block of shape (dim, m) holding one state per column; the result has
+    the same form. The field is written slot by slot, so every element gets
+    the same arithmetic in every form: a column of a block's result equals,
+    bit for bit, the result for that column alone, as a list or an array.
+    The I compartments are added in index order, starting from 0.0.
+    Nothing is validated, not even the cascade rates: integrators check the
+    state and the parameters once per run (_checked_state) and call this in
+    their inner loop. Use time_field for the checked StateVector version.
     """
     n_E, n_I = params.n_E, params.n_I
     c_E = n_E / params.tau_E if n_E > 0 else 0.0
     c_I = n_I / params.tau_I
-    T = y[0]
-    E = y[1 : 1 + n_E]
-    I = y[1 + n_E : 1 + n_E + n_I]
     V = y[-2]
     W = y[-1]
-    out = np.empty_like(y)
-    infection = params.beta * T * V
+    out = [0.0] * len(y) if isinstance(y, list) else np.empty_like(y)
+    infection = params.beta * y[0] * V
     out[0] = -infection
     inflow = infection
-    for i in range(n_E):
-        out[1 + i] = inflow - c_E * E[i]
-        inflow = c_E * E[i]
-    for j in range(n_I):
-        out[1 + n_E + j] = inflow - c_I * I[j]
-        inflow = c_I * I[j]
-    # A 1-D np.sum adds pairwise from 8 terms on, a sum over axis 0 of a
-    # block row by row; each column is summed as a contiguous row instead,
-    # which adds in the 1-D order.
-    I_total = float(np.sum(I)) if y.ndim == 1 else np.ascontiguousarray(I.T).sum(axis=1)
+    for i in range(1, 1 + n_E):
+        outflow = c_E * y[i]
+        out[i] = inflow - outflow
+        inflow = outflow
+    I_total = 0.0
+    for j in range(1 + n_E, 1 + n_E + n_I):
+        outflow = c_I * y[j]
+        out[j] = inflow - outflow
+        inflow = outflow
+        I_total += y[j]
     out[-2] = params.p * I_total - params.c * V + params.D_PCF * params.a + params.v_a * W
     out[-1] = coeffs.psi
     return out
 
 
-def x_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.ndarray:
+def x_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
     """x-direction field on a raw state or block of states; see time_rhs for
     the calling convention."""
     W = y[-1]
-    out = np.empty_like(y)
+    out = [0.0] * len(y) if isinstance(y, list) else np.empty_like(y)
     r = coeffs.r
     out[0] = -r[0] * W
     for i in range(1, len(r)):

@@ -3,10 +3,17 @@ diagnostics for the 2-distribution spanned by the two fields.
 
 Integration is fixed-step classical fourth-order Runge-Kutta throughout: no
 adaptivity, so identical inputs give bit-identical output and step-halving
-order studies are exact. Surfaces are traced in a canonical order (the
-x-fiber through the corner first, then time up each column); the opposite
-order is computed only to measure the path-ordering mismatch, which is the
-observable cost of the distribution not being provably involutive.
+order studies are exact. A single nonlinear state is advanced as a list of
+Python floats and a block of states (a surface's columns or rows) as one
+array, with the same operations on every element in the same order, so a
+column of a block run equals its single run bit for bit. Frozen-T
+linearized runs take RK4's exact step map, one matrix-vector product per
+step, which differs from the four stages only by rounding.
+
+Surfaces are traced in a canonical order (the x-fiber through the corner
+first, then time up each column); the opposite order is computed only to
+measure the path-ordering mismatch, which is the observable cost of the
+distribution not being provably involutive.
 """
 from __future__ import annotations
 
@@ -53,38 +60,88 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_run(f, y0: np.ndarray, span: tuple[float, float], h: float, where: str = ""):
-    """Fixed-step RK4 over span; the step is adjusted to divide the span
-    exactly (n = round(span/h), at least 1). y0 is one state (dim,) or a
-    block (dim, m) of states, one per column, advanced together; f takes
-    and returns that shape. Returns (times, states, step), with states of
-    shape (n + 1, *y0.shape)."""
+def _within_limit(y) -> bool:
+    """Every component finite and at most BLOWUP_LIMIT in magnitude; a NaN
+    fails the comparison too."""
+    if isinstance(y, list):
+        # the sum of magnitudes bounds the largest one and keeps a NaN or
+        # an inf; only a sum past the limit needs the test of each component
+        return sum(map(abs, y)) <= BLOWUP_LIMIT or all(map(BLOWUP_LIMIT.__ge__, map(abs, y)))
+    return bool(np.abs(y).max() <= BLOWUP_LIMIT)
+
+
+def _run(stepper, y0, span: tuple[float, float], h: float, where: str = ""):
+    """Fixed steps over span; the step is adjusted to divide the span
+    exactly (n = round(span/h), at least 1). stepper(dt) returns the map
+    that advances a state by one step dt. y0 is one state, as a list of
+    floats or an array, or a block (dim, m) of states, one per column, in
+    the form the map takes and returns. Returns (times, states, step), with
+    states an array of shape (n + 1, *shape of y0)."""
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("span must be finite")
     if not (h > 0):
         raise ValueError("step must be > 0")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
-    states = np.empty((n + 1,) + y0.shape)
+    states = np.empty((n + 1,) + np.shape(y0))
     times = np.empty(n + 1)
     states[0] = y0
     times[0] = t0
     if n == 0:
         return times, states, h
     dt = (t1 - t0) / n
-    y = np.array(y0, dtype=float, order="C")
+    times[1:] = t0 + np.arange(1, n + 1) * dt
+    step = stepper(dt)
+    y = y0
     for k in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # one reduction; a NaN or an inf anywhere fails the comparison too
-        if not (np.abs(y).max() <= BLOWUP_LIMIT):
+        y = step(y)
+        if not _within_limit(y):
             raise BlowUpError(times[: k + 1], states[: k + 1], where)
-        times[k + 1] = t0 + (k + 1) * dt
         states[k + 1] = y
     return times, states, abs(dt)
+
+
+def _rk4_run(f, y0: np.ndarray, span: tuple[float, float], h: float, where: str = ""):
+    """Classical RK4 with _run's steps. y0 is one state (dim,) or a block
+    (dim, m); a single state is advanced as a list of Python floats, which
+    spares the numpy call overhead on a few numbers, and f takes and returns
+    that form. Both forms do the same operations on every element in the
+    same order, so a column of a block run equals its single run bit for
+    bit."""
+    if y0.ndim == 1:
+        return _run(lambda dt: _rk4_float_step(f, dt), y0.tolist(), span, h, where)
+    # a C-order copy keeps every slot's row contiguous
+    y0 = np.ascontiguousarray(y0, dtype=float)
+    return _run(lambda dt: _rk4_block_step(f, dt), y0, span, h, where)
+
+
+def _rk4_block_step(f, dt: float):
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(y):
+        k1 = f(y)
+        k2 = f(y + half * k1)
+        k3 = f(y + half * k2)
+        k4 = f(y + dt * k3)
+        return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def _rk4_float_step(f, dt: float):
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(y):
+        k1 = f(y)
+        k2 = f([a + half * b for a, b in zip(y, k1)])
+        k3 = f([a + half * b for a, b in zip(y, k2)])
+        k4 = f([a + dt * b for a, b in zip(y, k3)])
+        return [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+
+    return step
 
 
 def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label: str):
@@ -142,6 +199,20 @@ def integrate_x(
     return Trajectory(times=times, states=states, h=h)
 
 
+def _frozen_system(params: ModelParams, T_frozen: float, psi: float, s):
+    """The frozen-T linear field y' = M y + F on the (E, I, V, W) block,
+    as (M, F, y) with y the checked block state s: M is the coefficient
+    matrix at T_frozen and F = (0, ..., 0, D_PCF * a, psi)."""
+    A = coefficient_matrix(params, T_frozen)
+    y = np.asarray(s, dtype=float)
+    if y.shape != (A.n,):
+        raise ValueError(f"block state has shape {y.shape}, expected ({A.n},)")
+    F = np.zeros(A.n)
+    F[-2] = params.D_PCF * params.a
+    F[-1] = psi
+    return A.entries, F, y
+
+
 def linearized_time_field(
     params: ModelParams,
     T_frozen: float,
@@ -150,14 +221,24 @@ def linearized_time_field(
 ) -> np.ndarray:
     """Frozen-T linear field on the (E, I, V, W) block: A s plus the constant
     forcing (0, ..., 0, D_PCF * a, psi). T is a parameter here, not a state."""
-    A = coefficient_matrix(params, T_frozen)
-    s = np.asarray(s, dtype=float)
-    if s.shape != (A.n,):
-        raise ValueError(f"block state has shape {s.shape}, expected ({A.n},)")
-    out = A.entries @ s
-    out[-2] += params.D_PCF * params.a
-    out[-1] += psi
-    return out
+    M, F, y = _frozen_system(params, T_frozen, psi, s)
+    return M @ y + F
+
+
+def _linear_rk4_stepper(M: np.ndarray, F: np.ndarray):
+    """One RK4 step of y' = M y + F as its exact step map y <- R y + dt S F,
+    with Z = dt M, S = I + Z/2 + Z^2/6 + Z^3/24 and R = I + Z S. The
+    stages differ from the map only by rounding."""
+
+    def stepper(dt: float):
+        Z = dt * M
+        eye = np.eye(len(M))
+        S = eye + Z @ (eye / 2.0 + Z @ (eye / 6.0 + Z / 24.0))
+        R = eye + Z @ S
+        c = dt * (S @ F)
+        return lambda y: R @ y + c
+
+    return stepper
 
 
 def integrate_linearized(
@@ -168,19 +249,12 @@ def integrate_linearized(
     h_t: float,
     psi: float = 0.0,
 ) -> Trajectory:
-    """Integrate the frozen-T linear field; used by the rate-recovery
-    validation where the fitted decay/growth rate is compared against the
-    dominant eigenvalue."""
-    A = coefficient_matrix(params, T_frozen)
-    M = A.entries
-    forcing = np.zeros(A.n)
-    forcing[-2] = params.D_PCF * params.a
-    forcing[-1] = psi
-    y0 = np.asarray(s0_block, dtype=float)
-    if y0.shape != (A.n,):
-        raise ValueError(f"block state has shape {y0.shape}, expected ({A.n},)")
-    f = lambda y: M @ y + forcing
-    times, states, h = _rk4_run(f, y0, _as_span(t_span), h_t)
+    """Integrate the frozen-T linear field by RK4, one matrix-vector product
+    per step (the exact step map of _linear_rk4_stepper); used by the
+    rate-recovery validation where the fitted decay/growth rate is compared
+    against the dominant eigenvalue."""
+    M, F, y0 = _frozen_system(params, T_frozen, psi, s0_block)
+    times, states, h = _run(_linear_rk4_stepper(M, F), y0, _as_span(t_span), h_t)
     return Trajectory(times=times, states=states, h=h)
 
 

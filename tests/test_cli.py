@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from flustab.cli import main
+from flustab.cli import EXIT_BROKEN_PIPE, main
 
 
 def params_doc(**overrides):
@@ -295,6 +298,57 @@ class TestSimulate:
         assert error["details"]["rows"] > 0
         assert 0.0 < error["details"]["t_last"] < 100.0
         assert "exceeded" in error["message"]
+
+
+class TestBrokenPipe:
+    """A reader that stops early (`flustab simulate ... | head -1`) ends the
+    run with exit 141 and no traceback, error object or further output."""
+
+    CONFIG = {
+        "params": params_doc(n_I=2),
+        "initial_state": [1.0, 0.1, 0.1, 0.1, 0.0],
+        "grid": {"t_span": 200.0, "h_t": 0.01},
+    }
+
+    def test_closed_writer_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        class ClosedAfterHeader:
+            def __init__(self):
+                self.accepted = []
+                self.refused = 0
+
+            def write(self, text):
+                if self.accepted:
+                    self.refused += 1
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.accepted.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        writer = ClosedAfterHeader()
+        cfg = write_config(tmp_path, self.CONFIG)
+        monkeypatch.setattr(sys, "stdout", writer)
+        code = main(["simulate", "--config", cfg])
+        monkeypatch.undo()
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert writer.accepted == ["x,t,T,I1,I2,V,W,mismatch\n"]
+        assert writer.refused == 1
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_by_the_reader(self, tmp_path):
+        cfg = write_config(tmp_path, self.CONFIG)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flustab.cli", "simulate", "--config", cfg],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"x,t,T,I1,I2,V,W,mismatch\n"
+        proc.stdout.close()  # 20001 rows are far more than a pipe buffers
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestSurface:

@@ -110,6 +110,74 @@ class TestLinearized:
         assert verdict.rate == pytest.approx(lam, rel=0.05)
 
 
+@pytest.mark.parametrize("regime", [0.5, 2.0])
+@pytest.mark.parametrize("n_I,n_E", [(1, 0), (3, 2), (12, 1), (40, 0)])
+def test_linearized_steps_are_rk4_steps(n_I, n_E, regime):
+    """The exact step map R y + dt S F gives one classical RK4 step of the
+    frozen-T field, up to rounding, on both sides of T*."""
+    params = make_params(beta=1.3, p=1.7, c=0.9, n_I=n_I, tau_I=1.1, n_E=n_E,
+                         tau_E=0.7 if n_E else None, D_PCF=0.2, v_a=0.4, a=0.3)
+    T = regime * params.T_star
+    y0 = np.random.default_rng(n_I).uniform(0.0, 1.0, params.state_dim - 1)
+    traj = integrate_linearized(params, T, y0, (0.0, 4.0), 0.02, psi=0.05)
+    f = lambda y: linearized_time_field(params, T, y, psi=0.05)
+    dt = traj.h
+    for before, after in zip(traj.states[:-1], traj.states[1:]):
+        k1 = f(before)
+        k2 = f(before + 0.5 * dt * k1)
+        k3 = f(before + 0.5 * dt * k2)
+        k4 = f(before + dt * k3)
+        step = before + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        scale = max(np.max(np.abs(before)), np.max(np.abs(after)))
+        assert np.max(np.abs(after - step)) <= 1e-13 * scale
+
+
+class TestRunBlowUp:
+    """_rk4_run stops at the first step whose state is not finite, in both
+    the float form (one state) and the block form (one state per column)."""
+
+    @staticmethod
+    def poisoned(bad, after_calls):
+        calls = {"n": 0}
+
+        def f(y):
+            calls["n"] += 1
+            if isinstance(y, list):
+                out = [1.0] * len(y)
+                if calls["n"] > after_calls:
+                    out[1] = bad
+                return out
+            out = np.ones_like(y)
+            if calls["n"] > after_calls:
+                out[1, -1] = bad
+            return out
+
+        return f
+
+    @pytest.mark.parametrize("good_steps", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_first_nonfinite_step_is_reported(self, block, bad, good_steps):
+        y0 = np.zeros((3, 4)) if block else np.zeros(3)
+        f = self.poisoned(bad, 4 * good_steps)  # 4 field calls per step
+        with pytest.raises(BlowUpError) as err:
+            surface._rk4_run(f, y0, (0.0, 1.0), 0.25, where="here")
+        exc = err.value
+        assert exc.where == "here"
+        # the field is 1 until it is poisoned, so each good step adds 0.25
+        np.testing.assert_array_equal(exc.times, 0.25 * np.arange(good_steps + 1))
+        np.testing.assert_array_equal(exc.states, [y0 + 0.25 * k for k in range(good_steps + 1)])
+
+    def test_each_large_component_is_tested_past_a_large_sum(self):
+        # four components of 0.4e12 sum past the limit while each is within it
+        f = lambda y: [0.4e12] * len(y) if isinstance(y, list) else np.full_like(y, 0.4e12)
+        times, states, _ = surface._rk4_run(f, np.zeros(4), (0.0, 2.0), 1.0)
+        assert states[-1].tolist() == [0.8e12] * 4
+        with pytest.raises(BlowUpError) as err:
+            surface._rk4_run(f, np.zeros(4), (0.0, 3.0), 1.0)
+        assert err.value.times.size == 3
+
+
 class TestSurfaceGrid:
     def test_edges_have_zero_mismatch(self):
         params = make_params()
@@ -171,7 +239,22 @@ class TestBatchedRuns:
         for rhs in (time_rhs, x_rhs):
             out = rhs(params, coeffs, block)
             for m in range(block.shape[1]):
-                np.testing.assert_array_equal(out[:, m], rhs(params, coeffs, block[:, m].copy()))
+                column = rhs(params, coeffs, block[:, m].copy())
+                floats = rhs(params, coeffs, block[:, m].tolist())
+                assert type(floats) is list
+                np.testing.assert_array_equal(out[:, m], column)
+                np.testing.assert_array_equal(np.array(floats), column)
+
+    def test_infected_cells_add_in_index_order(self, n_I, n_E):
+        params, coeffs, _ = deep_setup(n_I, n_E)
+        y = np.random.default_rng(n_I).uniform(-1.0, 1.0, params.state_dim)
+        I_total = 0.0
+        for v in y[1 + n_E : 1 + n_E + n_I].tolist():
+            I_total += v
+        V, W = y[-2], y[-1]
+        expected = params.p * I_total - params.c * V + params.D_PCF * params.a + params.v_a * W
+        assert time_rhs(params, coeffs, y.tolist())[-2] == expected
+        assert time_rhs(params, coeffs, y)[-2] == expected
 
     def test_columns_and_rows_match_single_runs(self, n_I, n_E):
         params, coeffs, s0 = deep_setup(n_I, n_E)
