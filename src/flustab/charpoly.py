@@ -77,6 +77,27 @@ def coefficient_matrix(params: ModelParams, T: float) -> SystemMatrix:
     return SystemMatrix(entries=A, n_E=n_E, n_I=n_I, T_value=float(T))
 
 
+def coefficient_inf_norm(params: ModelParams, T):
+    """Infinity norm of coefficient_matrix(params, T) from its closed-form
+    row sums, for a scalar T or an array of them, without assembling it.
+
+    The rows are the first compartment (its rate plus |beta*T|, or c_E
+    passed on into I_1 when n_E > 0), the inner cascade rows (twice their
+    rate), I_1 after an eclipse cascade (c_I + c_E), and the V row
+    (n_I*|p| + |c| + |v_a|); the W row is zero.
+    """
+    c_E, c_I = derived_rates(params)
+    first = np.abs(params.beta * np.asarray(T, dtype=float)) + (c_E if params.n_E > 0 else c_I)
+    rows = [abs(params.n_I * params.p) + abs(params.c) + abs(params.v_a)]
+    if params.n_E > 1:
+        rows.append(2.0 * c_E)
+    if params.n_E > 0:
+        rows.append(c_I + c_E)
+    if params.n_I > 1:
+        rows.append(2.0 * c_I)
+    return np.maximum(first, max(rows))
+
+
 def _powers(params: ModelParams):
     c_E, c_I = derived_rates(params)
     # c_E^{n_E} with the 0^0 := 1 convention for n_E = 0
@@ -133,11 +154,15 @@ def charpoly(params: ModelParams, T: float, lam: float) -> float:
 def charpoly_term_scale(params: ModelParams, T: float, lam: float) -> float:
     """Magnitude yardstick for charpoly values: the sum of the absolute
     values of the summands the closed form adds. A computed polynomial value
-    below ~1e-12 of this scale is indistinguishable from a true zero."""
+    below ~1e-12 of this scale is indistinguishable from a true zero.
+
+    The factors are |c_x + lam|, not c_x + |lam|: for negative lam the
+    latter overstates the powers by orders of magnitude at depth, and a
+    value that is no root would then pass as one."""
     c_E, c_I, cEn = _powers(params)
     n_I = params.n_I
-    cascade = (c_E + abs(lam)) ** params.n_E * (c_I + abs(lam)) ** n_I * (params.c + abs(lam)) * abs(lam)
-    feedback = abs(params.beta * T) * cEn * params.p * (c_I**n_I + (c_I + abs(lam)) ** n_I)
+    cascade = abs(c_E + lam) ** params.n_E * abs(c_I + lam) ** n_I * abs(params.c + lam) * abs(lam)
+    feedback = abs(params.beta * T) * cEn * params.p * (c_I**n_I + abs(c_I + lam) ** n_I)
     return cascade + feedback
 
 
@@ -165,6 +190,7 @@ def production_minor_det(params: ModelParams, lam: float, k: int) -> float:
 __all__ = [
     "SystemMatrix",
     "coefficient_matrix",
+    "coefficient_inf_norm",
     "charpoly_closed",
     "charpoly_sum_form",
     "charpoly_direct",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .charpoly import coefficient_matrix
+from .charpoly import coefficient_inf_norm, coefficient_matrix
 from .dynamics import sample_fields
 from .model import (
     FieldCoefficients,
@@ -33,7 +33,7 @@ from .model import (
     StateVector,
     validate as validate_params,
 )
-from .spectrum import analyze, classify, eigenvector, real_roots
+from .spectrum import analyze, classify, eigenvector, perron_root, real_roots
 from .surface import (
     BlowUpError,
     Trajectory,
@@ -310,37 +310,21 @@ def cmd_analyze(cfg: RunConfig, args, out) -> int:
     return EXIT_OK
 
 
-def _sweep_row_stats(eigs: np.ndarray, ztol: float) -> tuple[float, int]:
-    # one zero eigenvalue is structural; drop the smallest-magnitude one so
-    # the reported extreme tracks the behaviour-changing mode
-    idx = min(range(len(eigs)), key=lambda i: abs(eigs[i]))
-    rest = [z for i, z in enumerate(eigs) if i != idx]
-    reals = [z.real for z in rest if abs(z.imag) <= ztol]
-    n_positive = sum(1 for v in reals if v > ztol)
-    if reals:
-        max_real = max(reals)
-    else:
-        # no real eigenvalue survives the drop; fall back to the extreme
-        # real part so the column is still informative
-        max_real = max(z.real for z in rest)
-    return max_real, n_positive
-
-
 def cmd_sweep(cfg: RunConfig, args, out) -> int:
     params = _need_params(cfg)
     if cfg.T_sweep is None:
         raise ConfigError('sweep needs T as {"from": ..., "to": ..., "steps": ...}')
     lo, hi, steps = cfg.T_sweep
     zero_rel = cfg.tolerances.get("zero_rel", 1e-8)
+    Ts = np.linspace(lo, hi, steps)
+    # the structural zero is set aside: the Perron root of the (E, I, V)
+    # block is the largest real eigenvalue, and the only one that can be > 0
+    roots = perron_root(params, Ts).tolist()
+    ztols = (zero_rel * np.maximum(coefficient_inf_norm(params, Ts), 1.0)).tolist()
     out.write("T,classification,max_real_eig,n_positive\n")
-    for T in np.linspace(lo, hi, steps):
-        T = float(T)
+    for T, root, ztol in zip(Ts.tolist(), roots, ztols):
         kind = classify(params, T).kind
-        A = coefficient_matrix(params, T)
-        eigs = np.linalg.eigvals(A.entries)
-        ztol = zero_rel * max(A.inf_norm, 1.0)
-        max_real, n_positive = _sweep_row_stats(eigs, ztol)
-        out.write(f"{_fmt(T)},{kind},{_fmt(max_real)},{n_positive}\n")
+        out.write(f"{_fmt(T)},{kind},{_fmt(root)},{1 if root > ztol else 0}\n")
     return EXIT_OK
 
 

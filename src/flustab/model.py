@@ -51,6 +51,14 @@ class ModelParams:
     v_a: float = 0.0
     a: float = 0.0
 
+    def __post_init__(self):
+        # Python floats, not numpy scalars, so single-state runs stay on the
+        # fast float path; the counts are left as given for the integer check
+        for name in ("beta", "p", "c", "tau_I", "D_PCF", "v_a", "a"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.tau_E is not None:
+            object.__setattr__(self, "tau_E", float(self.tau_E))
+
     @property
     def c_E(self) -> float:
         """Eclipse cascade rate n_E/tau_E, with c_E = 0 when n_E = 0."""
@@ -242,6 +250,10 @@ class FieldCoefficients:
 
     r: tuple[float, ...]
     psi: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", tuple(float(v) for v in self.r))
+        object.__setattr__(self, "psi", float(self.psi))
 
     @classmethod
     def default_for(cls, params: ModelParams) -> "FieldCoefficients":

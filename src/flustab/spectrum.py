@@ -6,8 +6,10 @@ bracketed between consecutive critical points, the roots sort into four sign
 classes, and the possible class patterns form a 3x3 grid indexed by the sign
 of c - beta*T*p*tau_I (clearance versus viral pressure) and the sign of
 c_I^2 - c*c_I - beta*T*p (where -c_I falls relative to the quadratic's
-roots). A dense nonsymmetric eigensolver provides the oracle spectrum for
-any n_E.
+roots). For any n_E the largest real eigenvalue, the one whose sign is the
+stability answer, is the Perron root of the (E, I, V) block and solves one
+monotone scalar equation. A dense nonsymmetric eigensolver provides the
+oracle spectrum for any n_E.
 
 Sign-class labels used throughout:
     "neg_below_cI"   real root < -c_I
@@ -328,6 +330,64 @@ def predicted_sign_pattern(params: ModelParams, T: float, tol_class_rel: float =
     )
 
 
+def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log F(lam) for q = beta*T*p > 0, where
+    F(lam) = q * (c_E/(c_E+lam))^n_E * S(lam) / (c+lam) and
+    S(lam) = sum_{j<n_I} c_I^j/(c_I+lam)^(j+1) = -expm1(x)/lam with
+    x = -n_I*log1p(lam/c_I), S(0) = n_I/c_I. Every power is taken in log
+    form, so deep cascades with extreme rates cannot overflow."""
+    c_E, c_I = derived_rates(params)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = -params.n_I * np.log1p(lam / c_I)
+        # log|expm1(x)|; past x = 0.5 the form x + log(1 - e^-x) cannot overflow
+        log_num = np.where(x > 0.5, x + np.log1p(-np.exp(-x)), np.log(np.abs(np.expm1(x))))
+        log_S = np.where(lam == 0.0, math.log(params.n_I / c_I), log_num - np.log(np.abs(lam)))
+        out = np.log(q) + log_S - np.log(params.c + lam)
+        if params.n_E > 0:
+            out -= params.n_E * np.log1p(lam / c_E)
+    return out
+
+
+def perron_root(params: ModelParams, T):
+    """Spectral abscissa of the (E, I, V) block of the frozen-T matrix: the
+    largest real eigenvalue once the structural zero of the W row is set
+    aside. T is a scalar (a float comes back) or an array of values >= 0.
+
+    The matrix is Metzler and, for beta*T > 0, its (E, I, V) block is
+    irreducible, so the abscissa is a simple real eigenvalue (Perron-Frobenius).
+    With m = min(c_I, c), and c_E too when n_E > 0, it is the one solution of
+    F(lam) = 1 on (-m, sqrt(beta*T*p*n_I)]: F is strictly decreasing there,
+    tends to +inf at -m, and F <= beta*T*p*n_I/lam^2 for lam > 0. F(0) is the
+    next-generation number beta*T*p*tau_I/c, so the root is positive exactly
+    above T*. All T are bisected at once until every bracket stops
+    shrinking. At beta*T = 0 the block is triangular and the root is -m.
+    """
+    c_E, c_I = derived_rates(params)
+    m = min(c_I, params.c, c_E) if params.n_E > 0 else min(c_I, params.c)
+    Ts = np.asarray(T, dtype=float)
+    q = params.beta * np.atleast_1d(Ts) * params.p
+    if not np.all(q >= 0.0):
+        raise ValueError("perron_root needs beta*T*p >= 0")
+    root = np.full(q.shape, -m)
+    live = q > 0.0
+    if live.any():
+        q_live = q[live]
+        lo = np.full(q_live.shape, -m)
+        hi = np.sqrt(q_live * params.n_I)
+        while True:
+            # adjacent floats are closer than eps*|x|, so every bracket gets
+            # here; a finished one is left alone, so no T moves another's root
+            wide = hi - lo > 2.0 * np.finfo(float).eps * np.maximum(m, np.maximum(-lo, hi))
+            if not wide.any():
+                break
+            mid = 0.5 * (lo + hi)
+            above = _log_perron_f(params, q_live, mid) > 0.0
+            lo = np.where(wide & above, mid, lo)
+            hi = np.where(wide & ~above, mid, hi)
+        root[live] = 0.5 * (lo + hi)
+    return float(root[0]) if Ts.ndim == 0 else root
+
+
 def full_spectrum_numeric(params: ModelParams, T: float) -> np.ndarray:
     """All eigenvalues of the assembled matrix from the dense QR eigensolver.
     Works for any n_E; used as the oracle for the analytic routines."""
@@ -602,6 +662,7 @@ __all__ = [
     "sign_class",
     "predicted_sign_pattern",
     "full_spectrum_numeric",
+    "perron_root",
     "eigenvector",
     "geometric_multiplicity",
     "algebraic_multiplicity",

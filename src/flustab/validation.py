@@ -10,6 +10,7 @@ and reproducible from the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +40,14 @@ class SuiteResult:
     failures: int = 0
     failure_examples: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, detail: str = ""):
+    def record(self, ok: bool, detail: str | Callable[[], str] = ""):
+        """Count one check. detail may be a callable, so that the text of a
+        passing check is never built."""
         self.checks += 1
         if not ok:
             self.failures += 1
             if len(self.failure_examples) < 5:
-                self.failure_examples.append(detail)
+                self.failure_examples.append(detail() if callable(detail) else detail)
 
     @property
     def ok(self) -> bool:
@@ -108,7 +111,7 @@ def suite_charpoly_equivalence(
             summed = charpoly_sum_form(params, T, lam)
             result.record(
                 abs(closed - direct) <= tol and abs(summed - direct) <= tol,
-                f"params={params} T={T} lam={lam} closed={closed} sum={summed} direct={direct}",
+                lambda: f"params={params} T={T} lam={lam} closed={closed} sum={summed} direct={direct}",
             )
     return result
 
@@ -125,7 +128,7 @@ def suite_zero_eigenvalue(seed: int = 0, n_sets: int = 200, rel_tol: float = 1e-
         closest = float(np.min(np.abs(w)))
         result.record(
             closest <= rel_tol * A.inf_norm,
-            f"params={params} T={T} min|lambda|={closest} norm={A.inf_norm}",
+            lambda: f"params={params} T={T} min|lambda|={closest} norm={A.inf_norm}",
         )
     return result
 
@@ -250,17 +253,17 @@ def suite_sign_tables(
                 params, T = cell_params(n_I, row, col)
                 pattern = predicted_sign_pattern(params, T)
                 landed = (pattern.clearance_vs_pressure, pattern.quadratic_at_minus_cI) == (row, col)
-                result.record(landed, f"n_I={n_I} intended ({row},{col}) landed ({pattern.clearance_vs_pressure},{pattern.quadratic_at_minus_cI})")
+                result.record(landed, lambda: f"n_I={n_I} intended ({row},{col}) landed ({pattern.clearance_vs_pressure},{pattern.quadratic_at_minus_cI})")
                 if not landed:
                     continue
                 A = coefficient_matrix(params, T)
                 ztol = ztol_rel * A.inf_norm
                 w = full_spectrum_numeric(params, T)
                 ok, detail = pattern_matches(pattern, w, params.c_I, ztol, A.n)
-                result.record(ok, f"n_I={n_I} cell ({row},{col}): {detail}")
+                result.record(ok, lambda: f"n_I={n_I} cell ({row},{col}): {detail}")
                 kind = classify(params, T).kind
                 expected_kind = {"<": "Indefinite", "=": "Critical", ">": "Definite"}[row]
-                result.record(kind == expected_kind, f"n_I={n_I} cell ({row},{col}) classification {kind} != {expected_kind}")
+                result.record(kind == expected_kind, lambda: f"n_I={n_I} cell ({row},{col}) classification {kind} != {expected_kind}")
     return result
 
 
@@ -285,10 +288,10 @@ def suite_eigenvector_residuals(
             vnorm = float(np.max(np.abs(v)))
             result.record(
                 resid <= resid_rel * vnorm,
-                f"params={params} T={T} lam={lam} resid={resid} norm={vnorm}",
+                lambda: f"params={params} T={T} lam={lam} resid={resid} norm={vnorm}",
             )
             gm = geometric_multiplicity(A, lam, tol_rank=tol_rank)
-            result.record(gm == 1, f"params={params} T={T} lam={lam} gm={gm}")
+            result.record(gm == 1, lambda: f"params={params} T={T} lam={lam} gm={gm}")
     return result
 
 
@@ -303,14 +306,14 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
             continue  # measure-zero; the constructed cells cover it
         for lam in real_roots(params, T):
             m = algebraic_multiplicity(params, T, lam)
-            result.record(m == 1, f"params={params} T={T} lam={lam} m={m}")
+            result.record(m == 1, lambda: f"params={params} T={T} lam={lam} m={m}")
     for n_I in (2, 3, 4, 5):
         for col in ("<", "=", ">"):
             params, T = cell_params(n_I, "=", col)
             m = algebraic_multiplicity(params, T, 0.0)
-            result.record(m == 2, f"critical cell n_I={n_I} col={col}: zero multiplicity {m} != 2")
+            result.record(m == 2, lambda: f"critical cell n_I={n_I} col={col}: zero multiplicity {m} != 2")
             gm = geometric_multiplicity(coefficient_matrix(params, T), 0.0)
-            result.record(gm == 1, f"critical cell n_I={n_I} col={col}: gm {gm} != 1")
+            result.record(gm == 1, lambda: f"critical cell n_I={n_I} col={col}: gm {gm} != 1")
     return result
 
 

@@ -180,6 +180,22 @@ class TestSweep:
         assert float(rows[0][2]) < 0.0
         assert float(rows[-1][2]) > 0.0
 
+    def test_deep_cascade_sweep(self, capsys, tmp_path):
+        # n_I = 200: the dense route would take 200 eigensolves of a 202-square
+        # matrix; the Perron root is bracketed in log form and cannot overflow.
+        # c_I = 2e5 and T* stays 1.5
+        cfg = write_config(
+            tmp_path,
+            {"params": params_doc(n_I=200, tau_I=1e-3, p=2000.0), "T": {"from": 0.0, "to": 3.0, "steps": 7}},
+        )
+        code, out, err = run_cli(capsys, ["sweep", "--config", cfg])
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["0", "0", "0", "0", "1", "1", "1"]
+        assert float(rows[0][2]) == -3.0  # T = 0: -min(c_I, c)
+        roots = [float(r[2]) for r in rows]
+        assert roots == sorted(roots)
+
     def test_needs_sweep_object(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc(), "T": 1.0})
         code, out, err = run_cli(capsys, ["sweep", "--config", cfg])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flustab.charpoly import charpoly, coefficient_matrix
+from flustab.charpoly import charpoly, coefficient_inf_norm, coefficient_matrix
 from flustab.model import InvalidParamsError, ModelParams
 from flustab.spectrum import (
     algebraic_multiplicity,
@@ -18,13 +18,15 @@ from flustab.spectrum import (
     eigenvector,
     full_spectrum_numeric,
     geometric_multiplicity,
+    perron_root,
     predicted_sign_pattern,
     quadratic_roots,
     real_roots,
     sign_class,
     viral_pressure,
 )
-from flustab.validation import cell_params, sample_params
+from flustab.spectrum import _log_perron_f
+from flustab.validation import cell_params, loguniform, sample_params
 
 
 def make_params(**overrides):
@@ -307,3 +309,118 @@ def test_spectrum_always_contains_zero(n_E, n_I, c, tau_I, T):
     A = coefficient_matrix(params, T)
     eigs = full_spectrum_numeric(params, T)
     assert np.min(np.abs(eigs)) <= 1e-9 * max(A.inf_norm, 1.0)
+
+
+def _floor_rate(params: ModelParams) -> float:
+    rates = [params.c_I, params.c] + ([params.c_E] if params.n_E > 0 else [])
+    return min(rates)
+
+
+class TestPerronRoot:
+    @pytest.mark.parametrize("n_E", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_I", [1, 2, 5, 13, 30, 60])
+    def test_matches_dense_block_spectrum(self, n_E, n_I):
+        rng = np.random.default_rng([n_E, n_I])
+        for _ in range(3):
+            params, _ = sample_params(rng, n_E_choices=(n_E,), n_I_choices=(n_I,))
+            T_star = params.T_star
+            Ts = np.append(np.linspace(0.0, 2.0 * T_star, 9), T_star)
+            roots = perron_root(params, Ts)
+            for T, root in zip(Ts.tolist(), roots.tolist()):
+                A = coefficient_matrix(params, T)
+                scale = max(A.inf_norm, 1.0)
+                ztol = 1e-8 * scale
+                block = A.entries[:-1, :-1]  # the W row and column carry the structural zero
+                if T == 0.0:
+                    # triangular: the dense solver scatters around the defective
+                    # Jordan blocks, the diagonal is exact
+                    assert root == -_floor_rate(params) == np.max(np.diag(block))
+                    continue
+                w = np.linalg.eigvals(block)
+                reals = [z.real for z in w if abs(z.imag) <= ztol]
+                assert abs(root - max(reals)) <= 1e-12 * scale, (params, T)
+                assert (1 if root > ztol else 0) == sum(1 for v in reals if v > ztol)
+
+    def test_scalar_and_array_forms_agree(self):
+        params = make_params(n_E=2, tau_E=0.7, n_I=5)
+        Ts = np.linspace(0.0, 3.0, 7)
+        roots = perron_root(params, Ts)
+        assert roots.shape == Ts.shape
+        for T, root in zip(Ts.tolist(), roots.tolist()):
+            single = perron_root(params, T)
+            assert type(single) is float and single == root
+
+    def test_sign_follows_the_threshold(self):
+        params = make_params()  # T* = 1.5
+        below, above = perron_root(params, [1.4, 1.6])
+        assert below < 0.0 < above
+        assert abs(perron_root(params, 1.5)) <= 1e-14
+
+    def test_rejects_negative_T(self):
+        with pytest.raises(ValueError):
+            perron_root(make_params(), -1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deep_cascades_stay_bracketed(self, seed):
+        """n_I up to 200 and rates log-uniform in 1e+-3: the root is finite,
+        inside (-m, sqrt(beta*T*p*n_I)], F - 1 changes sign across it, and it
+        grows with T."""
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n_E = int(rng.integers(0, 4))
+            params = ModelParams(
+                beta=loguniform(rng, 1e-3, 1e3), p=loguniform(rng, 1e-3, 1e3),
+                c=loguniform(rng, 1e-3, 1e3), n_E=n_E,
+                tau_E=loguniform(rng, 1e-3, 1e3) if n_E else None,
+                n_I=int(rng.integers(1, 201)), tau_I=loguniform(rng, 1e-3, 1e3),
+                v_a=loguniform(rng, 1e-3, 1e3),
+            )
+            m = _floor_rate(params)
+            Ts = np.sort(rng.uniform(0.0, 2.0 * params.T_star, 40))
+            Ts = Ts[Ts > 0.0]
+            roots = perron_root(params, Ts)
+            assert np.all(np.isfinite(roots))
+            q = params.beta * Ts * params.p
+            assert np.all(roots > -m) and np.all(roots <= np.sqrt(q * params.n_I))
+            assert np.all(np.diff(roots) >= 0.0)
+            step = 1e-12 * np.maximum(m, np.abs(roots))
+            below, above = roots - step, roots + step
+            inside = below > -m  # F is +inf at -m itself
+            assert np.all(_log_perron_f(params, q[inside], below[inside]) > 0.0)
+            assert np.all(_log_perron_f(params, q, above) < 0.0)
+
+
+class TestCoefficientInfNorm:
+    def test_matches_assembled_matrix(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            params, T = sample_params(rng, n_I_choices=tuple(range(1, 61)))
+            want = coefficient_matrix(params, T).inf_norm
+            # the dense norm adds n_I copies of p; the closed form multiplies
+            assert coefficient_inf_norm(params, T) == pytest.approx(want, rel=1e-14)
+            Ts = np.array([0.0, T, 3.0 * T])
+            norms = coefficient_inf_norm(params, Ts)
+            assert norms.tolist() == [coefficient_inf_norm(params, float(t)) for t in Ts]
+
+
+class TestDeepCascadeRoots:
+    """beta=1, p=2, c=3, tau_I=1, T=0.75 at depth: no spurious root passes the
+    endpoint test, every reported root has a residual-checked eigenvector, and
+    odd n_I keeps its root below -c_I."""
+
+    @pytest.mark.parametrize("n_I", [31, 40, 60])
+    def test_analyze_succeeds(self, n_I):
+        params = make_params(n_I=n_I)
+        report = analyze(params, 0.75)
+        A = coefficient_matrix(params, 0.75)
+        values = [r.value for r in report.real_eigenvalues]
+        assert 0.0 in values
+        for r in report.real_eigenvalues:
+            assert r.geometric_multiplicity == 1
+            if r.eigenvector is None:
+                continue
+            v = np.array(r.eigenvector)
+            resid = float(np.max(np.abs(A.entries @ v - r.value * v)))
+            assert resid <= 1e-8 * float(np.max(np.abs(v)))
+        below = [x for x in values if x < -params.c_I]
+        assert len(below) == (1 if n_I % 2 else 0)

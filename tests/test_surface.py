@@ -227,6 +227,17 @@ def deep_setup(n_I, n_E):
     return params, coeffs, s0
 
 
+def test_float_path_stays_on_python_floats():
+    # deep_setup draws r from numpy; here the rates are numpy scalars too,
+    # and the parameter objects still hand the fields Python floats
+    params, coeffs, s0 = deep_setup(6, 2)
+    params = ModelParams(**{k: np.float64(v) if type(v) is float else v for k, v in vars(params).items()})
+    coeffs = FieldCoefficients(r=coeffs.r, psi=np.float64(coeffs.psi))
+    y = s0.to_array().tolist()
+    for rhs in (time_rhs, x_rhs):
+        assert all(type(v) is float for v in rhs(params, coeffs, y))
+
+
 @pytest.mark.parametrize("n_E", [0, 2])
 @pytest.mark.parametrize("n_I", [2, 12, 40])
 class TestBatchedRuns:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flustab.charpoly import coefficient_matrix
+from flustab.model import ModelParams
 from flustab.spectrum import classify, full_spectrum_numeric, predicted_sign_pattern
 from flustab.validation import (
     SuiteResult,
@@ -26,6 +27,14 @@ class TestSuiteResult:
         assert not r.ok
         # examples are capped so a broken suite cannot flood the report
         assert r.failure_examples == [f"case {i}" for i in range(5)]
+
+    def test_detail_is_built_only_on_failure(self):
+        r = SuiteResult("demo")
+        built = []
+        r.record(True, lambda: built.append("pass") or "pass")
+        r.record(False, lambda: built.append("fail") or "fail")
+        assert built == ["fail"]
+        assert r.failure_examples == ["fail"]
 
     def test_json_shape(self):
         r = SuiteResult("demo")
@@ -173,6 +182,13 @@ class TestSuites:
         for r in results:
             assert r.ok, f"{r.name}: {r.failure_examples}"
             assert r.checks > 0
+
+    def test_passing_checks_format_no_parameters(self, monkeypatch):
+        def unprintable(self):
+            raise AssertionError("a passing check formatted its parameters")
+
+        monkeypatch.setattr(ModelParams, "__repr__", unprintable)
+        assert all(r.ok for r in run_all(seed=0))
 
     def test_zero_eigenvalue_suite(self):
         r = suite_zero_eigenvalue(seed=3, n_sets=40)
