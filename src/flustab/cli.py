@@ -6,10 +6,11 @@ samples the two vector fields on eigen-direction lattices, and `validate`
 runs the randomized oracle suites.
 
 Exit codes are a stable contract: 0 success, 1 validation-suite failure,
-2 invalid config, 3 numeric failure, 4 trajectory blow-up, 141 output pipe
-closed by the reader (as in `flustab simulate ... | head -1`; 128 + SIGPIPE,
-the shell's code for a writer the pipe killed). Machine-readable errors go
-to standard error as a single JSON object; a closed pipe ends the run quietly.
+2 invalid config, 3 numeric failure (a grid too large to allocate
+included), 4 trajectory blow-up, 141 output pipe closed by the reader (as in
+`flustab simulate ... | head -1`; 128 + SIGPIPE, the shell's code for a
+writer the pipe killed). Machine-readable errors go to standard error as a
+single JSON object; a closed pipe ends the run quietly.
 """
 
 from __future__ import annotations
@@ -333,13 +334,13 @@ _CSV_BLOCK_ROWS = 256
 
 def _write_state_csv(out, names: list[str], table: np.ndarray) -> None:
     """One CSV line per table row (x, t, state.., mismatch). "%.17g" gives
-    the text of _fmt; rows are turned into Python floats a block at a time,
-    which bounds the memory that takes."""
+    the text of _fmt; a block of rows is formatted by one % on one tuple of
+    its Python floats, which bounds the memory that takes."""
     out.write("x,t," + ",".join(names) + ",mismatch\n")
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        out.write("".join([line % tuple(row) for row in block]))
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _emit_error(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
-    except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError, MemoryError) as exc:
         _emit_error(EXIT_NUMERIC, f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except BrokenPipeError:

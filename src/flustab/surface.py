@@ -4,11 +4,13 @@ diagnostics for the 2-distribution spanned by the two fields.
 Integration is fixed-step classical fourth-order Runge-Kutta throughout: no
 adaptivity, so identical inputs give bit-identical output and step-halving
 order studies are exact. A single nonlinear state is advanced as a list of
-Python floats and a block of states (a surface's columns or rows) as one
-array, with the same operations on every element in the same order, so a
-column of a block run equals its single run bit for bit. Frozen-T
-linearized runs take RK4's exact step map, one matrix-vector product per
-step, which differs from the four stages only by rounding.
+Python floats and a block of states as one array, with the same operations
+on every element in the same order, so a column of a block run equals its
+single run bit for bit. A surface's columns or rows run one at a time as
+float lists when they are few (a narrow block loses to numpy's per-call
+overhead) and as one block when they are many; the bits are the same either
+way. Frozen-T linearized runs take RK4's exact step map, one matrix-vector
+product per step, which differs from the four stages only by rounding.
 
 Surfaces are traced in a canonical order (the x-fiber through the corner
 first, then time up each column); the opposite order is computed only to
@@ -144,23 +146,35 @@ def _rk4_float_step(f, dt: float):
     return step
 
 
-def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label: str):
-    """One RK4 run from every row of starts (m, dim), as a single block.
+# float runs vs one block, m states: m=3 74/141 ms, 7 32/34, 9 30/29, 17 43/14
+FLOAT_RUN_MAX_STATES = 8
 
-    A block can blow up in a later state before an earlier one does. On a
-    blow-up the states are therefore run again one at a time, in index
-    order, and the first that fails is reported as "{label}={index}" with
-    its own prefix, exactly as a run of that state alone reports it.
+
+def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label: str):
+    """One RK4 run from every row of starts (m, dim), returned in the block
+    layout (times, states (n + 1, dim, m), step).
+
+    Up to FLOAT_RUN_MAX_STATES states run one at a time as float lists,
+    more as a single block; the two forms give the same bits. A block can
+    blow up in a later state before an earlier one does, so on a blow-up
+    its states are run again one at a time. Either way the states run in
+    index order and the first that fails is reported as "{label}={index}"
+    with its own prefix, exactly as a run of that state alone reports it.
     """
-    try:
-        return _rk4_run(f, starts.T, span, h)
-    except BlowUpError:
-        for i, start in enumerate(starts):
-            try:
-                _rk4_run(f, start, span, h)
-            except BlowUpError as e:
-                raise BlowUpError(e.times, e.states, where=f"{label}={i}") from None
-        raise
+    if len(starts) > FLOAT_RUN_MAX_STATES:
+        try:
+            return _rk4_run(f, starts.T, span, h)
+        except BlowUpError:
+            pass
+    runs = []
+    for i, start in enumerate(starts):
+        try:
+            runs.append(_rk4_run(f, start, span, h))
+        except BlowUpError as e:
+            raise BlowUpError(e.times, e.states, where=f"{label}={i}") from None
+    times, _, step = runs[0]
+    # stacked in the (m, n + 1, dim) order trace_surface wants, so it copies nothing
+    return times, np.stack([states for _, states, _ in runs]).transpose(1, 2, 0), step
 
 
 def _as_span(span) -> tuple[float, float]:

@@ -1,12 +1,14 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from flustab.cli import EXIT_BROKEN_PIPE, main
+from flustab.cli import EXIT_BROKEN_PIPE, _fmt, _write_state_csv, main
 
 
 def params_doc(**overrides):
@@ -314,6 +316,34 @@ class TestSimulate:
         assert error["details"]["rows"] > 0
         assert 0.0 < error["details"]["t_last"] < 100.0
         assert "exceeded" in error["message"]
+
+    def test_grid_too_large_to_allocate_exits_3(self, capsys, tmp_path):
+        # 2**47 steps of 4 states ask numpy for 4 PiB, which fails at once
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": params_doc(n_E=0, n_I=1),
+                "initial_state": [1.0, 0.1, 0.1, 0.0],
+                "grid": {"t_span": [0.0, 1.0], "h_t": 2.0**-47},
+            },
+        )
+        code, out, err = run_cli(capsys, ["simulate", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert error_doc(err)["code"] == 3
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
+def test_state_csv_matches_fmt_per_row(rows):
+    # whole blocks of rows are formatted at once; the text is _fmt's
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    table = np.random.default_rng(rows).normal(0.0, 1e3, (rows, 7))
+    table[:, 0] = np.resize(extremes, rows)
+    table[:, -1] = 0.1
+    out = io.StringIO()
+    _write_state_csv(out, ["T", "I1", "V", "W"], table)
+    expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
+    assert out.getvalue() == expected
 
 
 class TestBrokenPipe:

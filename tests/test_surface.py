@@ -304,6 +304,49 @@ def test_surface_makes_one_batched_field_call_per_stage(monkeypatch):
     assert calls == {"t": 4 * 200, "x": 4 * (8 + 8)}
 
 
+@pytest.mark.parametrize("n_E", [0, 2])
+@pytest.mark.parametrize("width", [1, 8, 9])
+def test_each_width_matches_single_runs(width, n_E):
+    # up to FLOAT_RUN_MAX_STATES states run one at a time, more as one block
+    assert surface.FLOAT_RUN_MAX_STATES == 8
+    params, coeffs, s0 = deep_setup(4, n_E)
+    rng = np.random.default_rng([width, n_E])
+    starts = s0.to_array() * rng.uniform(0.5, 1.5, (width, params.state_dim))
+    calls = {"n": 0}
+
+    def f(y):
+        calls["n"] += 1
+        return time_rhs(params, coeffs, y)
+
+    times, states, h = surface._rk4_each(f, starts, (0.0, 1.0), 0.02, "column i")
+    assert states.shape == (51, params.state_dim, width)
+    assert calls["n"] == 4 * 50 * (1 if width > 8 else width)
+    for i, start in enumerate(starts):
+        single = integrate_time(params, coeffs, StateVector.for_params(params, start), (0.0, 1.0), 0.02)
+        np.testing.assert_array_equal(single.times, times)
+        np.testing.assert_array_equal(single.states, states[:, :, i])
+        assert single.h == h
+
+
+def test_narrow_surface_makes_field_calls_per_column(monkeypatch):
+    calls = {"t": 0, "x": 0}
+
+    def counted(key, rhs):
+        def wrapper(*args):
+            calls[key] += 1
+            return rhs(*args)
+        return wrapper
+
+    monkeypatch.setattr(surface, "time_rhs", counted("t", dynamics.time_rhs))
+    monkeypatch.setattr(surface, "x_rhs", counted("x", dynamics.x_rhs))
+    params, coeffs, s0 = deep_setup(4, 0)
+    grid = trace_surface(params, coeffs, s0, (0.0, 0.1), (0.0, 4.0), 0.05, 0.02)
+    assert grid.states.shape[:2] == (3, 201)
+    # 3 columns of 200 steps one at a time; 2 steps of the corner fiber and
+    # 2 of the 201 rows, which run as one block
+    assert calls == {"t": 3 * 4 * 200, "x": 4 * (2 + 2)}
+
+
 class TestSurfaceBlowUp:
     """A block can blow up in a later column or row first; the report must
     name the lowest-index one that fails, as it would fail on its own."""
@@ -326,6 +369,25 @@ class TestSurfaceBlowUp:
         ]
         assert alone[1].t_last < alone[0].t_last
         exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, (0.0, 1.0), (0.0, 10.0), 0.5, 0.05))
+        assert exc.where == "canonical column i=0"
+        assert exc.t_last == alone[0].t_last
+        np.testing.assert_array_equal(exc.times, alone[0].times)
+        np.testing.assert_array_equal(exc.states, alone[0].states)
+
+    def test_reports_first_column_of_a_wide_block(self):
+        # 9 columns run as one block, in which column 8 fails first
+        params = make_params(beta=1.0, p=2.0, c=0.5)
+        coeffs = FieldCoefficients.default_for(params)
+        s0 = StateVector.for_params(params, [1.0, 0.0, -1.0, -1.0])
+        fiber = integrate_x(params, coeffs, s0, (0.0, 4.0), 0.5)
+        assert len(fiber.states) > surface.FLOAT_RUN_MAX_STATES
+        alone = [
+            self.single_failure(lambda: integrate_time(
+                params, coeffs, StateVector.for_params(params, y), (0.0, 10.0), 0.05))
+            for y in fiber.states
+        ]
+        assert min(e.t_last for e in alone) < alone[0].t_last
+        exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, (0.0, 4.0), (0.0, 10.0), 0.5, 0.05))
         assert exc.where == "canonical column i=0"
         assert exc.t_last == alone[0].t_last
         np.testing.assert_array_equal(exc.times, alone[0].times)
