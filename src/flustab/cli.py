@@ -335,12 +335,20 @@ _CSV_BLOCK_ROWS = 256
 def _write_state_csv(out, names: list[str], table: np.ndarray) -> None:
     """One CSV line per table row (x, t, state.., mismatch). "%.17g" gives
     the text of _fmt; a block of rows is formatted by one % on one tuple of
-    its Python floats, which bounds the memory that takes."""
+    its Python floats, which bounds the memory that takes. A column whose
+    bits are the same on every row of a block (simulate's x and mismatch,
+    a frozen T, a surface's x node) is formatted once, into the line."""
     out.write("x,t," + ",".join(names) + ",mismatch\n")
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
         block = table[start : start + _CSV_BLOCK_ROWS]
-        out.write((line * len(block)) % tuple(block.ravel().tolist()))
+        # bits, not values, so -0.0 and 0.0 keep their own text
+        bits = block.view(np.int64)
+        constant = (bits == bits[0]).all(axis=0)
+        cells = ["%.17g"] * block.shape[1]
+        for j in np.flatnonzero(constant).tolist():
+            cells[j] = "%.17g" % block[0, j]
+        line = ",".join(cells) + "\n"
+        out.write((line * len(block)) % tuple(block[:, ~constant].ravel().tolist()))
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:

@@ -346,6 +346,86 @@ def test_state_csv_matches_fmt_per_row(rows):
     assert out.getvalue() == expected
 
 
+def _csv_tables():
+    rng = np.random.default_rng(11)
+    signed_zeros = rng.normal(size=(300, 6))
+    signed_zeros[:, 2] = np.where(rng.random(300) < 0.5, -0.0, 0.0)
+    signed_zeros[:256, 3] = -0.0  # -0.0 for a whole block, then 0.0
+    signed_zeros[256:, 3] = 0.0
+    special = rng.normal(size=(300, 7))
+    special[:, 1] = np.nan
+    special[:, 2] = np.inf
+    special[:, 3] = -np.inf
+    special[:, 4] = np.resize([np.inf, -np.inf, np.nan, 1.0], 300)
+    one_row_tail = np.repeat(rng.normal(size=(1, 5)), 257, axis=0)
+    one_row_tail[:256, 2] = rng.normal(size=256)  # the last block is one row, all constant
+    last_row_changes = np.tile(rng.normal(size=5), (512, 1))
+    last_row_changes[255, 1] = np.nextafter(last_row_changes[255, 1], np.inf)
+    last_row_changes[511, 3] = -last_row_changes[511, 3]
+    wide = rng.normal(size=(9, 600))
+    wide[2] = 0.5
+    return {
+        "signed_zeros": signed_zeros,
+        "nan_and_inf_columns": special,
+        "final_block_of_one_constant_row": one_row_tail,
+        "every_column_constant": np.full((600, 5), 5e-324),
+        "change_in_last_row_of_a_block": last_row_changes,
+        "not_c_contiguous": wide.T,
+        "strided_columns": rng.normal(size=(300, 12))[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_csv_tables()))
+def test_state_csv_constant_columns_match_fmt_per_row(name):
+    # a column constant over a 256-row block is formatted once for it
+    table = _csv_tables()[name]
+    names = [f"S{i}" for i in range(table.shape[1] - 3)]
+    out = io.StringIO()
+    _write_state_csv(out, names, table)
+    expected = "".join(",".join(map(_fmt, row)) + "\n" for row in table)
+    assert out.getvalue() == "x,t," + ",".join(names) + ",mismatch\n" + expected
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (
+            "surface",  # 11 columns, more than run one at a time
+            {
+                "params": params_doc(beta=1e300, n_I=2),
+                "initial_state": [1.0, 0.0, 0.0, 1.0, 0.0],
+                "grid": {"x_span": 0.5, "h_x": 0.05, "t_span": [0.0, 1.0], "h_t": 0.1},
+            },
+        ),
+        (
+            "simulate",
+            {
+                "params": params_doc(beta=1e300),
+                "T": 1.0,
+                "linearized": True,
+                "initial_state": [0.1, 0.1, 0.0],
+                "grid": {"t_span": [0.0, 1.0], "h_t": 0.5},
+            },
+        ),
+    ],
+)
+def test_overflowing_run_writes_only_the_error_object(tmp_path, command, doc):
+    # numpy's overflow warnings would land on stderr ahead of the error object
+    cfg = write_config(tmp_path, doc)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flustab.cli", command, "--config", cfg, "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    error = error_doc(lines[0])
+    assert error["code"] == 4
+    assert error["details"]["rows"] == 1
+
+
 class TestBrokenPipe:
     """A reader that stops early (`flustab simulate ... | head -1`) ends the
     run with exit 141 and no traceback, error object or further output."""

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flustab import dynamics
 from flustab.dynamics import rank_check, sample_fields, time_field, time_rhs, x_field, x_rhs
 from flustab.model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 from flustab.validation import sample_params
@@ -94,6 +95,59 @@ def test_infection_chain_telescopes(n_E, n_I, beta, p, c, tau_I, scale):
     lhs = float(np.sum(out[:head]))
     rhs = -params.c_I * y[head - 1]
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.max(np.abs(out[:head])), abs(rhs))
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit where a is a number, NaN where a is NaN. IEEE 754
+    fixes neither the sign nor the payload of a NaN result, and CPython's
+    float operations do not pin them either: the same a * b on two NaNs of
+    opposite sign gives a NaN of one sign before the interpreter specializes
+    the multiply and of the other after. Every NaN is a blow-up to the
+    integrators, so only its place matters."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@pytest.mark.parametrize("n_I", [1, 2, 12, 40, 200])
+@pytest.mark.parametrize("n_E", [0, 1, 3])
+def test_float_kernel_matches_array_path(n_E, n_I):
+    # lists go through the generated straight-line kernel, arrays through
+    # the slot loop; the two do the same operations in the same order
+    rng = np.random.default_rng([n_E, n_I])
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+    dim = n_E + n_I + 3
+    states = [rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-3, 4) for _ in range(40)]
+    for y in states[20:]:
+        y[rng.integers(0, dim, 3)] = rng.choice(special, 3)
+    states.append(np.full(dim, -0.0))
+    states.append(np.full(dim, 5e-324))
+    # -0.0 in every compartment shows whether I_total starts from 0.0: with
+    # no forcing and a < 0 it is the sign of the V slot
+    states.append(np.array([1.0] + [-0.0] * (n_E + n_I) + [0.0, -0.0]))
+    for forcing in ({}, {"D_PCF": 0.0, "a": -0.4}):
+        params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, **forcing)
+        coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, dim - 1)), psi=0.05)
+        for y in states:
+            floats = time_rhs(params, coeffs, y.tolist())
+            assert type(floats) is list
+            assert all(type(v) is float for v in floats)
+            with np.errstate(all="ignore"):
+                assert same_bits(time_rhs(params, coeffs, y), floats)
+
+
+def test_float_kernel_is_shared_by_shape(monkeypatch):
+    monkeypatch.setattr(dynamics, "_FLOAT_TIME_KERNELS", {})
+    slow = make_params(n_I=3, tau_I=0.5)
+    fast = make_params(beta=0.7, p=4.0, c=1.1, n_I=3, tau_I=2.5, tau_E=0.9, D_PCF=0.1, v_a=-0.3, a=2.0)
+    y = np.array([0.8, 0.3, 0.5, 0.2, 0.1, 1.2, 0.1])
+    results = []
+    for params, psi in ((slow, 0.0), (fast, 0.25)):
+        coeffs = FieldCoefficients(r=(1.0,) * (params.state_dim - 1), psi=psi)
+        results.append(time_rhs(params, coeffs, y.tolist()))
+        assert same_bits(time_rhs(params, coeffs, y), results[-1])
+    assert list(dynamics._FLOAT_TIME_KERNELS) == [(1, 3)]
+    assert results[0] != results[1]
 
 
 def test_rank_check():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,90 @@ class TestRunBlowUp:
         with pytest.raises(BlowUpError) as err:
             surface._rk4_run(f, np.zeros(4), (0.0, 3.0), 1.0)
         assert err.value.times.size == 3
+
+
+class TestChunkedBlowUp:
+    """_run steps a chunk of rows before it tests them; every run must end
+    exactly where a test after each step ends it, on the float path, on a
+    block and on a frozen-T run. The field is LAM * y, so every state grows
+    by RK4's factor R = 1 + z + z^2/2 + z^3/6 + z^4/24, z = LAM * DT, per
+    step, and the largest component sets the row that fails."""
+
+    LAM, DT = 18.0, 0.01
+    Z = LAM * DT
+    R = 1 + Z + Z**2 / 2 + Z**3 / 6 + Z**4 / 24
+
+    @classmethod
+    def run(cls, kind, y0, n, dt):
+        span = (0.0, n * dt)
+        if kind == "float":
+            return surface._rk4_run(lambda y: [cls.LAM * v for v in y], y0, span, dt, where="w")
+        if kind == "block":
+            return surface._rk4_run(lambda y: cls.LAM * y, y0, span, dt, where="w")
+        stepper = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))
+        return surface._run(stepper, y0, span, dt, where="w")
+
+    @classmethod
+    def reference(cls, kind, y0, n, dt):
+        """(times, states) up to the row before the first that fails, taking
+        one step at a time and testing every row."""
+        if kind == "float":
+            step = surface._rk4_float_step(lambda y: [cls.LAM * v for v in y], dt)
+            y0 = y0.tolist()
+        elif kind == "block":
+            step = surface._rk4_block_step(lambda y: cls.LAM * y, dt)
+        else:
+            step = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))(dt)
+        rows = [y0]
+        for _ in range(n):
+            y = step(rows[-1])
+            if not np.abs(np.asarray(y)).max() <= surface.BLOWUP_LIMIT:
+                break
+            rows.append(y)
+        return dt * np.arange(len(rows)), np.array(rows, dtype=float)
+
+    @classmethod
+    def start(cls, kind, first_bad_row):
+        """A state (or a block of 9, whose column 5 is the largest) that
+        crosses BLOWUP_LIMIT between rows first_bad_row - 1 and first_bad_row."""
+        top = surface.BLOWUP_LIMIT / cls.R ** (first_bad_row - 0.5)
+        y = np.array([0.3, -1.0, 0.2])
+        if kind == "block":
+            block = np.outer(y, np.linspace(0.2, 0.9, 9))
+            block[:, 5] = y
+            return top * block
+        return top * y
+
+    @pytest.mark.parametrize("first_bad_row", [1, 64, 65, 130])
+    @pytest.mark.parametrize("kind", ["float", "block", "frozen"])
+    def test_prefix_matches_per_step_test(self, kind, first_bad_row):
+        # chunks are rows 1-64 and 65-128, then 129-130
+        assert surface._CHUNK_ROWS == 64
+        y0 = self.start(kind, first_bad_row)
+        times, states = self.reference(kind, y0, 130, self.DT)
+        assert len(states) == first_bad_row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the steps past the failing row print nothing
+            with pytest.raises(BlowUpError) as err:
+                self.run(kind, y0, 130, self.DT)
+        exc = err.value
+        assert exc.where == "w"
+        assert exc.times.size == first_bad_row
+        assert exc.t_last == times[-1]
+        np.testing.assert_array_equal(exc.times, times)
+        np.testing.assert_array_equal(exc.states, states)
+
+    @pytest.mark.parametrize("steps", [64, 65])
+    @pytest.mark.parametrize("kind", ["float", "block", "frozen"])
+    def test_whole_chunks_match_single_steps(self, kind, steps):
+        # one chunk, and one chunk and a row, far from the limit
+        y0 = self.start(kind, 1000)
+        times, states, h = self.run(kind, y0, steps, self.DT)
+        ref_times, ref_states = self.reference(kind, y0, steps, self.DT)
+        assert len(ref_states) == steps + 1
+        assert h == self.DT
+        np.testing.assert_array_equal(states, ref_states)
+        np.testing.assert_allclose(times, ref_times, rtol=1e-15)
 
 
 class TestSurfaceGrid:
