@@ -20,7 +20,6 @@ from .charpoly import (
 )
 from .dynamics import (
     FieldSample,
-    rank_check,
     sample_fields,
     time_field,
     time_rhs,
@@ -33,13 +32,11 @@ from .model import (
     ModelParams,
     StateVector,
     derived_rates,
-    require_valid,
     target_cell_threshold,
     validate,
 )
 from .spectrum import (
     Classification,
-    EigenspaceDecomposition,
     RootReport,
     SignPattern,
     SpectrumReport,
@@ -48,13 +45,11 @@ from .spectrum import (
     charpoly_derivative,
     classify,
     critical_points,
-    eigenspace_decomposition,
     eigenvector,
     full_spectrum_numeric,
     geometric_multiplicity,
     perron_root,
     predicted_sign_pattern,
-    quadratic_roots,
     real_roots,
     sign_class,
     viral_pressure,
@@ -80,7 +75,6 @@ __all__ = [
     "AsymptoticsVerdict",
     "BlowUpError",
     "Classification",
-    "EigenspaceDecomposition",
     "FieldCoefficients",
     "FieldSample",
     "InvalidParamsError",
@@ -106,7 +100,6 @@ __all__ = [
     "coefficient_matrix",
     "critical_points",
     "derived_rates",
-    "eigenspace_decomposition",
     "eigenvector",
     "full_spectrum_numeric",
     "geometric_multiplicity",
@@ -118,10 +111,7 @@ __all__ = [
     "perron_root",
     "predicted_sign_pattern",
     "production_minor_det",
-    "quadratic_roots",
-    "rank_check",
     "real_roots",
-    "require_valid",
     "run_all",
     "sample_fields",
     "sample_params",

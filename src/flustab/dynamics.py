@@ -158,23 +158,6 @@ def sample_fields(params: ModelParams, coeffs: FieldCoefficients, s: StateVector
     return FieldSample(at=s, d_dt=time_field(params, coeffs, s), d_dx=x_field(params, coeffs, s))
 
 
-def rank_check(params: ModelParams, coeffs: FieldCoefficients, s: StateVector, tol: float = 1e-9) -> str:
-    """"full-rank-2" when the two fields at s are linearly independent,
-    "degenerate" when one is a scalar multiple of the other (including the
-    both-zero case at equilibria with a = psi = 0).
-
-    Independence is read off the singular values of the stacked 2 x n
-    matrix, which measures the same thing as the Gram determinant without
-    squaring the conditioning.
-    """
-    X = x_field(params, coeffs, s)
-    Y = time_field(params, coeffs, s)
-    sv = np.linalg.svd(np.vstack([X, Y]), compute_uv=False)
-    if sv[0] == 0.0:
-        return "degenerate"
-    return "full-rank-2" if sv[1] > tol * sv[0] else "degenerate"
-
-
 __all__ = [
     "FieldSample",
     "time_rhs",
@@ -182,5 +165,4 @@ __all__ = [
     "time_field",
     "x_field",
     "sample_fields",
-    "rank_check",
 ]

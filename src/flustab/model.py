@@ -9,6 +9,7 @@ here, so all input checking lives in this module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,7 +166,14 @@ def target_cell_threshold(params: ModelParams) -> float:
             problems.append(f"{name} must be > 0")
     if problems:
         raise InvalidParamsError(problems)
-    return params.c / (params.tau_I * params.p * params.beta)
+    return _threshold(params)
+
+
+def _threshold(params: ModelParams) -> float:
+    """c/(tau_I*p*beta) unchecked, +inf where the denominator is not
+    positive (beta = 0 leaves the system Definite at every T)."""
+    denom = params.tau_I * params.p * params.beta
+    return params.c / denom if denom > 0 else math.inf
 
 
 def validate(params: ModelParams) -> list[str]:
@@ -182,13 +190,6 @@ def validate(params: ModelParams) -> list[str]:
         if value is not None and not np.isfinite(value):
             problems.append(f"{name} must be finite")
     return problems
-
-
-def require_valid(params: ModelParams) -> ModelParams:
-    problems = validate(params)
-    if problems:
-        raise InvalidParamsError(problems)
-    return params
 
 
 @dataclass(frozen=True)
@@ -282,5 +283,4 @@ __all__ = [
     "derived_rates",
     "target_cell_threshold",
     "validate",
-    "require_valid",
 ]

@@ -1,5 +1,6 @@
-"""Small central-difference toolkit: derivatives of scalar callables and
-Jacobians of vector fields. Nothing here knows about the model."""
+"""Small central-difference toolkit for derivatives of scalar callables.
+Nothing here knows about the model; the validation suites use it as the
+oracle the closed-form multiplicities are checked against."""
 from __future__ import annotations
 
 import math
@@ -7,64 +8,21 @@ from typing import Callable
 
 import numpy as np
 
-EPS = np.finfo(float).eps
-
-
-def _binomial_weights(order: int) -> np.ndarray:
-    # weights of the order-th forward difference, alternating binomials
-    return np.array([(-1) ** k * math.comb(order, k) for k in range(order + 1)])
+_EPS = np.finfo(float).eps
 
 
 def _central_diff(f: Callable[[float], float], x: float, order: int, h: float):
     """Raw central difference of given order with spacing h.
 
     Evaluation points are x + (order/2 - k)*h, symmetric around x
-    (half-integer offsets when order is odd). Returns the difference
+    (half-integer offsets when order is odd), weighted by the alternating
+    binomials of the order-th forward difference. Returns the difference
     quotient and the max |f| seen on the stencil.
     """
-    w = _binomial_weights(order)
+    w = np.array([(-1) ** k * math.comb(order, k) for k in range(order + 1)])
     offsets = np.array([order / 2.0 - k for k in range(order + 1)])
     vals = np.array([f(x + o * h) for o in offsets], dtype=float)
     return float(w @ vals) / h**order, float(np.max(np.abs(vals)))
-
-
-def central_derivative(
-    f: Callable[[float], float],
-    x: float,
-    order: int = 1,
-    h: float | None = None,
-    richardson: bool = True,
-) -> tuple[float, float]:
-    """Estimate the order-th derivative of f at x.
-
-    Plain central differences have an O(h^2) truncation term; one level of
-    Richardson extrapolation (combining steps h and h/2) removes it, which
-    matters when the leading derivative vanishes and the h^2 term would
-    masquerade as a nonzero value.
-
-    Returns (derivative estimate, stencil_scale) where stencil_scale is the
-    largest |f| encountered, the natural yardstick for deciding whether the
-    estimate is distinguishable from roundoff.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if h is None:
-        h = default_step(x, order)
-    if not (h > 0):
-        raise ValueError("h must be > 0")
-    d_h, m_h = _central_diff(f, x, order, h)
-    if not richardson:
-        return d_h, m_h
-    d_h2, m_h2 = _central_diff(f, x, order, h / 2.0)
-    # error model d(h) = d + C h^2 + O(h^4)
-    return (4.0 * d_h2 - d_h) / 3.0, max(m_h, m_h2)
-
-
-def default_step(x: float, order: int) -> float:
-    """Step balancing truncation against the roundoff floor for the given
-    derivative order; grows with the order because the difference shrinks
-    like h^order."""
-    return max(1.0, abs(x)) * EPS ** (1.0 / (order + 4))
 
 
 def derivative_is_zero(
@@ -75,37 +33,30 @@ def derivative_is_zero(
 ) -> tuple[bool, float]:
     """Decide whether the order-th derivative of f vanishes at x.
 
+    The estimate takes central differences at steps h and h/2, with
+    h = max(1, |x|) * eps^(1/(order + 4)) balancing truncation against the
+    roundoff floor (it grows with the order because the difference shrinks
+    like h^order), and one level of Richardson extrapolation. That removes
+    the O(h^2) truncation term, which would otherwise masquerade as a
+    nonzero value when the leading derivative vanishes.
+
     The test compares the raw difference (derivative * h^order / order!),
     which carries only O(eps * stencil_scale) of roundoff, against
-    rel_tol * stencil_scale. This is scale-free in f and immune to the
-    h^(-order) noise blowup that plagues thresholding the derivative itself.
+    rel_tol * stencil_scale, the stencil scale being the largest |f| seen.
+    This is scale-free in f and immune to the h^(-order) noise blowup that
+    plagues thresholding the derivative itself.
 
     Returns (is_zero, derivative_estimate).
     """
-    h = default_step(x, order)
-    d, m = central_derivative(f, x, order=order, h=h, richardson=True)
+    h = max(1.0, abs(x)) * _EPS ** (1.0 / (order + 4))
+    d_h, m_h = _central_diff(f, x, order, h)
+    d_h2, m_h2 = _central_diff(f, x, order, h / 2.0)
+    # error model d(h) = d + C h^2 + O(h^4)
+    d, m = (4.0 * d_h2 - d_h) / 3.0, max(m_h, m_h2)
     magnitude = abs(d) * h**order / math.factorial(order)
     if m == 0.0:
         return abs(d) == 0.0, d
     return magnitude <= rel_tol * m, d
 
 
-def jacobian(
-    F: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector field; exact for fields that
-    are at most quadratic in the state (the O(h^2) term is the third
-    derivative)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        cols.append((np.asarray(F(x + e), dtype=float) - np.asarray(F(x - e), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-__all__ = ["central_derivative", "default_step", "derivative_is_zero", "jacobian", "EPS"]
+__all__ = ["derivative_is_zero"]

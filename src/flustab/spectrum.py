@@ -6,7 +6,9 @@ bracketed between consecutive critical points, the roots sort into four sign
 classes, and the possible class patterns form a 3x3 grid indexed by the sign
 of c - beta*T*p*tau_I (clearance versus viral pressure) and the sign of
 c_I^2 - c*c_I - beta*T*p (where -c_I falls relative to the quadratic's
-roots). For any n_E the largest real eigenvalue, the one whose sign is the
+roots). One helper decides that cell for every caller, and algebraic
+multiplicities are read off the factored derivative, not estimated. For
+any n_E the largest real eigenvalue, the one whose sign is the
 stability answer, is the Perron root of the (E, I, V) block and solves one
 monotone scalar equation. A dense nonsymmetric eigensolver provides the
 oracle spectrum for any n_E.
@@ -24,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numdiff
 from .charpoly import (
     SystemMatrix,
     charpoly,
     charpoly_term_scale,
     coefficient_matrix,
 )
-from .model import InvalidParamsError, ModelParams, derived_rates
+from .model import InvalidParamsError, ModelParams, _threshold, derived_rates
 
 
 def viral_pressure(params: ModelParams, T: float) -> float:
@@ -49,6 +50,29 @@ class Classification:
         return {"kind": self.kind, "T_star": self.T_star}
 
 
+def _three_way(value: float, tol: float) -> str:
+    if abs(value) <= tol:
+        return "="
+    return ">" if value > 0 else "<"
+
+
+def _regime_cell(params: ModelParams, T: float, tol_class_rel: float) -> tuple[str, str]:
+    """The regime cell (row, col), each "<", "=" or ">" with "=" inside a
+    relative window of tol_class_rel. Row: sign of c - beta*T*p*tau_I.
+    Column: sign of c_I^2 - c*c_I - beta*T*p, where -c_I falls against the
+    roots of the quadratic factor. A NaN lands in "<"."""
+    _, c_I = derived_rates(params)  # structural check; beta = 0 is legal here
+    q = params.beta * T * params.p
+    pressure = viral_pressure(params, T)
+    row = _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure)))
+    col_value = c_I * c_I - params.c * c_I - q
+    col_scale = max(c_I * c_I, abs(params.c) * c_I, abs(q), 1e-300)
+    return row, _three_way(col_value, tol_class_rel * col_scale)
+
+
+_KIND_BY_ROW = {"<": "Indefinite", "=": "Critical", ">": "Definite"}
+
+
 def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Classification:
     """Regime of the frozen-T system.
 
@@ -57,34 +81,8 @@ def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Cla
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    derived_rates(params)  # structural check only; beta = 0 is legal here
-    pressure = viral_pressure(params, T)
-    denom = params.tau_I * params.p * params.beta
-    T_star = params.c / denom if denom > 0 else math.inf
-    gap = params.c - pressure
-    if abs(gap) <= tol_class_rel * max(abs(params.c), abs(pressure)):
-        kind = "Critical"
-    elif gap > 0:
-        kind = "Definite"
-    else:
-        kind = "Indefinite"
-    return Classification(kind=kind, T_star=T_star)
-
-
-def quadratic_roots(params: ModelParams, T: float) -> tuple[float, float]:
-    """Roots of lam^2 + c*lam - beta*T*p, returned (lo, hi) with lo <= hi.
-
-    Zero sits between them whenever beta*T*p > 0. Evaluated in the
-    subtraction-free arrangement: the hi root comes from the lo root via the
-    product relation hi = -q/lo (product of roots is -q), so neither root
-    loses digits when q is small against c^2.
-    """
-    q = params.beta * T * params.p
-    c = params.c
-    disc = math.sqrt(c * c + 4.0 * q)
-    lo = -(c + disc) / 2.0
-    hi = -q / lo if lo != 0.0 else 0.0
-    return lo, hi
+    row, _ = _regime_cell(params, T, tol_class_rel)
+    return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
 
 
 def _require_nE0(params: ModelParams):
@@ -126,7 +124,8 @@ def critical_points(params: ModelParams, T: float) -> list[float]:
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc >= 0.0:
         rt = math.sqrt(disc)
-        # same subtraction-free pairing as quadratic_roots
+        # subtraction-free: r1 adds rt to a1 with a1's sign, and r2 comes
+        # from the product of the roots, a0/a2
         if a1 >= 0:
             r1 = (-a1 - rt) / (2.0 * a2)
         else:
@@ -272,12 +271,6 @@ class SignPattern:
         }
 
 
-def _three_way(value: float, tol: float) -> str:
-    if abs(value) <= tol:
-        return "="
-    return ">" if value > 0 else "<"
-
-
 def predicted_sign_pattern(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> SignPattern:
     """Select the regime cell and return its predicted pattern.
 
@@ -296,13 +289,7 @@ def predicted_sign_pattern(params: ModelParams, T: float, tol_class_rel: float =
         row >:  neg_below_cI, neg_in_cI_0, zero
     """
     _require_nE0(params)
-    _, c_I = derived_rates(params)
-    q = params.beta * T * params.p
-    pressure = viral_pressure(params, T)
-    row = _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure)))
-    col_value = c_I * c_I - params.c * c_I - q
-    col_scale = max(c_I * c_I, abs(params.c) * c_I, abs(q), 1e-300)
-    col = _three_way(col_value, tol_class_rel * col_scale)
+    row, col = _regime_cell(params, T, tol_class_rel)
     parity = "even" if params.n_I % 2 == 0 else "odd"
 
     if parity == "even":
@@ -452,76 +439,32 @@ def geometric_multiplicity(A: SystemMatrix, lam: float, tol_rank: float = 1e-7) 
     return gm
 
 
-def algebraic_multiplicity(params: ModelParams, T: float, lam: float, max_order: int | None = None) -> int:
-    """Smallest m with a nonvanishing m-th derivative of the characteristic
-    polynomial at lam, by adaptive-step central differences.
+def algebraic_multiplicity(params: ModelParams, T: float, lam: float, tol_class_rel: float = 1e-10) -> int:
+    """Algebraic multiplicity of the real root lam: 1 plus its order as a
+    zero of P' = (c_I + lam)^(n_I - 1) * Q(lam), Q the quadratic of
+    derivative_quadratic_coeffs.
 
-    The zero test compares the raw m-th difference against the local stencil
-    scale (see numdiff.derivative_is_zero), so a double root is recognized
-    even though its first derivative only vanishes to O(h^2) truncation;
-    one Richardson level keeps that truncation from masquerading as signal.
+    The cascade factor adds n_I - 1 at lam = -c_I, a root only at
+    beta*T*p = 0 (elsewhere P(-c_I) = beta*T*p*c_I^n_I). At lam = 0,
+    Q(0) = c*c_I - beta*T*p*n_I is c_I times the Critical row's gap, so the
+    Critical window decides it, and Q'(0) > 0. Elsewhere Q(lam) and then
+    Q'(lam) count as zero within tol_class_rel of the sum of their terms'
+    magnitudes; Q'' is a nonzero constant.
     """
     _require_nE0(params)
-    if max_order is None:
-        max_order = params.n_I + 2
-    f = lambda x: charpoly(params, T, x)
-    for m in range(1, max_order):
-        is_zero, _ = numdiff.derivative_is_zero(f, lam, order=m)
-        if not is_zero:
-            return m
-    return max_order
-
-
-@dataclass(frozen=True)
-class EigenspaceDecomposition:
-    """Real eigendirections grouped by eigenvalue sign, plus the count of
-    complex-conjugate pairs that complete the dimension."""
-
-    negative: list  # (eigenvalue, unit real eigenvector) pairs
-    positive: list
-    zero: list
-    complex_pair_count: int
-    tol: float
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (len(self.negative), len(self.positive), len(self.zero))
-
-
-def eigenspace_decomposition(params: ModelParams, T: float, tol_rel: float = 1e-8) -> EigenspaceDecomposition:
-    """Group numeric eigenvectors by the sign of their eigenvalue.
-
-    Only real eigenvalues contribute directions; complex pairs are counted.
-    Real parts within tol_rel * inf-norm of zero count as zero.
-    """
-    A = coefficient_matrix(params, T)
-    w, vecs = np.linalg.eig(A.entries)
-    tol = tol_rel * max(A.inf_norm, 1.0)
-    neg, pos, zero = [], [], []
-    n_complex = 0
-    for i in range(len(w)):
-        if abs(w[i].imag) > tol:
-            n_complex += 1
-            continue
-        lam = float(w[i].real)
-        vec = np.real(vecs[:, i])
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        item = (lam, vec)
-        if abs(lam) <= tol:
-            zero.append(item)
-        elif lam > 0:
-            pos.append(item)
-        else:
-            neg.append(item)
-    return EigenspaceDecomposition(
-        negative=sorted(neg, key=lambda t: t[0]),
-        positive=sorted(pos, key=lambda t: t[0]),
-        zero=zero,
-        complex_pair_count=n_complex // 2,
-        tol=tol,
-    )
+    if lam == 0.0:
+        row, _ = _regime_cell(params, T, tol_class_rel)
+        return 2 if row == "=" else 1
+    _, c_I = derived_rates(params)
+    order = params.n_I - 1 if lam == -c_I else 0
+    a2, a1, a0 = derivative_quadratic_coeffs(params, T)
+    t2, t1 = a2 * lam * lam, a1 * lam
+    if abs(t2 + t1 + a0) <= tol_class_rel * (abs(t2) + abs(t1) + abs(a0)):
+        order += 1
+        d2 = 2.0 * a2 * lam
+        if abs(d2 + a1) <= tol_class_rel * (abs(d2) + abs(a1)):
+            order += 1
+    return 1 + order
 
 
 @dataclass(frozen=True)
@@ -583,13 +526,8 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
     w = np.linalg.eigvals(A.entries)
     ztol = 1e-8 * max(A.inf_norm, 1.0)
     _, c_I = derived_rates(params)
-    q = params.beta * T * params.p
-    pressure = viral_pressure(params, T)
-    regime = (
-        "even" if params.n_I % 2 == 0 else "odd",
-        _three_way(c_I * c_I - params.c * c_I - q, tol_class_rel * max(c_I * c_I, abs(params.c) * c_I, abs(q), 1e-300)),
-        _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure))),
-    )
+    row, col = _regime_cell(params, T, tol_class_rel)
+    regime = ("even" if params.n_I % 2 == 0 else "odd", col, row)
     n_complex = int(np.sum(np.abs(w.imag) > ztol))
 
     reports: list[RootReport] = []
@@ -603,7 +541,7 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
                 RootReport(
                     value=r,
                     sign_class=sign_class(r, c_I, ztol),
-                    algebraic_multiplicity=algebraic_multiplicity(params, T, r),
+                    algebraic_multiplicity=algebraic_multiplicity(params, T, r, tol_class_rel),
                     geometric_multiplicity=geometric_multiplicity(A, r, tol_rank=tol_rank),
                     eigenvector=vec,
                 )
@@ -651,10 +589,8 @@ __all__ = [
     "SignPattern",
     "RootReport",
     "SpectrumReport",
-    "EigenspaceDecomposition",
     "viral_pressure",
     "classify",
-    "quadratic_roots",
     "critical_points",
     "charpoly_derivative",
     "derivative_quadratic_coeffs",
@@ -666,6 +602,5 @@ __all__ = [
     "eigenvector",
     "geometric_multiplicity",
     "algebraic_multiplicity",
-    "eigenspace_decomposition",
     "analyze",
 ]

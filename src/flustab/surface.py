@@ -19,7 +19,10 @@ blow-up print nothing.
 Surfaces are traced in a canonical order (the x-fiber through the corner
 first, then time up each column); the opposite order is computed only to
 measure the path-ordering mismatch, which is the observable cost of the
-distribution not being provably involutive.
+distribution not being provably involutive. The involutivity test itself,
+the Lie bracket of the two fields, takes exact Jacobians: both fields are
+at most quadratic in the state and the x-field is affine in W, so no step
+size enters.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numdiff
 from .charpoly import coefficient_matrix
 from .dynamics import _checked_state, time_rhs, x_rhs
 from .model import FieldCoefficients, ModelParams, StateVector
@@ -351,28 +353,28 @@ def lie_bracket(
     params: ModelParams,
     coeffs: FieldCoefficients,
     s: StateVector,
-    h: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Bracket [X, Y] = DY X - DX Y of the x-field and time-field at s, with
-    central-difference Jacobians (exact here: both fields are at most
-    quadratic in the state), and its least-squares distance from
+    """Bracket [X, Y] = DY X - DX Y of the x-field X and time-field Y at s,
+    with exact Jacobians, and its least-squares distance from
     span{X(s), Y(s)}. A zero defect at every state is the involutivity
     condition that guarantees integral surfaces exist.
+
+    X is affine in W, so DX is one constant W column
+    col = (-r_0, r_1, ..., r_last, 0) and DX Y = psi * col. DY X is the
+    frozen-T coefficient matrix applied to X's (E, I, V, W) block, bordered
+    by the T row and column: the T slot gets -beta*(V*X_T + T*X_V) and the
+    first cascade slot +beta*V*X_T.
     """
     y = _checked_state(params, coeffs, s)
-    if h is None:
-        # quadratic fields make central differences truncation-free, so a
-        # generous step only suppresses rounding in the quotient
-        h = 1e-2 * max(1.0, float(np.max(np.abs(y))))
-    if not (h > 0):
-        raise ValueError("h must be > 0")
-    ft = lambda z: time_rhs(params, coeffs, z)
-    fx = lambda z: x_rhs(params, coeffs, z)
-    X = fx(y)
-    Y = ft(y)
-    DX = numdiff.jacobian(fx, y, h)
-    DY = numdiff.jacobian(ft, y, h)
-    bracket = DY @ X - DX @ Y
+    X = x_rhs(params, coeffs, y)
+    Y = time_rhs(params, coeffs, y)
+    T, V = y[0], y[-2]
+    DY_X = np.empty_like(y)
+    DY_X[0] = -params.beta * (V * X[0] + T * X[-2])
+    DY_X[1:] = coefficient_matrix(params, T).entries @ X[1:]
+    DY_X[1] += params.beta * V * X[0]
+    col = np.array([-coeffs.r[0], *coeffs.r[1:], 0.0])
+    bracket = DY_X - coeffs.psi * col
     span = np.column_stack([X, Y])
     theta, *_ = np.linalg.lstsq(span, bracket, rcond=None)
     defect = float(np.linalg.norm(bracket - span @ theta))

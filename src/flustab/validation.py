@@ -3,9 +3,10 @@
 These are the oracle cross-checks the command-line `validate` subcommand
 runs and the acceptance tests reuse: closed form against determinant,
 formula eigenvectors against the matrix, predicted sign patterns against the
-numeric spectrum, and multiplicity claims against finite differences. Each
-suite returns a SuiteResult with per-check counts so failures are countable
-and reproducible from the seed.
+numeric spectrum, and the closed-form multiplicities against adaptive
+central differences of the characteristic polynomial (numdiff, used only
+here). Each suite returns a SuiteResult with per-check counts so failures
+are countable and reproducible from the seed.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import numdiff
 from .charpoly import (
+    charpoly,
     charpoly_closed,
     charpoly_direct,
     charpoly_sum_form,
@@ -295,9 +298,24 @@ def suite_eigenvector_residuals(
     return result
 
 
+def _finite_difference_multiplicity(params: ModelParams, T: float, lam: float) -> int:
+    """Smallest m < n_I + 2 with a nonvanishing m-th derivative of the
+    characteristic polynomial at lam, by adaptive-step central differences
+    with one Richardson level (numdiff.derivative_is_zero), else n_I + 2.
+    The oracle for the closed form at the suites' small n_I."""
+    max_order = params.n_I + 2
+    f = lambda x: charpoly(params, T, x)
+    for m in range(1, max_order):
+        is_zero, _ = numdiff.derivative_is_zero(f, lam, order=m)
+        if not is_zero:
+            return m
+    return max_order
+
+
 def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     """Algebraic multiplicity 1 for every real root of random off-critical
-    sets; the constructed Critical cells must report the double zero."""
+    sets; the constructed Critical cells must report the double zero. Every
+    closed-form count must also equal the finite-difference one."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
@@ -306,12 +324,14 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
             continue  # measure-zero; the constructed cells cover it
         for lam in real_roots(params, T):
             m = algebraic_multiplicity(params, T, lam)
-            result.record(m == 1, lambda: f"params={params} T={T} lam={lam} m={m}")
+            fd = _finite_difference_multiplicity(params, T, lam)
+            result.record(m == 1 == fd, lambda: f"params={params} T={T} lam={lam} m={m} finite differences {fd}")
     for n_I in (2, 3, 4, 5):
         for col in ("<", "=", ">"):
             params, T = cell_params(n_I, "=", col)
             m = algebraic_multiplicity(params, T, 0.0)
-            result.record(m == 2, lambda: f"critical cell n_I={n_I} col={col}: zero multiplicity {m} != 2")
+            fd = _finite_difference_multiplicity(params, T, 0.0)
+            result.record(m == 2 == fd, lambda: f"critical cell n_I={n_I} col={col}: zero multiplicity {m} (finite differences {fd}) != 2")
             gm = geometric_multiplicity(coefficient_matrix(params, T), 0.0)
             result.record(gm == 1, lambda: f"critical cell n_I={n_I} col={col}: gm {gm} != 1")
     return result

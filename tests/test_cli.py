@@ -87,6 +87,21 @@ class TestAnalyze:
         assert doc["predicted_pattern"] is None
         assert doc["notice"]
 
+    @pytest.mark.parametrize(
+        "n_I, tau_I, expected",
+        [(5, 1.0, [[-5.0, 5], [-3.0, 1], [0.0, 1]]), (4, 4.0 / 3.0, [[-3.0, 5], [0.0, 1]])],
+    )
+    def test_cascade_root_multiplicity_at_zero_infection(self, capsys, tmp_path, n_I, tau_I, expected):
+        # T = 0 leaves the matrix triangular: -c_I is an n_I-fold root
+        doc = {"params": params_doc(n_I=n_I, tau_I=tau_I, a=0.0), "T": 0.0}
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
+        assert code == 0
+        report = json.loads(out)
+        found = [[e["value"], e["algebraic_multiplicity"]] for e in report["real_eigenvalues"]]
+        assert found == expected
+        n_real = sum(1 for re, im in report["numeric_spectrum"] if im == 0.0)
+        assert sum(m for _, m in found) == n_real
+
     def test_missing_T_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc()})
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])

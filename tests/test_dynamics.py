@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flustab import dynamics
-from flustab.dynamics import rank_check, sample_fields, time_field, time_rhs, x_field, x_rhs
+from flustab.dynamics import sample_fields, time_field, time_rhs, x_field, x_rhs
 from flustab.model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 from flustab.validation import sample_params
 
@@ -150,15 +150,23 @@ def test_float_kernel_is_shared_by_shape(monkeypatch):
     assert results[0] != results[1]
 
 
+def fields_rank(params, coeffs, s, tol=1e-9):
+    """Rank of the two fields at s, from the singular values of the stacked
+    2 x n matrix."""
+    sample = sample_fields(params, coeffs, s)
+    sv = np.linalg.svd(np.vstack([sample.d_dx, sample.d_dt]), compute_uv=False)
+    return int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
+
+
 def test_rank_check():
     params = make_params()
     coeffs = FieldCoefficients.default_for(params)
     generic = StateVector.for_params(params, [0.8, 0.3, 0.5, 1.2, 0.1])
-    assert rank_check(params, coeffs, generic) == "full-rank-2"
+    assert fields_rank(params, coeffs, generic) == 2
     # kill the x direction entirely: no gradient, no curvature
     flat = ModelParams(**{**params.to_json_dict(), "a": 0.0})
     stalled = StateVector.for_params(flat, [0.8, 0.3, 0.5, 1.2, 0.0])
-    assert rank_check(flat, coeffs, stalled) == "degenerate"
+    assert fields_rank(flat, coeffs, stalled) == 1
 
 
 def test_random_states_are_full_rank_generically():
@@ -167,4 +175,4 @@ def test_random_states_are_full_rank_generically():
         params, _ = sample_params(rng)
         coeffs = FieldCoefficients.default_for(params)
         s = StateVector.for_params(params, rng.uniform(0.2, 1.5, size=params.state_dim))
-        assert rank_check(params, coeffs, s) == "full-rank-2"
+        assert fields_rank(params, coeffs, s) == 2

@@ -11,7 +11,6 @@ from flustab.model import (
     ModelParams,
     StateVector,
     derived_rates,
-    require_valid,
     target_cell_threshold,
     validate,
 )
@@ -56,6 +55,11 @@ class TestThreshold:
         with pytest.raises(InvalidParamsError):
             target_cell_threshold(make_params(beta=0.0))
 
+    def test_raises_with_full_list(self):
+        with pytest.raises(InvalidParamsError) as err:
+            target_cell_threshold(make_params(beta=0.0, p=0.0))
+        assert len(err.value.problems) >= 2
+
     @given(
         beta=st.floats(0.1, 10.0),
         p=st.floats(0.1, 10.0),
@@ -72,7 +76,6 @@ class TestThreshold:
 class TestValidate:
     def test_ok(self):
         assert validate(make_params()) == []
-        assert require_valid(make_params()) is not None
 
     def test_all_violations_reported(self):
         bad = make_params(beta=0.0, c=-1.0, D_PCF=-2.0)
@@ -86,11 +89,6 @@ class TestValidate:
         assert any("tau_E" in p for p in problems)
         # without eclipse stages tau_E is not consulted
         assert validate(make_params(n_E=0, tau_E=None)) == []
-
-    def test_require_valid_raises_with_full_list(self):
-        with pytest.raises(InvalidParamsError) as err:
-            require_valid(make_params(beta=0.0, p=0.0))
-        assert len(err.value.problems) >= 2
 
 
 class TestJsonRoundTrip:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flustab.charpoly import charpoly, coefficient_inf_norm, coefficient_matrix
-from flustab.model import InvalidParamsError, ModelParams
+from flustab.model import InvalidParamsError, ModelParams, target_cell_threshold
 from flustab.spectrum import (
     algebraic_multiplicity,
     analyze,
@@ -14,19 +14,17 @@ from flustab.spectrum import (
     classify,
     critical_points,
     derivative_quadratic_coeffs,
-    eigenspace_decomposition,
     eigenvector,
     full_spectrum_numeric,
     geometric_multiplicity,
     perron_root,
     predicted_sign_pattern,
-    quadratic_roots,
     real_roots,
     sign_class,
     viral_pressure,
 )
 from flustab.spectrum import _log_perron_f
-from flustab.validation import cell_params, loguniform, sample_params
+from flustab.validation import _finite_difference_multiplicity, cell_params, loguniform, sample_params
 
 
 def make_params(**overrides):
@@ -55,32 +53,15 @@ class TestClassify:
         assert verdict.kind == "Definite"
         assert math.isinf(verdict.T_star)
 
+    def test_T_star_is_the_threshold(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            params, T = sample_params(rng)
+            assert classify(params, T).T_star == target_cell_threshold(params)
+
     def test_pressure_order(self):
         params = make_params(beta=0.7, p=1.3, tau_I=2.0)
         assert viral_pressure(params, 1.1) == 0.7 * 1.1 * 1.3 * 2.0
-
-
-class TestQuadraticRoots:
-    def test_plain_cases(self):
-        # lam^2 + 3 lam - 0: roots -3 and 0
-        params = make_params(beta=1.0, p=1.0, c=3.0)
-        assert quadratic_roots(params, 0.0) == (-3.0, 0.0)
-        # lam^2 + 2 lam - 3: roots -3 and 1
-        params = make_params(beta=1.0, p=3.0, c=2.0)
-        lo, hi = quadratic_roots(params, 1.0)
-        assert (lo, hi) == (-3.0, 1.0)
-
-    def test_no_cancellation_for_small_product(self):
-        # lam^2 + c*lam - q with q << c^2: naive (-c + sqrt(c^2+4q))/2 loses digits
-        params = make_params(beta=1.0, p=1.0, c=1e8)
-        lo, hi = quadratic_roots(params, 1.0)
-        assert hi == pytest.approx(1.0 / 1e8, rel=1e-12)
-        assert lo == pytest.approx(-1e8, rel=1e-12)
-        assert lo * hi == pytest.approx(-1.0, rel=1e-12)
-
-    def test_zero_between_roots(self):
-        lo, hi = quadratic_roots(make_params(), 1.0)
-        assert lo < 0.0 < hi
 
 
 class TestDerivative:
@@ -149,6 +130,85 @@ class TestRealRoots:
         roots = real_roots(params, T)
         assert 0.0 in roots
         assert algebraic_multiplicity(params, T, 0.0) == 2
+
+
+def _reported(params, T):
+    """(value, algebraic, geometric) for every real root analyze reports,
+    and the count of real entries in its numeric spectrum."""
+    report = analyze(params, T)
+    ztol = 1e-8 * max(coefficient_matrix(params, T).inf_norm, 1.0)
+    roots = [(r.value, r.algebraic_multiplicity, r.geometric_multiplicity) for r in report.real_eigenvalues]
+    return roots, sum(1 for z in report.numeric_spectrum if abs(z.imag) <= ztol)
+
+
+def _two_roots(lam1, lam2):
+    """n_I = 2, c_I = 1 parameters (beta = q, T = p = 1) whose polynomial
+    vanishes at lam1 and lam2, or has a double root there when they are
+    equal. P(lam) = (1+lam)^2 (c+lam) lam + q (1 - (1+lam)^2) and its
+    derivative factor Q(lam) = 4 lam^2 + (3c + 2) lam + c - 2q are linear in
+    (c, q)."""
+    rows, rhs = [], []
+    for lam in (lam1, lam2):
+        a = (1.0 + lam) ** 2
+        rows.append([a * lam, 1.0 - a])
+        rhs.append(-a * lam * lam)
+    if lam1 == lam2:
+        rows[1], rhs[1] = [3.0 * lam1 + 1.0, -2.0], -(4.0 * lam1 * lam1 + 2.0 * lam1)
+    c, q = np.linalg.solve(rows, rhs)
+    assert c > 0 and q > 0
+    return ModelParams(beta=q, p=1.0, c=c, n_I=2, tau_I=2.0, v_a=1.0), 1.0
+
+
+class TestAlgebraicMultiplicity:
+    def test_cascade_root_at_zero_infection(self):
+        # T = 0: P = lam (c + lam) (c_I + lam)^n_I, the cascade's root is n_I-fold
+        params = make_params(n_I=5, tau_I=1.0, c=3.0, D_PCF=0.1)
+        roots, n_real = _reported(params, 0.0)
+        assert roots == [(-5.0, 5, 1), (-3.0, 1, 1), (0.0, 1, 1)]
+        assert sum(m for _, m, _ in roots) == n_real
+
+    def test_cascade_root_meets_clearance(self):
+        # c_I = c = 3: (3 + lam)^5 lam
+        params = make_params(n_I=4, tau_I=4.0 / 3.0, c=3.0, D_PCF=0.1)
+        roots, n_real = _reported(params, 0.0)
+        assert roots == [(-3.0, 5, 1), (0.0, 1, 1)]
+        assert sum(m for _, m, _ in roots) == n_real
+
+    @pytest.mark.parametrize("r", [-1.25, -1.5, -1.75])
+    def test_nonzero_double_root(self, r):
+        params, T = _two_roots(r, r)
+        roots, _ = _reported(params, T)
+        assert [(m, g) for value, m, g in roots if value == r] == [(2, 1)]
+        assert sum(m for _, m, _ in roots) == 4
+
+    @pytest.mark.parametrize("r", [-1.25, -1.5, -1.75])
+    def test_split_pair_is_two_simple_roots(self, r):
+        lo, hi = r * (1 + 5e-5), r * (1 - 5e-5)
+        params, T = _two_roots(lo, hi)
+        roots, _ = _reported(params, T)
+        assert len(roots) == 4 and all(m == 1 and g == 1 for _, m, g in roots)
+        near = [value for value, _, _ in roots if abs(value - r) <= 1e-4 * abs(r)]
+        assert near == pytest.approx([lo, hi], rel=1e-9)
+
+    def test_zero_doubles_inside_the_critical_window(self):
+        params = make_params()  # T* = 1.5
+        assert algebraic_multiplicity(params, 1.5 * (1 + 1e-12), 0.0) == 2
+        assert algebraic_multiplicity(params, 1.5 * (1 + 1e-8), 0.0) == 1
+        assert algebraic_multiplicity(params, 1.5 * (1 + 1e-8), 0.0, tol_class_rel=1e-6) == 2
+
+    def test_agrees_with_finite_differences(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            params, T = sample_params(rng, n_E_choices=(0,))
+            for lam in real_roots(params, T):
+                assert algebraic_multiplicity(params, T, lam) == _finite_difference_multiplicity(params, T, lam)
+        for n_I in (1, 2, 3, 6):
+            for row in "<=>":
+                for col in "<=>":
+                    params, T = cell_params(n_I, row, col)
+                    for lam in real_roots(params, T):
+                        m = algebraic_multiplicity(params, T, lam)
+                        assert m == _finite_difference_multiplicity(params, T, lam)
 
 
 class TestSignClass:
@@ -242,23 +302,6 @@ class TestEigenvectors:
         assert geometric_multiplicity(A, 0.0) == 1
 
 
-class TestEigenspaceDecomposition:
-    def test_dimension_bookkeeping(self):
-        rng = np.random.default_rng(31)
-        for _ in range(15):
-            params, T = sample_params(rng)
-            dec = eigenspace_decomposition(params, T)
-            total = len(dec.negative) + len(dec.positive) + len(dec.zero) + 2 * dec.complex_pair_count
-            assert total == params.state_dim - 1
-            for lam, vec in dec.negative + dec.positive + dec.zero:
-                assert np.linalg.norm(vec) == pytest.approx(1.0)
-
-    def test_signs_track_regime(self):
-        params = make_params()
-        assert eigenspace_decomposition(params, 1.0).positive == []
-        assert len(eigenspace_decomposition(params, 2.0).positive) == 1
-
-
 class TestAnalyze:
     def test_analytic_report(self):
         report = analyze(make_params(), 1.0)
@@ -272,6 +315,22 @@ class TestAnalyze:
     def test_indefinite_has_single_positive(self):
         report = analyze(make_params(), 2.0)
         assert [r.sign_class for r in report.real_eigenvalues].count("positive") == 1
+
+    def test_dimension_bookkeeping(self):
+        # real roots counted with their algebraic multiplicity plus the
+        # complex pairs fill the (E, I, V, W) block
+        rng = np.random.default_rng(31)
+        for _ in range(15):
+            params, T = sample_params(rng)
+            report = analyze(params, T)
+            total = sum(r.algebraic_multiplicity for r in report.real_eigenvalues)
+            assert total + 2 * report.complex_pair_count == params.state_dim - 1
+
+    def test_signs_track_regime(self):
+        for params in (make_params(), make_params(n_E=2, tau_E=0.7)):  # T* = 1.5
+            for T, n_positive in ((1.0, 0), (2.0, 1)):
+                classes = [r.sign_class for r in analyze(params, T).real_eigenvalues]
+                assert classes.count("positive") == n_positive
 
     def test_numeric_only_with_eclipse_stages(self):
         report = analyze(make_params(n_E=2, tau_E=1.0), 1.0)

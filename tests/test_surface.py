@@ -7,6 +7,7 @@ from flustab import dynamics, surface
 from flustab.charpoly import coefficient_matrix
 from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
+from flustab.validation import loguniform, sample_params
 from flustab.surface import (
     BlowUpError,
     Trajectory,
@@ -513,6 +514,33 @@ class TestLieBracket:
         s = StateVector.for_params(params, [0.9, 0.4, 1.1, 0.6])
         _, defect = lie_bracket(params, coeffs, s)
         assert defect > 1e-6
+
+    @staticmethod
+    def central_difference(field, y, direction):
+        """(field(y + t d) - field(y - t d)) / 2t: the directional derivative,
+        exact up to rounding for a field at most quadratic in the state. The
+        step t moves y by its own size, which keeps the rounding small."""
+        t = np.max(np.abs(y)) / np.max(np.abs(direction))
+        return (field(y + t * direction) - field(y - t * direction)) / (2.0 * t)
+
+    @pytest.mark.parametrize("n_E", [0, 2])
+    @pytest.mark.parametrize("n_I", [1, 5, 40])
+    def test_matches_directional_differences(self, n_E, n_I):
+        rng = np.random.default_rng([n_E, n_I])
+        for _ in range(25):
+            params, _ = sample_params(rng, n_E_choices=(n_E,), n_I_choices=(n_I,))
+            dim = params.state_dim
+            r = tuple(loguniform(rng, 0.1, 10.0) for _ in range(dim - 2)) + (1.0,)
+            coeffs = FieldCoefficients(r=r, psi=float(rng.choice([-1.0, 1.0]) * loguniform(rng, 0.01, 1.0)))
+            y = 10.0 ** rng.uniform(-2.0, 2.0, size=dim)  # four decades
+            y[-1] *= rng.choice([-1.0, 1.0])
+            bracket, _ = lie_bracket(params, coeffs, StateVector.for_params(params, y))
+            ft = lambda z: time_rhs(params, coeffs, z)
+            fx = lambda z: x_rhs(params, coeffs, z)
+            DY_X = self.central_difference(ft, y, fx(y))
+            DX_Y = self.central_difference(fx, y, ft(y))
+            scale = max(np.max(np.abs(DY_X)), np.max(np.abs(DX_Y)))
+            assert np.max(np.abs(bracket - (DY_X - DX_Y))) <= 1e-12 * scale
 
 
 class TestAsymptotics:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flustab import validation
 from flustab.charpoly import coefficient_matrix
 from flustab.model import ModelParams
 from flustab.spectrum import classify, full_spectrum_numeric, predicted_sign_pattern
@@ -12,6 +13,7 @@ from flustab.validation import (
     run_all,
     sample_params,
     suite_charpoly_equivalence,
+    suite_multiplicities,
     suite_zero_eigenvalue,
 )
 
@@ -189,6 +191,25 @@ class TestSuites:
 
         monkeypatch.setattr(ModelParams, "__repr__", unprintable)
         assert all(r.ok for r in run_all(seed=0))
+
+    def test_multiplicities_check_closed_form_against_finite_differences(self, monkeypatch):
+        closed_form = validation.algebraic_multiplicity
+
+        def simple_at_critical(params, T, lam, *args):
+            if classify(params, T).kind == "Critical":
+                return 1
+            return closed_form(params, T, lam, *args)
+
+        honest = suite_multiplicities(seed=0)
+        monkeypatch.setattr(validation, "algebraic_multiplicity", simple_at_critical)
+        broken = suite_multiplicities(seed=0)
+        assert honest.ok and broken.checks == honest.checks
+        assert broken.failures == 12  # the zero of every constructed Critical cell
+        assert all("finite differences 2" in e for e in broken.failure_examples)
+        # and a closed form that is right fails against a disagreeing oracle
+        monkeypatch.setattr(validation, "algebraic_multiplicity", closed_form)
+        monkeypatch.setattr(validation, "_finite_difference_multiplicity", lambda params, T, lam: 3)
+        assert suite_multiplicities(seed=0).failures == honest.checks - 12  # all but the geometric checks
 
     def test_zero_eigenvalue_suite(self):
         r = suite_zero_eigenvalue(seed=3, n_sets=40)
