@@ -3,9 +3,9 @@
 The package covers the frozen-T linear analysis end to end: coefficient
 matrix assembly, three independent characteristic-polynomial routes, real
 root isolation with sign classification, eigenvector formulas and
-multiplicities, regime prediction tables, trajectory integration for the
-time- and space-direction fields, integral-surface tracing with a
-path-ordering mismatch diagnostic, and randomized validation suites.
+multiplicities, regime prediction tables, time-field trajectories and the
+closed-form x-flow, integral-surface tracing with a path-ordering mismatch
+diagnostic, and randomized validation suites.
 """
 
 from .charpoly import (
@@ -62,7 +62,6 @@ from .surface import (
     asymptotics,
     integrate_linearized,
     integrate_time,
-    integrate_x,
     lie_bracket,
     linearized_time_field,
     trace_surface,
@@ -105,7 +104,6 @@ __all__ = [
     "geometric_multiplicity",
     "integrate_linearized",
     "integrate_time",
-    "integrate_x",
     "lie_bracket",
     "linearized_time_field",
     "perron_root",

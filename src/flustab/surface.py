@@ -1,12 +1,12 @@
 """Trajectory integration, integral-surface tracing, and the involutivity
 diagnostics for the 2-distribution spanned by the two fields.
 
-Integration is fixed-step classical fourth-order Runge-Kutta throughout: no
+Time integration is fixed-step classical fourth-order Runge-Kutta: no
 adaptivity, so identical inputs give bit-identical output and step-halving
 order studies are exact. A single nonlinear state is advanced as a list of
 Python floats and a block of states as one array, with the same operations
 on every element in the same order, so a column of a block run equals its
-single run bit for bit. A surface's columns or rows run one at a time as
+single run bit for bit. A surface's columns run one at a time as
 float lists when they are few (a narrow block loses to numpy's per-call
 overhead) and as one block when they are many; the bits are the same either
 way. Frozen-T linearized runs take RK4's exact step map, one matrix-vector
@@ -15,6 +15,10 @@ Every run tests for blow-up once per chunk of rows, not after every step,
 and stops with the prefix a per-step test gives; numpy's floating-point
 warnings are silenced while it steps, so the steps a chunk takes past a
 blow-up print nothing.
+
+The x-direction is not integrated: the x-field is affine in W, so its flow
+is closed form (RK4 gives it only up to rounding), and a surface's x-fibers
+are one broadcast expression at the nodes a run would take.
 
 Surfaces are traced in a canonical order (the x-fiber through the corner
 first, then time up each column); the opposite order is computed only to
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charpoly import coefficient_matrix
-from .dynamics import _checked_state, time_rhs, x_rhs
+from .dynamics import _checked_state, _x_column, time_rhs, x_rhs
 from .model import FieldCoefficients, ModelParams, StateVector
 
 BLOWUP_LIMIT = 1e12
@@ -72,55 +76,64 @@ class Trajectory:
 _CHUNK_ROWS = 64
 
 
-def _run(stepper, y0, span: tuple[float, float], h: float, where: str = ""):
-    """Fixed steps over span; the step is adjusted to divide the span
-    exactly (n = round(span/h), at least 1). stepper(dt) returns the map
-    that advances a state by one step dt. y0 is one state, as a list of
-    floats or an array, or a block (dim, m) of states, one per column, in
-    the form the map takes and returns. Returns (times, states, step), with
-    states an array of shape (n + 1, *shape of y0).
-
-    Rows are stepped _CHUNK_ROWS at a time, stored with one assignment and
-    then tested for blow-up: the first row with a component that is NaN or
-    larger than BLOWUP_LIMIT in magnitude ends the run with the rows before
-    it, the prefix a test after every step gives. The steps a chunk takes
-    past that row are thrown away, and numpy's floating-point warnings are
-    silenced while the map is built and run, so those steps print nothing.
-    """
-    t0, t1 = float(span[0]), float(span[1])
+def _nodes(span, h: float):
+    """(times, dt) of fixed steps over span (a pair, or an end from 0):
+    n = round(span/h) steps, at least 1 unless the span is empty, of a
+    Python float dt (h for an empty span), times[k] = start + k*dt."""
+    t0, t1 = map(float, (0.0, span) if np.isscalar(span) else span)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("span must be finite")
     if not (h > 0):
         raise ValueError("step must be > 0")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
-    states = np.empty((n + 1,) + np.shape(y0))
+    dt = (t1 - t0) / n if n else h
     times = np.empty(n + 1)
-    states[0] = y0
     times[0] = t0
-    if n == 0:
-        return times, states, h
-    dt = (t1 - t0) / n
     times[1:] = t0 + np.arange(1, n + 1) * dt
-    flat = states.reshape(n + 1, -1)
+    return times, dt
+
+
+def _blown_up(rows: np.ndarray) -> np.ndarray:
+    """Whether each state (last axis) of rows has a NaN or a component past BLOWUP_LIMIT."""
+    return ~(np.abs(rows).max(axis=-1) <= BLOWUP_LIMIT)
+
+
+def _run(stepper, y0, span, h: float):
+    """Fixed steps over span, at _nodes. stepper(dt) returns the map that
+    advances a state by one step dt. y0 is one state, as a list of floats
+    or an array, or a block (dim, m) of states, one per column, in the form
+    the map takes and returns. Returns (times, states, step), with states
+    an array of shape (n + 1, *shape of y0).
+
+    Rows are stepped _CHUNK_ROWS at a time, stored with one assignment and
+    then tested: the first row that has _blown_up ends the run with the
+    rows before it, the prefix a test after every step gives. The steps a
+    chunk takes past that row are thrown away, and numpy's floating-point
+    warnings are silenced while the map is built and run, so those steps
+    print nothing.
+    """
+    times, dt = _nodes(span, h)
+    states = np.empty(times.shape + np.shape(y0))
+    states[0] = y0
+    flat = states.reshape(len(times), -1)
     with np.errstate(all="ignore"):
         step = stepper(dt)
         y = y0
-        for start in range(1, n + 1, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n + 1)
+        for start in range(1, len(times), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(times))
             rows = []
             for _ in range(start, stop):
                 y = step(y)
                 rows.append(y)
             states[start:stop] = rows
-            # a NaN fails the comparison too
-            bad = ~(np.abs(flat[start:stop]).max(axis=1) <= BLOWUP_LIMIT)
+            bad = _blown_up(flat[start:stop])
             if bad.any():
                 k = start + int(bad.argmax())
-                raise BlowUpError(times[:k], states[:k], where)
+                raise BlowUpError(times[:k], states[:k])
     return times, states, abs(dt)
 
 
-def _rk4_run(f, y0: np.ndarray, span: tuple[float, float], h: float, where: str = ""):
+def _rk4_run(f, y0: np.ndarray, span, h: float):
     """Classical RK4 with _run's steps. y0 is one state (dim,) or a block
     (dim, m); a single state is advanced as a list of Python floats, which
     spares the numpy call overhead on a few numbers, and f takes and returns
@@ -128,10 +141,10 @@ def _rk4_run(f, y0: np.ndarray, span: tuple[float, float], h: float, where: str 
     same order, so a column of a block run equals its single run bit for
     bit."""
     if y0.ndim == 1:
-        return _run(lambda dt: _rk4_float_step(f, dt), y0.tolist(), span, h, where)
+        return _run(lambda dt: _rk4_float_step(f, dt), y0.tolist(), span, h)
     # a C-order copy keeps every slot's row contiguous
     y0 = np.ascontiguousarray(y0, dtype=float)
-    return _run(lambda dt: _rk4_block_step(f, dt), y0, span, h, where)
+    return _run(lambda dt: _rk4_block_step(f, dt), y0, span, h)
 
 
 def _rk4_block_step(f, dt: float):
@@ -167,7 +180,7 @@ def _rk4_float_step(f, dt: float):
 FLOAT_RUN_MAX_STATES = 8
 
 
-def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label: str):
+def _rk4_each(f, starts: np.ndarray, span, h: float):
     """One RK4 run from every row of starts (m, dim), returned in the block
     layout (times, states (n + 1, dim, m), step).
 
@@ -175,8 +188,8 @@ def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label:
     more as a single block; the two forms give the same bits. A block can
     blow up in a later state before an earlier one does, so on a blow-up
     its states are run again one at a time. Either way the states run in
-    index order and the first that fails is reported as "{label}={index}"
-    with its own prefix, exactly as a run of that state alone reports it.
+    index order and the first that fails, "canonical column i=<index>", is
+    reported with its own prefix, exactly as a run of it alone reports it.
     """
     if len(starts) > FLOAT_RUN_MAX_STATES:
         try:
@@ -188,17 +201,10 @@ def _rk4_each(f, starts: np.ndarray, span: tuple[float, float], h: float, label:
         try:
             runs.append(_rk4_run(f, start, span, h))
         except BlowUpError as e:
-            raise BlowUpError(e.times, e.states, where=f"{label}={i}") from None
+            raise BlowUpError(e.times, e.states, where=f"canonical column i={i}") from None
     times, _, step = runs[0]
     # stacked in the (m, n + 1, dim) order trace_surface wants, so it copies nothing
     return times, np.stack([states for _, states, _ in runs]).transpose(1, 2, 0), step
-
-
-def _as_span(span) -> tuple[float, float]:
-    if np.isscalar(span):
-        return (0.0, float(span))
-    lo, hi = span
-    return (float(lo), float(hi))
 
 
 def integrate_time(
@@ -212,21 +218,7 @@ def integrate_time(
     inputs give bit-identical trajectories."""
     y0 = _checked_state(params, coeffs, s0)
     f = lambda y: time_rhs(params, coeffs, y)
-    times, states, h = _rk4_run(f, y0, _as_span(t_span), h_t)
-    return Trajectory(times=times, states=states, h=h)
-
-
-def integrate_x(
-    params: ModelParams,
-    coeffs: FieldCoefficients,
-    s0: StateVector,
-    x_span,
-    h_x: float,
-) -> Trajectory:
-    """Integrate the x-direction field from s0 (a single surface fiber)."""
-    y0 = _checked_state(params, coeffs, s0)
-    f = lambda y: x_rhs(params, coeffs, y)
-    times, states, h = _rk4_run(f, y0, _as_span(x_span), h_x)
+    times, states, h = _rk4_run(f, y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)
 
 
@@ -285,7 +277,7 @@ def integrate_linearized(
     rate-recovery validation where the fitted decay/growth rate is compared
     against the dominant eigenvalue."""
     M, F, y0 = _frozen_system(params, T_frozen, psi, s0_block)
-    times, states, h = _run(_linear_rk4_stepper(M, F), y0, _as_span(t_span), h_t)
+    times, states, h = _run(_linear_rk4_stepper(M, F), y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)
 
 
@@ -307,6 +299,28 @@ class SurfaceGrid:
     h_t: float
 
 
+def _x_flow(params: ModelParams, coeffs: FieldCoefficients, starts: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The exact x-flow (n, ..., dim) from each state of starts (..., dim) at
+    the offsets s (n,): W0 + a*s, and _x_column * (W0*s + a*s^2/2) added."""
+    s = s.reshape(s.shape + (1,) * (starts.ndim - 1))
+    W0 = starts[..., -1]
+    out = (s * (W0 + 0.5 * params.a * s))[..., None] * _x_column(coeffs)
+    out += starts
+    out[..., -1] = W0 + params.a * s
+    return out
+
+
+def _check_x_fibers(x_nodes: np.ndarray, fibers: np.ndarray, where: str) -> None:
+    """Raise, as a run would, the BlowUpError of the lowest-index fiber j of
+    fibers (n + 1, m, dim) that blows up past node 0, as where.format(j=j)."""
+    bad = _blown_up(fibers[1:])
+    failed = bad.any(axis=0)
+    if failed.any():
+        j = int(failed.argmax())
+        k = 1 + int(bad[:, j].argmax())
+        raise BlowUpError(x_nodes[:k], fibers[:k, j], where.format(j=j))
+
+
 def trace_surface(
     params: ModelParams,
     coeffs: FieldCoefficients,
@@ -318,25 +332,26 @@ def trace_surface(
 ) -> SurfaceGrid:
     """Trace the integral surface candidate through s0 over a rectangle.
 
-    Canonical order: one x-fiber through the corner, then the time field up
-    all columns as one batched run. The opposite order (time first, then x
-    across all rows as one batched run) is traced only to fill the mismatch
-    field. Every column and row equals, bit for bit, its own integrate_time
-    or integrate_x run. Blow-ups abort with the failing column or row
-    recorded, the lowest-index one when several fail.
+    Canonical order: the x-fiber through the corner, then the time field up
+    all columns as one batched run. The opposite order (time up the x0
+    column, then x across all rows) is traced only to fill the mismatch
+    field. Every column equals, bit for bit, its own integrate_time run; the
+    x-fibers are the exact x-flow at the nodes of a run over x_span, so the
+    mismatch is exactly 0 on both edges through the corner. A blow-up names
+    the failing fiber, or the lowest-index failing column or row.
     """
     y0 = _checked_state(params, coeffs, s0)
-    ft = lambda y: time_rhs(params, coeffs, y)
-    fx = lambda y: x_rhs(params, coeffs, y)
-    xs = _as_span(x_span)
-    ts = _as_span(t_span)
+    x_nodes, dx = _nodes(x_span, h_x)
+    s = np.arange(x_nodes.size) * dx
 
-    x_nodes, bottom, hx = _rk4_run(fx, y0, xs, h_x, where="corner x-fiber")
-    t_nodes, columns, ht = _rk4_each(ft, bottom, ts, h_t, "canonical column i")
-    states = np.ascontiguousarray(columns.transpose(2, 0, 1))
-    # the x0 column is shared by both orders
-    _, rows, _ = _rk4_each(fx, states[0], xs, h_x, "opposite row j")
-    opposite = rows.transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        bottom = _x_flow(params, coeffs, y0, s)
+        _check_x_fibers(x_nodes, bottom[:, None], "corner x-fiber")
+        t_nodes, columns, ht = _rk4_each(lambda y: time_rhs(params, coeffs, y), bottom, t_span, h_t)
+        states = np.ascontiguousarray(columns.transpose(2, 0, 1))
+        # the x0 column is shared by both orders
+        opposite = _x_flow(params, coeffs, states[0], s)
+        _check_x_fibers(x_nodes, opposite, "opposite row j={j}")
 
     mismatch = np.max(np.abs(states - opposite), axis=2)
     return SurfaceGrid(
@@ -344,7 +359,7 @@ def trace_surface(
         t_nodes=t_nodes,
         states=states,
         mismatch=mismatch,
-        h_x=hx,
+        h_x=abs(dx),
         h_t=ht,
     )
 
@@ -373,8 +388,7 @@ def lie_bracket(
     DY_X[0] = -params.beta * (V * X[0] + T * X[-2])
     DY_X[1:] = coefficient_matrix(params, T).entries @ X[1:]
     DY_X[1] += params.beta * V * X[0]
-    col = np.array([-coeffs.r[0], *coeffs.r[1:], 0.0])
-    bracket = DY_X - coeffs.psi * col
+    bracket = DY_X - coeffs.psi * _x_column(coeffs)
     span = np.column_stack([X, Y])
     theta, *_ = np.linalg.lstsq(span, bracket, rcond=None)
     defect = float(np.linalg.norm(bracket - span @ theta))
@@ -479,7 +493,6 @@ __all__ = [
     "SurfaceGrid",
     "AsymptoticsVerdict",
     "integrate_time",
-    "integrate_x",
     "integrate_linearized",
     "linearized_time_field",
     "trace_surface",

@@ -545,6 +545,54 @@ class TestSurface:
         assert code == 2
         assert error_doc(err)["details"]["missing"] == ["x_span", "h_x"]
 
+    @pytest.mark.parametrize(
+        "doc, rows, t_last, where",
+        [
+            # node 0 holds 2e12 and is never tested; node 1 still does
+            (
+                {
+                    "params": params_doc(),
+                    "initial_state": [1.0, 0.0, 2e12, 0.0],
+                    "grid": {"x_span": 1.0, "h_x": 0.25, "t_span": 1.0, "h_t": 0.25},
+                },
+                1, 0.0, "corner x-fiber",
+            ),
+            # V = a*x^2/2 passes the limit between x = 4 (8e11) and x = 5
+            (
+                {
+                    "params": params_doc(a=1e11),
+                    "initial_state": [1.0, 0.0, 0.0, 0.0],
+                    "grid": {"x_span": 8.0, "h_x": 1.0, "t_span": 1.0, "h_t": 0.25},
+                },
+                5, 4.0, "corner x-fiber",
+            ),
+            # W = 1e6 t up the columns, and T moves by -1e5 W x along a row:
+            # row j (t = 0.3 j) fails once t x > 10, first for j = 17 at
+            # x = 2, while later rows fail at smaller x
+            (
+                {
+                    "params": params_doc(beta=1e-9, n_I=2, v_a=0.1),
+                    "coeffs": {"r": [1e5, 1.0, 1.0, 1.0], "psi": 1e6},
+                    "initial_state": [1.0, 0.0, 0.0, 0.0, 0.0],
+                    "grid": {"x_span": 2.0, "h_x": 0.25, "t_span": 9.0, "h_t": 0.3},
+                },
+                8, 1.75, "opposite row j=17",
+            ),
+        ],
+        ids=["corner-node-1", "corner-later-node", "opposite-row"],
+    )
+    def test_x_direction_blow_up_exits_4_with_prefix(self, capsys, tmp_path, doc, rows, t_last, where):
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["surface", "--config", cfg])
+        assert code == 4
+        assert out == ""
+        error = {
+            "code": 4,
+            "message": f"state exceeded 1e+12 after t = {t_last:g} ({where})",
+            "details": {"rows": rows, "t_last": t_last, "where": where},
+        }
+        assert err == json.dumps({"error": error}) + "\n"
+
 
 class TestField:
     def test_header_and_panel_structure(self, capsys, tmp_path):

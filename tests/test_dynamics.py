@@ -109,11 +109,38 @@ def same_bits(a, b) -> bool:
     return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
+def slot_loop_time_rhs(params, coeffs, y):
+    """The time field written as a loop over the slots of an array or a
+    block: the reference the generated kernel must match bit for bit."""
+    n_E, n_I = params.n_E, params.n_I
+    c_E = n_E / params.tau_E if n_E > 0 else 0.0
+    c_I = n_I / params.tau_I
+    V = y[-2]
+    W = y[-1]
+    out = np.empty_like(y)
+    infection = params.beta * y[0] * V
+    out[0] = -infection
+    inflow = infection
+    for i in range(1, 1 + n_E):
+        outflow = c_E * y[i]
+        out[i] = inflow - outflow
+        inflow = outflow
+    I_total = 0.0
+    for j in range(1 + n_E, 1 + n_E + n_I):
+        outflow = c_I * y[j]
+        out[j] = inflow - outflow
+        inflow = outflow
+        I_total += y[j]
+    out[-2] = params.p * I_total - params.c * V + params.D_PCF * params.a + params.v_a * W
+    out[-1] = coeffs.psi
+    return out
+
+
 @pytest.mark.parametrize("n_I", [1, 2, 12, 40, 200])
 @pytest.mark.parametrize("n_E", [0, 1, 3])
 def test_float_kernel_matches_array_path(n_E, n_I):
-    # lists go through the generated straight-line kernel, arrays through
-    # the slot loop; the two do the same operations in the same order
+    # lists, arrays and blocks all go through the generated straight-line
+    # kernel; the slot loop does the same operations in the same order
     rng = np.random.default_rng([n_E, n_I])
     special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
     dim = n_E + n_I + 3
@@ -125,28 +152,37 @@ def test_float_kernel_matches_array_path(n_E, n_I):
     # -0.0 in every compartment shows whether I_total starts from 0.0: with
     # no forcing and a < 0 it is the sign of the V slot
     states.append(np.array([1.0] + [-0.0] * (n_E + n_I) + [0.0, -0.0]))
+    block = np.column_stack(states)
     for forcing in ({}, {"D_PCF": 0.0, "a": -0.4}):
         params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, **forcing)
         coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, dim - 1)), psi=0.05)
-        for y in states:
-            floats = time_rhs(params, coeffs, y.tolist())
-            assert type(floats) is list
-            assert all(type(v) is float for v in floats)
-            with np.errstate(all="ignore"):
-                assert same_bits(time_rhs(params, coeffs, y), floats)
+        with np.errstate(all="ignore"):
+            for y in states:
+                floats = time_rhs(params, coeffs, y.tolist())
+                assert type(floats) is list
+                assert all(type(v) is float for v in floats)
+                reference = slot_loop_time_rhs(params, coeffs, y)
+                assert same_bits(reference, floats)
+                assert same_bits(reference, time_rhs(params, coeffs, y))
+            out = time_rhs(params, coeffs, block)
+            assert out.shape == block.shape
+            assert same_bits(slot_loop_time_rhs(params, coeffs, block), out)
 
 
 def test_float_kernel_is_shared_by_shape(monkeypatch):
-    monkeypatch.setattr(dynamics, "_FLOAT_TIME_KERNELS", {})
+    monkeypatch.setattr(dynamics, "_TIME_KERNELS", {})
     slow = make_params(n_I=3, tau_I=0.5)
     fast = make_params(beta=0.7, p=4.0, c=1.1, n_I=3, tau_I=2.5, tau_E=0.9, D_PCF=0.1, v_a=-0.3, a=2.0)
     y = np.array([0.8, 0.3, 0.5, 0.2, 0.1, 1.2, 0.1])
     results = []
     for params, psi in ((slow, 0.0), (fast, 0.25)):
         coeffs = FieldCoefficients(r=(1.0,) * (params.state_dim - 1), psi=psi)
+        # an array call builds the kernel as a list call does
+        array = time_rhs(params, coeffs, y)
+        assert list(dynamics._TIME_KERNELS) == [(1, 3)]
         results.append(time_rhs(params, coeffs, y.tolist()))
-        assert same_bits(time_rhs(params, coeffs, y), results[-1])
-    assert list(dynamics._FLOAT_TIME_KERNELS) == [(1, 3)]
+        assert same_bits(array, results[-1])
+    assert list(dynamics._TIME_KERNELS) == [(1, 3)]
     assert results[0] != results[1]
 
 

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from flustab.surface import (
     asymptotics,
     integrate_linearized,
     integrate_time,
-    integrate_x,
     lie_bracket,
     linearized_time_field,
     trace_surface,
@@ -26,6 +26,24 @@ def make_params(**overrides):
                 D_PCF=0.0, v_a=0.2, a=0.0)
     base.update(overrides)
     return ModelParams(**base)
+
+
+def x_fiber(params, coeffs, y, x_span, h_x):
+    """(nodes, states) of the exact x-flow from the state y at the nodes a
+    run over x_span takes, as trace_surface evaluates it."""
+    nodes, dx = surface._nodes(x_span, h_x)
+    return nodes, surface._x_flow(params, coeffs, np.asarray(y, dtype=float), np.arange(nodes.size) * dx)
+
+
+def fiber_failure(params, coeffs, y, x_span, h_x):
+    """The BlowUpError a run along the x-fiber from y stops with, or None:
+    at its first node past node 0 that blows up, with the prefix before it."""
+    nodes, states = x_fiber(params, coeffs, y, x_span, h_x)
+    bad = ~(np.abs(states[1:]).max(axis=1) <= surface.BLOWUP_LIMIT)
+    if not bad.any():
+        return None
+    k = 1 + int(bad.argmax())
+    return BlowUpError(nodes[:k], states[:k])
 
 
 def reduction_setup():
@@ -84,10 +102,10 @@ class TestTimeIntegration:
         params = make_params(a=0.7)
         coeffs = FieldCoefficients(r=(2.0, 1.0, 1.0), psi=0.0)
         s0 = StateVector.for_params(params, [1.0, 0.0, 0.0, 0.5])
-        traj = integrate_x(params, coeffs, s0, (0.0, 1.0), 0.5)
+        fiber = trace_surface(params, coeffs, s0, (0.0, 1.0), 0.0, 0.5, 0.5).states[:, 0]
         # W grows linearly at rate a; T falls at rate r_0 * W; V rises at rate W
-        assert traj.final[-1] == pytest.approx(0.5 + 0.7)
-        assert traj.final[0] < 1.0 and traj.final[2] > 0.0
+        assert fiber[-1, -1] == pytest.approx(0.5 + 0.7)
+        assert fiber[-1, 0] < 1.0 and fiber[-1, 2] > 0.0
 
 
 class TestLinearized:
@@ -164,9 +182,9 @@ class TestRunBlowUp:
         y0 = np.zeros((3, 4)) if block else np.zeros(3)
         f = self.poisoned(bad, 4 * good_steps)  # 4 field calls per step
         with pytest.raises(BlowUpError) as err:
-            surface._rk4_run(f, y0, (0.0, 1.0), 0.25, where="here")
+            surface._rk4_run(f, y0, (0.0, 1.0), 0.25)
         exc = err.value
-        assert exc.where == "here"
+        assert exc.where == ""
         # the field is 1 until it is poisoned, so each good step adds 0.25
         np.testing.assert_array_equal(exc.times, 0.25 * np.arange(good_steps + 1))
         np.testing.assert_array_equal(exc.states, [y0 + 0.25 * k for k in range(good_steps + 1)])
@@ -196,11 +214,11 @@ class TestChunkedBlowUp:
     def run(cls, kind, y0, n, dt):
         span = (0.0, n * dt)
         if kind == "float":
-            return surface._rk4_run(lambda y: [cls.LAM * v for v in y], y0, span, dt, where="w")
+            return surface._rk4_run(lambda y: [cls.LAM * v for v in y], y0, span, dt)
         if kind == "block":
-            return surface._rk4_run(lambda y: cls.LAM * y, y0, span, dt, where="w")
+            return surface._rk4_run(lambda y: cls.LAM * y, y0, span, dt)
         stepper = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))
-        return surface._run(stepper, y0, span, dt, where="w")
+        return surface._run(stepper, y0, span, dt)
 
     @classmethod
     def reference(cls, kind, y0, n, dt):
@@ -246,7 +264,7 @@ class TestChunkedBlowUp:
             with pytest.raises(BlowUpError) as err:
                 self.run(kind, y0, 130, self.DT)
         exc = err.value
-        assert exc.where == "w"
+        assert exc.where == ""
         assert exc.times.size == first_bad_row
         assert exc.t_last == times[-1]
         np.testing.assert_array_equal(exc.times, times)
@@ -321,8 +339,7 @@ def test_float_path_stays_on_python_floats():
     params = ModelParams(**{k: np.float64(v) if type(v) is float else v for k, v in vars(params).items()})
     coeffs = FieldCoefficients(r=coeffs.r, psi=np.float64(coeffs.psi))
     y = s0.to_array().tolist()
-    for rhs in (time_rhs, x_rhs):
-        assert all(type(v) is float for v in rhs(params, coeffs, y))
+    assert all(type(v) is float for v in time_rhs(params, coeffs, y))
 
 
 @pytest.mark.parametrize("n_E", [0, 2])
@@ -334,14 +351,13 @@ class TestBatchedRuns:
     def test_block_fields_match_columns(self, n_I, n_E):
         params, coeffs, _ = deep_setup(n_I, n_E)
         block = np.random.default_rng(n_I).uniform(-1.0, 1.0, (params.state_dim, 7))
-        for rhs in (time_rhs, x_rhs):
-            out = rhs(params, coeffs, block)
-            for m in range(block.shape[1]):
-                column = rhs(params, coeffs, block[:, m].copy())
-                floats = rhs(params, coeffs, block[:, m].tolist())
-                assert type(floats) is list
-                np.testing.assert_array_equal(out[:, m], column)
-                np.testing.assert_array_equal(np.array(floats), column)
+        out = time_rhs(params, coeffs, block)
+        for m in range(block.shape[1]):
+            column = time_rhs(params, coeffs, block[:, m].copy())
+            floats = time_rhs(params, coeffs, block[:, m].tolist())
+            assert type(floats) is list
+            np.testing.assert_array_equal(out[:, m], column)
+            np.testing.assert_array_equal(np.array(floats), column)
 
     def test_infected_cells_add_in_index_order(self, n_I, n_E):
         params, coeffs, _ = deep_setup(n_I, n_E)
@@ -364,11 +380,43 @@ class TestBatchedRuns:
             np.testing.assert_array_equal(column.times, grid.t_nodes)
             np.testing.assert_array_equal(column.states, grid.states[i])
         for j in range(grid.t_nodes.size):
-            left = StateVector.for_params(params, grid.states[0, j])
-            row = integrate_x(params, coeffs, left, x_span, h_x)
-            np.testing.assert_array_equal(row.times, grid.x_nodes)
-            gap = np.max(np.abs(grid.states[:, j] - row.states), axis=1)
+            nodes, row = x_fiber(params, coeffs, grid.states[0, j], x_span, h_x)
+            np.testing.assert_array_equal(nodes, grid.x_nodes)
+            gap = np.max(np.abs(grid.states[:, j] - row), axis=1)
             np.testing.assert_array_equal(gap, grid.mismatch[:, j])
+
+
+def exact_x_flow(params, coeffs, y0, s):
+    """The x-flow from the state y0 over the offset s, in exact rational
+    arithmetic from the float inputs."""
+    a, W0, s = Fraction(params.a), Fraction(float(y0[-1])), Fraction(float(s))
+    moved = W0 * s + a * s * s / 2
+    col = [-Fraction(coeffs.r[0])] + [Fraction(r) for r in coeffs.r[1:]]
+    return [Fraction(float(v)) + c * moved for v, c in zip(y0[:-1], col)] + [W0 + a * s]
+
+
+@pytest.mark.parametrize("a", [0.3, -0.45])
+@pytest.mark.parametrize("n_I,n_E", [(2, 0), (12, 2)])
+def test_x_fibers_are_the_exact_x_flow(n_I, n_E, a):
+    params, coeffs, s0 = deep_setup(n_I, n_E)
+    params = ModelParams(**{**vars(params), "a": a})  # a < 0 turns W round
+    # 0.33 is not a multiple of 0.05: a run takes 7 steps of 0.33 / 7
+    x_span, h_x = (0.0, 0.33), 0.05
+    grid = trace_surface(params, coeffs, s0, x_span, (0.0, 0.5), h_x, 0.05)
+    run = integrate_time(params, coeffs, s0, x_span, h_x)
+    np.testing.assert_array_equal(grid.x_nodes, run.times)
+    assert grid.x_nodes.size == 8 and grid.h_x == run.h == 0.33 / 7
+    # from x = 0 the nodes are the flow's offsets; row j starts at (0, t_j)
+    rows = surface._x_flow(params, coeffs, grid.states[0], grid.x_nodes)
+    np.testing.assert_array_equal(rows[:, 0], grid.states[:, 0])  # opposite row 0 is the corner fiber
+    np.testing.assert_array_equal(np.max(np.abs(grid.states - rows), axis=2), grid.mismatch)
+    for j in range(grid.t_nodes.size):
+        for k, x in enumerate(grid.x_nodes):
+            exact = exact_x_flow(params, coeffs, grid.states[0, j], x)
+            ulp = Fraction(float(np.spacing(float(max(abs(v) for v in exact)))))
+            assert all(abs(Fraction(float(v)) - e) <= 2 * ulp for v, e in zip(rows[k, j], exact)), (j, k)
+    np.testing.assert_array_equal(grid.mismatch[0, :], 0.0)
+    np.testing.assert_array_equal(grid.mismatch[:, 0], 0.0)
 
 
 def test_surface_makes_one_batched_field_call_per_stage(monkeypatch):
@@ -387,8 +435,8 @@ def test_surface_makes_one_batched_field_call_per_stage(monkeypatch):
     params, coeffs, s0 = deep_setup(4, 0)
     grid = trace_surface(params, coeffs, s0, (0.0, 0.4), (0.0, 4.0), 0.05, 0.02)
     assert grid.states.shape[:2] == (9, 201)
-    # 8 steps of the corner fiber, 200 of the columns, 8 of the rows
-    assert calls == {"t": 4 * 200, "x": 4 * (8 + 8)}
+    # 200 steps of the columns; the corner fiber and the rows are closed form
+    assert calls == {"t": 4 * 200, "x": 0}
 
 
 @pytest.mark.parametrize("n_E", [0, 2])
@@ -405,7 +453,7 @@ def test_each_width_matches_single_runs(width, n_E):
         calls["n"] += 1
         return time_rhs(params, coeffs, y)
 
-    times, states, h = surface._rk4_each(f, starts, (0.0, 1.0), 0.02, "column i")
+    times, states, h = surface._rk4_each(f, starts, (0.0, 1.0), 0.02)
     assert states.shape == (51, params.state_dim, width)
     assert calls["n"] == 4 * 50 * (1 if width > 8 else width)
     for i, start in enumerate(starts):
@@ -429,9 +477,8 @@ def test_narrow_surface_makes_field_calls_per_column(monkeypatch):
     params, coeffs, s0 = deep_setup(4, 0)
     grid = trace_surface(params, coeffs, s0, (0.0, 0.1), (0.0, 4.0), 0.05, 0.02)
     assert grid.states.shape[:2] == (3, 201)
-    # 3 columns of 200 steps one at a time; 2 steps of the corner fiber and
-    # 2 of the 201 rows, which run as one block
-    assert calls == {"t": 3 * 4 * 200, "x": 4 * (2 + 2)}
+    # 3 columns of 200 steps one at a time; the x-fibers are closed form
+    assert calls == {"t": 3 * 4 * 200, "x": 0}
 
 
 class TestSurfaceBlowUp:
@@ -448,11 +495,11 @@ class TestSurfaceBlowUp:
         params = make_params(beta=1.0, p=2.0, c=0.5)
         coeffs = FieldCoefficients.default_for(params)
         s0 = StateVector.for_params(params, [1.0, 0.0, -1.0, -1.0])
-        fiber = integrate_x(params, coeffs, s0, (0.0, 1.0), 0.5)
+        _, fiber = x_fiber(params, coeffs, s0.to_array(), (0.0, 1.0), 0.5)
         alone = [
             self.single_failure(lambda: integrate_time(
                 params, coeffs, StateVector.for_params(params, y), (0.0, 10.0), 0.05))
-            for y in fiber.states[:2]
+            for y in fiber[:2]
         ]
         assert alone[1].t_last < alone[0].t_last
         exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, (0.0, 1.0), (0.0, 10.0), 0.5, 0.05))
@@ -466,12 +513,12 @@ class TestSurfaceBlowUp:
         params = make_params(beta=1.0, p=2.0, c=0.5)
         coeffs = FieldCoefficients.default_for(params)
         s0 = StateVector.for_params(params, [1.0, 0.0, -1.0, -1.0])
-        fiber = integrate_x(params, coeffs, s0, (0.0, 4.0), 0.5)
-        assert len(fiber.states) > surface.FLOAT_RUN_MAX_STATES
+        _, fiber = x_fiber(params, coeffs, s0.to_array(), (0.0, 4.0), 0.5)
+        assert len(fiber) > surface.FLOAT_RUN_MAX_STATES
         alone = [
             self.single_failure(lambda: integrate_time(
                 params, coeffs, StateVector.for_params(params, y), (0.0, 10.0), 0.05))
-            for y in fiber.states
+            for y in fiber
         ]
         assert min(e.t_last for e in alone) < alone[0].t_last
         exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, (0.0, 4.0), (0.0, 10.0), 0.5, 0.05))
@@ -489,10 +536,9 @@ class TestSurfaceBlowUp:
         left = integrate_time(params, coeffs, s0, grid_args[1], grid_args[3])
         failures = {}
         for j, y in enumerate(left.states):
-            try:
-                integrate_x(params, coeffs, StateVector.for_params(params, y), grid_args[0], grid_args[2])
-            except BlowUpError as e:
-                failures[j] = e
+            failure = fiber_failure(params, coeffs, y, grid_args[0], grid_args[2])
+            if failure is not None:
+                failures[j] = failure
         first = min(failures)
         assert failures[max(failures)].t_last < failures[first].t_last
         exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, *grid_args))
