@@ -14,7 +14,6 @@ from .charpoly import (
     charpoly_closed,
     charpoly_direct,
     charpoly_sum_form,
-    charpoly_term_scale,
     coefficient_matrix,
     production_minor_det,
 )
@@ -42,9 +41,7 @@ from .spectrum import (
     SpectrumReport,
     algebraic_multiplicity,
     analyze,
-    charpoly_derivative,
     classify,
-    critical_points,
     eigenvector,
     full_spectrum_numeric,
     geometric_multiplicity,
@@ -52,7 +49,6 @@ from .spectrum import (
     predicted_sign_pattern,
     real_roots,
     sign_class,
-    viral_pressure,
 )
 from .surface import (
     AsymptoticsVerdict,
@@ -91,13 +87,10 @@ __all__ = [
     "asymptotics",
     "charpoly",
     "charpoly_closed",
-    "charpoly_derivative",
     "charpoly_direct",
     "charpoly_sum_form",
-    "charpoly_term_scale",
     "classify",
     "coefficient_matrix",
-    "critical_points",
     "derived_rates",
     "eigenvector",
     "full_spectrum_numeric",
@@ -119,7 +112,6 @@ __all__ = [
     "time_rhs",
     "trace_surface",
     "validate",
-    "viral_pressure",
     "x_field",
     "x_rhs",
 ]

@@ -151,21 +151,6 @@ def charpoly(params: ModelParams, T: float, lam: float) -> float:
     return charpoly_closed(params, T, lam)
 
 
-def charpoly_term_scale(params: ModelParams, T: float, lam: float) -> float:
-    """Magnitude yardstick for charpoly values: the sum of the absolute
-    values of the summands the closed form adds. A computed polynomial value
-    below ~1e-12 of this scale is indistinguishable from a true zero.
-
-    The factors are |c_x + lam|, not c_x + |lam|: for negative lam the
-    latter overstates the powers by orders of magnitude at depth, and a
-    value that is no root would then pass as one."""
-    c_E, c_I, cEn = _powers(params)
-    n_I = params.n_I
-    cascade = abs(c_E + lam) ** params.n_E * abs(c_I + lam) ** n_I * abs(params.c + lam) * abs(lam)
-    feedback = abs(params.beta * T) * cEn * params.p * (c_I**n_I + abs(c_I + lam) ** n_I)
-    return cascade + feedback
-
-
 def production_minor_det(params: ModelParams, lam: float, k: int) -> float:
     """Determinant of the k-th production minor by its first-column
     recursion; the minors arise when the feedback column of A - lambda*I is
@@ -195,6 +180,5 @@ __all__ = [
     "charpoly_sum_form",
     "charpoly_direct",
     "charpoly",
-    "charpoly_term_scale",
     "production_minor_det",
 ]

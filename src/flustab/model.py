@@ -179,6 +179,9 @@ def _threshold(params: ModelParams) -> float:
 def validate(params: ModelParams) -> list[str]:
     """Full input contract. Returns every violation, not just the first."""
     problems = _structural_problems(params)
+    # a generated field kernel's compile time and memory grow with the depth
+    if params.n_E + params.n_I > 1000:
+        problems.append("n_E + n_I must be <= 1000")
     for name in ("beta", "p", "c"):
         value = getattr(params, name)
         if not (value > 0):

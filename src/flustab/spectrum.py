@@ -26,16 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import (
-    SystemMatrix,
-    charpoly,
-    charpoly_term_scale,
-    coefficient_matrix,
-)
+from .charpoly import SystemMatrix, coefficient_matrix
 from .model import InvalidParamsError, ModelParams, _threshold, derived_rates
 
 
-def viral_pressure(params: ModelParams, T: float) -> float:
+def _viral_pressure(params: ModelParams, T: float) -> float:
     # Canonical evaluation order; the Critical/equality tests in this module
     # and in the validation suites compare against exactly this expression.
     return params.beta * T * params.p * params.tau_I
@@ -63,7 +58,7 @@ def _regime_cell(params: ModelParams, T: float, tol_class_rel: float) -> tuple[s
     roots of the quadratic factor. A NaN lands in "<"."""
     _, c_I = derived_rates(params)  # structural check; beta = 0 is legal here
     q = params.beta * T * params.p
-    pressure = viral_pressure(params, T)
+    pressure = _viral_pressure(params, T)
     row = _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure)))
     col_value = c_I * c_I - params.c * c_I - q
     col_scale = max(c_I * c_I, abs(params.c) * c_I, abs(q), 1e-300)
@@ -100,27 +95,16 @@ def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, f
     return (n_I + 2.0, params.c * (n_I + 1.0) + 2.0 * c_I, params.c * c_I - q * n_I)
 
 
-def charpoly_derivative(params: ModelParams, T: float, lam: float) -> float:
-    """Analytic d/dlam of the n_E = 0 characteristic polynomial."""
-    _require_nE0(params)
-    _, c_I = derived_rates(params)
-    a2, a1, a0 = derivative_quadratic_coeffs(params, T)
-    return (c_I + lam) ** (params.n_I - 1) * (a2 * lam * lam + a1 * lam + a0)
-
-
-def critical_points(params: ModelParams, T: float) -> list[float]:
+def _critical_points(c_I: float, n_I: int, coeffs: tuple[float, float, float]) -> list[float]:
     """All real critical points of the characteristic polynomial, ascending.
 
     These are -c_I (present when n_I >= 2, from the (c_I + lam)^(n_I - 1)
-    derivative factor) plus any real roots of the derivative quadratic;
-    a negative quadratic discriminant contributes nothing.
+    derivative factor) plus any real roots of the derivative quadratic with
+    the coefficients of derivative_quadratic_coeffs; a negative
+    discriminant contributes nothing.
     """
-    _require_nE0(params)
-    _, c_I = derived_rates(params)
-    pts = []
-    if params.n_I >= 2:
-        pts.append(-c_I)
-    a2, a1, a0 = derivative_quadratic_coeffs(params, T)
+    pts = [-c_I] if n_I >= 2 else []
+    a2, a1, a0 = coeffs
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc >= 0.0:
         rt = math.sqrt(disc)
@@ -135,53 +119,75 @@ def critical_points(params: ModelParams, T: float) -> list[float]:
     return sorted(pts)
 
 
-def _outer_bracket_lo(params: ModelParams, T: float) -> float:
-    """A lower end L with no real root below it.
+def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float) -> tuple[float, float]:
+    """The n_E = 0 characteristic polynomial and the sum of its terms'
+    magnitudes, both divided by M^n_I with M = max(c_I, |c_I + lam|).
 
-    For odd n_I a root below -c_I always exists and can sit far below the
-    naive -(c + c_I + q + 1) when c_I dominates q; the bound below makes the
-    polynomial provably single-signed past it for either parity:
-    the magnitude term needs mu - c_I >= c_I * q^(1/n_I) (so the power beats
-    q * c_I^{n_I}) and mu(mu - c) - q > 1 (so the quadratic factor is clear
-    of zero), both of which hold at L by construction.
+    P(lam) = (c_I + lam)^n_I (c + lam) lam + q (c_I^n_I - (c_I + lam)^n_I)
+    with q = beta*T*p. Over M^n_I one of the two powers is +-1 and the other
+    is e^(-|L|), L = n_I log(|c_I + lam|/c_I), so nothing can overflow; the
+    sign (-1)^n_I of the power below -c_I is taken apart, and where it is +1
+    the difference of powers is an expm1 of L. The value is an exact 0.0 at
+    lam = 0 and q at lam = -c_I. The division keeps every sign, and a value
+    below ~1e-13 of the scale is indistinguishable from a true zero.
     """
-    _, c_I = derived_rates(params)
-    q = abs(params.beta * T * params.p)
-    return -(params.c + q + 1.0 + c_I * (1.0 + q ** (1.0 / params.n_I)) + 1.0)
+    u = c_I + lam
+    if u == 0.0:
+        L = -math.inf
+    else:
+        L = n_I * (math.log1p(lam / c_I) if u > 0.0 else math.log(-u / c_I))
+    # |c_I + lam|^n_I and c_I^n_I over M^n_I: the larger is 1, the other e^(-|L|)
+    pu, pc = (1.0, math.exp(-L)) if L >= 0.0 else (math.exp(L), 1.0)
+    if u < 0.0 and n_I % 2 == 1:  # (c_I + lam)^n_I < 0
+        pu, diff = -pu, pc + pu
+    else:
+        diff = math.expm1(-L) if L >= 0.0 else -math.expm1(L)
+    cascade = pu * (c + lam) * lam
+    return cascade + q * diff, abs(cascade) + abs(q) * (pc + abs(pu))
 
 
-def real_roots(params: ModelParams, T: float, tol: float = 1e-12) -> list[float]:
+_ROOT_TOL = 1e-12
+
+
+def real_roots(params: ModelParams, T: float) -> list[float]:
     """All real roots of the n_E = 0 characteristic polynomial, ascending.
 
     Between consecutive critical points the polynomial is strictly monotone,
     so each open interval holds at most one root and a sign change pins it;
-    bisection cannot leave the bracket and a short Newton polish (the
-    derivative is analytic) sharpens the last digits. Roots sitting exactly
-    on a critical point (the double zero at the Critical regime boundary)
-    are caught by evaluating the endpoints themselves. The structural root
-    at 0 is always included exactly.
+    bisection to _ROOT_TOL cannot leave the bracket and a short Newton polish
+    (the derivative is analytic) sharpens the last digits. Roots sitting
+    exactly on a critical point (the double zero at the Critical regime
+    boundary) are caught by evaluating the endpoints themselves. The
+    structural root at 0 is always included exactly. Every value is taken
+    from _scaled_charpoly, so no cascade depth or rate overflows it.
     """
     _require_nE0(params)
-    if not (tol > 0):
-        raise ValueError("tol must be > 0")
     _, c_I = derived_rates(params)
+    c, n_I = params.c, params.n_I
     q = params.beta * T * params.p
-    lo = _outer_bracket_lo(params, T)
-    hi = params.c + c_I + abs(q) + 1.0
+    coeffs = a2, a1, a0 = derivative_quadratic_coeffs(params, T)
+    # For odd n_I a root below -c_I always exists and can sit far below the
+    # naive -(c + c_I + q + 1) when c_I dominates q; lo makes the polynomial
+    # provably single-signed below it for either parity: the magnitude term
+    # needs mu - c_I >= c_I * q^(1/n_I) (so the power beats q * c_I^{n_I})
+    # and mu(mu - c) - q > 1 (so the quadratic factor is clear of zero),
+    # both of which hold at lo by construction.
+    lo = -(c + abs(q) + 1.0 + c_I * (1.0 + abs(q) ** (1.0 / n_I)) + 1.0)
+    hi = c + c_I + abs(q) + 1.0
 
     endpoints = [lo]
-    for cp in critical_points(params, T):
+    for cp in _critical_points(c_I, n_I, coeffs):
         # keep only interior critical points, dedupe collisions
         if endpoints[-1] + 1e-14 * (1 + abs(cp)) < cp < hi:
             endpoints.append(cp)
     endpoints.append(hi)
 
-    P = lambda lam: charpoly(params, T, lam)
+    P = lambda lam: _scaled_charpoly(c, c_I, q, n_I, lam)[0]
     roots: list[float] = [0.0]
 
     def push(x: float):
         for r in roots:
-            if abs(x - r) <= max(tol, 1e-9 * max(1.0, abs(x), abs(r))):
+            if abs(x - r) <= max(_ROOT_TOL, 1e-9 * max(1.0, abs(x), abs(r))):
                 return
         roots.append(x)
 
@@ -189,8 +195,8 @@ def real_roots(params: ModelParams, T: float, tol: float = 1e-12) -> list[float]
     # the term scale): loose windows would swallow the two distinct roots
     # that flank a critical point just off the Critical boundary, while the
     # exactly-double root at the boundary evaluates to 0.0 and is caught.
-    vals = [P(e) for e in endpoints]
-    zero_at = [abs(v) <= 1e-13 * (charpoly_term_scale(params, T, e) + 1e-300) for v, e in zip(vals, endpoints)]
+    vals, scales = zip(*(_scaled_charpoly(c, c_I, q, n_I, e) for e in endpoints))
+    zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
     for e, z in zip(endpoints, zero_at):
         if z:
             push(e)
@@ -198,18 +204,12 @@ def real_roots(params: ModelParams, T: float, tol: float = 1e-12) -> list[float]
     for i in range(len(endpoints) - 1):
         if zero_at[i] or zero_at[i + 1]:
             continue  # monotone interval with a root on its boundary has no interior root
-        a, b, fa, fb = endpoints[i], endpoints[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            push(a)
-            continue
-        if fb == 0.0:
-            push(b)
-            continue
-        if (fa > 0) == (fb > 0):
+        a, b, fa = endpoints[i], endpoints[i + 1], vals[i]
+        if (fa > 0) == (vals[i + 1] > 0):
             continue
         for _ in range(200):
             m = 0.5 * (a + b)
-            if b - a <= tol:
+            if b - a <= _ROOT_TOL:
                 break
             fm = P(m)
             if fm == 0.0:
@@ -218,15 +218,21 @@ def real_roots(params: ModelParams, T: float, tol: float = 1e-12) -> list[float]
             if (fm > 0) == (fa > 0):
                 a, fa = m, fm
             else:
-                b, fb = m, fm
+                b = m
         x = 0.5 * (a + b)
         for _ in range(3):  # Newton polish, clamped to the bracket
-            d = charpoly_derivative(params, T, x)
-            if d == 0.0:
-                break
-            step = P(x) / d
+            # P/P' = value * M^n_I / ((c_I + x)^(n_I - 1) Q(x)), where
+            # M^n_I / |c_I + x|^(n_I - 1) = M (M/|c_I + x|)^(n_I - 1)
+            u = abs(c_I + x)
+            M = max(c_I, u)
+            try:
+                step = P(x) / (a2 * x * x + a1 * x + a0) * M * math.exp((n_I - 1) * math.log(M / u))
+            except (OverflowError, ZeroDivisionError):
+                break  # a zero derivative, or a step that overflows
+            if c_I + x < 0.0 and n_I % 2 == 0:
+                step = -step  # (c_I + x)^(n_I - 1) < 0
             x_new = x - step
-            if not (a - tol <= x_new <= b + tol):
+            if not (a - _ROOT_TOL <= x_new <= b + _ROOT_TOL):
                 break
             x = x_new
         push(x)
@@ -387,7 +393,8 @@ def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0)
     (I_1..I_{n_I}, V, W), scaled so the V component equals V_scale.
 
     For lam != 0 the W component is exactly 0 and
-    I_k = c_I^(k-1) * beta*T*V / (c_I + lam)^k. For lam = 0 every I_k equals
+    I_k = (beta*T*V/c_I) * (c_I/(c_I + lam))^k; a component that overflows
+    raises ArithmeticError. For lam = 0 every I_k equals
     beta*T*V / c_I and the W component balances the V row:
     W = (beta*T*p*tau_I - c) * V / (-v_a). The formula has a pole at
     lam = -c_I, which is generically not an eigenvalue.
@@ -400,26 +407,27 @@ def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0)
     if lam != 0.0 and abs(c_I + lam) <= 1e-300:
         raise ValueError("eigenvector formula has a pole at lam = -c_I")
     v = np.zeros(n_I + 2)
+    w = 0.0  # forced for lam != 0; at lam = 0 with a balanced V row any W works, take the simplest
     if lam == 0.0:
-        pressure = viral_pressure(params, T)
+        pressure = _viral_pressure(params, T)
         if params.v_a != 0.0:
             w = (pressure - params.c) * V_scale / (-params.v_a)
-        elif abs(pressure - params.c) <= 1e-12 * max(abs(pressure), abs(params.c), 1e-300):
-            w = 0.0  # V row already balances; any W works, take the simplest
-        else:
+        elif not abs(pressure - params.c) <= 1e-12 * max(abs(pressure), abs(params.c), 1e-300):
             # advection-free and off-critical: the zero eigenvector is the
             # pure W direction instead of the V-scaled family
             v[-1] = V_scale
             return v
-        v[:n_I] = params.beta * T * V_scale / c_I
-        v[-2] = V_scale
-        v[-1] = w
-        return v
-    base = params.beta * T * V_scale
-    for k in range(1, n_I + 1):
-        v[k - 1] = c_I ** (k - 1) * base / (c_I + lam) ** k
+    # I_k = (beta*T*V/c_I) * rho^k with rho = c_I/(c_I + lam), 1 at lam = 0, as
+    # a running product: it stays 0.0 at beta*T = 0 and forms no power of a rate
+    rho = c_I / (c_I + lam)
+    x = params.beta * T * V_scale / c_I
+    for k in range(n_I):
+        x *= rho
+        v[k] = x
+    if not math.isfinite(x):
+        raise ArithmeticError(f"eigenvector at lam = {lam!r} overflows at n_I = {n_I}")
     v[-2] = V_scale
-    v[-1] = 0.0
+    v[-1] = w
     return v
 
 
@@ -589,10 +597,7 @@ __all__ = [
     "SignPattern",
     "RootReport",
     "SpectrumReport",
-    "viral_pressure",
     "classify",
-    "critical_points",
-    "charpoly_derivative",
     "derivative_quadratic_coeffs",
     "real_roots",
     "sign_class",

@@ -8,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from flustab import cli
+from flustab.charpoly import coefficient_matrix
 from flustab.cli import EXIT_BROKEN_PIPE, _fmt, _write_state_csv, main
+from flustab.model import ModelParams
 
 
 def params_doc(**overrides):
@@ -113,13 +116,33 @@ class TestAnalyze:
         assert code == 2
         assert "params" in error_doc(err)["message"]
 
-    def test_overflow_exits_3_with_error_object(self, capsys, tmp_path):
-        # the closed-form characteristic polynomial overflows at this depth
-        cfg = write_config(tmp_path, {"params": params_doc(n_I=150), "T": 0.75})
+    def test_overflow_exits_3_with_error_object(self, capsys, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "analyze", overflow)
+        cfg = write_config(tmp_path, {"params": params_doc(), "T": 0.75})
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
         assert code == 3
         assert out == ""
         assert error_doc(err)["code"] == 3
+
+    def test_deep_cascade_reports(self, capsys, tmp_path):
+        # (c_I + lam)^150 overflows a float; the report must not
+        params = params_doc(n_I=150)
+        cfg = write_config(tmp_path, {"params": params, "T": 0.75})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["analytic"] is True
+        values = [e["value"] for e in report["real_eigenvalues"]]
+        assert 0.0 in values
+        assert sum(e["algebraic_multiplicity"] for e in report["real_eigenvalues"]) % 2 == 0
+        A = coefficient_matrix(ModelParams.from_json_dict(params), 0.75)
+        for e in report["real_eigenvalues"]:
+            v = np.array(e["eigenvector"])
+            assert np.all(np.isfinite(v)) and v[-2] == 1.0
+            assert np.max(np.abs(A.entries @ v - e["value"] * v)) <= 1e-12 * A.inf_norm * np.max(np.abs(v))
 
 
 class TestConfigRejection:
@@ -153,6 +176,17 @@ class TestConfigRejection:
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
         assert code == 2
         assert error_doc(err)["code"] == 2
+
+    @pytest.mark.parametrize("n_E, n_I", [(0, 1000), (3, 997)])
+    def test_cascade_depth_cap(self, capsys, tmp_path, n_E, n_I):
+        sweep = {"from": 0.5, "to": 2.5, "steps": 2}
+        params = params_doc(n_E=n_E, tau_E=1.0, n_I=n_I) if n_E else params_doc(n_I=n_I)
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, {"params": params, "T": sweep})])
+        assert code == 0 and len(out.splitlines()) == 3
+        params["n_I"] = n_I + 1
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, {"params": params, "T": sweep})])
+        assert code == 2 and out == ""
+        assert error_doc(err)["details"]["problems"] == ["n_E + n_I must be <= 1000"]
 
     def test_unparseable_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

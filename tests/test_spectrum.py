@@ -10,9 +10,7 @@ from flustab.model import InvalidParamsError, ModelParams, target_cell_threshold
 from flustab.spectrum import (
     algebraic_multiplicity,
     analyze,
-    charpoly_derivative,
     classify,
-    critical_points,
     derivative_quadratic_coeffs,
     eigenvector,
     full_spectrum_numeric,
@@ -21,9 +19,8 @@ from flustab.spectrum import (
     predicted_sign_pattern,
     real_roots,
     sign_class,
-    viral_pressure,
 )
-from flustab.spectrum import _log_perron_f
+from flustab.spectrum import _critical_points, _log_perron_f, _scaled_charpoly, _viral_pressure
 from flustab.validation import _finite_difference_multiplicity, cell_params, loguniform, sample_params
 
 
@@ -61,7 +58,7 @@ class TestClassify:
 
     def test_pressure_order(self):
         params = make_params(beta=0.7, p=1.3, tau_I=2.0)
-        assert viral_pressure(params, 1.1) == 0.7 * 1.1 * 1.3 * 2.0
+        assert _viral_pressure(params, 1.1) == 0.7 * 1.1 * 1.3 * 2.0
 
 
 class TestDerivative:
@@ -72,7 +69,7 @@ class TestDerivative:
 
     def test_critical_points_frozen(self):
         params = make_params(c=3.0, n_I=2, tau_I=2.0, beta=1.0, p=1.0)
-        pts = critical_points(params, T=1.0)
+        pts = _critical_points(params.c_I, params.n_I, derivative_quadratic_coeffs(params, T=1.0))
         disc = math.sqrt(105.0)
         expected = sorted([(-11.0 - disc) / 8.0, -1.0, (-11.0 + disc) / 8.0])
         assert pts == pytest.approx(expected)
@@ -84,13 +81,14 @@ class TestDerivative:
             lam = rng.uniform(-2.0, 1.0) * (params.c_I + params.c)
             h = 1e-6 * max(1.0, abs(lam))
             fd = (charpoly(params, T, lam + h) - charpoly(params, T, lam - h)) / (2 * h)
-            exact = charpoly_derivative(params, T, lam)
+            a2, a1, a0 = derivative_quadratic_coeffs(params, T)
+            exact = (params.c_I + lam) ** (params.n_I - 1) * (a2 * lam * lam + a1 * lam + a0)
             assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6 * max(1.0, abs(fd)))
 
     def test_needs_no_eclipse_stages(self):
         params = make_params(n_E=1, tau_E=1.0)
         with pytest.raises(InvalidParamsError):
-            charpoly_derivative(params, 1.0, 0.5)
+            real_roots(params, 1.0)
 
 
 class TestRealRoots:
@@ -483,3 +481,62 @@ class TestDeepCascadeRoots:
             assert resid <= 1e-8 * float(np.max(np.abs(v)))
         below = [x for x in values if x < -params.c_I]
         assert len(below) == (1 if n_I % 2 else 0)
+
+
+def deep_sample(rng):
+    """One n_E = 0 set drawn like sample_params but at depth: n_I uniform in
+    [1, 200], rates log-uniform in [1e-3, 1e3], T uniform in [0, 2 T*]."""
+    rng.choice((0,))  # the n_E draw, kept so the stream matches sample_params'
+    n_I = int(rng.choice(tuple(range(1, 201))))
+    params = ModelParams(
+        beta=loguniform(rng, 1e-3, 1e3), p=loguniform(rng, 1e-3, 1e3),
+        c=loguniform(rng, 1e-3, 1e3), n_E=0, tau_E=None, n_I=n_I,
+        tau_I=loguniform(rng, 1e-3, 1e3), D_PCF=loguniform(rng, 1e-3, 1e3),
+        v_a=loguniform(rng, 1e-3, 1e3), a=float(rng.uniform(-2, 2)),
+    )
+    return params, float(rng.uniform(0, 2 * params.T_star))
+
+
+class TestScaledCharpoly:
+    def test_matches_charpoly_over_its_scale(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            params, T = sample_params(rng, n_E_choices=(0,))
+            c, c_I, n_I = params.c, params.c_I, params.n_I
+            q = params.beta * T * params.p
+            lam = float(rng.uniform(-3.0, 1.0) * (c_I + c))
+            value, scale = _scaled_charpoly(c, c_I, q, n_I, lam)
+            M_n = max(c_I, abs(c_I + lam)) ** n_I
+            terms = abs(c_I + lam) ** n_I * abs(c + lam) * abs(lam) + q * (c_I**n_I + abs(c_I + lam) ** n_I)
+            assert scale == pytest.approx(terms / M_n, rel=1e-14)
+            assert abs(value - charpoly(params, T, lam) / M_n) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n_I", [1, 2, 7, 150])
+    def test_exact_at_zero_and_minus_cI(self, n_I):
+        params = make_params(n_I=n_I)
+        q = params.beta * 0.75 * params.p
+        assert _scaled_charpoly(params.c, params.c_I, q, n_I, 0.0)[0] == 0.0
+        assert _scaled_charpoly(params.c, params.c_I, q, n_I, -params.c_I)[0] == q
+
+
+class TestDeepDomain:
+    def test_sample_roots_are_complete_and_true(self):
+        """ROADMAP item 1's sample at seed 0: no overflow, a root count with
+        the degree's parity, the Perron root on top, and residual-checked
+        eigenvectors, all without a dense eigensolve."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            params, T = deep_sample(rng)
+            roots = real_roots(params, T)
+            multiplicity = sum(algebraic_multiplicity(params, T, r) for r in roots)
+            assert multiplicity % 2 == (params.n_I + 2) % 2, (params, T)
+            nonzero = [r for r in roots if r != 0.0]
+            perron = perron_root(params, T)
+            assert abs(max(nonzero) - perron) <= 1e-9 * abs(perron), (params, T)
+            A = coefficient_matrix(params, T)
+            for lam in nonzero:
+                if lam == -params.c_I:
+                    continue  # formula pole, a root only at beta*T = 0
+                v = eigenvector(params, T, lam)
+                resid = np.max(np.abs(A.entries @ v - lam * v))
+                assert resid <= 1e-12 * A.inf_norm * np.max(np.abs(v)), (params, T, lam)
