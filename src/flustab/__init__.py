@@ -59,7 +59,6 @@ from .surface import (
     integrate_linearized,
     integrate_time,
     lie_bracket,
-    linearized_time_field,
     trace_surface,
 )
 from .validation import SuiteResult, run_all, sample_params
@@ -98,7 +97,6 @@ __all__ = [
     "integrate_linearized",
     "integrate_time",
     "lie_bracket",
-    "linearized_time_field",
     "perron_root",
     "predicted_sign_pattern",
     "production_minor_det",

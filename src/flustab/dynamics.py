@@ -1,10 +1,12 @@
 """The two column vector fields whose span the integral surfaces follow.
 
-The time-direction field is the model's right-hand side, defined once as
-straight-line code generated per cascade shape (n_E, n_I). It takes a state
-as a list of Python floats (the integrators' single-state form), as an
-array, or a block of states, one per column, with the same bits for a state
-in every form; the I compartments are added in index order from 0.0.
+The time-direction field is the model's right-hand side, written once as a
+template of straight-line source per cascade shape (n_E, n_I). time_rhs
+compiles it to one evaluation, which takes a state as a list of Python
+floats, as an array, or a block of states, one per column, with the same
+bits for a state in every form; the I compartments are added in index
+order from 0.0. The same template gives the four stages of the shape's RK4
+run kernel, which advances one float state a chunk of steps per call.
 
 The x-direction field is the heuristic spatial companion: every slot moves
 proportionally to W (coefficients r_i, the T slot with a minus sign), the V
@@ -64,38 +66,89 @@ def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
 
 # compiled kernels by cascade shape (n_E, n_I); each depends on nothing else
 _TIME_KERNELS: dict = {}
+_RK4_KERNELS: dict = {}
+
+# the rates the field reads, as expressions in params and coeffs
+_RATES = {"beta": "params.beta", "p": "params.p", "c": "params.c", "source": "params.D_PCF * params.a",
+          "v_a": "params.v_a", "psi": "coeffs.psi"}
+
+
+def _field_source(n_E: int, n_I: int, y: str, rate: dict) -> tuple[list[str], list[str]]:
+    """The one template of the time field at the state y0, y1, ... (name
+    prefix y): source lines, then every slot's expression, each rate read as
+    rate[name]. Slot i's outflow is f_i = c * y_i; I_total adds the I slots
+    to 0.0 in index order; the W slot is psi, a float even for a block."""
+    dim = n_E + n_I + 3
+    V, W = f"{y}{dim - 2}", f"{y}{dim - 1}"
+    lines = [f"f0 = {rate['beta']} * {y}0 * {V}"]
+    lines += [f"f{i} = c_E * {y}{i}" for i in range(1, 1 + n_E)]
+    lines += [f"f{j} = c_I * {y}{j}" for j in range(1 + n_E, dim - 2)]
+    lines.append(f"I_total = 0.0 + {y}{1 + n_E}")
+    lines += [f"I_total = I_total + {y}{j}" for j in range(2 + n_E, dim - 2)]
+    slots = ["-f0"] + [f"f{i - 1} - f{i}" for i in range(1, dim - 2)]
+    slots.append(f"{rate['p']} * I_total - {rate['c']} * {V} + {rate['source']} + {rate['v_a']} * {W}")
+    return lines, slots + [rate["psi"]]
+
+
+def _shape(n_E, n_I) -> tuple[int, int]:
+    """The counts of a cascade shape, checked before they enter any source."""
+    n_E, n_I = operator.index(n_E), operator.index(n_I)
+    if n_E < 0 or n_I < 1:
+        raise ValueError(f"no cascade with n_E={n_E}, n_I={n_I}")
+    return n_E, n_I
+
+
+def _compiled(cache: dict, label: str, n_E: int, n_I: int, args: str, body: list[str]):
+    """def kernel(args), kept in cache under the shape (n_E, n_I): it binds
+    c_E and c_I from params, unpacks y into y0, y1, ..., then runs body."""
+    ys = ", ".join(f"y{i}" for i in range(n_E + n_I + 3))
+    head = [f"c_E = {n_E} / params.tau_E"] if n_E > 0 else []
+    head += [f"c_I = {n_I} / params.tau_I", f"{ys}, = y"]
+    source = "\n".join([f"def kernel({args}):", *(f"    {line}" for line in head + body)])
+    namespace: dict = {}
+    exec(compile(source, f"<{label} n_E={n_E} n_I={n_I}>", "exec"), namespace)
+    cache[n_E, n_I] = namespace["kernel"]
+    return namespace["kernel"]
 
 
 def _time_kernel(n_E: int, n_I: int):
     """The time field for one cascade shape, as a function
-    (params, coeffs, y) -> list of slots compiled from straight-line source
-    built from the two counts alone, on the first call for the shape, and
-    kept in _TIME_KERNELS. It reads the rates on every call and unpacks y
-    (floats, or the rows of a block). The outflow of slot i is c * y_i and
-    its derivative the inflow minus that outflow; I_total adds the I slots
-    to 0.0 in index order; the W slot is psi, a float even for a block.
-    """
-    n_E, n_I = operator.index(n_E), operator.index(n_I)
-    if n_E < 0 or n_I < 1:
-        raise ValueError(f"no cascade with n_E={n_E}, n_I={n_I}")
-    dim = n_E + n_I + 3
-    V, W = f"y{dim - 2}", f"y{dim - 1}"
-    lines = ["def kernel(params, coeffs, y):", f"    {', '.join(f'y{i}' for i in range(dim))}, = y"]
-    if n_E > 0:
-        lines.append(f"    c_E = {n_E} / params.tau_E")
-    lines += [f"    c_I = {n_I} / params.tau_I", f"    f0 = params.beta * y0 * {V}"]
-    lines += [f"    f{i} = c_E * y{i}" for i in range(1, 1 + n_E)]
-    lines += [f"    f{j} = c_I * y{j}" for j in range(1 + n_E, dim - 2)]
-    lines.append(f"    I_total = 0.0 + y{1 + n_E}")
-    lines += [f"    I_total = I_total + y{j}" for j in range(2 + n_E, dim - 2)]
-    out = ["-f0"] + [f"f{i - 1} - f{i}" for i in range(1, dim - 2)]
-    out.append(f"params.p * I_total - params.c * {V} + params.D_PCF * params.a + params.v_a * {W}")
-    out.append("coeffs.psi")
-    lines.append(f"    return [{', '.join(out)}]")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<time_rhs kernel n_E={n_E} n_I={n_I}>", "exec"), namespace)
-    _TIME_KERNELS[n_E, n_I] = namespace["kernel"]
-    return namespace["kernel"]
+    (params, coeffs, y) -> list of slots, compiled from _field_source on
+    the first call for the shape and kept in _TIME_KERNELS. It reads the
+    rates on every call and unpacks y (floats, or the rows of a block)."""
+    n_E, n_I = _shape(n_E, n_I)
+    lines, slots = _field_source(n_E, n_I, "y", _RATES)
+    body = lines + [f"return [{', '.join(slots)}]"]
+    return _compiled(_TIME_KERNELS, "time_rhs kernel", n_E, n_I, "params, coeffs, y", body)
+
+
+def _rk4_kernel(n_E: int, n_I: int):
+    """Classical RK4 of the time field for one cascade shape, as a function
+    (params, coeffs, dt, y, k) -> the k rows (tuples) that k steps of dt
+    take from the float state y, kept in _RK4_KERNELS: the rates bound
+    once, the state in locals, and the four stages of _field_source and the
+    combination as straight-line code in surface._rk4_float_step's order,
+    so its rows equal those steps with time_rhs as the field, bit for bit."""
+    n_E, n_I = _shape(n_E, n_I)
+    slots, loop = range(n_E + n_I + 3), []
+    for stage, (y, scale) in enumerate((("y", ""), ("z", "half"), ("z", "half"), ("z", "dt")), 1):
+        if scale:
+            loop += [f"z{i} = y{i} + {scale} * k{stage - 1}_{i}" for i in slots]
+        lines, field = _field_source(n_E, n_I, y, {name: name for name in _RATES})
+        loop += lines + [f"k{stage}_{i} = {slot}" for i, slot in enumerate(field)]
+    loop += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in slots]
+    loop.append(f"rows.append(({', '.join(f'y{i}' for i in slots)},))")
+    body = [f"{name} = {rate}" for name, rate in _RATES.items()]
+    body += ["half, sixth = 0.5 * dt, dt / 6.0", "rows = []", "for _ in range(k):"]
+    body += [f"    {line}" for line in loop] + ["return rows"]
+    return _compiled(_RK4_KERNELS, "RK4 run kernel", n_E, n_I, "params, coeffs, dt, y, k", body)
+
+
+def _rk4_advancer(params: ModelParams, coeffs: FieldCoefficients):
+    """dt -> (y, k) -> the k rows RK4 steps of dt take from the float state
+    y, one call of the shape's _rk4_kernel (the advancer form of surface._run)."""
+    kernel = _RK4_KERNELS.get((params.n_E, params.n_I)) or _rk4_kernel(params.n_E, params.n_I)
+    return lambda dt: lambda y, k: kernel(params, coeffs, dt, y, k)
 
 
 def _x_column(coeffs: FieldCoefficients) -> np.ndarray:

@@ -51,15 +51,20 @@ def _three_way(value: float, tol: float) -> str:
     return ">" if value > 0 else "<"
 
 
+def _regime_row(params: ModelParams, T: float, tol_class_rel: float) -> str:
+    """The regime row: the sign of c - beta*T*p*tau_I, "<", "=" or ">" with
+    "=" inside a relative window of tol_class_rel. A NaN lands in "<"."""
+    pressure = _viral_pressure(params, T)
+    return _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure)))
+
+
 def _regime_cell(params: ModelParams, T: float, tol_class_rel: float) -> tuple[str, str]:
-    """The regime cell (row, col), each "<", "=" or ">" with "=" inside a
-    relative window of tol_class_rel. Row: sign of c - beta*T*p*tau_I.
-    Column: sign of c_I^2 - c*c_I - beta*T*p, where -c_I falls against the
-    roots of the quadratic factor. A NaN lands in "<"."""
+    """The regime cell (_regime_row, col). Column: sign of
+    c_I^2 - c*c_I - beta*T*p, where -c_I falls against the roots of the
+    quadratic factor, in the same three-way window."""
     _, c_I = derived_rates(params)  # structural check; beta = 0 is legal here
     q = params.beta * T * params.p
-    pressure = _viral_pressure(params, T)
-    row = _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure)))
+    row = _regime_row(params, T, tol_class_rel)
     col_value = c_I * c_I - params.c * c_I - q
     col_scale = max(c_I * c_I, abs(params.c) * c_I, abs(q), 1e-300)
     return row, _three_way(col_value, tol_class_rel * col_scale)
@@ -76,7 +81,8 @@ def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Cla
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    row, _ = _regime_cell(params, T, tol_class_rel)
+    derived_rates(params)  # structural check only; beta = 0 is legal here
+    row = _regime_row(params, T, tol_class_rel)
     return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
 
 
@@ -460,10 +466,9 @@ def algebraic_multiplicity(params: ModelParams, T: float, lam: float, tol_class_
     magnitudes; Q'' is a nonzero constant.
     """
     _require_nE0(params)
-    if lam == 0.0:
-        row, _ = _regime_cell(params, T, tol_class_rel)
-        return 2 if row == "=" else 1
     _, c_I = derived_rates(params)
+    if lam == 0.0:
+        return 2 if _regime_row(params, T, tol_class_rel) == "=" else 1
     order = params.n_I - 1 if lam == -c_I else 0
     a2, a1, a0 = derivative_quadratic_coeffs(params, T)
     t2, t1 = a2 * lam * lam, a1 * lam

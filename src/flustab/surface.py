@@ -3,18 +3,16 @@ diagnostics for the 2-distribution spanned by the two fields.
 
 Time integration is fixed-step classical fourth-order Runge-Kutta: no
 adaptivity, so identical inputs give bit-identical output and step-halving
-order studies are exact. A single nonlinear state is advanced as a list of
-Python floats and a block of states as one array, with the same operations
-on every element in the same order, so a column of a block run equals its
-single run bit for bit. A surface's columns run one at a time as
-float lists when they are few (a narrow block loses to numpy's per-call
-overhead) and as one block when they are many; the bits are the same either
-way. Frozen-T linearized runs take RK4's exact step map, one matrix-vector
-product per step, which differs from the four stages only by rounding.
-Every run tests for blow-up once per chunk of rows, not after every step,
-and stops with the prefix a per-step test gives; numpy's floating-point
-warnings are silenced while it steps, so the steps a chunk takes past a
-blow-up print nothing.
+order studies are exact. A single trajectory is advanced as a list of
+Python floats, four time_rhs calls per step. A surface's columns run one
+at a time through the RK4 run kernel of their cascade shape (dynamics),
+straight-line code that does the same operations in the same order, so
+every column equals its single run bit for bit. Frozen-T linearized runs
+take RK4's exact step map, one matrix-vector product per step, which
+differs from the four stages only by rounding. Every run advances a chunk
+of rows at a time and tests it for blow-up, and stops with the prefix a
+per-step test gives; numpy's floating-point warnings are silenced while it
+steps, so the steps a chunk takes past a blow-up print nothing.
 
 The x-direction is not integrated: the x-field is affine in W, so its flow
 is closed form (RK4 gives it only up to rounding), and a surface's x-fibers
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charpoly import coefficient_matrix
-from .dynamics import _checked_state, _x_column, time_rhs, x_rhs
+from .dynamics import _checked_state, _rk4_advancer, _x_column, time_rhs, x_rhs
 from .model import FieldCoefficients, ModelParams, StateVector
 
 BLOWUP_LIMIT = 1e12
@@ -98,66 +96,45 @@ def _blown_up(rows: np.ndarray) -> np.ndarray:
     return ~(np.abs(rows).max(axis=-1) <= BLOWUP_LIMIT)
 
 
-def _run(stepper, y0, span, h: float):
-    """Fixed steps over span, at _nodes. stepper(dt) returns the map that
-    advances a state by one step dt. y0 is one state, as a list of floats
-    or an array, or a block (dim, m) of states, one per column, in the form
-    the map takes and returns. Returns (times, states, step), with states
-    an array of shape (n + 1, *shape of y0).
+def _run(advancer, y0, span, h: float):
+    """Fixed steps over span, at _nodes, from the state y0 (a list of floats
+    or an array). advancer(dt) returns the map advance(y, k) -> the k states
+    that k steps of dt take from y. Returns (times, states (n + 1, dim), step).
 
-    Rows are stepped _CHUNK_ROWS at a time, stored with one assignment and
-    then tested: the first row that has _blown_up ends the run with the
-    rows before it, the prefix a test after every step gives. The steps a
-    chunk takes past that row are thrown away, and numpy's floating-point
-    warnings are silenced while the map is built and run, so those steps
-    print nothing.
+    Rows are advanced _CHUNK_ROWS at a time, one advance call, stored with
+    one assignment and then tested: the first row that has _blown_up ends
+    the run with the rows before it, the prefix a test after every step
+    gives. The steps a chunk takes past that row are thrown away, and
+    numpy's floating-point warnings are silenced while the map is built and
+    run, so those steps print nothing.
     """
     times, dt = _nodes(span, h)
     states = np.empty(times.shape + np.shape(y0))
     states[0] = y0
-    flat = states.reshape(len(times), -1)
     with np.errstate(all="ignore"):
-        step = stepper(dt)
+        advance = advancer(dt)
         y = y0
         for start in range(1, len(times), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, len(times))
-            rows = []
-            for _ in range(start, stop):
-                y = step(y)
-                rows.append(y)
+            rows = advance(y, stop - start)
             states[start:stop] = rows
-            bad = _blown_up(flat[start:stop])
+            y = rows[-1]
+            bad = _blown_up(states[start:stop])
             if bad.any():
                 k = start + int(bad.argmax())
                 raise BlowUpError(times[:k], states[:k])
     return times, states, abs(dt)
 
 
-def _rk4_run(f, y0: np.ndarray, span, h: float):
-    """Classical RK4 with _run's steps. y0 is one state (dim,) or a block
-    (dim, m); a single state is advanced as a list of Python floats, which
-    spares the numpy call overhead on a few numbers, and f takes and returns
-    that form. Both forms do the same operations on every element in the
-    same order, so a column of a block run equals its single run bit for
-    bit."""
-    if y0.ndim == 1:
-        return _run(lambda dt: _rk4_float_step(f, dt), y0.tolist(), span, h)
-    # a C-order copy keeps every slot's row contiguous
-    y0 = np.ascontiguousarray(y0, dtype=float)
-    return _run(lambda dt: _rk4_block_step(f, dt), y0, span, h)
+def _stepwise(stepper):
+    """The advancer of stepper(dt), a map that takes one step of dt: an
+    advance call steps it k times."""
 
+    def advancer(dt: float):
+        step = stepper(dt)
+        return lambda y, k: [y := step(y) for _ in range(k)]
 
-def _rk4_block_step(f, dt: float):
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def step(y):
-        k1 = f(y)
-        k2 = f(y + half * k1)
-        k3 = f(y + half * k2)
-        k4 = f(y + dt * k3)
-        return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return step
+    return advancer
 
 
 def _rk4_float_step(f, dt: float):
@@ -168,43 +145,23 @@ def _rk4_float_step(f, dt: float):
         k2 = f([a + half * b for a, b in zip(y, k1)])
         k3 = f([a + half * b for a, b in zip(y, k2)])
         k4 = f([a + dt * b for a, b in zip(y, k3)])
-        return [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
+        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
     return step
 
 
-# float runs vs one block, m states: m=3 74/141 ms, 7 32/34, 9 30/29, 17 43/14
-FLOAT_RUN_MAX_STATES = 8
-
-
-def _rk4_each(f, starts: np.ndarray, span, h: float):
-    """One RK4 run from every row of starts (m, dim), returned in the block
-    layout (times, states (n + 1, dim, m), step).
-
-    Up to FLOAT_RUN_MAX_STATES states run one at a time as float lists,
-    more as a single block; the two forms give the same bits. A block can
-    blow up in a later state before an earlier one does, so on a blow-up
-    its states are run again one at a time. Either way the states run in
-    index order and the first that fails, "canonical column i=<index>", is
-    reported with its own prefix, exactly as a run of it alone reports it.
-    """
-    if len(starts) > FLOAT_RUN_MAX_STATES:
-        try:
-            return _rk4_run(f, starts.T, span, h)
-        except BlowUpError:
-            pass
+def _rk4_each(advancer, starts: np.ndarray, span, h: float):
+    """One _run of advancer from every row of starts (m, dim), in index
+    order, as (times, states (m, n + 1, dim), step). The first that fails,
+    "canonical column i=<index>", is reported as a run of it alone reports it."""
     runs = []
-    for i, start in enumerate(starts):
+    for i, start in enumerate(starts.tolist()):
         try:
-            runs.append(_rk4_run(f, start, span, h))
+            runs.append(_run(advancer, start, span, h))
         except BlowUpError as e:
             raise BlowUpError(e.times, e.states, where=f"canonical column i={i}") from None
     times, _, step = runs[0]
-    # stacked in the (m, n + 1, dim) order trace_surface wants, so it copies nothing
-    return times, np.stack([states for _, states, _ in runs]).transpose(1, 2, 0), step
+    return times, np.stack([states for _, states, _ in runs]), step
 
 
 def integrate_time(
@@ -216,9 +173,9 @@ def integrate_time(
 ) -> Trajectory:
     """Integrate the time-direction field from s0. Deterministic: the same
     inputs give bit-identical trajectories."""
-    y0 = _checked_state(params, coeffs, s0)
+    y0 = _checked_state(params, coeffs, s0).tolist()
     f = lambda y: time_rhs(params, coeffs, y)
-    times, states, h = _rk4_run(f, y0, t_span, h_t)
+    times, states, h = _run(_stepwise(lambda dt: _rk4_float_step(f, dt)), y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)
 
 
@@ -234,18 +191,6 @@ def _frozen_system(params: ModelParams, T_frozen: float, psi: float, s):
     F[-2] = params.D_PCF * params.a
     F[-1] = psi
     return A.entries, F, y
-
-
-def linearized_time_field(
-    params: ModelParams,
-    T_frozen: float,
-    s: np.ndarray,
-    psi: float = 0.0,
-) -> np.ndarray:
-    """Frozen-T linear field on the (E, I, V, W) block: A s plus the constant
-    forcing (0, ..., 0, D_PCF * a, psi). T is a parameter here, not a state."""
-    M, F, y = _frozen_system(params, T_frozen, psi, s)
-    return M @ y + F
 
 
 def _linear_rk4_stepper(M: np.ndarray, F: np.ndarray):
@@ -277,7 +222,7 @@ def integrate_linearized(
     rate-recovery validation where the fitted decay/growth rate is compared
     against the dominant eigenvalue."""
     M, F, y0 = _frozen_system(params, T_frozen, psi, s0_block)
-    times, states, h = _run(_linear_rk4_stepper(M, F), y0, t_span, h_t)
+    times, states, h = _run(_stepwise(_linear_rk4_stepper(M, F)), y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)
 
 
@@ -333,12 +278,12 @@ def trace_surface(
     """Trace the integral surface candidate through s0 over a rectangle.
 
     Canonical order: the x-fiber through the corner, then the time field up
-    all columns as one batched run. The opposite order (time up the x0
-    column, then x across all rows) is traced only to fill the mismatch
-    field. Every column equals, bit for bit, its own integrate_time run; the
-    x-fibers are the exact x-flow at the nodes of a run over x_span, so the
-    mismatch is exactly 0 on both edges through the corner. A blow-up names
-    the failing fiber, or the lowest-index failing column or row.
+    each column by the shape's RK4 run kernel. The opposite order (time up
+    the x0 column, then x across all rows) is traced only to fill the
+    mismatch field. Every column equals its integrate_time run bit for bit;
+    the x-fibers are the exact x-flow at the nodes of a run over x_span, so
+    the mismatch is exactly 0 on both edges through the corner. A blow-up
+    names the failing fiber, or the lowest-index failing column or row.
     """
     y0 = _checked_state(params, coeffs, s0)
     x_nodes, dx = _nodes(x_span, h_x)
@@ -347,8 +292,7 @@ def trace_surface(
     with np.errstate(all="ignore"):
         bottom = _x_flow(params, coeffs, y0, s)
         _check_x_fibers(x_nodes, bottom[:, None], "corner x-fiber")
-        t_nodes, columns, ht = _rk4_each(lambda y: time_rhs(params, coeffs, y), bottom, t_span, h_t)
-        states = np.ascontiguousarray(columns.transpose(2, 0, 1))
+        t_nodes, states, ht = _rk4_each(_rk4_advancer(params, coeffs), bottom, t_span, h_t)
         # the x0 column is shared by both orders
         opposite = _x_flow(params, coeffs, states[0], s)
         _check_x_fibers(x_nodes, opposite, "opposite row j={j}")
@@ -494,7 +438,6 @@ __all__ = [
     "AsymptoticsVerdict",
     "integrate_time",
     "integrate_linearized",
-    "linearized_time_field",
     "trace_surface",
     "lie_bracket",
     "asymptotics",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flustab import dynamics
+from flustab import dynamics, surface
 from flustab.dynamics import sample_fields, time_field, time_rhs, x_field, x_rhs
 from flustab.model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 from flustab.validation import sample_params
@@ -184,6 +184,28 @@ def test_float_kernel_is_shared_by_shape(monkeypatch):
         assert same_bits(array, results[-1])
     assert list(dynamics._TIME_KERNELS) == [(1, 3)]
     assert results[0] != results[1]
+
+
+@pytest.mark.parametrize("n_I", [1, 12, 200])
+@pytest.mark.parametrize("n_E", [0, 3])
+def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
+    # the run kernel's stages come from the time field's template: its rows
+    # are float RK4 steps with time_rhs as the field, special values included
+    rng = np.random.default_rng([n_E, n_I, 4])
+    dim = n_E + n_I + 3
+    states = [rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-3, 4) for _ in range(12)]
+    for y in states[6:]:
+        y[rng.integers(0, dim, 2)] = rng.choice([-0.0, np.inf, -np.inf, np.nan, 5e-324], 2)
+    states.append(np.array([1.0] + [-0.0] * (n_E + n_I) + [0.0, -0.0]))
+    params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, D_PCF=0.0, a=-0.4)
+    coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, dim - 1)), psi=0.05)
+    advance = dynamics._rk4_advancer(params, coeffs)(0.01)
+    step = surface._rk4_float_step(lambda y: time_rhs(params, coeffs, y), 0.01)
+    for y in states:
+        rows = [y.tolist()]
+        for _ in range(3):
+            rows.append(step(rows[-1]))
+        assert same_bits(np.array(rows[1:]), np.array(advance(y.tolist(), 3)))
 
 
 def fields_rank(params, coeffs, s, tol=1e-9):

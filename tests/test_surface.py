@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from flustab.surface import (
     integrate_linearized,
     integrate_time,
     lie_bracket,
-    linearized_time_field,
     trace_surface,
 )
 
@@ -44,6 +44,23 @@ def fiber_failure(params, coeffs, y, x_span, h_x):
         return None
     k = 1 + int(bad.argmax())
     return BlowUpError(nodes[:k], states[:k])
+
+
+def frozen_field(params, T_frozen, s, psi=0.0):
+    """The frozen-T linear field M s + F, the reference for frozen-T runs."""
+    M, F, y = surface._frozen_system(params, T_frozen, psi, s)
+    return M @ y + F
+
+
+def float_rk4(f):
+    """The _run advancer of classical RK4 on the float-list field f."""
+    return surface._stepwise(lambda dt: surface._rk4_float_step(f, dt))
+
+
+def rk4_run(f, y0, span, h):
+    """One RK4 run of the float-list field f from the state y0 (dim,), as
+    integrate_time runs the time field."""
+    return surface._run(float_rk4(f), y0.tolist(), span, h)
 
 
 def reduction_setup():
@@ -113,7 +130,7 @@ class TestLinearized:
         params = make_params(D_PCF=0.5, a=1.2, v_a=0.3)
         A = coefficient_matrix(params, 0.8)
         s = np.array([0.4, 1.1, -0.2])
-        out = linearized_time_field(params, 0.8, s, psi=0.25)
+        out = frozen_field(params, 0.8, s, psi=0.25)
         expected = A.entries @ s
         expected[-2] += 0.5 * 1.2
         expected[-1] += 0.25
@@ -141,7 +158,7 @@ def test_linearized_steps_are_rk4_steps(n_I, n_E, regime):
     T = regime * params.T_star
     y0 = np.random.default_rng(n_I).uniform(0.0, 1.0, params.state_dim - 1)
     traj = integrate_linearized(params, T, y0, (0.0, 4.0), 0.02, psi=0.05)
-    f = lambda y: linearized_time_field(params, T, y, psi=0.05)
+    f = lambda y: frozen_field(params, T, y, psi=0.05)
     dt = traj.h
     for before, after in zip(traj.states[:-1], traj.states[1:]):
         k1 = f(before)
@@ -154,8 +171,9 @@ def test_linearized_steps_are_rk4_steps(n_I, n_E, regime):
 
 
 class TestRunBlowUp:
-    """_rk4_run stops at the first step whose state is not finite, in both
-    the float form (one state) and the block form (one state per column)."""
+    """A float RK4 run stops at the first step whose state is not finite, and so
+    does each run of a block of states (one state per row), which runs them
+    in index order."""
 
     @staticmethod
     def poisoned(bad, after_calls):
@@ -163,14 +181,9 @@ class TestRunBlowUp:
 
         def f(y):
             calls["n"] += 1
-            if isinstance(y, list):
-                out = [1.0] * len(y)
-                if calls["n"] > after_calls:
-                    out[1] = bad
-                return out
-            out = np.ones_like(y)
+            out = [1.0] * len(y)
             if calls["n"] > after_calls:
-                out[1, -1] = bad
+                out[1] = bad
             return out
 
         return f
@@ -179,56 +192,66 @@ class TestRunBlowUp:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("block", [False, True])
     def test_first_nonfinite_step_is_reported(self, block, bad, good_steps):
-        y0 = np.zeros((3, 4)) if block else np.zeros(3)
-        f = self.poisoned(bad, 4 * good_steps)  # 4 field calls per step
+        y0 = np.zeros(3)
         with pytest.raises(BlowUpError) as err:
-            surface._rk4_run(f, y0, (0.0, 1.0), 0.25)
+            if block:
+                # state 0 takes its 4 steps, 16 field calls; state 1 then fails
+                f = self.poisoned(bad, 16 + 4 * good_steps)
+                surface._rk4_each(float_rk4(f), np.stack([y0 - 1.0, y0, y0 + 1.0]), (0.0, 1.0), 0.25)
+            else:
+                f = self.poisoned(bad, 4 * good_steps)  # 4 field calls per step
+                rk4_run(f, y0, (0.0, 1.0), 0.25)
         exc = err.value
-        assert exc.where == ""
+        assert exc.where == ("canonical column i=1" if block else "")
         # the field is 1 until it is poisoned, so each good step adds 0.25
         np.testing.assert_array_equal(exc.times, 0.25 * np.arange(good_steps + 1))
         np.testing.assert_array_equal(exc.states, [y0 + 0.25 * k for k in range(good_steps + 1)])
 
     def test_each_large_component_is_tested_past_a_large_sum(self):
         # four components of 0.4e12 sum past the limit while each is within it
-        f = lambda y: [0.4e12] * len(y) if isinstance(y, list) else np.full_like(y, 0.4e12)
-        times, states, _ = surface._rk4_run(f, np.zeros(4), (0.0, 2.0), 1.0)
+        f = lambda y: [0.4e12] * len(y)
+        times, states, _ = rk4_run(f, np.zeros(4), (0.0, 2.0), 1.0)
         assert states[-1].tolist() == [0.8e12] * 4
         with pytest.raises(BlowUpError) as err:
-            surface._rk4_run(f, np.zeros(4), (0.0, 3.0), 1.0)
+            rk4_run(f, np.zeros(4), (0.0, 3.0), 1.0)
         assert err.value.times.size == 3
 
 
 class TestChunkedBlowUp:
     """_run steps a chunk of rows before it tests them; every run must end
-    exactly where a test after each step ends it, on the float path, on a
-    block and on a frozen-T run. The field is LAM * y, so every state grows
-    by RK4's factor R = 1 + z + z^2/2 + z^3/6 + z^4/24, z = LAM * DT, per
-    step, and the largest component sets the row that fails."""
+    exactly where a test after each step ends it, on the float path, on each
+    state of a block and on a frozen-T run. The field is LAM * y, so every
+    state grows by RK4's factor R = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    z = LAM * DT, per step, and the largest component sets the row that
+    fails."""
 
     LAM, DT = 18.0, 0.01
     Z = LAM * DT
     R = 1 + Z + Z**2 / 2 + Z**3 / 6 + Z**4 / 24
+    # the block's state that fails first in index order
+    FIRST = 5
+
+    @classmethod
+    def field(cls, y):
+        return [cls.LAM * v for v in y]
 
     @classmethod
     def run(cls, kind, y0, n, dt):
         span = (0.0, n * dt)
         if kind == "float":
-            return surface._rk4_run(lambda y: [cls.LAM * v for v in y], y0, span, dt)
+            return rk4_run(cls.field, y0, span, dt)
         if kind == "block":
-            return surface._rk4_run(lambda y: cls.LAM * y, y0, span, dt)
+            return surface._rk4_each(float_rk4(cls.field), y0, span, dt)
         stepper = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))
-        return surface._run(stepper, y0, span, dt)
+        return surface._run(surface._stepwise(stepper), y0, span, dt)
 
     @classmethod
     def reference(cls, kind, y0, n, dt):
-        """(times, states) up to the row before the first that fails, taking
-        one step at a time and testing every row."""
-        if kind == "float":
-            step = surface._rk4_float_step(lambda y: [cls.LAM * v for v in y], dt)
+        """(times, states) of one state y0 up to the row before the first
+        that fails, taking one step at a time and testing every row."""
+        if kind in ("float", "block"):
+            step = surface._rk4_float_step(cls.field, dt)
             y0 = y0.tolist()
-        elif kind == "block":
-            step = surface._rk4_block_step(lambda y: cls.LAM * y, dt)
         else:
             step = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))(dt)
         rows = [y0]
@@ -241,13 +264,16 @@ class TestChunkedBlowUp:
 
     @classmethod
     def start(cls, kind, first_bad_row):
-        """A state (or a block of 9, whose column 5 is the largest) that
-        crosses BLOWUP_LIMIT between rows first_bad_row - 1 and first_bad_row."""
+        """A state that crosses BLOWUP_LIMIT between rows first_bad_row - 1
+        and first_bad_row, or a block of 9 of which it is state FIRST: the
+        states before it are 1e12 times smaller and last past row 130, the
+        ones after it smaller by 0.2 to 0.9."""
         top = surface.BLOWUP_LIMIT / cls.R ** (first_bad_row - 0.5)
         y = np.array([0.3, -1.0, 0.2])
         if kind == "block":
-            block = np.outer(y, np.linspace(0.2, 0.9, 9))
-            block[:, 5] = y
+            block = np.outer(np.linspace(0.2, 0.9, 9), y)
+            block[: cls.FIRST] *= 1e-12
+            block[cls.FIRST] = y
             return top * block
         return top * y
 
@@ -257,14 +283,14 @@ class TestChunkedBlowUp:
         # chunks are rows 1-64 and 65-128, then 129-130
         assert surface._CHUNK_ROWS == 64
         y0 = self.start(kind, first_bad_row)
-        times, states = self.reference(kind, y0, 130, self.DT)
+        times, states = self.reference(kind, y0[self.FIRST] if kind == "block" else y0, 130, self.DT)
         assert len(states) == first_bad_row
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the steps past the failing row print nothing
             with pytest.raises(BlowUpError) as err:
                 self.run(kind, y0, 130, self.DT)
         exc = err.value
-        assert exc.where == ""
+        assert exc.where == (f"canonical column i={self.FIRST}" if kind == "block" else "")
         assert exc.times.size == first_bad_row
         assert exc.t_last == times[-1]
         np.testing.assert_array_equal(exc.times, times)
@@ -276,11 +302,12 @@ class TestChunkedBlowUp:
         # one chunk, and one chunk and a row, far from the limit
         y0 = self.start(kind, 1000)
         times, states, h = self.run(kind, y0, steps, self.DT)
-        ref_times, ref_states = self.reference(kind, y0, steps, self.DT)
-        assert len(ref_states) == steps + 1
+        for state, start in zip(states, y0) if kind == "block" else [(states, y0)]:
+            ref_times, ref_states = self.reference(kind, start, steps, self.DT)
+            assert len(ref_states) == steps + 1
+            np.testing.assert_array_equal(state, ref_states)
+            np.testing.assert_allclose(times, ref_times, rtol=1e-15)
         assert h == self.DT
-        np.testing.assert_array_equal(states, ref_states)
-        np.testing.assert_allclose(times, ref_times, rtol=1e-15)
 
 
 class TestSurfaceGrid:
@@ -345,8 +372,9 @@ def test_float_path_stays_on_python_floats():
 @pytest.mark.parametrize("n_E", [0, 2])
 @pytest.mark.parametrize("n_I", [2, 12, 40])
 class TestBatchedRuns:
-    """trace_surface runs all columns, then all rows, as one block each; every
-    one must equal its single-state run bit for bit."""
+    """time_rhs takes a block of states, and trace_surface runs every column
+    through the shape's RK4 kernel and every row as one closed-form block;
+    each must equal its single-state result bit for bit."""
 
     def test_block_fields_match_columns(self, n_I, n_E):
         params, coeffs, _ = deep_setup(n_I, n_E)
@@ -419,8 +447,9 @@ def test_x_fibers_are_the_exact_x_flow(n_I, n_E, a):
     np.testing.assert_array_equal(grid.mismatch[:, 0], 0.0)
 
 
-def test_surface_makes_one_batched_field_call_per_stage(monkeypatch):
-    # time_rhs is looked up by its module-level name, where tracers wrap it
+def counted_field_calls(monkeypatch):
+    """Counts of the field calls trace_surface makes, by the module-level
+    names where tracers wrap the fields."""
     assert surface.time_rhs is dynamics.time_rhs and surface.x_rhs is dynamics.x_rhs
     calls = {"t": 0, "x": 0}
 
@@ -432,58 +461,92 @@ def test_surface_makes_one_batched_field_call_per_stage(monkeypatch):
 
     monkeypatch.setattr(surface, "time_rhs", counted("t", dynamics.time_rhs))
     monkeypatch.setattr(surface, "x_rhs", counted("x", dynamics.x_rhs))
+    return calls
+
+
+def counted_kernels(monkeypatch):
+    """(builds, calls): the shapes whose RK4 run kernel is built, and the
+    row count k of every kernel call, from an empty kernel cache."""
+    monkeypatch.setattr(dynamics, "_RK4_KERNELS", {})
+    builds, calls = [], []
+    build = dynamics._rk4_kernel
+
+    def counted_build(n_E, n_I):
+        builds.append((n_E, n_I))
+        kernel = build(n_E, n_I)
+
+        def counted(params, coeffs, dt, y, k):
+            calls.append(k)
+            return kernel(params, coeffs, dt, y, k)
+
+        dynamics._RK4_KERNELS[n_E, n_I] = counted
+        return counted
+
+    monkeypatch.setattr(dynamics, "_rk4_kernel", counted_build)
+    return builds, calls
+
+
+def test_surface_builds_one_run_kernel_per_shape(monkeypatch):
+    fields = counted_field_calls(monkeypatch)
+    builds, calls = counted_kernels(monkeypatch)
     params, coeffs, s0 = deep_setup(4, 0)
     grid = trace_surface(params, coeffs, s0, (0.0, 0.4), (0.0, 4.0), 0.05, 0.02)
     assert grid.states.shape[:2] == (9, 201)
-    # 200 steps of the columns; the corner fiber and the rows are closed form
-    assert calls == {"t": 4 * 200, "x": 0}
+    other = ModelParams(**{**vars(params), "beta": 0.6, "tau_I": 2.0})
+    trace_surface(other, coeffs, s0, (0.0, 0.4), (0.0, 4.0), 0.05, 0.02)
+    # the columns run in the kernel; the corner fiber and the rows are closed form
+    assert fields == {"t": 0, "x": 0}
+    assert builds == [(0, 4)]
+    # 200 steps are 4 chunks of at most _CHUNK_ROWS, for each of 9 columns, twice
+    assert calls == [64, 64, 64, 8] * 9 * 2
+
+
+def test_surface_makes_one_kernel_call_per_column_chunk(monkeypatch):
+    fields = counted_field_calls(monkeypatch)
+    _, calls = counted_kernels(monkeypatch)
+    params, coeffs, s0 = deep_setup(4, 0)
+    grid = trace_surface(params, coeffs, s0, (0.0, 0.1), (0.0, 4.0), 0.05, 0.02)
+    assert grid.states.shape[:2] == (3, 201)
+    assert fields == {"t": 0, "x": 0}
+    assert len(calls) == 3 * math.ceil(200 / surface._CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("n_E", [0, 2])
 @pytest.mark.parametrize("width", [1, 8, 9])
-def test_each_width_matches_single_runs(width, n_E):
-    # up to FLOAT_RUN_MAX_STATES states run one at a time, more as one block
-    assert surface.FLOAT_RUN_MAX_STATES == 8
+def test_each_width_matches_single_runs(monkeypatch, width, n_E):
+    # every width runs its states one at a time through the shape's kernel
     params, coeffs, s0 = deep_setup(4, n_E)
     rng = np.random.default_rng([width, n_E])
     starts = s0.to_array() * rng.uniform(0.5, 1.5, (width, params.state_dim))
-    calls = {"n": 0}
-
-    def f(y):
-        calls["n"] += 1
-        return time_rhs(params, coeffs, y)
-
-    times, states, h = surface._rk4_each(f, starts, (0.0, 1.0), 0.02)
-    assert states.shape == (51, params.state_dim, width)
-    assert calls["n"] == 4 * 50 * (1 if width > 8 else width)
+    _, calls = counted_kernels(monkeypatch)
+    times, states, h = surface._rk4_each(dynamics._rk4_advancer(params, coeffs), starts, (0.0, 2.6), 0.02)
+    assert states.shape == (width, 131, params.state_dim)
+    # 130 steps: two whole chunks and 2 rows per state
+    assert calls == [64, 64, 2] * width
     for i, start in enumerate(starts):
-        single = integrate_time(params, coeffs, StateVector.for_params(params, start), (0.0, 1.0), 0.02)
+        single = integrate_time(params, coeffs, StateVector.for_params(params, start), (0.0, 2.6), 0.02)
         np.testing.assert_array_equal(single.times, times)
-        np.testing.assert_array_equal(single.states, states[:, :, i])
+        np.testing.assert_array_equal(single.states, states[i])
         assert single.h == h
 
 
-def test_narrow_surface_makes_field_calls_per_column(monkeypatch):
-    calls = {"t": 0, "x": 0}
-
-    def counted(key, rhs):
-        def wrapper(*args):
-            calls[key] += 1
-            return rhs(*args)
-        return wrapper
-
-    monkeypatch.setattr(surface, "time_rhs", counted("t", dynamics.time_rhs))
-    monkeypatch.setattr(surface, "x_rhs", counted("x", dynamics.x_rhs))
-    params, coeffs, s0 = deep_setup(4, 0)
-    grid = trace_surface(params, coeffs, s0, (0.0, 0.1), (0.0, 4.0), 0.05, 0.02)
-    assert grid.states.shape[:2] == (3, 201)
-    # 3 columns of 200 steps one at a time; the x-fibers are closed form
-    assert calls == {"t": 3 * 4 * 200, "x": 0}
+@pytest.mark.parametrize("n_E,n_I,h_t", [(0, 1, 0.02), (2, 1, 0.02), (2, 998, 0.002)])
+def test_kernel_columns_equal_integrate_time(n_E, n_I, h_t):
+    # one I compartment, and the config parser's cap n_E + n_I = 1000
+    params, coeffs, s0 = deep_setup(n_I, n_E)
+    t_span = (0.0, 0.5) if n_I == 1 else (0.0, 5 * h_t)
+    grid = trace_surface(params, coeffs, s0, (0.0, 0.05), t_span, 0.05, h_t)
+    assert grid.x_nodes.size == 2
+    for i in range(grid.x_nodes.size):
+        bottom = StateVector.for_params(params, grid.states[i, 0])
+        column = integrate_time(params, coeffs, bottom, t_span, h_t)
+        np.testing.assert_array_equal(column.times, grid.t_nodes)
+        np.testing.assert_array_equal(column.states, grid.states[i])
 
 
 class TestSurfaceBlowUp:
-    """A block can blow up in a later column or row first; the report must
-    name the lowest-index one that fails, as it would fail on its own."""
+    """A later column or row can blow up first; the report must name the
+    lowest-index one that fails, as it would fail on its own."""
 
     @staticmethod
     def single_failure(run):
@@ -509,12 +572,12 @@ class TestSurfaceBlowUp:
         np.testing.assert_array_equal(exc.states, alone[0].states)
 
     def test_reports_first_column_of_a_wide_block(self):
-        # 9 columns run as one block, in which column 8 fails first
+        # of 9 columns, column 8 fails first
         params = make_params(beta=1.0, p=2.0, c=0.5)
         coeffs = FieldCoefficients.default_for(params)
         s0 = StateVector.for_params(params, [1.0, 0.0, -1.0, -1.0])
         _, fiber = x_fiber(params, coeffs, s0.to_array(), (0.0, 4.0), 0.5)
-        assert len(fiber) > surface.FLOAT_RUN_MAX_STATES
+        assert len(fiber) == 9
         alone = [
             self.single_failure(lambda: integrate_time(
                 params, coeffs, StateVector.for_params(params, y), (0.0, 10.0), 0.05))
@@ -526,6 +589,22 @@ class TestSurfaceBlowUp:
         assert exc.t_last == alone[0].t_last
         np.testing.assert_array_equal(exc.times, alone[0].times)
         np.testing.assert_array_equal(exc.states, alone[0].states)
+
+    def test_later_column_fails_inside_a_chunk_as_alone(self):
+        # column 0 runs through; column 1 fails at row 77, inside the second chunk
+        params = make_params(beta=1.0, p=2.0, c=0.5)
+        coeffs = FieldCoefficients.default_for(params)
+        s0 = StateVector.for_params(params, [1.0, 0.0, 0.1, -0.2])
+        _, fiber = x_fiber(params, coeffs, s0.to_array(), (0.0, 2.0), 0.5)
+        run = lambda y: integrate_time(params, coeffs, StateVector.for_params(params, y), (0.0, 10.0), 0.05)
+        assert run(fiber[0]).states.shape == (201, 4)
+        alone = self.single_failure(lambda: run(fiber[1]))
+        assert alone.times.size == 77 and 77 % surface._CHUNK_ROWS not in (0, 1)
+        exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, (0.0, 2.0), (0.0, 10.0), 0.5, 0.05))
+        assert exc.where == "canonical column i=1"
+        assert exc.t_last == alone.t_last
+        np.testing.assert_array_equal(exc.times, alone.times)
+        np.testing.assert_array_equal(exc.states, alone.states)
 
     def test_reports_first_row_not_first_to_fail(self):
         # the T slot moves by -1e5 * W along x while W grows by 1e6 per unit t
