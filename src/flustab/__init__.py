@@ -18,8 +18,6 @@ from .charpoly import (
     production_minor_det,
 )
 from .dynamics import (
-    FieldSample,
-    sample_fields,
     time_field,
     time_rhs,
     x_field,
@@ -70,7 +68,6 @@ __all__ = [
     "BlowUpError",
     "Classification",
     "FieldCoefficients",
-    "FieldSample",
     "InvalidParamsError",
     "ModelParams",
     "RootReport",
@@ -102,7 +99,6 @@ __all__ = [
     "production_minor_det",
     "real_roots",
     "run_all",
-    "sample_fields",
     "sample_params",
     "sign_class",
     "target_cell_threshold",

@@ -131,11 +131,16 @@ def charpoly_sum_form(params: ModelParams, T: float, lam: float) -> float:
     return cascade + params.beta * T * cEn * params.p * (-lam) * s
 
 
-def charpoly_direct(params: ModelParams, T: float, lam: float) -> float:
+def charpoly_direct(params: ModelParams, T: float, lam):
     """Determinant oracle: LU with partial pivoting, accumulated as
-    sign * log|det| so large dimensions cannot overflow the product."""
+    sign * log|det| so large dimensions cannot overflow the product.
+
+    lam is a scalar or an array of values; an array gives an array of the
+    same shape. The matrix is assembled once and the stack of A - lam_k*I is
+    factored by one slogdet call, which runs the same LAPACK routine on each
+    matrix, so every value equals the scalar call's bit for bit."""
     A = coefficient_matrix(params, T)
-    M = A.entries - lam * np.eye(A.n)
+    M = A.entries - np.asarray(lam, dtype=float)[..., None, None] * np.eye(A.n)
     sign, logabs = np.linalg.slogdet(M)
     det = sign * np.exp(logabs)
     parity = -1.0 if (params.n_E + params.n_I) % 2 else 1.0

@@ -16,17 +16,19 @@ single JSON object; a closed pipe ends the run quietly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 import numpy as np
 
 from .charpoly import coefficient_inf_norm, coefficient_matrix
-from .dynamics import sample_fields
+from .dynamics import _check_fields, _x_column, time_rhs
 from .model import (
     FieldCoefficients,
     InvalidParamsError,
@@ -34,7 +36,7 @@ from .model import (
     StateVector,
     validate as validate_params,
 )
-from .spectrum import analyze, classify, eigenvector, perron_root, real_roots
+from .spectrum import _KIND_BY_ROW, _regime_row, analyze, eigenvector, perron_root, real_roots
 from .surface import (
     BlowUpError,
     Trajectory,
@@ -322,33 +324,46 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     # block is the largest real eigenvalue, and the only one that can be > 0
     roots = perron_root(params, Ts).tolist()
     ztols = (zero_rel * np.maximum(coefficient_inf_norm(params, Ts), 1.0)).tolist()
+    # classify's regime row at its default window; perron_root checked params
+    rows = [
+        (T, _KIND_BY_ROW[_regime_row(params, T, 1e-10)], root, root > ztol)
+        for T, root, ztol in zip(Ts.tolist(), roots, ztols)
+    ]
     out.write("T,classification,max_real_eig,n_positive\n")
-    for T, root, ztol in zip(Ts.tolist(), roots, ztols):
-        kind = classify(params, T).kind
-        out.write(f"{_fmt(T)},{kind},{_fmt(root)},{1 if root > ztol else 0}\n")
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        out.write(("%.17g,%s,%.17g,%d\n" * len(block)) % tuple(chain.from_iterable(block)))
     return EXIT_OK
 
 
 _CSV_BLOCK_ROWS = 256
 
 
-def _write_state_csv(out, names: list[str], table: np.ndarray) -> None:
+def _write_state_csv(out, names: list[str], table: np.ndarray, t_period: int | None = None) -> None:
     """One CSV line per table row (x, t, state.., mismatch). "%.17g" gives
     the text of _fmt; a block of rows is formatted by one % on one tuple of
     its Python floats, which bounds the memory that takes. A column whose
     bits are the same on every row of a block (simulate's x and mismatch,
-    a frozen T, a surface's x node) is formatted once, into the line."""
+    a frozen T, a surface's x node) is formatted once, into the line. The t
+    column repeats every t_period rows (a surface's t nodes, once per x
+    node; by default it does not repeat): its first t_period values are
+    formatted once, and a block's lines are joined around their texts."""
     out.write("x,t," + ",".join(names) + ",mismatch\n")
+    period = t_period or len(table)
+    t_text = ("%.17g\n" * period % tuple(table[:period, 1].tolist())).split("\n")[:-1]
+    t_text *= len(table) // max(period, 1)
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
         block = table[start : start + _CSV_BLOCK_ROWS]
         # bits, not values, so -0.0 and 0.0 keep their own text
         bits = block.view(np.int64)
         constant = (bits == bits[0]).all(axis=0)
+        constant[1] = True  # t is joined into the lines as text
         cells = ["%.17g"] * block.shape[1]
         for j in np.flatnonzero(constant).tolist():
             cells[j] = "%.17g" % block[0, j]
-        line = ",".join(cells) + "\n"
-        out.write((line * len(block)) % tuple(block[:, ~constant].ravel().tolist()))
+        head, tail = cells[0] + ",", "," + ",".join(cells[2:]) + "\n"
+        lines = head + (tail + head).join(t_text[start : start + len(block)]) + tail
+        out.write(lines % tuple(block[:, ~constant].ravel().tolist()))
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:
@@ -422,7 +437,7 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
         grid.states.reshape(nx * nt, -1),
         grid.mismatch.ravel(),
     ])
-    _write_state_csv(out, _state_names(params), table)
+    _write_state_csv(out, _state_names(params), table, t_period=nt)
     base_fiber = Trajectory(times=grid.t_nodes, states=grid.states[0], h=grid.h_t)
     _emit_asymptotics_footer(base_fiber, cfg.grid)
     return EXIT_OK
@@ -476,8 +491,12 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     if not math.isfinite(T_star) or T_star <= 0:
         raise ConfigError("field sketches need beta, p, c > 0 so the threshold is finite")
     coeffs = _coeffs_or_default(cfg, params)
+    _check_fields(params, coeffs)
     names = _state_names(params)
     lattice = np.linspace(-1.0, 1.0, 9)
+    # the panel's lattice points, u the outer and w the inner loop
+    u, w = np.repeat(lattice, lattice.size), np.tile(lattice, lattice.size)
+    x_column = _x_column(coeffs)
 
     header = (
         "panel,panel_axis,T,u_neg,u_panel,"
@@ -486,18 +505,17 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
         + ",".join(f"dx_{n}" for n in names)
     )
     out.write(header + "\n")
+    cells = ",".join(["%.17g"] * (2 + 2 * len(names)))
     v_neg = _shared_negative_axis(params, 0.5 * T_star)
     for label, T in (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star)):
         v_panel, axis_name = _panel_axis(params, label, T)
-        for u in lattice:
-            for w in lattice:
-                block = u * v_neg + w * v_panel
-                s = StateVector.for_params(params, np.concatenate([[T], block]))
-                fields = sample_fields(params, coeffs, s)
-                cells = [label, axis_name, _fmt(T), _fmt(u), _fmt(w)]
-                cells += [_fmt(v) for v in fields.d_dt]
-                cells += [_fmt(v) for v in fields.d_dx]
-                out.write(",".join(cells) + "\n")
+        # one state per column; each field's column is its value at that state
+        states = np.vstack([np.full(u.size, T), u * v_neg[:, None] + w * v_panel[:, None]])
+        d_dx = states[-1][:, None] * x_column
+        d_dx[:, -1] = params.a
+        table = np.column_stack([u, w, time_rhs(params, coeffs, states).T, d_dx])
+        line = f"{label},{axis_name},{_fmt(T)},{cells}\n"
+        out.write((line * u.size) % tuple(table.ravel().tolist()))
     return EXIT_OK
 
 
@@ -529,7 +547,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: nothing changes it
+    after this, and parse_args gives a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="flustab",
         description="Stability analysis and integration for the within-host infection model.",
@@ -553,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("seed must be >= 0")

@@ -17,7 +17,6 @@ closed form (surface.py).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +29,21 @@ from .model import (
 )
 
 
-def _checked_state(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
-    """The raw array of s, after the checks time_rhs and x_rhs leave out:
-    the state's length, the field coefficients and the cascade rates."""
-    y = s.to_array()
-    if y.shape != (params.state_dim,):
-        raise ValueError(f"state has shape {y.shape}, expected ({params.state_dim},)")
+def _check_fields(params: ModelParams, coeffs: FieldCoefficients) -> None:
+    """The checks time_rhs and x_rhs leave out, but for the state's length:
+    the field coefficients and the cascade rates."""
     problems = coeffs.problems_for(params)
     if problems:
         raise InvalidParamsError(problems)
     derived_rates(params)
+
+
+def _checked_state(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
+    """The raw array of s, after the state's length and _check_fields."""
+    y = s.to_array()
+    if y.shape != (params.state_dim,):
+        raise ValueError(f"state has shape {y.shape}, expected ({params.state_dim},)")
+    _check_fields(params, coeffs)
     return y
 
 
@@ -173,24 +177,9 @@ def x_field(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> n
     return x_rhs(params, coeffs, _checked_state(params, coeffs, s))
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Both fields evaluated at one state."""
-
-    at: StateVector
-    d_dt: np.ndarray
-    d_dx: np.ndarray
-
-
-def sample_fields(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> FieldSample:
-    return FieldSample(at=s, d_dt=time_field(params, coeffs, s), d_dx=x_field(params, coeffs, s))
-
-
 __all__ = [
-    "FieldSample",
     "time_rhs",
     "x_rhs",
     "time_field",
     "x_field",
-    "sample_fields",
 ]

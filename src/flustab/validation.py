@@ -107,8 +107,8 @@ def suite_charpoly_equivalence(
     for _ in range(n_sets):
         params, T = sample_params(rng)
         span = 2.0 * (params.c_E + params.c_I + params.c)
-        for lam in rng.uniform(-span, span, size=n_lambda):
-            direct = charpoly_direct(params, T, lam)
+        lams = rng.uniform(-span, span, size=n_lambda)
+        for lam, direct in zip(lams, charpoly_direct(params, T, lams)):
             tol = rel_tol * (1.0 + abs(direct))
             closed = charpoly_closed(params, T, lam)
             summed = charpoly_sum_form(params, T, lam)

@@ -121,6 +121,20 @@ class TestPolynomialRoutes:
         assert abs(charpoly_closed(params, T, lam) - direct) <= tol
         assert abs(charpoly_sum_form(params, T, lam) - direct) <= tol
 
+    @pytest.mark.parametrize(
+        "overrides, T",
+        [({}, 1.0), ({"n_I": 150, "tau_I": 30.0}, 0.4), ({"n_E": 3, "tau_E": 0.5, "n_I": 4}, 2.5)],
+        ids=["n_I=1", "n_I=150", "n_E=3"],
+    )
+    def test_direct_on_an_array_equals_scalar_calls_bit_for_bit(self, overrides, T):
+        params = make_params(**overrides)
+        lams = np.concatenate([[0.0, -0.0, -params.c], np.random.default_rng(3).uniform(-9.0, 9.0, 21)])
+        stacked = charpoly_direct(params, T, lams)
+        assert stacked.shape == lams.shape
+        scalar = np.array([charpoly_direct(params, T, float(lam)) for lam in lams])
+        assert stacked.tobytes() == scalar.tobytes()
+        assert charpoly_direct(params, T, lams.reshape(2, -1)).tobytes() == scalar.tobytes()
+
     def test_term_scale_dominates_value(self):
         params = make_params(n_I=4, n_E=2, tau_E=0.6)
         for lam in (-7.0, -0.3, 0.0, 2.0):

@@ -11,7 +11,9 @@ import pytest
 from flustab import cli
 from flustab.charpoly import coefficient_matrix
 from flustab.cli import EXIT_BROKEN_PIPE, _fmt, _write_state_csv, main
-from flustab.model import ModelParams
+from flustab.dynamics import time_field, x_field
+from flustab.model import FieldCoefficients, ModelParams, StateVector
+from flustab.spectrum import classify, perron_root
 
 
 def params_doc(**overrides):
@@ -247,6 +249,20 @@ class TestSweep:
         roots = [float(r[2]) for r in rows]
         assert roots == sorted(roots)
 
+    def test_rows_match_the_per_row_reference(self, capsys, tmp_path):
+        # three 256-row blocks, through T* = 1.5 and the Critical window
+        doc = {"params": params_doc(n_I=3), "T": {"from": 0.0, "to": 3.0, "steps": 601}}
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 0
+        params = ModelParams.from_json_dict(doc["params"])
+        expected = ["T,classification,max_real_eig,n_positive"]
+        for T in np.linspace(0.0, 3.0, 601).tolist():
+            root = float(perron_root(params, T))
+            ztol = 1e-8 * max(float(cli.coefficient_inf_norm(params, T)), 1.0)
+            expected.append(f"{_fmt(T)},{classify(params, T).kind},{_fmt(root)},{1 if root > ztol else 0}")
+        assert out == "\n".join(expected) + "\n"
+        assert "Critical" in out
+
     def test_needs_sweep_object(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc(), "T": 1.0})
         code, out, err = run_cli(capsys, ["sweep", "--config", cfg])
@@ -391,6 +407,23 @@ def test_state_csv_matches_fmt_per_row(rows):
     table[:, -1] = 0.1
     out = io.StringIO()
     _write_state_csv(out, ["T", "I1", "V", "W"], table)
+    expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("nx, nt", [(1, 300), (3, 100), (17, 151), (5, 1)])
+def test_state_csv_repeating_t_column_matches_fmt_per_row(nx, nt):
+    # a surface's t nodes repeat once per x node; each is formatted once
+    rng = np.random.default_rng(nt)
+    t_nodes = np.concatenate([[-0.0], rng.normal(size=nt - 1)])
+    table = np.column_stack([
+        np.repeat(rng.normal(size=nx), nt),
+        np.tile(t_nodes, nx),
+        rng.normal(size=(nx * nt, 4)),
+        rng.normal(size=nx * nt),
+    ])
+    out = io.StringIO()
+    _write_state_csv(out, ["T", "I1", "V", "W"], table, t_period=nt)
     expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
     assert out.getvalue() == expected
 
@@ -628,6 +661,25 @@ class TestSurface:
         assert err == json.dumps({"error": error}) + "\n"
 
 
+def field_reference(params, coeffs) -> list[str]:
+    """field's rows by the per-point loop: both checked fields at one
+    lattice state at a time, every cell by _fmt."""
+    T_star = params.T_star
+    lattice = np.linspace(-1.0, 1.0, 9)
+    v_neg = cli._shared_negative_axis(params, 0.5 * T_star)
+    rows = []
+    for label, T in (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star)):
+        v_panel, axis_name = cli._panel_axis(params, label, T)
+        for u in lattice:
+            for w in lattice:
+                s = StateVector.for_params(params, np.concatenate([[T], u * v_neg + w * v_panel]))
+                cells = [label, axis_name, _fmt(T), _fmt(u), _fmt(w)]
+                cells += [_fmt(v) for v in time_field(params, coeffs, s)]
+                cells += [_fmt(v) for v in x_field(params, coeffs, s)]
+                rows.append(",".join(cells))
+    return rows
+
+
 class TestField:
     def test_header_and_panel_structure(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc()})
@@ -645,6 +697,23 @@ class TestField:
         assert axes == {"below": "zero", "at": "zero_numeric", "above": "positive"}
         T_by_panel = {line.split(",")[0]: float(line.split(",")[2]) for line in lines[1:]}
         assert T_by_panel == {"below": 0.75, "at": 1.5, "above": 2.25}
+
+    @pytest.mark.parametrize("n_I", [1, 7, 16])
+    @pytest.mark.parametrize("coeffs", [None, "random"])
+    def test_panels_match_the_per_point_reference(self, capsys, tmp_path, n_I, coeffs):
+        doc = {"params": params_doc(n_I=n_I, tau_I=0.8, a=-0.3)}
+        params = ModelParams.from_json_dict(doc["params"])
+        if coeffs is None:
+            field_coeffs = FieldCoefficients.default_for(params)
+        else:
+            r = np.random.default_rng(n_I).uniform(0.2, 3.0, n_I + 2)
+            r[-1] = 1.0
+            doc["coeffs"] = {"r": r.tolist(), "psi": 0.125}
+            field_coeffs = FieldCoefficients(r=tuple(r), psi=0.125)
+        code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert rows == field_reference(params, field_coeffs)
 
     def test_rejects_eclipse_stages(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc(n_E=1, tau_E=0.5)})
@@ -680,6 +749,19 @@ class TestValidate:
         for suite in doc["suites"]:
             assert set(suite) == {"name", "checks", "failures", "failure_examples"}
             assert suite["failures"] == 0
+
+    def test_parser_keeps_nothing_between_calls(self, capsys, tmp_path):
+        # main parses with one parser per process; each call starts afresh
+        code, out, err = run_cli(capsys, ["validate", "--seed", "3", "--json"])
+        assert code == 0 and json.loads(out)["seed"] == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--seed", "three"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = write_config(tmp_path, {"seed": 4})
+        code, out, err = run_cli(capsys, ["validate", "--config", cfg])
+        assert code == 0
+        assert out.splitlines()[-1] == "all suites passed [seed 4]"
 
     def test_impossible_tolerance_fails_with_exit_1(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"tolerances": {"charpoly_rel": 1e-30}})
