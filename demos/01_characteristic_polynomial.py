@@ -16,7 +16,6 @@ from flustab import (
     charpoly_direct,
     charpoly_sum_form,
     coefficient_matrix,
-    production_minor_det,
 )
 
 
@@ -47,15 +46,6 @@ def main():
     # evaluates to exactly 0.0 at lambda = 0 instead of rounding into it
     print(f"sum form at lambda = 0:    {charpoly_sum_form(params, T, 0.0)!r}")
     print(f"canonical switch at 0:     {charpoly(params, T, 0.0)!r}")
-    print()
-
-    # the recursion behind the sum form: determinant of the production
-    # minor, which collapses to k * p * c_I^(k-1) at lambda = 0
-    print("production minor at lambda = 0 vs k * p * c_I^(k-1):")
-    for k in range(2, params.n_I + 1):
-        det = production_minor_det(params, 0.0, k)
-        closed_form = k * params.p * params.c_I ** (k - 1)
-        print(f"  k = {k}: {det:.6f} vs {closed_form:.6f}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .charpoly import (
     charpoly_direct,
     charpoly_sum_form,
     coefficient_matrix,
-    production_minor_det,
 )
 from .dynamics import (
     time_field,
@@ -28,7 +27,6 @@ from .model import (
     InvalidParamsError,
     ModelParams,
     StateVector,
-    derived_rates,
     target_cell_threshold,
     validate,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "charpoly_sum_form",
     "classify",
     "coefficient_matrix",
-    "derived_rates",
     "eigenvector",
     "full_spectrum_numeric",
     "geometric_multiplicity",
@@ -96,7 +93,6 @@ __all__ = [
     "lie_bracket",
     "perron_root",
     "predicted_sign_pattern",
-    "production_minor_det",
     "real_roots",
     "run_all",
     "sample_params",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, derived_rates
+from .model import ModelParams
 
 
 @dataclass(eq=False)
@@ -53,7 +53,7 @@ def coefficient_matrix(params: ModelParams, T: float) -> SystemMatrix:
     first row's V column; the V row collects p from every I column, -c on
     the diagonal, and v_a from the W column; the W row is zero.
     """
-    c_E, c_I = derived_rates(params)
+    c_E, c_I = params.c_E, params.c_I
     n_E, n_I = params.n_E, params.n_I
     n = n_E + n_I + 2
     A = np.zeros((n, n))
@@ -86,7 +86,7 @@ def coefficient_inf_norm(params: ModelParams, T):
     rate), I_1 after an eclipse cascade (c_I + c_E), and the V row
     (n_I*|p| + |c| + |v_a|); the W row is zero.
     """
-    c_E, c_I = derived_rates(params)
+    c_E, c_I = params.c_E, params.c_I
     first = np.abs(params.beta * np.asarray(T, dtype=float)) + (c_E if params.n_E > 0 else c_I)
     rows = [abs(params.n_I * params.p) + abs(params.c) + abs(params.v_a)]
     if params.n_E > 1:
@@ -99,7 +99,7 @@ def coefficient_inf_norm(params: ModelParams, T):
 
 
 def _powers(params: ModelParams):
-    c_E, c_I = derived_rates(params)
+    c_E, c_I = params.c_E, params.c_I
     # c_E^{n_E} with the 0^0 := 1 convention for n_E = 0
     cEn = c_E**params.n_E if params.n_E > 0 else 1.0
     return c_E, c_I, cEn
@@ -150,31 +150,10 @@ def charpoly_direct(params: ModelParams, T: float, lam):
 def charpoly(params: ModelParams, T: float, lam: float) -> float:
     """Canonical value: the sum form close to lam = 0 (where the closed form
     cancels), the closed form elsewhere."""
-    _, c_I = derived_rates(params)
+    c_I = params.c_I
     if abs(lam) < 1e-6 * (c_I + params.c):
         return charpoly_sum_form(params, T, lam)
     return charpoly_closed(params, T, lam)
-
-
-def production_minor_det(params: ModelParams, lam: float, k: int) -> float:
-    """Determinant of the k-th production minor by its first-column
-    recursion; the minors arise when the feedback column of A - lambda*I is
-    expanded away, and their closed evaluation is what telescopes into
-    charpoly_sum_form. Exposed for proof-level testing.
-
-    Base: det B_2 = c_I*p - p*(-c_I - lam).
-    Step: det B_k = c_I * det B_{k-1} + (-1)^(k+1) * p * (-c_I - lam)^(k-1).
-    """
-    if params.n_I < 2:
-        raise ValueError("production minors need n_I >= 2")
-    if not (2 <= k <= params.n_I):
-        raise ValueError(f"k must lie in [2, n_I={params.n_I}], got {k}")
-    _, c_I = derived_rates(params)
-    p = params.p
-    det = c_I * p - p * (-c_I - lam)
-    for m in range(3, k + 1):
-        det = c_I * det + (-1) ** (m + 1) * p * (-c_I - lam) ** (m - 1)
-    return det
 
 
 __all__ = [
@@ -185,5 +164,4 @@ __all__ = [
     "charpoly_sum_form",
     "charpoly_direct",
     "charpoly",
-    "production_minor_det",
 ]

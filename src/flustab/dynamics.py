@@ -16,26 +16,18 @@ closed form (surface.py).
 """
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .model import (
-    FieldCoefficients,
-    InvalidParamsError,
-    ModelParams,
-    StateVector,
-    derived_rates,
-)
+from .model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 
 
 def _check_fields(params: ModelParams, coeffs: FieldCoefficients) -> None:
-    """The checks time_rhs and x_rhs leave out, but for the state's length:
-    the field coefficients and the cascade rates."""
+    """The check time_rhs and x_rhs leave out, but for the state's length:
+    the field coefficients against the shape of params (which is valid by
+    construction)."""
     problems = coeffs.problems_for(params)
     if problems:
         raise InvalidParamsError(problems)
-    derived_rates(params)
 
 
 def _checked_state(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
@@ -55,9 +47,9 @@ def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
     the same form. Every form runs the one kernel of _time_kernel, slot by
     slot, so a column of a block's result equals, bit for bit, the result
     for that column alone, as a list or an array.
-    Nothing is validated, not even the cascade rates: integrators check the
-    state and the parameters once per run (_checked_state) and call this in
-    their inner loop. Use time_field for the checked StateVector version.
+    Nothing is validated: integrators check the state and the field
+    coefficients once per run (_checked_state) and call this in their
+    inner loop. Use time_field for the checked StateVector version.
     """
     kernel = _TIME_KERNELS.get((params.n_E, params.n_I)) or _time_kernel(params.n_E, params.n_I)
     if isinstance(y, list):
@@ -94,17 +86,11 @@ def _field_source(n_E: int, n_I: int, y: str, rate: dict) -> tuple[list[str], li
     return lines, slots + [rate["psi"]]
 
 
-def _shape(n_E, n_I) -> tuple[int, int]:
-    """The counts of a cascade shape, checked before they enter any source."""
-    n_E, n_I = operator.index(n_E), operator.index(n_I)
-    if n_E < 0 or n_I < 1:
-        raise ValueError(f"no cascade with n_E={n_E}, n_I={n_I}")
-    return n_E, n_I
-
-
 def _compiled(cache: dict, label: str, n_E: int, n_I: int, args: str, body: list[str]):
     """def kernel(args), kept in cache under the shape (n_E, n_I): it binds
-    c_E and c_I from params, unpacks y into y0, y1, ..., then runs body."""
+    c_E and c_I from params, unpacks y into y0, y1, ..., then runs body.
+    The counts come only from a ModelParams, so they are ints in range
+    before they enter the source."""
     ys = ", ".join(f"y{i}" for i in range(n_E + n_I + 3))
     head = [f"c_E = {n_E} / params.tau_E"] if n_E > 0 else []
     head += [f"c_I = {n_I} / params.tau_I", f"{ys}, = y"]
@@ -120,7 +106,6 @@ def _time_kernel(n_E: int, n_I: int):
     (params, coeffs, y) -> list of slots, compiled from _field_source on
     the first call for the shape and kept in _TIME_KERNELS. It reads the
     rates on every call and unpacks y (floats, or the rows of a block)."""
-    n_E, n_I = _shape(n_E, n_I)
     lines, slots = _field_source(n_E, n_I, "y", _RATES)
     body = lines + [f"return [{', '.join(slots)}]"]
     return _compiled(_TIME_KERNELS, "time_rhs kernel", n_E, n_I, "params, coeffs, y", body)
@@ -133,7 +118,6 @@ def _rk4_kernel(n_E: int, n_I: int):
     once, the state in locals, and the four stages of _field_source and the
     combination as straight-line code in surface._rk4_float_step's order,
     so its rows equal those steps with time_rhs as the field, bit for bit."""
-    n_E, n_I = _shape(n_E, n_I)
     slots, loop = range(n_E + n_I + 3), []
     for stage, (y, scale) in enumerate((("y", ""), ("z", "half"), ("z", "half"), ("z", "dt")), 1):
         if scale:

@@ -10,6 +10,7 @@ here, so all input checking lives in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,10 @@ class InvalidParamsError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Rate constants and age-class counts of the infection model.
+    """Rate constants and age-class counts of the infection model, valid by
+    construction: a structural problem (a count that is not an integer in
+    range, a duration that is not positive) raises InvalidParamsError with
+    validate()'s full list, and the counts are kept as Python ints.
 
     Attributes:
         beta: infection rate (per virion per time).
@@ -53,22 +57,30 @@ class ModelParams:
     a: float = 0.0
 
     def __post_init__(self):
-        # Python floats, not numpy scalars, so single-state runs stay on the
-        # fast float path; the counts are left as given for the integer check
+        # Python floats and ints, not numpy scalars, so single-state runs
+        # stay on the fast float path and the kernel caches see one shape
         for name in ("beta", "p", "c", "tau_I", "D_PCF", "v_a", "a"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.tau_E is not None:
             object.__setattr__(self, "tau_E", float(self.tau_E))
+        for name in ("n_E", "n_I"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                pass  # not an integer: _structural_problems names it
+        if _structural_problems(self):
+            raise InvalidParamsError(validate(self))
 
     @property
     def c_E(self) -> float:
-        """Eclipse cascade rate n_E/tau_E, with c_E = 0 when n_E = 0."""
-        return derived_rates(self)[0]
+        """Eclipse cascade rate n_E/tau_E, with c_E = 0 when n_E = 0 (its
+        formal power c_E**n_E is then read as 1)."""
+        return self.n_E / self.tau_E if self.n_E > 0 else 0.0
 
     @property
     def c_I(self) -> float:
         """Infectious cascade rate n_I/tau_I."""
-        return derived_rates(self)[1]
+        return self.n_I / self.tau_I
 
     @property
     def T_star(self) -> float:
@@ -97,6 +109,12 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelParams":
+        """The params object of a config: exactly the known keys, each rate
+        a JSON number and each count a number with an integral value (2 and
+        2.0, not 2.5, true or "2"). tau_E may be absent or null only when
+        n_E = 0. Every bad key is named in one InvalidParamsError."""
+        if not isinstance(d, dict):
+            raise InvalidParamsError(["params must be an object"])
         required = ["beta", "p", "c", "n_E", "n_I", "tau_I", "D_PCF", "v_a", "a"]
         missing = [k for k in required if k not in d]
         if missing:
@@ -105,53 +123,41 @@ class ModelParams:
         unknown = sorted(set(d) - known)
         if unknown:
             raise InvalidParamsError([f"unknown parameter key: {k}" for k in unknown])
+        values = {k: v for k, v in d.items() if v is not None or k != "tau_E"}
+        problems = []
+        for key, value in values.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if key in ("n_E", "n_I"):
+                if number and (isinstance(value, int) or value.is_integer()):
+                    values[key] = int(value)
+                else:
+                    problems.append(f"{key} must be an integer")
+            elif not number:
+                problems.append(f"{key} must be a number")
+        if problems:
+            raise InvalidParamsError(problems)
         # tau_E is optional only for eclipse-free models
-        if int(d["n_E"]) > 0 and d.get("tau_E") is None:
+        if values["n_E"] > 0 and "tau_E" not in values:
             raise InvalidParamsError(["missing parameter key: tau_E"])
-        return cls(
-            beta=float(d["beta"]),
-            p=float(d["p"]),
-            c=float(d["c"]),
-            n_E=int(d["n_E"]),
-            n_I=int(d["n_I"]),
-            tau_E=float(d["tau_E"]) if "tau_E" in d and d["tau_E"] is not None else None,
-            tau_I=float(d["tau_I"]),
-            D_PCF=float(d["D_PCF"]),
-            v_a=float(d["v_a"]),
-            a=float(d["a"]),
-        )
+        return cls(**values)
 
 
 def _structural_problems(params: ModelParams) -> list[str]:
-    # The bare minimum for the cascade rates and array shapes to make sense.
-    # Positivity of beta/p/c is deliberately not required here: reduced
-    # configurations (e.g. beta = 0) are legitimate inputs for the linear
-    # diagnostics even though they fail the full contract in validate().
+    # The bare minimum for the cascade rates and array shapes to make sense,
+    # which every ModelParams meets. Positivity of beta/p/c is deliberately
+    # not required here: reduced configurations (e.g. beta = 0) are
+    # legitimate inputs for the linear diagnostics even though they fail the
+    # full contract in validate().
     problems = []
-    if int(params.n_I) != params.n_I or params.n_I < 1:
+    if not isinstance(params.n_I, int) or params.n_I < 1:
         problems.append("n_I must be an integer >= 1")
-    if int(params.n_E) != params.n_E or params.n_E < 0:
+    if not isinstance(params.n_E, int) or params.n_E < 0:
         problems.append("n_E must be an integer >= 0")
     if not (params.tau_I > 0):
         problems.append("tau_I must be > 0")
-    if params.n_E > 0 and not (params.tau_E is not None and params.tau_E > 0):
+    if isinstance(params.n_E, int) and params.n_E > 0 and not (params.tau_E is not None and params.tau_E > 0):
         problems.append("tau_E must be > 0 when n_E > 0")
     return problems
-
-
-def derived_rates(params: ModelParams) -> tuple[float, float]:
-    """Return the cascade rates (c_E, c_I).
-
-    c_I = n_I/tau_I always; c_E = n_E/tau_E, with the convention c_E = 0
-    when n_E = 0 (its formal power c_E**n_E is then read as 1, which is what
-    the characteristic-polynomial routines do).
-    """
-    problems = _structural_problems(params)
-    if problems:
-        raise InvalidParamsError(problems)
-    c_E = params.n_E / params.tau_E if params.n_E > 0 else 0.0
-    c_I = params.n_I / params.tau_I
-    return c_E, c_I
 
 
 def target_cell_threshold(params: ModelParams) -> float:
@@ -160,10 +166,7 @@ def target_cell_threshold(params: ModelParams) -> float:
     Below this fraction the spectrum of the frozen-T system has no positive
     eigenvalue; above it exactly one appears.
     """
-    problems = _structural_problems(params)
-    for name in ("beta", "p", "c"):
-        if not (getattr(params, name) > 0):
-            problems.append(f"{name} must be > 0")
+    problems = [f"{name} must be > 0" for name in ("beta", "p", "c") if not (getattr(params, name) > 0)]
     if problems:
         raise InvalidParamsError(problems)
     return _threshold(params)
@@ -177,10 +180,13 @@ def _threshold(params: ModelParams) -> float:
 
 
 def validate(params: ModelParams) -> list[str]:
-    """Full input contract. Returns every violation, not just the first."""
+    """Full input contract. Returns every violation, not just the first.
+    ModelParams raises this list at construction when a structural check
+    fails, so a count need not be an integer here."""
     problems = _structural_problems(params)
     # a generated field kernel's compile time and memory grow with the depth
-    if params.n_E + params.n_I > 1000:
+    counts = (params.n_E, params.n_I)
+    if all(isinstance(n, int) for n in counts) and sum(counts) > 1000:
         problems.append("n_E + n_I must be <= 1000")
     for name in ("beta", "p", "c"):
         value = getattr(params, name)
@@ -283,7 +289,6 @@ __all__ = [
     "ModelParams",
     "StateVector",
     "FieldCoefficients",
-    "derived_rates",
     "target_cell_threshold",
     "validate",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charpoly import SystemMatrix, coefficient_matrix
-from .model import InvalidParamsError, ModelParams, _threshold, derived_rates
+from .model import InvalidParamsError, ModelParams, _threshold
 
 
 def _viral_pressure(params: ModelParams, T: float) -> float:
@@ -62,7 +62,7 @@ def _regime_cell(params: ModelParams, T: float, tol_class_rel: float) -> tuple[s
     """The regime cell (_regime_row, col). Column: sign of
     c_I^2 - c*c_I - beta*T*p, where -c_I falls against the roots of the
     quadratic factor, in the same three-way window."""
-    _, c_I = derived_rates(params)  # structural check; beta = 0 is legal here
+    c_I = params.c_I
     q = params.beta * T * params.p
     row = _regime_row(params, T, tol_class_rel)
     col_value = c_I * c_I - params.c * c_I - q
@@ -81,7 +81,6 @@ def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Cla
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    derived_rates(params)  # structural check only; beta = 0 is legal here
     row = _regime_row(params, T, tol_class_rel)
     return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
 
@@ -95,7 +94,7 @@ def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, f
     """Coefficients (A2, A1, A0) of the quadratic factor of the polynomial's
     derivative: (n_I + 2) lam^2 + (c (n_I + 1) + 2 c_I) lam + (c c_I - q n_I),
     with q = beta*T*p. The remaining derivative factor is (c_I + lam)^(n_I-1)."""
-    _, c_I = derived_rates(params)
+    c_I = params.c_I
     n_I = params.n_I
     q = params.beta * T * params.p
     return (n_I + 2.0, params.c * (n_I + 1.0) + 2.0 * c_I, params.c * c_I - q * n_I)
@@ -168,7 +167,7 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
     from _scaled_charpoly, so no cascade depth or rate overflows it.
     """
     _require_nE0(params)
-    _, c_I = derived_rates(params)
+    c_I = params.c_I
     c, n_I = params.c, params.n_I
     q = params.beta * T * params.p
     coeffs = a2, a1, a0 = derivative_quadratic_coeffs(params, T)
@@ -335,7 +334,7 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
     S(lam) = sum_{j<n_I} c_I^j/(c_I+lam)^(j+1) = -expm1(x)/lam with
     x = -n_I*log1p(lam/c_I), S(0) = n_I/c_I. Every power is taken in log
     form, so deep cascades with extreme rates cannot overflow."""
-    c_E, c_I = derived_rates(params)
+    c_E, c_I = params.c_E, params.c_I
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = -params.n_I * np.log1p(lam / c_I)
         # log|expm1(x)|; past x = 0.5 the form x + log(1 - e^-x) cannot overflow
@@ -361,7 +360,7 @@ def perron_root(params: ModelParams, T):
     above T*. All T are bisected at once until every bracket stops
     shrinking. At beta*T = 0 the block is triangular and the root is -m.
     """
-    c_E, c_I = derived_rates(params)
+    c_E, c_I = params.c_E, params.c_I
     m = min(c_I, params.c, c_E) if params.n_E > 0 else min(c_I, params.c)
     Ts = np.asarray(T, dtype=float)
     q = params.beta * np.atleast_1d(Ts) * params.p
@@ -408,7 +407,7 @@ def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0)
     _require_nE0(params)
     if V_scale == 0:
         raise ValueError("V_scale must be nonzero")
-    _, c_I = derived_rates(params)
+    c_I = params.c_I
     n_I = params.n_I
     if lam != 0.0 and abs(c_I + lam) <= 1e-300:
         raise ValueError("eigenvector formula has a pole at lam = -c_I")
@@ -466,7 +465,7 @@ def algebraic_multiplicity(params: ModelParams, T: float, lam: float, tol_class_
     magnitudes; Q'' is a nonzero constant.
     """
     _require_nE0(params)
-    _, c_I = derived_rates(params)
+    c_I = params.c_I
     if lam == 0.0:
         return 2 if _regime_row(params, T, tol_class_rel) == "=" else 1
     order = params.n_I - 1 if lam == -c_I else 0
@@ -538,7 +537,7 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
     A = coefficient_matrix(params, T)
     w = np.linalg.eigvals(A.entries)
     ztol = 1e-8 * max(A.inf_norm, 1.0)
-    _, c_I = derived_rates(params)
+    c_I = params.c_I
     row, col = _regime_cell(params, T, tol_class_rel)
     regime = ("even" if params.n_I % 2 == 0 else "odd", col, row)
     n_complex = int(np.sum(np.abs(w.imag) > ztol))

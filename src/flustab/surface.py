@@ -152,16 +152,18 @@ def _rk4_float_step(f, dt: float):
 
 def _rk4_each(advancer, starts: np.ndarray, span, h: float):
     """One _run of advancer from every row of starts (m, dim), in index
-    order, as (times, states (m, n + 1, dim), step). The first that fails,
-    "canonical column i=<index>", is reported as a run of it alone reports it."""
-    runs = []
+    order, as (times, states (m, n + 1, dim), step), each run copied into
+    states as it ends. The first that fails, "canonical column i=<index>",
+    is reported as a run of it alone reports it."""
     for i, start in enumerate(starts.tolist()):
         try:
-            runs.append(_run(advancer, start, span, h))
+            times, column, step = _run(advancer, start, span, h)
         except BlowUpError as e:
             raise BlowUpError(e.times, e.states, where=f"canonical column i={i}") from None
-    times, _, step = runs[0]
-    return times, np.stack([states for _, states, _ in runs]), step
+        if i == 0:
+            states = np.empty(starts.shape[:1] + column.shape)
+        states[i] = column
+    return times, states, step
 
 
 def integrate_time(
@@ -297,7 +299,9 @@ def trace_surface(
         opposite = _x_flow(params, coeffs, states[0], s)
         _check_x_fibers(x_nodes, opposite, "opposite row j={j}")
 
-    mismatch = np.max(np.abs(states - opposite), axis=2)
+    # |states - opposite| in place: the opposite order is needed for nothing else
+    gap = np.abs(np.subtract(states, opposite, out=opposite), out=opposite)
+    mismatch = np.max(gap, axis=2)
     return SurfaceGrid(
         x_nodes=x_nodes,
         t_nodes=t_nodes,

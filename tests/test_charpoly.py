@@ -9,9 +9,8 @@ from flustab.charpoly import (
     charpoly_direct,
     charpoly_sum_form,
     coefficient_matrix,
-    production_minor_det,
 )
-from flustab.model import ModelParams, derived_rates
+from flustab.model import ModelParams
 
 
 def make_params(**overrides):
@@ -24,7 +23,7 @@ def make_params(**overrides):
 def term_scale(params, T, lam):
     """Zero yardstick for polynomial values: the sum of the magnitudes of
     the summands the closed form adds, with factors |c_x + lam|."""
-    c_E, c_I = derived_rates(params)
+    c_E, c_I = params.c_E, params.c_I
     n_E, n_I = params.n_E, params.n_I
     cEn = c_E**n_E if n_E > 0 else 1.0
     cascade = abs(c_E + lam) ** n_E * abs(c_I + lam) ** n_I * abs(params.c + lam) * abs(lam)
@@ -141,29 +140,3 @@ class TestPolynomialRoutes:
             scale = term_scale(params, T=1.3, lam=lam)
             assert scale >= abs(charpoly_closed(params, T=1.3, lam=lam)) - 1e-12
             assert scale > 0
-
-
-class TestProductionMinor:
-    def test_base_case(self):
-        params = make_params(n_I=2, tau_I=2.0, p=1.0)  # c_I = 1
-        assert production_minor_det(params, lam=0.0, k=2) == pytest.approx(2.0)
-
-    def test_recursion_step(self):
-        params = make_params(n_I=3, tau_I=3.0, p=1.0)  # c_I = 1
-        assert production_minor_det(params, lam=1.0, k=3) == pytest.approx(7.0)
-
-    def test_closed_form_at_zero(self):
-        # det B_k at lam = 0 collapses to k * p * c_I^(k-1)
-        params = make_params(n_I=4, tau_I=2.0, p=1.5)  # c_I = 2
-        for k in (2, 3, 4):
-            expected = k * 1.5 * 2.0 ** (k - 1)
-            assert production_minor_det(params, lam=0.0, k=k) == pytest.approx(expected)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            production_minor_det(make_params(n_I=1), lam=0.0, k=2)
-        params = make_params(n_I=3, tau_I=1.0)
-        with pytest.raises(ValueError):
-            production_minor_det(params, lam=0.0, k=1)
-        with pytest.raises(ValueError):
-            production_minor_det(params, lam=0.0, k=4)

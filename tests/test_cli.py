@@ -171,6 +171,7 @@ class TestConfigRejection:
             {"params": {"beta": 1.0}, "T": 1.0},
             {"coeffs": {"r": [1.0, 1.0, 1.0]}},
             [1, 2, 3],
+            {"params": 3, "T": 1.0},
         ],
     )
     def test_rejected_configs(self, capsys, tmp_path, doc):
@@ -178,6 +179,37 @@ class TestConfigRejection:
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
         assert code == 2
         assert error_doc(err)["code"] == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_I", 2.5), ("n_I", "3"), ("n_I", True), ("n_I", None), ("n_I", [2]), ("n_I", math.nan),
+         ("n_I", "abc"), ("beta", "1.0"), ("beta", True), ("beta", None)],
+    )
+    def test_malformed_param_values(self, capsys, tmp_path, key, value):
+        cfg = write_config(tmp_path, {"params": params_doc(**{key: value}), "T": 1.0})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        kind = "an integer" if key == "n_I" else "a number"
+        assert error_doc(err)["details"]["problems"] == [f"{key} must be {kind}"]
+
+    def test_structural_problems_listed_in_full(self, capsys, tmp_path):
+        params = params_doc(n_I=0, tau_I=0.0, n_E=1, tau_E=-1.0, beta=-1.0, D_PCF=-0.5)
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, {"params": params, "T": 1.0})])
+        assert code == 2 and out == ""
+        assert err == (
+            '{"error": {"code": 2, "message": "invalid params", "details": {"problems": '
+            '["n_I must be an integer >= 1", "tau_I must be > 0", "tau_E must be > 0 when n_E > 0", '
+            '"beta must be > 0", "D_PCF must be >= 0"]}}}\n'
+        )
+
+    def test_integral_float_counts_are_counts(self, capsys, tmp_path):
+        outputs = []
+        for n_I in (2, 2.0):
+            cfg = write_config(tmp_path, {"params": params_doc(n_I=n_I), "T": 1.0})
+            code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("n_E, n_I", [(0, 1000), (3, 997)])
     def test_cascade_depth_cap(self, capsys, tmp_path, n_E, n_I):

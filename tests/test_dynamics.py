@@ -182,6 +182,18 @@ def test_float_kernel_is_shared_by_shape(monkeypatch):
     assert results[0] != results[1]
 
 
+def test_numpy_counts_reuse_the_int_shape_kernel(monkeypatch):
+    monkeypatch.setattr(dynamics, "_TIME_KERNELS", {})
+    y = [0.8, 0.3, 0.5, 0.2, 0.1, 1.2, 0.1]
+    numpy_counts = make_params(n_E=np.int64(1), n_I=np.int64(3))
+    coeffs = FieldCoefficients.default_for(numpy_counts)
+    first = time_rhs(numpy_counts, coeffs, y)
+    [(shape, kernel)] = dynamics._TIME_KERNELS.items()
+    assert shape == (1, 3) and all(type(n) is int for n in shape)
+    assert time_rhs(make_params(n_I=3), coeffs, y) == first
+    assert list(dynamics._TIME_KERNELS.items()) == [((1, 3), kernel)]
+
+
 @pytest.mark.parametrize("n_I", [1, 12, 200])
 @pytest.mark.parametrize("n_E", [0, 3])
 def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):

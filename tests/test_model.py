@@ -10,7 +10,6 @@ from flustab.model import (
     InvalidParamsError,
     ModelParams,
     StateVector,
-    derived_rates,
     target_cell_threshold,
     validate,
 )
@@ -26,23 +25,66 @@ def make_params(**overrides):
 class TestDerivedRates:
     def test_cascade_rates(self):
         params = make_params()
-        c_E, c_I = derived_rates(params)
-        assert c_E == 2.0  # n_E / tau_E
-        assert c_I == 2.0  # n_I / tau_I
+        assert params.c_E == 2.0  # n_E / tau_E
+        assert params.c_I == 2.0  # n_I / tau_I
+        # plain n/tau, bit for bit
+        deep = make_params(n_E=7, tau_E=0.3, n_I=11, tau_I=1.7)
+        assert deep.c_E == 7 / 0.3 and deep.c_I == 11 / 1.7
 
     def test_no_eclipse_convention(self):
         params = make_params(n_E=0, tau_E=None)
-        c_E, c_I = derived_rates(params)
-        assert c_E == 0.0
-        assert c_I == 2.0
+        assert params.c_E == 0.0 and type(params.c_E) is float
+        assert params.c_I == 2.0
 
     def test_structural_rejects(self):
         with pytest.raises(InvalidParamsError):
-            derived_rates(make_params(n_I=0))
+            make_params(n_I=0)
         with pytest.raises(InvalidParamsError):
-            derived_rates(make_params(tau_I=0.0))
+            make_params(tau_I=0.0)
         with pytest.raises(InvalidParamsError):
-            derived_rates(make_params(n_E=2, tau_E=None))
+            make_params(n_E=2, tau_E=None)
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize(
+        "overrides, problems",
+        [
+            (dict(n_I=0), ["n_I must be an integer >= 1"]),
+            (dict(n_E=-1), ["n_E must be an integer >= 0"]),
+            (dict(tau_I=0.0), ["tau_I must be > 0"]),
+            (dict(tau_I=math.nan), ["tau_I must be > 0", "tau_I must be finite"]),
+            (dict(n_E=2, tau_E=0.0), ["tau_E must be > 0 when n_E > 0"]),
+            # one structural problem raises validate()'s whole list, in its order
+            (
+                dict(n_I=0, tau_I=0.0, n_E=1, tau_E=-1.0, beta=-1.0, D_PCF=-1.0),
+                ["n_I must be an integer >= 1", "tau_I must be > 0", "tau_E must be > 0 when n_E > 0",
+                 "beta must be > 0", "D_PCF must be >= 0"],
+            ),
+            (dict(n_I=999, n_E=2, tau_E=-1.0), ["tau_E must be > 0 when n_E > 0", "n_E + n_I must be <= 1000"]),
+        ],
+    )
+    def test_structural_problem_raises_full_list(self, overrides, problems):
+        with pytest.raises(InvalidParamsError) as err:
+            make_params(**overrides)
+        assert err.value.problems == problems
+
+    def test_other_problems_wait_for_validate(self):
+        # beta = 0 is a legal reduced model; only validate() rejects it
+        params = make_params(beta=0.0, n_I=1000, n_E=1)
+        assert validate(params) == ["n_E + n_I must be <= 1000", "beta must be > 0"]
+
+    def test_numpy_counts_become_ints(self):
+        params = make_params(n_E=np.int64(2), n_I=np.int64(3))
+        assert (params.n_E, params.n_I) == (2, 3)
+        assert type(params.n_E) is int and type(params.n_I) is int
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, None])
+    @pytest.mark.parametrize("name", ["n_E", "n_I"])
+    def test_non_integer_count_raises(self, name, value):
+        with pytest.raises(InvalidParamsError) as err:
+            make_params(**{name: value})
+        assert type(err.value) is InvalidParamsError
+        assert err.value.problems[0].startswith(f"{name} must be an integer")
 
 
 class TestThreshold:
@@ -85,8 +127,9 @@ class TestValidate:
         assert "beta" in joined and "c" in joined and "D_PCF" in joined
 
     def test_eclipse_duration_rule(self):
-        problems = validate(make_params(n_E=2, tau_E=None))
-        assert any("tau_E" in p for p in problems)
+        with pytest.raises(InvalidParamsError) as err:
+            make_params(n_E=2, tau_E=None)
+        assert err.value.problems == ["tau_E must be > 0 when n_E > 0"]
         # without eclipse stages tau_E is not consulted
         assert validate(make_params(n_E=0, tau_E=None)) == []
 
@@ -118,6 +161,25 @@ class TestJsonRoundTrip:
         d.pop("beta")
         with pytest.raises(InvalidParamsError):
             ModelParams.from_json_dict(d)
+
+    def test_every_bad_value_is_named(self):
+        d = make_params().to_json_dict()
+        d.update(beta="1.0", p=True, n_E=1.5, n_I=None, tau_E=[0.5])
+        with pytest.raises(InvalidParamsError) as err:
+            ModelParams.from_json_dict(d)
+        assert err.value.problems == [
+            "beta must be a number", "p must be a number", "n_E must be an integer", "n_I must be an integer",
+            "tau_E must be a number",
+        ]
+        with pytest.raises(InvalidParamsError) as err:
+            ModelParams.from_json_dict([d])
+        assert err.value.problems == ["params must be an object"]
+
+    def test_integral_counts(self):
+        d = make_params().to_json_dict()
+        d.update(n_E=1.0, n_I=2.0)
+        params = ModelParams.from_json_dict(d)
+        assert params == make_params() and type(params.n_E) is type(params.n_I) is int
 
     @given(
         beta=st.floats(0.1, 10.0),

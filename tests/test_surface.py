@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -357,6 +358,24 @@ def deep_setup(n_I, n_E):
     coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, k + 1)) + (1.0,), psi=0.05)
     s0 = StateVector.for_params(params, [1.4, *rng.uniform(0.0, 0.01, k), 0.02, 0.01])
     return params, coeffs, s0
+
+
+def test_surface_peak_memory_is_three_state_arrays(monkeypatch):
+    # The columns fill one preallocated array and the mismatch is taken in
+    # place on the opposite order, so a 17 x 2001 surface holds the states,
+    # the opposite order and one temporary of their size at once. A stand-in
+    # run kernel that repeats its start state keeps tracemalloc from tracing
+    # every float of the real one, which would take ~30 s; the arrays are the same.
+    params, coeffs, s0 = deep_setup(6, 2)
+    monkeypatch.setitem(dynamics._RK4_KERNELS, (2, 6), lambda params, coeffs, dt, y, k: [tuple(y)] * k)
+    tracemalloc.start()
+    try:
+        grid = trace_surface(params, coeffs, s0, (0.0, 0.8), (0.0, 40.0), 0.05, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.states.shape == (17, 2001, 11)
+    assert peak <= 3.2 * grid.states.nbytes
 
 
 def test_float_path_stays_on_python_floats():
