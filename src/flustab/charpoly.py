@@ -106,7 +106,8 @@ def _powers(params: ModelParams):
 
 
 def charpoly_closed(params: ModelParams, T: float, lam: float) -> float:
-    """Closed-form characteristic polynomial value at lam."""
+    """Closed-form characteristic polynomial value at lam, a scalar or an
+    array of values."""
     c_E, c_I, cEn = _powers(params)
     n_E, n_I = params.n_E, params.n_I
     cascade = (c_E + lam) ** n_E * (c_I + lam) ** n_I * (params.c + lam) * lam
@@ -120,7 +121,8 @@ def charpoly_sum_form(params: ModelParams, T: float, lam: float) -> float:
     The difference of n_I-th powers in the closed form is expanded as
     (-lam) * sum_j c_I^j (c_I + lam)^(n_I - 1 - j), so every term carries
     the factor lam explicitly and the value at lam = 0 is an exact 0.0
-    rather than a cancellation of two equal powers.
+    rather than a cancellation of two equal powers. lam is a scalar or an
+    array of values.
     """
     c_E, c_I, cEn = _powers(params)
     n_E, n_I = params.n_E, params.n_I

@@ -36,7 +36,7 @@ from .model import (
     StateVector,
     validate as validate_params,
 )
-from .spectrum import _KIND_BY_ROW, _regime_row, analyze, eigenvector, perron_root, real_roots
+from .spectrum import _KIND_BY_ROW, _regime_rows, analyze, eigenvector, perron_root, real_roots
 from .surface import (
     BlowUpError,
     Trajectory,
@@ -322,13 +322,12 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     Ts = np.linspace(lo, hi, steps)
     # the structural zero is set aside: the Perron root of the (E, I, V)
     # block is the largest real eigenvalue, and the only one that can be > 0
-    roots = perron_root(params, Ts).tolist()
-    ztols = (zero_rel * np.maximum(coefficient_inf_norm(params, Ts), 1.0)).tolist()
-    # classify's regime row at its default window; perron_root checked params
-    rows = [
-        (T, _KIND_BY_ROW[_regime_row(params, T, 1e-10)], root, root > ztol)
-        for T, root, ztol in zip(Ts.tolist(), roots, ztols)
-    ]
+    roots = perron_root(params, Ts)
+    positive = roots > zero_rel * np.maximum(coefficient_inf_norm(params, Ts), 1.0)
+    # classify's regime row at its default window
+    kinds = [_KIND_BY_ROW[row] for row in "<=>"]
+    kind = [kinds[k] for k in _regime_rows(params, Ts, 1e-10).tolist()]
+    rows = list(zip(Ts.tolist(), kind, roots.tolist(), positive.tolist()))
     out.write("T,classification,max_real_eig,n_positive\n")
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
         block = rows[start : start + _CSV_BLOCK_ROWS]

@@ -134,6 +134,11 @@ class ModelParams:
                     problems.append(f"{key} must be an integer")
             elif not number:
                 problems.append(f"{key} must be a number")
+            elif isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:  # past the float range, as 1e400 (inf) is
+                    problems.append(f"{key} must be finite")
         if problems:
             raise InvalidParamsError(problems)
         # tau_E is optional only for eclipse-free models
@@ -194,7 +199,7 @@ def validate(params: ModelParams) -> list[str]:
             problems.append(f"{name} must be > 0")
     if not (params.D_PCF >= 0):
         problems.append("D_PCF must be >= 0")
-    for name in ("beta", "p", "c", "tau_I", "D_PCF", "v_a", "a"):
+    for name in ("beta", "p", "c", "tau_I", "tau_E", "D_PCF", "v_a", "a"):
         value = getattr(params, name)
         if value is not None and not np.isfinite(value):
             problems.append(f"{name} must be finite")

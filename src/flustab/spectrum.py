@@ -51,11 +51,19 @@ def _three_way(value: float, tol: float) -> str:
     return ">" if value > 0 else "<"
 
 
-def _regime_row(params: ModelParams, T: float, tol_class_rel: float) -> str:
-    """The regime row: the sign of c - beta*T*p*tau_I, "<", "=" or ">" with
-    "=" inside a relative window of tol_class_rel. A NaN lands in "<"."""
+def _regime_rows(params: ModelParams, T, tol_class_rel: float) -> np.ndarray:
+    """The regime row of each T (a float or an array): the sign of
+    c - beta*T*p*tau_I as an index 0, 1, 2 into "<=>", with "=" inside a
+    relative window of tol_class_rel. A NaN lands in "<"."""
     pressure = _viral_pressure(params, T)
-    return _three_way(params.c - pressure, tol_class_rel * max(abs(params.c), abs(pressure)))
+    value = params.c - pressure
+    tol = tol_class_rel * np.maximum(abs(params.c), np.abs(pressure))
+    return np.where(np.abs(value) <= tol, 1, 2 * (value > 0))
+
+
+def _regime_row(params: ModelParams, T: float, tol_class_rel: float) -> str:
+    """_regime_rows of one T as "<", "=" or ">"."""
+    return "<=>"[int(_regime_rows(params, T, tol_class_rel))]
 
 
 def _regime_cell(params: ModelParams, T: float, tol_class_rel: float) -> tuple[str, str]:
@@ -151,6 +159,26 @@ def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float) -> tu
     return cascade + q * diff, abs(cascade) + abs(q) * (pc + abs(pu))
 
 
+def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float) -> float:
+    """P(lam) / (c_I + lam)^(n_I - 1), with P as in _scaled_charpoly, taken
+    exactly in integers from the float inputs and rounded once; NaN at
+    lam = -c_I or where the ratio is past the float range."""
+    # each float is an integer over a power of 2; put all over 2^k
+    ratios = [v.as_integer_ratio() for v in (c, c_I, q, lam)]
+    k = max(den for _, den in ratios).bit_length() - 1
+    C, CI, Q, X = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    U = CI + X
+    if U == 0:
+        return math.nan
+    V = U ** (n_I - 1)
+    # P * 2^(k(n_I + 2)) = U^n_I (C + X) X + Q (CI^n_I - U^n_I) 2^k
+    num = V * U * (C + X) * X + ((Q * (CI**n_I - V * U)) << k)
+    try:
+        return num / (V << (3 * k))
+    except OverflowError:
+        return math.nan
+
+
 _ROOT_TOL = 1e-12
 
 
@@ -158,13 +186,21 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
     """All real roots of the n_E = 0 characteristic polynomial, ascending.
 
     Between consecutive critical points the polynomial is strictly monotone,
-    so each open interval holds at most one root and a sign change pins it;
-    bisection to _ROOT_TOL cannot leave the bracket and a short Newton polish
-    (the derivative is analytic) sharpens the last digits. Roots sitting
-    exactly on a critical point (the double zero at the Critical regime
-    boundary) are caught by evaluating the endpoints themselves. The
-    structural root at 0 is always included exactly. Every value is taken
-    from _scaled_charpoly, so no cascade depth or rate overflows it.
+    so each open interval holds at most one root and a sign change pins it.
+    Each such bracket is solved by a safeguarded Newton iteration (rtsafe)
+    on the ratio P/P' of the analytic derivative P' = (c_I+lam)^(n_I-1) Q:
+    a step that leaves the bracket, or does not halve the step before last,
+    bisects instead, and a root is accepted only once P changes sign across
+    a bracket no wider than _ROOT_TOL (or two ulps, far out), which a small
+    step alone does not show. That leaves the root within the rounding of
+    _scaled_charpoly (a few ulps); one more Newton step, on the value taken
+    exactly from the float inputs (_exact_charpoly_ratio), puts it on one
+    of the two floats around the exact root. Roots sitting exactly on a
+    critical point (the double zero at the Critical regime boundary) are
+    caught by evaluating the endpoints themselves. The structural root at 0
+    is always included exactly, and an interval around 0 is not searched:
+    its one root is 0. Every sign is taken from _scaled_charpoly, so no
+    cascade depth or rate overflows it.
     """
     _require_nE0(params)
     c_I = params.c_I
@@ -196,6 +232,18 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
                 return
         roots.append(x)
 
+    def newton_step(x: float, value: float) -> float:
+        # P/P' = value * M^n_I / ((c_I + x)^(n_I - 1) Q(x)), where
+        # M^n_I / |c_I + x|^(n_I - 1) = M (M/|c_I + x|)^(n_I - 1); NaN for
+        # a zero derivative or a step that overflows
+        u = abs(c_I + x)
+        M = max(c_I, u)
+        try:
+            step = value / (a2 * x * x + a1 * x + a0) * M * math.exp((n_I - 1) * math.log(M / u))
+        except (OverflowError, ZeroDivisionError):
+            return math.nan
+        return -step if c_I + x < 0.0 and n_I % 2 == 0 else step  # (c_I + x)^(n_I - 1) < 0
+
     # Endpoint-as-root detection stays near the roundoff floor (a few eps of
     # the term scale): loose windows would swallow the two distinct roots
     # that flank a critical point just off the Critical boundary, while the
@@ -210,36 +258,45 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
         if zero_at[i] or zero_at[i + 1]:
             continue  # monotone interval with a root on its boundary has no interior root
         a, b, fa = endpoints[i], endpoints[i + 1], vals[i]
-        if (fa > 0) == (vals[i + 1] > 0):
-            continue
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if b - a <= _ROOT_TOL:
-                break
-            fm = P(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = m, fm
-            else:
-                b = m
+        if (fa > 0) == (vals[i + 1] > 0) or a < 0.0 < b:
+            continue  # no sign change, or the interval's one root is the structural 0
+        # rtsafe: Newton from the midpoint, bisecting whenever a step leaves
+        # the bracket or does not halve the step before last; a root is
+        # accepted only once P changes sign across a bracket of _ROOT_TOL
         x = 0.5 * (a + b)
-        for _ in range(3):  # Newton polish, clamped to the bracket
-            # P/P' = value * M^n_I / ((c_I + x)^(n_I - 1) Q(x)), where
-            # M^n_I / |c_I + x|^(n_I - 1) = M (M/|c_I + x|)^(n_I - 1)
-            u = abs(c_I + x)
-            M = max(c_I, u)
-            try:
-                step = P(x) / (a2 * x * x + a1 * x + a0) * M * math.exp((n_I - 1) * math.log(M / u))
-            except (OverflowError, ZeroDivisionError):
-                break  # a zero derivative, or a step that overflows
-            if c_I + x < 0.0 and n_I % 2 == 0:
-                step = -step  # (c_I + x)^(n_I - 1) < 0
-            x_new = x - step
-            if not (a - _ROOT_TOL <= x_new <= b + _ROOT_TOL):
+        dx = dx_old = b - a
+        for _ in range(200):
+            value = P(x)
+            if value == 0.0:
                 break
-            x = x_new
+            if (value > 0) == (fa > 0):
+                a = x
+            else:
+                b = x
+            step = newton_step(x, value)
+            estimate = x - step
+            # far out, adjacent floats are wider apart than _ROOT_TOL
+            tol = max(_ROOT_TOL, 2.0 * math.ulp(x))
+            if b - a <= tol:
+                x = 0.5 * (a + b) if math.isnan(estimate) else min(max(estimate, a), b)
+                break
+            if not (a <= estimate <= b) or abs(2.0 * step) > abs(dx_old):
+                dx_old, dx = dx, 0.5 * (b - a)
+                x = a + dx
+            elif abs(step) < 0.5 * tol:
+                # converged: probe just past the estimate, across the root
+                x = estimate + 0.5 * tol if x == a else estimate - 0.5 * tol
+            else:
+                dx_old, dx = dx, step
+                x = estimate
+        # x is within _scaled_charpoly's rounding of the root; one Newton
+        # step on the exact value puts it on a float next to the root
+        tol = max(_ROOT_TOL, 2.0 * math.ulp(x))
+        slope = a2 * x * x + a1 * x + a0  # P' over (c_I + x)^(n_I - 1)
+        if slope != 0.0:
+            polished = x - _exact_charpoly_ratio(c, c_I, q, n_I, x) / slope
+            if a - tol <= polished <= b + tol:
+                x = polished
         push(x)
 
     return sorted(roots)
@@ -332,17 +389,50 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
     """log F(lam) for q = beta*T*p > 0, where
     F(lam) = q * (c_E/(c_E+lam))^n_E * S(lam) / (c+lam) and
     S(lam) = sum_{j<n_I} c_I^j/(c_I+lam)^(j+1) = -expm1(x)/lam with
-    x = -n_I*log1p(lam/c_I), S(0) = n_I/c_I. Every power is taken in log
-    form, so deep cascades with extreme rates cannot overflow."""
-    c_E, c_I = params.c_E, params.c_I
+    x = -n_I*log1p(lam/c_I), S(0) = n_I/c_I.
+
+    Up to x = 0.5, wherever q*S/(c+lam) is a normal float, that product is
+    formed and logged once, so the value carries a few eps of absolute
+    error however large the logs of its factors are (a sum of those logs
+    near lam = 0 cancels ~40-size terms and is off by ~1e-14). Elsewhere
+    every power is taken in log form, so deep cascades with extreme rates
+    cannot overflow."""
+    c_E, c_I, n_I = params.c_E, params.c_I, params.n_I
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = -params.n_I * np.log1p(lam / c_I)
+        x = -n_I * np.log1p(lam / c_I)
+        ratio = q * np.where(lam == 0.0, n_I / c_I, np.expm1(x) / -lam) / (params.c + lam)
         # log|expm1(x)|; past x = 0.5 the form x + log(1 - e^-x) cannot overflow
         log_num = np.where(x > 0.5, x + np.log1p(-np.exp(-x)), np.log(np.abs(np.expm1(x))))
-        log_S = np.where(lam == 0.0, math.log(params.n_I / c_I), log_num - np.log(np.abs(lam)))
-        out = np.log(q) + log_S - np.log(params.c + lam)
+        log_S = np.where(lam == 0.0, math.log(n_I / c_I), log_num - np.log(np.abs(lam)))
+        direct = (x <= 0.5) & (ratio >= np.finfo(float).tiny) & (ratio <= np.finfo(float).max)
+        out = np.where(direct, np.log(ratio), np.log(q) + log_S - np.log(params.c + lam))
         if params.n_E > 0:
             out -= params.n_E * np.log1p(lam / c_E)
+    return out
+
+
+# Below this |n_I * log1p(lam/c_I)| the slope of log S is taken from its
+# Taylor series, whose cubic remainder and the closed form's cancellation
+# error (~eps/|y|) are both ~1e-12 of it there.
+_SLOPE_SERIES_Y = 1e-4
+
+
+def _log_perron_slope(params: ModelParams, lam: np.ndarray) -> np.ndarray:
+    """d/dlam of _log_perron_f, which does not depend on q:
+    -n_E/(c_E+lam) - 1/(c+lam) + (log S)', with
+    (log S)' = n_I/((c_I+lam)*expm1(y)) - 1/lam, y = n_I*log1p(lam/c_I).
+    Near lam = 0 the two terms cancel, so for |y| < _SLOPE_SERIES_Y it is
+    (-(n_I+1)/2 + (n_I+1)(n_I+5)/12 u - (n_I+1)(n_I+3)/8 u^2)/c_I with
+    u = lam/c_I; at 0 the slope is -(n_I+1)/(2c_I) - 1/c - n_E/c_E."""
+    c_E, c_I, n = params.c_E, params.c_I, params.n_I
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = lam / c_I
+        y = n * np.log1p(u)
+        series = (-(n + 1) / 2.0 + u * ((n + 1) * (n + 5) / 12.0 - u * ((n + 1) * (n + 3) / 8.0))) / c_I
+        log_S_slope = np.where(np.abs(y) < _SLOPE_SERIES_Y, series, n / ((c_I + lam) * np.expm1(y)) - 1.0 / lam)
+        out = log_S_slope - 1.0 / (params.c + lam)
+        if params.n_E > 0:
+            out -= params.n_E / (c_E + lam)
     return out
 
 
@@ -357,8 +447,19 @@ def perron_root(params: ModelParams, T):
     F(lam) = 1 on (-m, sqrt(beta*T*p*n_I)]: F is strictly decreasing there,
     tends to +inf at -m, and F <= beta*T*p*n_I/lam^2 for lam > 0. F(0) is the
     next-generation number beta*T*p*tau_I/c, so the root is positive exactly
-    above T*. All T are bisected at once until every bracket stops
-    shrinking. At beta*T = 0 the block is triangular and the root is -m.
+    above T*. At beta*T = 0 the block is triangular and the root is -m.
+
+    All T are solved at once by a safeguarded Newton iteration on g = log F
+    from lam = 0, with the slope g' in closed form (_log_perron_slope).
+    Every factor of F is log-convex ((c_E/(c_E+lam))^n_E, 1/(c+lam), and S
+    as a sum of c_I^j/(c_I+lam)^(j+1)), so g is convex and decreasing: a
+    Newton step from anywhere lands at or left of the root, and from there
+    the iterates rise monotonically to it. Each T keeps the bracket
+    (lo, hi) that the signs of g at its iterates give, and a step out of
+    that bracket takes its midpoint instead. A T stops when its Newton step
+    is within eps*max(m, |lam|), keeping that last step if it stays in the
+    bracket, or when its bracket is within 2*eps*max(m, |lo|, |hi|); it is
+    then left alone, so a scalar call gives the array call's bits.
     """
     c_E, c_I = params.c_E, params.c_I
     m = min(c_I, params.c, c_E) if params.n_E > 0 else min(c_I, params.c)
@@ -372,17 +473,30 @@ def perron_root(params: ModelParams, T):
         q_live = q[live]
         lo = np.full(q_live.shape, -m)
         hi = np.sqrt(q_live * params.n_I)
+        x = np.zeros(q_live.shape)
+        g = _log_perron_f(params, q_live, x)
+        active = np.ones(q_live.shape, dtype=bool)
+        eps = np.finfo(float).eps
         while True:
-            # adjacent floats are closer than eps*|x|, so every bracket gets
-            # here; a finished one is left alone, so no T moves another's root
-            wide = hi - lo > 2.0 * np.finfo(float).eps * np.maximum(m, np.maximum(-lo, hi))
-            if not wide.any():
+            above = g > 0.0
+            lo = np.where(active & above, x, lo)
+            hi = np.where(active & ~above, x, hi)
+            slope = _log_perron_slope(params, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = x - g / slope
+            wide = hi - lo > 2.0 * eps * np.maximum(m, np.maximum(-lo, hi))
+            converged = np.abs(x_new - x) <= eps * np.maximum(m, np.abs(x))
+            done = active & (converged | ~wide)
+            # a T that is done keeps its last Newton step if that is in its bracket
+            x = np.where(done & converged & (x_new >= lo) & (x_new <= hi), x_new, x)
+            active &= ~done
+            if not active.any():
                 break
-            mid = 0.5 * (lo + hi)
-            above = _log_perron_f(params, q_live, mid) > 0.0
-            lo = np.where(wide & above, mid, lo)
-            hi = np.where(wide & ~above, mid, hi)
-        root[live] = 0.5 * (lo + hi)
+            # a step out of the open bracket (or a NaN one) bisects
+            inside = (x_new > lo) & (x_new < hi)
+            x = np.where(active, np.where(inside, x_new, 0.5 * (lo + hi)), x)
+            g = np.where(active, _log_perron_f(params, q_live, x), g)
+        root[live] = x
     return float(root[0]) if Ts.ndim == 0 else root
 
 

@@ -259,13 +259,19 @@ def _x_flow(params: ModelParams, coeffs: FieldCoefficients, starts: np.ndarray, 
 
 def _check_x_fibers(x_nodes: np.ndarray, fibers: np.ndarray, where: str) -> None:
     """Raise, as a run would, the BlowUpError of the lowest-index fiber j of
-    fibers (n + 1, m, dim) that blows up past node 0, as where.format(j=j)."""
-    bad = _blown_up(fibers[1:])
-    failed = bad.any(axis=0)
-    if failed.any():
-        j = int(failed.argmax())
-        k = 1 + int(bad[:, j].argmax())
-        raise BlowUpError(x_nodes[:k], fibers[:k, j], where.format(j=j))
+    fibers (n + 1, m, dim) that blows up past node 0, as where.format(j=j).
+    The fibers are tested _FIBER_BLOCK at a time, so the test's temporaries
+    stay a bounded block however many fibers there are."""
+    for start in range(0, fibers.shape[1], _FIBER_BLOCK):
+        bad = _blown_up(fibers[1:, start : start + _FIBER_BLOCK])
+        failed = bad.any(axis=0)
+        if failed.any():
+            j = int(failed.argmax())
+            k = 1 + int(bad[:, j].argmax())
+            raise BlowUpError(x_nodes[:k], fibers[:k, start + j], where.format(j=start + j))
+
+
+_FIBER_BLOCK = 128
 
 
 def trace_surface(

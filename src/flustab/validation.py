@@ -65,31 +65,26 @@ class SuiteResult:
         }
 
 
-def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-
 def sample_params(
     rng: np.random.Generator,
     n_E_choices=(0, 1, 2, 3),
     n_I_choices=(1, 2, 3, 4, 5, 6),
 ) -> tuple[ModelParams, float]:
     """One random parameter set, rates log-uniform in [0.1, 10], and a
-    T value uniform in [0, 2 T*]."""
-    n_E = int(rng.choice(n_E_choices))
-    n_I = int(rng.choice(n_I_choices))
-    params = ModelParams(
-        beta=loguniform(rng, 0.1, 10),
-        p=loguniform(rng, 0.1, 10),
-        c=loguniform(rng, 0.1, 10),
-        n_E=n_E,
-        tau_E=loguniform(rng, 0.1, 10) if n_E > 0 else None,
-        n_I=n_I,
-        tau_I=loguniform(rng, 0.1, 10),
-        D_PCF=loguniform(rng, 0.1, 10),
-        v_a=loguniform(rng, 0.1, 10),
-        a=float(rng.uniform(-2, 2)),
-    )
+    T value uniform in [0, 2 T*].
+
+    Each count is one rng.integers index into its choices, as rng.choice
+    draws it; the rates (tau_E only when n_E > 0) and a then come from one
+    rng.random vector, mapped as rng.uniform maps a draw, lo + (hi - lo)*u,
+    so the generator yields the same sets as one loguniform call per rate
+    and a uniform a would."""
+    n_E = int(n_E_choices[rng.integers(len(n_E_choices))])
+    n_I = int(n_I_choices[rng.integers(len(n_I_choices))])
+    names = ("beta", "p", "c") + (("tau_E",) if n_E > 0 else ()) + ("tau_I", "D_PCF", "v_a")
+    u = rng.random(len(names) + 1)
+    lo, hi = np.log(0.1), np.log(10.0)
+    rates = np.exp(lo + (hi - lo) * u[:-1]).tolist()
+    params = ModelParams(n_E=n_E, n_I=n_I, a=float(-2.0 + 4.0 * u[-1]), **dict(zip(names, rates)))
     T = float(rng.uniform(0, 2 * params.T_star))
     return params, T
 
@@ -108,13 +103,15 @@ def suite_charpoly_equivalence(
         params, T = sample_params(rng)
         span = 2.0 * (params.c_E + params.c_I + params.c)
         lams = rng.uniform(-span, span, size=n_lambda)
-        for lam, direct in zip(lams, charpoly_direct(params, T, lams)):
-            tol = rel_tol * (1.0 + abs(direct))
-            closed = charpoly_closed(params, T, lam)
-            summed = charpoly_sum_form(params, T, lam)
+        direct = charpoly_direct(params, T, lams)
+        closed = charpoly_closed(params, T, lams)
+        summed = charpoly_sum_form(params, T, lams)
+        tol = rel_tol * (1.0 + np.abs(direct))
+        ok = (np.abs(closed - direct) <= tol) & (np.abs(summed - direct) <= tol)
+        for k in range(n_lambda):
             result.record(
-                abs(closed - direct) <= tol and abs(summed - direct) <= tol,
-                lambda: f"params={params} T={T} lam={lam} closed={closed} sum={summed} direct={direct}",
+                bool(ok[k]),
+                lambda: f"params={params} T={T} lam={lams[k]} closed={closed[k]} sum={summed[k]} direct={direct[k]}",
             )
     return result
 
@@ -357,7 +354,6 @@ def run_all(seed: int = 0, tolerances: dict | None = None) -> list[SuiteResult]:
 
 __all__ = [
     "SuiteResult",
-    "loguniform",
     "sample_params",
     "cell_params",
     "classify_eigenvalue",

@@ -24,12 +24,15 @@ from flustab import (
 )
 from flustab.cli import main
 from flustab.validation import (
-    loguniform,
     sample_params,
     suite_charpoly_equivalence,
     suite_eigenvector_residuals,
     suite_sign_tables,
 )
+
+
+def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
 def report(capfd, num: int, ok: bool, label: str, detail: str = ""):

@@ -134,6 +134,22 @@ class TestPolynomialRoutes:
         assert stacked.tobytes() == scalar.tobytes()
         assert charpoly_direct(params, T, lams.reshape(2, -1)).tobytes() == scalar.tobytes()
 
+    @pytest.mark.parametrize(
+        "overrides, T",
+        [({}, 1.0), ({"n_I": 150, "tau_I": 30.0}, 0.4), ({"n_E": 3, "tau_E": 0.5, "n_I": 4}, 2.5)],
+        ids=["n_I=1", "n_I=150", "n_E=3"],
+    )
+    def test_closed_and_sum_forms_on_an_array_match_scalar_calls(self, overrides, T):
+        # numpy's vector power may round differently from the scalar one, so
+        # the match is within a few eps of the terms' magnitudes, not bitwise
+        params = make_params(**overrides)
+        lams = np.concatenate([[0.0, -params.c], np.random.default_rng(4).uniform(-9.0, 9.0, 22)])
+        for form in (charpoly_closed, charpoly_sum_form):
+            values = form(params, T, lams)
+            assert values.shape == lams.shape
+            for lam, value in zip(lams.tolist(), values.tolist()):
+                assert abs(value - form(params, T, lam)) <= 1e-14 * term_scale(params, T, lam)
+
     def test_term_scale_dominates_value(self):
         params = make_params(n_I=4, n_E=2, tau_E=0.6)
         for lam in (-7.0, -0.3, 0.0, 2.0):

@@ -192,6 +192,18 @@ class TestConfigRejection:
         kind = "an integer" if key == "n_I" else "a number"
         assert error_doc(err)["details"]["problems"] == [f"{key} must be {kind}"]
 
+    @pytest.mark.parametrize("key", ["beta", "tau_E", "a"])
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400"], ids=["int_1e400", "float_1e400"])
+    def test_rates_past_the_float_range(self, capsys, tmp_path, key, literal):
+        # an integer too large for a float is rejected as 1e400 (inf) is
+        params = params_doc(**{"n_E": 1, "tau_E": 1.0, key: 12345.5})
+        text = json.dumps({"params": params, "T": 1.0}).replace(f'"{key}": 12345.5', f'"{key}": {literal}')
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["analyze", "--config", str(path)])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert error_doc(err)["details"]["problems"] == [f"{key} must be finite"]
+
     def test_structural_problems_listed_in_full(self, capsys, tmp_path):
         params = params_doc(n_I=0, tau_I=0.0, n_E=1, tau_E=-1.0, beta=-1.0, D_PCF=-0.5)
         code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, {"params": params, "T": 1.0})])

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flustab import spectrum
 from flustab.charpoly import charpoly, coefficient_inf_norm, coefficient_matrix
 from flustab.model import InvalidParamsError, ModelParams, target_cell_threshold
 from flustab.spectrum import (
@@ -20,8 +22,19 @@ from flustab.spectrum import (
     real_roots,
     sign_class,
 )
-from flustab.spectrum import _critical_points, _log_perron_f, _scaled_charpoly, _viral_pressure
-from flustab.validation import _finite_difference_multiplicity, cell_params, loguniform, sample_params
+from flustab.spectrum import (
+    _critical_points,
+    _exact_charpoly_ratio,
+    _log_perron_f,
+    _log_perron_slope,
+    _scaled_charpoly,
+    _viral_pressure,
+)
+from flustab.validation import _finite_difference_multiplicity, cell_params, sample_params
+
+
+def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
 def make_params(**overrides):
@@ -104,6 +117,48 @@ class TestRealRoots:
             assert len(mine) == len(numeric)
             for a, b in zip(mine, numeric):
                 assert a == pytest.approx(b, abs=1e-7 * max(1.0, A.inf_norm))
+
+    def test_exact_ratio_matches_rational_arithmetic(self):
+        """P/(c_I + lam)^(n_I - 1) rounded once, on both sides of -c_I, at
+        n_I = 1, a deep cascade and a subnormal lam; NaN at the pole and past
+        the float range."""
+        for c, c_I, q, n_I, lam in [(1.3, 13 / 1.7, 0.77, 13, 0.875), (2.0, 3.0, 4.0, 2, -3.5),
+                                    (2.0, 3.0, 4.0, 5, -7.25), (0.4, 2.5, 1.1, 1, -0.3),
+                                    (1e3, 3e-3, 1e-3, 200, -1e-2), (0.5, 2.0, 1e-300, 3, 1e-310)]:
+            C, CI, Q, X = map(Fraction, (c, c_I, q, lam))
+            want = ((CI + X) ** n_I * (C + X) * X + Q * (CI**n_I - (CI + X) ** n_I)) / (CI + X) ** (n_I - 1)
+            assert _exact_charpoly_ratio(c, c_I, q, n_I, lam) == float(want)
+        assert math.isnan(_exact_charpoly_ratio(2.0, 3.0, 4.0, 5, -3.0))
+        assert math.isnan(_exact_charpoly_ratio(1e-3, 999e3, 1e300, 999, -1e150))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_roots_are_within_an_ulp_of_the_exact_roots(self, seed):
+        """Against a bisection by the exact sign of P (rational arithmetic
+        from the float inputs) down to adjacent floats, on sampled sets and
+        on deeper ones (n_I up to 40, rates 1e+-2)."""
+        rng = np.random.default_rng(seed)
+        sets = [sample_params(rng, n_E_choices=(0,)) for _ in range(25)]
+        for _ in range(10):
+            params = ModelParams(beta=loguniform(rng, 1e-2, 1e2), p=loguniform(rng, 1e-2, 1e2),
+                                 c=loguniform(rng, 1e-2, 1e2), n_E=0, tau_E=None,
+                                 n_I=int(rng.integers(1, 41)), tau_I=loguniform(rng, 1e-2, 1e2))
+            sets.append((params, float(rng.uniform(0.0, 2.0 * params.T_star))))
+        for params, T in sets:
+            C, CI, Q = Fraction(params.c), Fraction(params.c_I), Fraction(params.beta * T * params.p)
+            P = lambda x: (CI + x) ** params.n_I * (C + x) * x + Q * (CI**params.n_I - (CI + x) ** params.n_I)
+            for root in real_roots(params, T):
+                if root == 0.0:
+                    continue
+                lo, hi = root - 64 * math.ulp(root), root + 64 * math.ulp(root)
+                negative_lo = P(Fraction(lo)) < 0
+                assert negative_lo != (P(Fraction(hi)) < 0), (params, T, root)
+                while math.nextafter(lo, hi) != hi:
+                    mid = 0.5 * (lo + hi)
+                    if (P(Fraction(mid)) < 0) == negative_lo:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert root in (lo, hi), (params, T, root, lo, hi)
 
     def test_zero_is_exact(self):
         params = make_params()
@@ -424,14 +479,7 @@ class TestPerronRoot:
         grows with T."""
         rng = np.random.default_rng(seed)
         for _ in range(25):
-            n_E = int(rng.integers(0, 4))
-            params = ModelParams(
-                beta=loguniform(rng, 1e-3, 1e3), p=loguniform(rng, 1e-3, 1e3),
-                c=loguniform(rng, 1e-3, 1e3), n_E=n_E,
-                tau_E=loguniform(rng, 1e-3, 1e3) if n_E else None,
-                n_I=int(rng.integers(1, 201)), tau_I=loguniform(rng, 1e-3, 1e3),
-                v_a=loguniform(rng, 1e-3, 1e3),
-            )
+            params = _deep_params(rng)
             m = _floor_rate(params)
             Ts = np.sort(rng.uniform(0.0, 2.0 * params.T_star, 40))
             Ts = Ts[Ts > 0.0]
@@ -445,6 +493,137 @@ class TestPerronRoot:
             inside = below > -m  # F is +inf at -m itself
             assert np.all(_log_perron_f(params, q[inside], below[inside]) > 0.0)
             assert np.all(_log_perron_f(params, q, above) < 0.0)
+
+
+def _exactly_above_one(params: ModelParams, q: float, lam: float) -> bool:
+    """F(lam) > 1, decided in rational arithmetic from the float inputs, with
+    S(lam) = (1 - (c_I/(c_I + lam))^n_I)/lam (n_I/c_I at 0)."""
+    lam, c_I = Fraction(lam), Fraction(params.c_I)
+    S = Fraction(params.n_I) / c_I if lam == 0 else (1 - (c_I / (c_I + lam)) ** params.n_I) / lam
+    F = Fraction(q) * S / (Fraction(params.c) + lam)
+    if params.n_E > 0:
+        c_E = Fraction(params.c_E)
+        F *= (c_E / (c_E + lam)) ** params.n_E
+    return F > 1
+
+
+def _bisected_perron_root(params: ModelParams, q: float) -> float:
+    """Plain bisection of F = 1 on (-m, sqrt(q*n_I)] by the exact sign of
+    F - 1, to a bracket of 2*eps*max(m, |lo|, |hi|) or adjacent floats."""
+    lo, hi = -_floor_rate(params), math.sqrt(q * params.n_I)
+    while hi - lo > 2.0 * np.finfo(float).eps * max(_floor_rate(params), -lo, hi):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _exactly_above_one(params, q, mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _deep_params(rng) -> ModelParams:
+    """n_E in 0-3, n_I in [1, 200] and rates log-uniform in [1e-3, 1e3]."""
+    n_E = int(rng.integers(0, 4))
+    return ModelParams(
+        beta=loguniform(rng, 1e-3, 1e3), p=loguniform(rng, 1e-3, 1e3),
+        c=loguniform(rng, 1e-3, 1e3), n_E=n_E,
+        tau_E=loguniform(rng, 1e-3, 1e3) if n_E else None,
+        n_I=int(rng.integers(1, 201)), tau_I=loguniform(rng, 1e-3, 1e3),
+        v_a=loguniform(rng, 1e-3, 1e3),
+    )
+
+
+class TestPerronRootOracles:
+    @pytest.mark.parametrize("n_E", [0, 1, 2, 3])
+    def test_is_the_spectral_abscissa_of_sampled_sets(self, n_E):
+        """The largest real part of the dense (E, I, V) block spectrum, with
+        the W row's structural zero set aside."""
+        rng = np.random.default_rng(100 + n_E)
+        for _ in range(40):
+            params, T = sample_params(rng, n_E_choices=(n_E,))
+            A = coefficient_matrix(params, T)
+            abscissa = np.linalg.eigvals(A.entries[:-1, :-1]).real.max()
+            assert abs(perron_root(params, T) - abscissa) <= 1e-12 * max(A.inf_norm, 1.0), (params, T)
+
+    @pytest.mark.parametrize("n_E, n_I", [(0, 1), (0, 7), (2, 40), (3, 200)])
+    def test_slope_is_the_derivative_of_log_f(self, n_E, n_I):
+        """Against S'/S - 1/(c+lam) - n_E/(c_E+lam) from the sums
+        S = sum_j c_I^j/(c_I+lam)^(j+1) and S' = -sum_j (j+1) c_I^j/(c_I+lam)^(j+2),
+        whose terms share one sign, on both sides of the near-0 series switch,
+        and the closed form -(n_I+1)/(2 c_I) - 1/c - n_E/c_E at 0."""
+        params = make_params(n_E=n_E, tau_E=0.8 if n_E else None, n_I=n_I, tau_I=1.3)
+        m, c_I = _floor_rate(params), params.c_I
+        switch = 1e-4 * c_I / n_I  # |n_I*log1p(lam/c_I)| ~ 1e-4 there
+        lam = np.concatenate([np.linspace(-0.5 * m, 3.0, 37), switch * np.array([-1.01, -0.99, 0.5, 0.99, 1.01])])
+        j = np.arange(n_I)[:, None]
+        rho_j = (c_I / (c_I + lam)) ** j  # c_I^j/(c_I+lam)^(j+1) = rho^j/(c_I+lam)
+        want = -((j + 1) * rho_j).sum(0) / (c_I + lam) / rho_j.sum(0) - 1.0 / (params.c + lam)
+        if n_E:
+            want -= n_E / (params.c_E + lam)
+        np.testing.assert_allclose(_log_perron_slope(params, lam), want, rtol=1e-11)
+        at_zero = -(n_I + 1) / (2.0 * c_I) - 1.0 / params.c - (n_E / params.c_E if n_E else 0.0)
+        assert _log_perron_slope(params, np.array([0.0]))[0] == pytest.approx(at_zero, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_an_exact_bisection(self, seed):
+        """Within 4*eps*max(m, |root|) of a bisection by the exact sign of
+        F - 1, on sampled sets at n_E 0-3 and deep ones (n_I <= 200, rates
+        1e+-3), at T = 0, tiny beta*T, within 1e-9 of T* and at random T."""
+        rng = np.random.default_rng(seed)
+        sets = [sample_params(rng, n_E_choices=(n_E,))[0] for n_E in range(4)]
+        sets += [_deep_params(rng) for _ in range(3)]
+        for params in sets:
+            T_star, m = params.T_star, _floor_rate(params)
+            Ts = np.array([0.0, 1e-300, 1e-12 * T_star, (1 - 1e-9) * T_star, T_star, (1 + 1e-9) * T_star,
+                           *rng.uniform(0.0, 2.0 * T_star, 2)])
+            roots = perron_root(params, Ts)
+            assert roots[0] == -m
+            for T, root in zip(Ts[1:].tolist(), roots[1:].tolist()):
+                q = params.beta * T * params.p
+                want = _bisected_perron_root(params, q) if q > 0.0 else -m
+                assert abs(root - want) <= 4.0 * np.finfo(float).eps * max(m, abs(want)), (params, T)
+
+
+def _sweep_shape_params(rng, n_E: int, n_I: int, steps: int) -> tuple[ModelParams, np.ndarray]:
+    """A set shaped like a benchmark sweep: rates log-uniform in [0.3, 3],
+    and a T grid from 0.3-0.7 T* to 1.3-2 T* with T* halfway between two
+    nodes."""
+    params = ModelParams(
+        beta=loguniform(rng, 0.3, 3.0), p=loguniform(rng, 0.3, 3.0), c=loguniform(rng, 0.3, 3.0),
+        n_E=n_E, tau_E=loguniform(rng, 0.5, 3.0) if n_E else None, n_I=n_I, tau_I=loguniform(rng, 0.5, 3.0),
+    )
+    T_star = params.T_star
+    lo, hi = rng.uniform(0.3, 0.7) * T_star, rng.uniform(1.3, 2.0) * T_star
+    dT = (hi - lo) / (steps - 1)
+    lo = T_star - (math.floor((T_star - lo) / dT) + 0.5) * dT
+    return params, lo + dT * np.arange(steps)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(spectrum, name)
+    monkeypatch.setattr(spectrum, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+class TestWorkCounts:
+    """Evaluations counted by wrapping the private functions, not timed."""
+
+    @pytest.mark.parametrize("n_E, n_I, steps", [(0, 60, 201), (3, 12, 401), (1, 30, 301), (2, 3, 1001)])
+    def test_perron_root_sweeps_take_few_evaluations(self, monkeypatch, n_E, n_I, steps):
+        calls = _counting(monkeypatch, "_log_perron_f")
+        for seed in range(3):
+            params, Ts = _sweep_shape_params(np.random.default_rng([n_E, n_I, seed]), n_E, n_I, steps)
+            calls.clear()
+            perron_root(params, Ts)
+            assert len(calls) <= 12
+
+    def test_real_roots_take_few_evaluations_per_root(self, monkeypatch):
+        calls = _counting(monkeypatch, "_scaled_charpoly")
+        rng = np.random.default_rng(0)
+        roots = sum(len(real_roots(*sample_params(rng, n_E_choices=(0,)))) for _ in range(500))
+        assert len(calls) <= 15 * roots
 
 
 class TestCoefficientInfNorm:

@@ -10,7 +10,7 @@ from flustab import dynamics, surface
 from flustab.charpoly import coefficient_matrix
 from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
-from flustab.validation import loguniform, sample_params
+from flustab.validation import sample_params
 from flustab.surface import (
     BlowUpError,
     Trajectory,
@@ -20,6 +20,10 @@ from flustab.surface import (
     lie_bracket,
     trace_surface,
 )
+
+
+def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
 def make_params(**overrides):
@@ -360,12 +364,14 @@ def deep_setup(n_I, n_E):
     return params, coeffs, s0
 
 
-def test_surface_peak_memory_is_three_state_arrays(monkeypatch):
-    # The columns fill one preallocated array and the mismatch is taken in
-    # place on the opposite order, so a 17 x 2001 surface holds the states,
-    # the opposite order and one temporary of their size at once. A stand-in
-    # run kernel that repeats its start state keeps tracemalloc from tracing
-    # every float of the real one, which would take ~30 s; the arrays are the same.
+def test_surface_peak_memory_is_two_state_arrays(monkeypatch):
+    # The columns fill one preallocated array, the x-fibers are tested for
+    # blow-up a bounded block at a time and the mismatch is taken in place on
+    # the opposite order, so a 17 x 2001 surface holds the states, the
+    # opposite order and temporaries far smaller than either at once. A
+    # stand-in run kernel that repeats its start state keeps tracemalloc from
+    # tracing every float of the real one, which would take ~30 s; the arrays
+    # are the same.
     params, coeffs, s0 = deep_setup(6, 2)
     monkeypatch.setitem(dynamics._RK4_KERNELS, (2, 6), lambda params, coeffs, dt, y, k: [tuple(y)] * k)
     tracemalloc.start()
@@ -375,7 +381,7 @@ def test_surface_peak_memory_is_three_state_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert grid.states.shape == (17, 2001, 11)
-    assert peak <= 3.2 * grid.states.nbytes
+    assert peak <= 2.3 * grid.states.nbytes
 
 
 def test_float_path_stays_on_python_floats():
@@ -643,6 +649,22 @@ class TestSurfaceBlowUp:
         assert exc.where == f"opposite row j={first}"
         assert exc.t_last == failures[first].t_last
         np.testing.assert_array_equal(exc.states, failures[first].states)
+
+    def test_first_failing_row_past_one_fiber_block(self):
+        # the setup above on a finer t grid: rows 251.. fail, in the second
+        # block of rows that _check_x_fibers tests at once
+        params = make_params(beta=0.0, n_I=2, v_a=0.1)
+        coeffs = FieldCoefficients(r=(1e5, 1.0, 1.0, 1.0), psi=1e6)
+        s0 = StateVector.for_params(params, [1.0, 0.0, 0.0, 0.0, 0.0])
+        grid_args = ((0.0, 2.0), (0.0, 10.0), 0.1, 0.02)
+        left = integrate_time(params, coeffs, s0, grid_args[1], grid_args[3])
+        first = next(j for j, y in enumerate(left.states) if fiber_failure(params, coeffs, y, grid_args[0], grid_args[2]))
+        assert surface._FIBER_BLOCK < first < 2 * surface._FIBER_BLOCK
+        exc = self.single_failure(lambda: trace_surface(params, coeffs, s0, *grid_args))
+        assert exc.where == f"opposite row j={first}"
+        want = fiber_failure(params, coeffs, left.states[first], grid_args[0], grid_args[2])
+        assert exc.t_last == want.t_last
+        np.testing.assert_array_equal(exc.states, want.states)
 
 
 class TestLieBracket:

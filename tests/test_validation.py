@@ -73,6 +73,30 @@ class TestSampleParams:
         b, Tb = sample_params(np.random.default_rng(7))
         assert a == b and Ta == Tb
 
+    @staticmethod
+    def per_field(rng, n_E_choices=(0, 1, 2, 3), n_I_choices=(1, 2, 3, 4, 5, 6)):
+        """The oracle: one rng.choice per count, one log-uniform draw per
+        rate and a uniform a, field by field."""
+        loguniform = lambda: float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
+        n_E = int(rng.choice(n_E_choices))
+        n_I = int(rng.choice(n_I_choices))
+        params = ModelParams(
+            beta=loguniform(), p=loguniform(), c=loguniform(), n_E=n_E,
+            tau_E=loguniform() if n_E > 0 else None, n_I=n_I, tau_I=loguniform(),
+            D_PCF=loguniform(), v_a=loguniform(), a=float(rng.uniform(-2, 2)),
+        )
+        return params, float(rng.uniform(0, 2 * params.T_star))
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("choices", [{}, {"n_E_choices": (0,)}, {"n_E_choices": (2,), "n_I_choices": (13,)}])
+    def test_same_sets_and_stream_as_per_field_draws(self, seed, choices):
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            params, T = sample_params(ours, **choices)
+            want, want_T = self.per_field(oracle, **choices)
+            assert repr(params) == repr(want) and T == want_T
+        assert ours.random() == oracle.random()
+
 
 class TestCellParams:
     # The cell construction promises the regime-defining comparisons are
