@@ -73,11 +73,6 @@ class NumericError(Exception):
     """A computation could not produce a usable result."""
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits survive a float64 round trip
-    return format(float(x), ".17g")
-
-
 def _silence_stdout() -> None:
     """Point the standard output descriptor at the null device, so the
     interpreter's flush at exit meets no closed pipe."""
@@ -335,34 +330,21 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     return EXIT_OK
 
 
-_CSV_BLOCK_ROWS = 256
+_CSV_BLOCK_ROWS = 256  # sweep rows per %
+_CSV_BLOCK_VALUES = 4096  # state CSV values per g17_bytes call
 
 
-def _write_state_csv(out, names: list[str], table: np.ndarray, t_period: int | None = None) -> None:
-    """One CSV line per table row (x, t, state.., mismatch). "%.17g" gives
-    the text of _fmt; a block of rows is formatted by one % on one tuple of
-    its Python floats, which bounds the memory that takes. A column whose
-    bits are the same on every row of a block (simulate's x and mismatch,
-    a frozen T, a surface's x node) is formatted once, into the line. The t
-    column repeats every t_period rows (a surface's t nodes, once per x
-    node; by default it does not repeat): its first t_period values are
-    formatted once, and a block's lines are joined around their texts."""
+def _write_state_csv(out, names: list[str], table: np.ndarray) -> None:
+    """One CSV line per table row (x, t, state.., mismatch), each value the
+    text of "%.17g". Rows go through g17_bytes about _CSV_BLOCK_VALUES
+    values at a time, which bounds the memory that takes."""
+    from ._g17 import g17_bytes
+
     out.write("x,t," + ",".join(names) + ",mismatch\n")
-    period = t_period or len(table)
-    t_text = ("%.17g\n" * period % tuple(table[:period, 1].tolist())).split("\n")[:-1]
-    t_text *= len(table) // max(period, 1)
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        # bits, not values, so -0.0 and 0.0 keep their own text
-        bits = block.view(np.int64)
-        constant = (bits == bits[0]).all(axis=0)
-        constant[1] = True  # t is joined into the lines as text
-        cells = ["%.17g"] * block.shape[1]
-        for j in np.flatnonzero(constant).tolist():
-            cells[j] = "%.17g" % block[0, j]
-        head, tail = cells[0] + ",", "," + ",".join(cells[2:]) + "\n"
-        lines = head + (tail + head).join(t_text[start : start + len(block)]) + tail
-        out.write(lines % tuple(block[:, ~constant].ravel().tolist()))
+    seps = np.frombuffer(b"," * (table.shape[1] - 1) + b"\n", np.uint8)
+    rows = max(1, _CSV_BLOCK_VALUES // table.shape[1])
+    for start in range(0, len(table), rows):
+        out.write(g17_bytes(table[start : start + rows], seps).decode("ascii"))
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:
@@ -436,7 +418,7 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
         grid.states.reshape(nx * nt, -1),
         grid.mismatch.ravel(),
     ])
-    _write_state_csv(out, _state_names(params), table, t_period=nt)
+    _write_state_csv(out, _state_names(params), table)
     base_fiber = Trajectory(times=grid.t_nodes, states=grid.states[0], h=grid.h_t)
     _emit_asymptotics_footer(base_fiber, cfg.grid)
     return EXIT_OK
@@ -483,6 +465,8 @@ def _panel_axis(params: ModelParams, label: str, T: float) -> tuple[np.ndarray, 
 
 
 def cmd_field(cfg: RunConfig, args, out) -> int:
+    from ._g17 import g17_bytes
+
     params = _need_params(cfg)
     if params.n_E != 0:
         raise ConfigError("field sketches need n_E = 0 (analytic eigenvectors)")
@@ -504,7 +488,7 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
         + ",".join(f"dx_{n}" for n in names)
     )
     out.write(header + "\n")
-    cells = ",".join(["%.17g"] * (2 + 2 * len(names)))
+    seps = np.frombuffer(b"," * (2 + 2 * len(names)) + b"\n", np.uint8)
     v_neg = _shared_negative_axis(params, 0.5 * T_star)
     for label, T in (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star)):
         v_panel, axis_name = _panel_axis(params, label, T)
@@ -512,9 +496,10 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
         states = np.vstack([np.full(u.size, T), u * v_neg[:, None] + w * v_panel[:, None]])
         d_dx = states[-1][:, None] * x_column
         d_dx[:, -1] = params.a
-        table = np.column_stack([u, w, time_rhs(params, coeffs, states).T, d_dx])
-        line = f"{label},{axis_name},{_fmt(T)},{cells}\n"
-        out.write((line * u.size) % tuple(table.ravel().tolist()))
+        table = np.column_stack([states[0], u, w, time_rhs(params, coeffs, states).T, d_dx])
+        lines = g17_bytes(table, seps).decode("ascii")
+        head = f"{label},{axis_name},"
+        out.write(head + lines[:-1].replace("\n", "\n" + head) + "\n")
     return EXIT_OK
 
 

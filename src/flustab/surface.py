@@ -393,9 +393,12 @@ def asymptotics(traj: Trajectory, window: float) -> AsymptoticsVerdict:
     anchor noise rather than signal, and drops points within two decades of
     that noise). Converging additionally requires the deviation to be
     monotone non-increasing over the fitted points; Diverging requires
-    R^2 >= 0.99 on the log fit. Anything else is Undetermined.
+    R^2 >= 0.99 on the log fit. Anything else is Undetermined. A backward
+    run (times decreasing) is fitted against -t, the time it has run.
     """
     times, states = traj.times, traj.states
+    if times[-1] < times[0]:
+        times = -times  # a backward run is fitted in the direction it ran
     t_end = float(times[-1])
     span = t_end - float(times[0])
     if window > span * (1 + 1e-12) or window <= 0:

@@ -4,16 +4,22 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flustab import cli
 from flustab.charpoly import coefficient_matrix
-from flustab.cli import EXIT_BROKEN_PIPE, _fmt, _write_state_csv, main
+from flustab.cli import EXIT_BROKEN_PIPE, _write_state_csv, main
 from flustab.dynamics import time_field, x_field
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.spectrum import classify, perron_root
+
+
+def _fmt(x: float) -> str:
+    # the CSV text of one value, CPython's own conversion
+    return "%.17g" % x
 
 
 def params_doc(**overrides):
@@ -363,6 +369,27 @@ class TestSimulate:
         lam = (-4.0 + math.sqrt(10.0)) / 2.0
         assert verdict["rate"] == pytest.approx(lam, rel=0.05)
 
+    def test_backward_run_of_a_decaying_system_diverges(self, capsys, tmp_path):
+        # run from t = 8 down to 0, the frozen system's fastest decaying
+        # mode, exp(-(2 + sqrt 2) t), grows at 2 + sqrt 2 per unit of run
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": params_doc(),
+                "T": 0.5,
+                "linearized": True,
+                "initial_state": [1.0, 1.0, 0.0],
+                "grid": {"t_span": [8.0, 0.0], "h_t": 0.01},
+            },
+        )
+        code, out, err = run_cli(capsys, ["simulate", "--config", cfg])
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[1] == "0"
+        verdict = json.loads(err.strip().splitlines()[-1])["asymptotics"]
+        assert verdict["kind"] == "Diverging"
+        assert verdict["window"] == 4.0
+        assert verdict["rate"] == pytest.approx(2.0 + math.sqrt(2.0), rel=0.05)
+
     def test_short_run_footer_note(self, capsys, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -457,7 +484,7 @@ def test_state_csv_matches_fmt_per_row(rows):
 
 @pytest.mark.parametrize("nx, nt", [(1, 300), (3, 100), (17, 151), (5, 1)])
 def test_state_csv_repeating_t_column_matches_fmt_per_row(nx, nt):
-    # a surface's t nodes repeat once per x node; each is formatted once
+    # a surface's table: its t nodes repeat once per x node
     rng = np.random.default_rng(nt)
     t_nodes = np.concatenate([[-0.0], rng.normal(size=nt - 1)])
     table = np.column_stack([
@@ -467,7 +494,7 @@ def test_state_csv_repeating_t_column_matches_fmt_per_row(nx, nt):
         rng.normal(size=nx * nt),
     ])
     out = io.StringIO()
-    _write_state_csv(out, ["T", "I1", "V", "W"], table, t_period=nt)
+    _write_state_csv(out, ["T", "I1", "V", "W"], table)
     expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
     assert out.getvalue() == expected
 
@@ -503,13 +530,36 @@ def _csv_tables():
 
 @pytest.mark.parametrize("name", sorted(_csv_tables()))
 def test_state_csv_constant_columns_match_fmt_per_row(name):
-    # a column constant over a 256-row block is formatted once for it
+    # constant, signed-zero, non-finite and strided columns
     table = _csv_tables()[name]
     names = [f"S{i}" for i in range(table.shape[1] - 3)]
     out = io.StringIO()
     _write_state_csv(out, names, table)
     expected = "".join(",".join(map(_fmt, row)) + "\n" for row in table)
     assert out.getvalue() == "x,t," + ",".join(names) + ",mismatch\n" + expected
+
+
+def test_state_csv_memory_is_bounded_by_the_block():
+    # 100,000 x 14 values go through the kernel a bounded block at a time,
+    # and each block's text is handed to write as it is made
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    table = np.random.default_rng(25).normal(size=(100_000, 14))
+    names = [f"S{i}" for i in range(12)]
+    _write_state_csv(Sink(), names, table[:1])  # the kernel and its tables, loaded once
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        _write_state_csv(sink, names, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 100_000 * 14 * 20
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize(

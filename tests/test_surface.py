@@ -708,6 +708,29 @@ class TestLieBracket:
             scale = max(np.max(np.abs(DY_X)), np.max(np.abs(DX_Y)))
             assert np.max(np.abs(bracket - (DY_X - DX_Y))) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_far_corner_mismatch_is_the_bracket_to_leading_order(self, seed):
+        # The two flow orders part by x*t*[X, Y](s0) + O(L^3) on a square of
+        # side L, so at the far corner mismatch / (L^2 |[X, Y](s0)|_inf) is
+        # 1 + O(L); 12 L bounds the distance on these configs with room.
+        rng = np.random.default_rng([5, seed])
+        n_E, n_I = int(rng.integers(0, 3)), int(rng.integers(1, 7))
+        params = make_params(
+            beta=loguniform(rng, 0.3, 3.0), p=loguniform(rng, 0.3, 3.0), c=loguniform(rng, 0.3, 3.0),
+            n_I=n_I, tau_I=loguniform(rng, 0.5, 3.0), n_E=n_E, tau_E=loguniform(rng, 0.5, 3.0) if n_E else None,
+            D_PCF=loguniform(rng, 0.05, 0.5), v_a=loguniform(rng, 0.1, 1.0), a=float(rng.uniform(0.05, 0.5)),
+        )
+        k = n_E + n_I
+        coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, k + 1)) + (1.0,), psi=float(rng.uniform(0.01, 0.1)))
+        s0 = StateVector.for_params(
+            params, [rng.uniform(0.5, 1.5), *rng.uniform(0.0, 0.1, k), rng.uniform(0.01, 0.1), rng.uniform(0.01, 0.1)]
+        )
+        bracket = np.max(np.abs(lie_bracket(params, coeffs, s0)[0]))
+        for L in (0.02, 0.01):
+            grid = trace_surface(params, coeffs, s0, L, (0.0, L), L / 8, L / 8)
+            ratio = grid.mismatch[-1, -1] / (L * L * bracket)
+            assert abs(ratio - 1.0) <= 12.0 * L
+
 
 class TestAsymptotics:
     @staticmethod
