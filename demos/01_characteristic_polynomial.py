@@ -17,6 +17,7 @@ from flustab import (
     charpoly_sum_form,
     coefficient_matrix,
 )
+from flustab.charpoly import coefficient_inf_norm
 
 
 def main():
@@ -25,10 +26,13 @@ def main():
     T = 0.8
 
     A = coefficient_matrix(params, T)
-    print(f"coefficient matrix at T = {T} (dimension {A.n}):")
+    print(f"coefficient matrix at T = {T} (dimension {len(A)}, writeable {A.flags.writeable}):")
     with np.printoptions(precision=3, suppress=True):
-        print(A.entries)
-    print(f"infinity norm: {A.inf_norm:.3f}")
+        print(A)
+    # a plain read-only float64 array; its infinity norm also has a closed
+    # form from the row sums, which needs no assembled matrix
+    print(f"infinity norm: {np.linalg.norm(A, np.inf):.3f} dense, "
+          f"{coefficient_inf_norm(params, T):.3f} from the row sums")
     print()
 
     print("three evaluation routes, random probe points:")

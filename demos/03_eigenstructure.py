@@ -16,6 +16,7 @@ from flustab import (
     coefficient_matrix,
     eigenvector,
     geometric_multiplicity,
+    real_roots,
     target_cell_threshold,
 )
 
@@ -45,7 +46,7 @@ def main():
     T = 0.5 * T_star
     A = coefficient_matrix(params, T)
     v = eigenvector(params, T, 0.0)
-    resid = float(np.max(np.abs(A.entries @ v)))
+    resid = float(np.max(np.abs(A @ v)))
     print(f"zero-mode eigenvector residual ||A v||_inf = {resid:.3e}")
     print(f"  (vector: {np.array2string(v, precision=4)})")
     print()
@@ -55,6 +56,14 @@ def main():
     gm = geometric_multiplicity(coefficient_matrix(params, T_star), 0.0)
     print(f"at T*: zero root has algebraic multiplicity {am}, geometric {gm}")
     print("a 2x2 Jordan block, so the critical system is not diagonalizable")
+    print()
+
+    # far above threshold the outer roots grow like +-sqrt(beta*T*p); each
+    # is reported only with a sign change of the polynomial around it
+    T = 1e72
+    roots = real_roots(params, T)
+    print(f"at T = {T:g}: real roots {', '.join(f'{r:.6e}' for r in roots)}")
+    print(f"  sqrt(beta*T*p) = {np.sqrt(params.beta * T * params.p):.6e}")
 
 
 if __name__ == "__main__":

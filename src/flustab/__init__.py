@@ -9,7 +9,6 @@ diagnostic, and randomized validation suites.
 """
 
 from .charpoly import (
-    SystemMatrix,
     charpoly,
     charpoly_closed,
     charpoly_direct,
@@ -74,7 +73,6 @@ __all__ = [
     "StateVector",
     "SuiteResult",
     "SurfaceGrid",
-    "SystemMatrix",
     "Trajectory",
     "algebraic_multiplicity",
     "analyze",

@@ -12,46 +12,20 @@ which makes the leading coefficient +1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ModelParams
 
 
-@dataclass(eq=False)
-class SystemMatrix:
-    """Dense coefficient matrix with its block bookkeeping.
+def coefficient_matrix(params: ModelParams, T: float) -> np.ndarray:
+    """Assemble the system matrix at target-cell fraction T, a read-only
+    float64 array.
 
-    Row/column order is (E_1..E_{n_E}, I_1..I_{n_I}, V, W). The last row is
-    identically zero. entries is read-only after construction.
-    """
-
-    entries: np.ndarray
-    n_E: int
-    n_I: int
-    T_value: float
-
-    def __post_init__(self):
-        self.entries = np.array(self.entries, dtype=float)
-        self.entries.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.n_E + self.n_I + 2
-
-    @property
-    def inf_norm(self) -> float:
-        return float(np.linalg.norm(self.entries, np.inf))
-
-
-def coefficient_matrix(params: ModelParams, T: float) -> SystemMatrix:
-    """Assemble the system matrix at target-cell fraction T.
-
-    Pattern: each compartment row has its cascade rate on the subdiagonal
-    and its negative on the diagonal; the infection input beta*T sits in the
-    first row's V column; the V row collects p from every I column, -c on
-    the diagonal, and v_a from the W column; the W row is zero.
+    Row/column order is (E_1..E_{n_E}, I_1..I_{n_I}, V, W). Each
+    compartment row has its cascade rate on the subdiagonal and its negative
+    on the diagonal; the infection input beta*T sits in the first row's V
+    column; the V row collects p from every I column, -c on the diagonal,
+    and v_a from the W column; the W row is zero.
     """
     c_E, c_I = params.c_E, params.c_I
     n_E, n_I = params.n_E, params.n_I
@@ -74,7 +48,8 @@ def coefficient_matrix(params: ModelParams, T: float) -> SystemMatrix:
     A[v_row, v_row] = -params.c
     A[v_row, v_row + 1] = params.v_a
     # last row stays zero: W is constant under the frozen-T linear map
-    return SystemMatrix(entries=A, n_E=n_E, n_I=n_I, T_value=float(T))
+    A.setflags(write=False)
+    return A
 
 
 def coefficient_inf_norm(params: ModelParams, T):
@@ -142,7 +117,7 @@ def charpoly_direct(params: ModelParams, T: float, lam):
     factored by one slogdet call, which runs the same LAPACK routine on each
     matrix, so every value equals the scalar call's bit for bit."""
     A = coefficient_matrix(params, T)
-    M = A.entries - np.asarray(lam, dtype=float)[..., None, None] * np.eye(A.n)
+    M = A - np.asarray(lam, dtype=float)[..., None, None] * np.eye(len(A))
     sign, logabs = np.linalg.slogdet(M)
     det = sign * np.exp(logabs)
     parity = -1.0 if (params.n_E + params.n_I) % 2 else 1.0
@@ -159,7 +134,6 @@ def charpoly(params: ModelParams, T: float, lam: float) -> float:
 
 
 __all__ = [
-    "SystemMatrix",
     "coefficient_matrix",
     "coefficient_inf_norm",
     "charpoly_closed",

@@ -27,8 +27,8 @@ from itertools import chain
 
 import numpy as np
 
-from .charpoly import coefficient_inf_norm, coefficient_matrix
-from .dynamics import _check_fields, _x_column, time_rhs
+from .charpoly import coefficient_matrix
+from .dynamics import _check_fields, time_rhs, x_rhs
 from .model import (
     FieldCoefficients,
     InvalidParamsError,
@@ -36,7 +36,8 @@ from .model import (
     StateVector,
     validate as validate_params,
 )
-from .spectrum import _KIND_BY_ROW, _regime_rows, analyze, eigenvector, perron_root, real_roots
+from .spectrum import _KIND_BY_ROW, _regime_rows, _viral_pressure, _zero_window
+from .spectrum import analyze, eigenvector, perron_root, real_roots
 from .surface import (
     BlowUpError,
     Trajectory,
@@ -175,6 +176,13 @@ def _parse_tolerances(node) -> dict:
     return out
 
 
+def _check_pressure(params: ModelParams | None, T: float, key: str) -> None:
+    """Reject a T whose viral pressure beta*T*p*tau_I overflows: no regime
+    or root at it would mean anything. A sweep checks its largest T."""
+    if params is not None and not math.isfinite(_viral_pressure(params, T)):
+        raise ConfigError(f"{key} is too large: beta*T*p*tau_I overflows", {"key": key})
+
+
 def parse_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -226,11 +234,13 @@ def parse_config(doc) -> RunConfig:
                 raise ConfigError("T sweep needs from < to")
             if lo < 0:
                 raise ConfigError("T sweep must stay >= 0")
+            _check_pressure(cfg.params, hi, "T.to")
             cfg.T_sweep = (lo, hi, steps)
         else:
             value = _as_float(node, "T")
             if value < 0:
                 raise ConfigError("T must be >= 0")
+            _check_pressure(cfg.params, value, "T")
             cfg.T_value = value
 
     if "initial_state" in doc:
@@ -313,15 +323,14 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     if cfg.T_sweep is None:
         raise ConfigError('sweep needs T as {"from": ..., "to": ..., "steps": ...}')
     lo, hi, steps = cfg.T_sweep
-    zero_rel = cfg.tolerances.get("zero_rel", 1e-8)
     Ts = np.linspace(lo, hi, steps)
     # the structural zero is set aside: the Perron root of the (E, I, V)
     # block is the largest real eigenvalue, and the only one that can be > 0
     roots = perron_root(params, Ts)
-    positive = roots > zero_rel * np.maximum(coefficient_inf_norm(params, Ts), 1.0)
+    positive = roots > _zero_window(params, Ts, cfg.tolerances.get("zero_rel", 1e-8))
     # classify's regime row at its default window
     kinds = [_KIND_BY_ROW[row] for row in "<=>"]
-    kind = [kinds[k] for k in _regime_rows(params, Ts, 1e-10).tolist()]
+    kind = [kinds[k] for k in _regime_rows(params, Ts, 1e-10)[0].tolist()]
     rows = list(zip(Ts.tolist(), kind, roots.tolist(), positive.tolist()))
     out.write("T,classification,max_real_eig,n_positive\n")
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
@@ -438,8 +447,7 @@ def _shared_negative_axis(params: ModelParams, T_below: float) -> np.ndarray:
     into a complex pair, so the shared axis is anchored here and reused by
     every panel.
     """
-    A = coefficient_matrix(params, T_below)
-    ztol = 1e-8 * max(A.inf_norm, 1.0)
+    ztol = _zero_window(params, T_below)
     negatives = [r for r in real_roots(params, T_below) if r < -ztol]
     if not negatives:
         raise NumericError(f"no negative real eigen-direction at T = {T_below:g}")
@@ -450,16 +458,14 @@ def _panel_axis(params: ModelParams, label: str, T: float) -> tuple[np.ndarray, 
     if label == "below":
         return _unit(eigenvector(params, T, 0.0)), "zero"
     if label == "above":
-        A = coefficient_matrix(params, T)
-        ztol = 1e-8 * max(A.inf_norm, 1.0)
+        ztol = _zero_window(params, T)
         positives = [r for r in real_roots(params, T) if r > ztol]
         if not positives:
             raise NumericError(f"no positive eigen-direction at T = {T:g}")
         return _unit(eigenvector(params, T, max(positives))), "positive"
     # at the threshold the zero direction is taken from the numeric
     # eigensolver; the double zero has a single eigen-direction
-    A = coefficient_matrix(params, T)
-    w, vecs = np.linalg.eig(A.entries)
+    w, vecs = np.linalg.eig(coefficient_matrix(params, T))
     idx = int(np.argmin(np.abs(w)))
     return _unit(vecs[:, idx].real), "zero_numeric"
 
@@ -479,7 +485,6 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     lattice = np.linspace(-1.0, 1.0, 9)
     # the panel's lattice points, u the outer and w the inner loop
     u, w = np.repeat(lattice, lattice.size), np.tile(lattice, lattice.size)
-    x_column = _x_column(coeffs)
 
     header = (
         "panel,panel_axis,T,u_neg,u_panel,"
@@ -494,9 +499,8 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
         v_panel, axis_name = _panel_axis(params, label, T)
         # one state per column; each field's column is its value at that state
         states = np.vstack([np.full(u.size, T), u * v_neg[:, None] + w * v_panel[:, None]])
-        d_dx = states[-1][:, None] * x_column
-        d_dx[:, -1] = params.a
-        table = np.column_stack([states[0], u, w, time_rhs(params, coeffs, states).T, d_dx])
+        fields = (time_rhs(params, coeffs, states).T, x_rhs(params, coeffs, states).T)
+        table = np.column_stack([states[0], u, w, *fields])
         lines = g17_bytes(table, seps).decode("ascii")
         head = f"{label},{axis_name},"
         out.write(head + lines[:-1].replace("\n", "\n" + head) + "\n")

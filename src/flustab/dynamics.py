@@ -146,9 +146,11 @@ def _x_column(coeffs: FieldCoefficients) -> np.ndarray:
 
 
 def x_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.ndarray:
-    """x-direction field on one raw state (dim,), unchecked like time_rhs:
-    W times _x_column, with the curvature a in the W slot."""
-    out = y[-1] * _x_column(coeffs)
+    """x-direction field on a raw state, unchecked like time_rhs: W times
+    _x_column, with the curvature a in the W slot. y is one state (dim,) or
+    a block (dim, m) of states, one per column, as for time_rhs; a column
+    of the result equals the result for that column alone, bit for bit."""
+    out = np.multiply.outer(_x_column(coeffs), y[-1])
     out[-1] = params.a
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import SystemMatrix, coefficient_matrix
+from .charpoly import coefficient_inf_norm, coefficient_matrix
 from .model import InvalidParamsError, ModelParams, _threshold
 
 
@@ -45,40 +45,34 @@ class Classification:
         return {"kind": self.kind, "T_star": self.T_star}
 
 
-def _three_way(value: float, tol: float) -> str:
-    if abs(value) <= tol:
-        return "="
-    return ">" if value > 0 else "<"
-
-
-def _regime_rows(params: ModelParams, T, tol_class_rel: float) -> np.ndarray:
-    """The regime row of each T (a float or an array): the sign of
-    c - beta*T*p*tau_I as an index 0, 1, 2 into "<=>", with "=" inside a
-    relative window of tol_class_rel. A NaN lands in "<"."""
-    pressure = _viral_pressure(params, T)
-    value = params.c - pressure
-    tol = tol_class_rel * np.maximum(abs(params.c), np.abs(pressure))
-    return np.where(np.abs(value) <= tol, 1, 2 * (value > 0))
-
-
-def _regime_row(params: ModelParams, T: float, tol_class_rel: float) -> str:
-    """_regime_rows of one T as "<", "=" or ">"."""
-    return "<=>"[int(_regime_rows(params, T, tol_class_rel))]
-
-
-def _regime_cell(params: ModelParams, T: float, tol_class_rel: float) -> tuple[str, str]:
-    """The regime cell (_regime_row, col). Column: sign of
-    c_I^2 - c*c_I - beta*T*p, where -c_I falls against the roots of the
-    quadratic factor, in the same three-way window."""
-    c_I = params.c_I
+def _regime_rows(params: ModelParams, T, tol_class_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """The regime cell (row, column) of each T (a float or an array), each
+    an index 0, 1, 2 into "<=>". Row: the sign of c - beta*T*p*tau_I.
+    Column: the sign of c_I^2 - c*c_I - beta*T*p, where -c_I falls against
+    the roots of the quadratic factor. Each is "=" inside a relative window
+    of tol_class_rel of its largest term; a NaN or infinite value lands in
+    "<", as an overflowing viral pressure does."""
+    c, c_I = params.c, params.c_I
     q = params.beta * T * params.p
-    row = _regime_row(params, T, tol_class_rel)
-    col_value = c_I * c_I - params.c * c_I - q
-    col_scale = max(c_I * c_I, abs(params.c) * c_I, abs(q), 1e-300)
-    return row, _three_way(col_value, tol_class_rel * col_scale)
+    pressure = q * params.tau_I  # _viral_pressure's evaluation order
+
+    def three_way(value, scale):
+        # only a finite gap can be "=": an infinite one has an infinite window
+        return np.where((np.abs(value) <= tol_class_rel * scale) & np.isfinite(value), 1, 2 * (value > 0))
+
+    row = three_way(c - pressure, np.maximum(abs(c), np.abs(pressure)))
+    col_scale = np.maximum(max(c_I * c_I, abs(c) * c_I, 1e-300), np.abs(q))
+    return row, three_way(c_I * c_I - c * c_I - q, col_scale)
 
 
 _KIND_BY_ROW = {"<": "Indefinite", "=": "Critical", ">": "Definite"}
+
+
+def _zero_window(params: ModelParams, T, rel: float = 1e-8):
+    """The absolute window rel * max(||A||_inf, 1) within which an
+    eigenvalue of the frozen-T matrix A at T (a float or an array) counts
+    as zero, from coefficient_inf_norm's closed-form row sums."""
+    return rel * np.maximum(coefficient_inf_norm(params, T), 1.0)
 
 
 def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Classification:
@@ -89,7 +83,7 @@ def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Cla
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    row = _regime_row(params, T, tol_class_rel)
+    row = "<=>"[int(_regime_rows(params, T, tol_class_rel)[0])]
     return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
 
 
@@ -114,11 +108,13 @@ def _critical_points(c_I: float, n_I: int, coeffs: tuple[float, float, float]) -
     These are -c_I (present when n_I >= 2, from the (c_I + lam)^(n_I - 1)
     derivative factor) plus any real roots of the derivative quadratic with
     the coefficients of derivative_quadratic_coeffs; a negative
-    discriminant contributes nothing.
+    discriminant contributes nothing, and one past the float range raises.
     """
     pts = [-c_I] if n_I >= 2 else []
     a2, a1, a0 = coeffs
     disc = a1 * a1 - 4.0 * a2 * a0
+    if not math.isfinite(disc):
+        raise ArithmeticError("critical points of the characteristic polynomial overflow")
     if disc >= 0.0:
         rt = math.sqrt(disc)
         # subtraction-free: r1 adds rt to a1 with a1's sign, and r2 comes
@@ -180,6 +176,7 @@ def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float) 
 
 
 _ROOT_TOL = 1e-12
+_ROOT_STEPS = 2200  # twice the bisections from a bracket of 2 * 1.8e308 to _ROOT_TOL
 
 
 def real_roots(params: ModelParams, T: float) -> list[float]:
@@ -200,21 +197,23 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
     caught by evaluating the endpoints themselves. The structural root at 0
     is always included exactly, and an interval around 0 is not searched:
     its one root is 0. Every sign is taken from _scaled_charpoly, so no
-    cascade depth or rate overflows it.
+    cascade depth or rate overflows it. A bracket still wider than that
+    after _ROOT_STEPS steps raises ArithmeticError, as critical points past
+    the float range do: no root is reported without its sign change.
     """
     _require_nE0(params)
     c_I = params.c_I
     c, n_I = params.c, params.n_I
     q = params.beta * T * params.p
     coeffs = a2, a1, a0 = derivative_quadratic_coeffs(params, T)
-    # For odd n_I a root below -c_I always exists and can sit far below the
-    # naive -(c + c_I + q + 1) when c_I dominates q; lo makes the polynomial
-    # provably single-signed below it for either parity: the magnitude term
-    # needs mu - c_I >= c_I * q^(1/n_I) (so the power beats q * c_I^{n_I})
-    # and mu(mu - c) - q > 1 (so the quadratic factor is clear of zero),
-    # both of which hold at lo by construction.
-    lo = -(c + abs(q) + 1.0 + c_I * (1.0 + abs(q) ** (1.0 / n_I)) + 1.0)
-    hi = c + c_I + abs(q) + 1.0
+    # P keeps one sign, by a third of its terms' size, outside the roots'
+    # own scale (lo, hi): past s = |c| + 2|q|^(1/2) + 1, (c + lam) lam >=
+    # 4|q| + 1 beats q (1 - (c_I/(c_I + lam))^n_I) above hi = s; below
+    # lo = -max(2 c_I, s), |c_I + lam| >= c_I too, so q c_I^n_I is at most
+    # |q| |c_I + lam|^n_I, against the cascade term's |c_I + lam|^n_I times
+    # mu (mu - c) - q >= 3|q| + 1, mu = -lam.
+    s = abs(c) + 2.0 * math.sqrt(abs(q)) + 1.0
+    lo, hi = -max(2.0 * c_I, s), s
 
     endpoints = [lo]
     for cp in _critical_points(c_I, n_I, coeffs):
@@ -265,7 +264,7 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
         # accepted only once P changes sign across a bracket of _ROOT_TOL
         x = 0.5 * (a + b)
         dx = dx_old = b - a
-        for _ in range(200):
+        for _ in range(_ROOT_STEPS):
             value = P(x)
             if value == 0.0:
                 break
@@ -289,6 +288,8 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
             else:
                 dx_old, dx = dx, step
                 x = estimate
+        else:
+            raise ArithmeticError(f"real root in [{a!r}, {b!r}] not certified in {_ROOT_STEPS} steps at T = {T!r}")
         # x is within _scaled_charpoly's rounding of the root; one Newton
         # step on the exact value puts it on a float next to the root
         tol = max(_ROOT_TOL, 2.0 * math.ulp(x))
@@ -357,8 +358,13 @@ def predicted_sign_pattern(params: ModelParams, T: float, tol_class_rel: float =
         row >:  neg_below_cI, neg_in_cI_0, zero
     """
     _require_nE0(params)
-    row, col = _regime_cell(params, T, tol_class_rel)
-    parity = "even" if params.n_I % 2 == 0 else "odd"
+    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T, tol_class_rel))
+    return _sign_pattern(params.n_I, row, col)
+
+
+def _sign_pattern(n_I: int, row: str, col: str) -> SignPattern:
+    """The predicted pattern of the regime cell (row, col) at depth n_I."""
+    parity = "even" if n_I % 2 == 0 else "odd"
 
     if parity == "even":
         mandatory = {
@@ -472,7 +478,7 @@ def perron_root(params: ModelParams, T):
     if live.any():
         q_live = q[live]
         lo = np.full(q_live.shape, -m)
-        hi = np.sqrt(q_live * params.n_I)
+        hi = np.sqrt(q_live) * math.sqrt(params.n_I)  # q * n_I may overflow
         x = np.zeros(q_live.shape)
         g = _log_perron_f(params, q_live, x)
         active = np.ones(q_live.shape, dtype=bool)
@@ -503,8 +509,7 @@ def perron_root(params: ModelParams, T):
 def full_spectrum_numeric(params: ModelParams, T: float) -> np.ndarray:
     """All eigenvalues of the assembled matrix from the dense QR eigensolver.
     Works for any n_E; used as the oracle for the analytic routines."""
-    A = coefficient_matrix(params, T)
-    return np.linalg.eigvals(A.entries)
+    return np.linalg.eigvals(coefficient_matrix(params, T))
 
 
 def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0) -> np.ndarray:
@@ -550,17 +555,12 @@ def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0)
     return v
 
 
-def geometric_multiplicity(A: SystemMatrix, lam: float, tol_rank: float = 1e-7) -> int:
-    """Eigenspace dimension n - rank(A - lam*I), rank by singular values
-    above tol_rank times the largest. Raises if lam is not an eigenvalue
-    within that tolerance (computed multiplicity zero)."""
-    M = A.entries - lam * np.eye(A.n)
-    sv = np.linalg.svd(M, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0:
-        return A.n
-    rank = int(np.sum(sv > tol_rank * top))
-    gm = A.n - rank
+def geometric_multiplicity(A: np.ndarray, lam: float, tol_rank: float = 1e-7) -> int:
+    """Eigenspace dimension n - rank(A - lam*I) of the square matrix A, rank
+    by singular values above tol_rank times the largest. Raises if lam is
+    not an eigenvalue within that tolerance (computed multiplicity zero)."""
+    sv = np.linalg.svd(A - lam * np.eye(len(A)), compute_uv=False)
+    gm = len(A) - int(np.sum(sv > tol_rank * sv[0]))
     if gm == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the matrix within tolerance")
     return gm
@@ -581,7 +581,7 @@ def algebraic_multiplicity(params: ModelParams, T: float, lam: float, tol_class_
     _require_nE0(params)
     c_I = params.c_I
     if lam == 0.0:
-        return 2 if _regime_row(params, T, tol_class_rel) == "=" else 1
+        return 2 if _regime_rows(params, T, tol_class_rel)[0] == 1 else 1
     order = params.n_I - 1 if lam == -c_I else 0
     a2, a1, a0 = derivative_quadratic_coeffs(params, T)
     t2, t1 = a2 * lam * lam, a1 * lam
@@ -647,18 +647,18 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
     carry formula eigenvectors; with n_E > 0 only the numeric oracle is
     available and the report says so.
     """
-    classification = classify(params, T, tol_class_rel=tol_class_rel)
+    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T, tol_class_rel))
+    classification = Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
     A = coefficient_matrix(params, T)
-    w = np.linalg.eigvals(A.entries)
-    ztol = 1e-8 * max(A.inf_norm, 1.0)
+    w = np.linalg.eigvals(A)
+    ztol = _zero_window(params, T)
     c_I = params.c_I
-    row, col = _regime_cell(params, T, tol_class_rel)
     regime = ("even" if params.n_I % 2 == 0 else "odd", col, row)
     n_complex = int(np.sum(np.abs(w.imag) > ztol))
 
     reports: list[RootReport] = []
     if params.n_E == 0:
-        pattern = predicted_sign_pattern(params, T, tol_class_rel=tol_class_rel)
+        pattern = _sign_pattern(params.n_I, row, col)
         for r in real_roots(params, T):
             vec = None
             if abs(c_I + r) > 1e-9 * c_I:
@@ -667,7 +667,9 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
                 RootReport(
                     value=r,
                     sign_class=sign_class(r, c_I, ztol),
-                    algebraic_multiplicity=algebraic_multiplicity(params, T, r, tol_class_rel),
+                    # the structural zero's from the cell decided above
+                    algebraic_multiplicity=(pattern.zero_algebraic_multiplicity if r == 0.0
+                                            else algebraic_multiplicity(params, T, r, tol_class_rel)),
                     geometric_multiplicity=geometric_multiplicity(A, r, tol_rank=tol_rank),
                     eigenvector=vec,
                 )

@@ -185,14 +185,14 @@ def _frozen_system(params: ModelParams, T_frozen: float, psi: float, s):
     """The frozen-T linear field y' = M y + F on the (E, I, V, W) block,
     as (M, F, y) with y the checked block state s: M is the coefficient
     matrix at T_frozen and F = (0, ..., 0, D_PCF * a, psi)."""
-    A = coefficient_matrix(params, T_frozen)
+    M = coefficient_matrix(params, T_frozen)
     y = np.asarray(s, dtype=float)
-    if y.shape != (A.n,):
-        raise ValueError(f"block state has shape {y.shape}, expected ({A.n},)")
-    F = np.zeros(A.n)
+    if y.shape != (len(M),):
+        raise ValueError(f"block state has shape {y.shape}, expected ({len(M)},)")
+    F = np.zeros(len(M))
     F[-2] = params.D_PCF * params.a
     F[-1] = psi
-    return A.entries, F, y
+    return M, F, y
 
 
 def _linear_rk4_stepper(M: np.ndarray, F: np.ndarray):
@@ -340,7 +340,7 @@ def lie_bracket(
     T, V = y[0], y[-2]
     DY_X = np.empty_like(y)
     DY_X[0] = -params.beta * (V * X[0] + T * X[-2])
-    DY_X[1:] = coefficient_matrix(params, T).entries @ X[1:]
+    DY_X[1:] = coefficient_matrix(params, T) @ X[1:]
     DY_X[1] += params.beta * V * X[0]
     bracket = DY_X - coeffs.psi * _x_column(coeffs)
     span = np.column_stack([X, Y])

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flustab import cli
-from flustab.charpoly import coefficient_matrix
+from flustab import cli, spectrum
+from flustab.charpoly import coefficient_inf_norm, coefficient_matrix
 from flustab.cli import EXIT_BROKEN_PIPE, _write_state_csv, main
 from flustab.dynamics import time_field, x_field
 from flustab.model import FieldCoefficients, ModelParams, StateVector
@@ -135,6 +135,31 @@ class TestAnalyze:
         assert out == ""
         assert error_doc(err)["code"] == 3
 
+    @pytest.mark.parametrize("T, root", [(1e72, 1.414213562373095e36), (1e74, 1.414213562373095e37)])
+    def test_roots_far_above_threshold(self, capsys, tmp_path, T, root):
+        # beta*T*p = 2T; these once came back as +-1.4142135624676182e36 and
+        # +-2.3188871302739243e37 with exit 0
+        cfg = write_config(tmp_path, {"params": params_doc(n_I=2), "T": T})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert [e["value"] for e in report["real_eigenvalues"]] == [-root, -4.0, 0.0, root]
+        assert report["classification"] == "Indefinite"
+
+    def test_uncertified_root_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectrum, "_ROOT_STEPS", 3)
+        cfg = write_config(tmp_path, {"params": params_doc(n_I=2), "T": 1e72})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 3 and out == ""
+        assert "not certified" in error_doc(err)["message"]
+
+    def test_overflowing_polynomial_exits_3(self, capsys, tmp_path):
+        # beta*T*p*tau_I is finite, but the critical points are past the float range
+        cfg = write_config(tmp_path, {"params": params_doc(n_I=2), "T": 2.9e306})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 3 and out == ""
+        assert "overflow" in error_doc(err)["message"]
+
     def test_deep_cascade_reports(self, capsys, tmp_path):
         # (c_I + lam)^150 overflows a float; the report must not
         params = params_doc(n_I=150)
@@ -150,7 +175,7 @@ class TestAnalyze:
         for e in report["real_eigenvalues"]:
             v = np.array(e["eigenvector"])
             assert np.all(np.isfinite(v)) and v[-2] == 1.0
-            assert np.max(np.abs(A.entries @ v - e["value"] * v)) <= 1e-12 * A.inf_norm * np.max(np.abs(v))
+            assert np.max(np.abs(A @ v - e["value"] * v)) <= 1e-12 * np.linalg.norm(A, np.inf) * np.max(np.abs(v))
 
 
 class TestConfigRejection:
@@ -185,6 +210,17 @@ class TestConfigRejection:
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
         assert code == 2
         assert error_doc(err)["code"] == 2
+
+    @pytest.mark.parametrize("command, T, key", [("analyze", 1e308, "T"), ("simulate", 1e308, "T"),
+                                                 ("sweep", {"from": 0.0, "to": 1e308, "steps": 5}, "T.to")])
+    def test_overflowing_viral_pressure(self, capsys, tmp_path, command, T, key):
+        # beta*T*p*tau_I = 2T is past the float range; a sweep once labelled
+        # this T Critical with max_real_eig 0, and analyze gave roots [-2, 0]
+        cfg = write_config(tmp_path, {"params": params_doc(n_I=2), "T": T})
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        error = error_doc(err)
+        assert error["details"] == {"key": key} and error["message"].startswith(f"{key} ")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -308,10 +344,22 @@ class TestSweep:
         expected = ["T,classification,max_real_eig,n_positive"]
         for T in np.linspace(0.0, 3.0, 601).tolist():
             root = float(perron_root(params, T))
-            ztol = 1e-8 * max(float(cli.coefficient_inf_norm(params, T)), 1.0)
+            ztol = 1e-8 * max(float(coefficient_inf_norm(params, T)), 1.0)
             expected.append(f"{_fmt(T)},{classify(params, T).kind},{_fmt(root)},{1 if root > ztol else 0}")
         assert out == "\n".join(expected) + "\n"
         assert "Critical" in out
+
+    def test_largest_finite_pressure(self, capsys, tmp_path):
+        # beta*T*p*tau_I = 2T stays finite up to T = 8.9e307: every row past
+        # T = 0 is Indefinite with its Perron root near sqrt(2T), and numpy
+        # prints no overflow warning
+        doc = {"params": params_doc(n_I=2), "T": {"from": 0.0, "to": 8.9e307, "steps": 5}}
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        assert [r[1] for r in rows] == ["Indefinite"] * 4
+        for T, _, root, _ in rows:
+            assert float(root) == pytest.approx(math.sqrt(2.0 * float(T)), rel=1e-14)
 
     def test_needs_sweep_object(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc(), "T": 1.0})

@@ -47,6 +47,20 @@ def test_gradient_rate_enters_last_row():
     np.testing.assert_allclose(out, [-2.0 * 0.1, 3.0 * 0.1, 4.0 * 0.1, 1.0 * 0.1, 0.4])
 
 
+def test_x_rhs_block_columns_equal_single_states():
+    # a (dim, m) block gives a (dim, m) result; each column has the bits of
+    # that column's state alone, as an array and as a list of floats
+    params = make_params(n_I=3)
+    coeffs = FieldCoefficients(r=(2.0, 0.5, 3.0, 1.5, 0.25, 1.0), psi=0.3)
+    block = np.random.default_rng(4).normal(size=(params.state_dim, 7))
+    out = x_rhs(params, coeffs, block)
+    assert out.shape == block.shape
+    for k in range(block.shape[1]):
+        assert out[:, k].tolist() == x_rhs(params, coeffs, block[:, k]).tolist()
+        assert out[:, k].tolist() == x_rhs(params, coeffs, block[:, k].tolist()).tolist()
+    np.testing.assert_array_equal(out[-1], params.a)
+
+
 def test_dimension_and_coefficient_guards():
     # time_rhs/x_rhs are deliberately unchecked; the StateVector wrappers
     # are where shape and coefficient contracts are enforced.

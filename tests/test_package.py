@@ -5,7 +5,7 @@ import flustab
 EXPORTS = [
     "AsymptoticsVerdict", "BlowUpError", "Classification", "FieldCoefficients", "InvalidParamsError",
     "ModelParams", "RootReport", "SignPattern", "SpectrumReport", "StateVector", "SuiteResult", "SurfaceGrid",
-    "SystemMatrix", "Trajectory", "algebraic_multiplicity", "analyze", "asymptotics", "charpoly",
+    "Trajectory", "algebraic_multiplicity", "analyze", "asymptotics", "charpoly",
     "charpoly_closed", "charpoly_direct", "charpoly_sum_form", "classify", "coefficient_matrix", "eigenvector",
     "full_spectrum_numeric", "geometric_multiplicity", "integrate_linearized", "integrate_time", "lie_bracket",
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
@@ -14,7 +14,7 @@ EXPORTS = [
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 42
+    assert len(EXPORTS) == 41
     assert sorted(flustab.__all__) == EXPORTS
     assert len(set(flustab.__all__)) == len(flustab.__all__)
     assert all(hasattr(flustab, name) for name in EXPORTS)

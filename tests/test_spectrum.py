@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,14 @@ class TestClassify:
         assert classify(params, 1.5).kind == "Critical"
         assert classify(params, 2.0).kind == "Indefinite"
         assert classify(params, 1.0).T_star == pytest.approx(1.5)
+
+    def test_infinite_pressure_lands_in_the_indefinite_cell(self):
+        # beta*T*p overflows at T = 1e308; no window may swallow an infinite gap
+        params = make_params()
+        for T in (1e308, math.inf):
+            assert classify(params, T).kind == "Indefinite"
+            pattern = predicted_sign_pattern(params, T)
+            assert (pattern.clearance_vs_pressure, pattern.quadratic_at_minus_cI) == ("<", "<")
 
     def test_critical_window_is_relative(self):
         params = make_params()
@@ -110,13 +119,13 @@ class TestRealRoots:
         for _ in range(60):
             params, T = sample_params(rng, n_E_choices=(0,))
             A = coefficient_matrix(params, T)
-            ztol = 1e-8 * max(A.inf_norm, 1.0)
+            ztol = 1e-8 * max(np.linalg.norm(A, np.inf), 1.0)
             numeric = sorted(z.real for z in full_spectrum_numeric(params, T)
                              if abs(z.imag) <= ztol)
             mine = sorted(real_roots(params, T))
             assert len(mine) == len(numeric)
             for a, b in zip(mine, numeric):
-                assert a == pytest.approx(b, abs=1e-7 * max(1.0, A.inf_norm))
+                assert a == pytest.approx(b, abs=1e-7 * max(1.0, np.linalg.norm(A, np.inf)))
 
     def test_exact_ratio_matches_rational_arithmetic(self):
         """P/(c_I + lam)^(n_I - 1) rounded once, on both sides of -c_I, at
@@ -160,6 +169,33 @@ class TestRealRoots:
                         hi = mid
                 assert root in (lo, hi), (params, T, root, lo, hi)
 
+    @pytest.mark.parametrize("T, root", [(1e72, 1.414213562373095e36), (1e74, 1.414213562373095e37),
+                                         (1e200, 1.414213562373095e100)])
+    def test_roots_far_above_threshold_are_certified(self, T, root):
+        # beta*T*p = 2T puts the outer roots at about +-sqrt(2T); a bracket
+        # of the size of beta*T*p once left them uncertified after 200 steps
+        params = make_params()
+        roots = real_roots(params, T)
+        assert roots == [-root, -4.0, 0.0, root]
+        C, CI, Q = Fraction(params.c), Fraction(params.c_I), Fraction(params.beta * T * params.p)
+        P = lambda x: (CI + x) ** 2 * (C + x) * x + Q * (CI**2 - (CI + x) ** 2)
+        for r in (-root, -4.0, root):
+            lo, hi = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
+            assert (P(Fraction(lo)) < 0) != (P(Fraction(hi)) < 0), r
+
+    def test_a_root_left_uncertified_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_ROOT_STEPS", 3)
+        with pytest.raises(ArithmeticError, match="not certified in 3 steps"):
+            real_roots(make_params(), 0.75)
+
+    def test_overflowing_critical_points_raise(self):
+        # the derivative quadratic's discriminant, 64T here, passes the float
+        # range long before the pressure does; its infinite root once left
+        # only the structural zero, with no error
+        assert len(real_roots(make_params(), 2.8e306)) == 4
+        with pytest.raises(ArithmeticError, match="overflow"):
+            real_roots(make_params(), 2.9e306)
+
     def test_zero_is_exact(self):
         params = make_params()
         for T in (0.5, 1.5, 2.5):
@@ -172,10 +208,10 @@ class TestRealRoots:
         T = 1.0  # feedback weight beta*T*p = 1
         roots = real_roots(params, T)
         A = coefficient_matrix(params, T)
-        ztol = 1e-8 * max(A.inf_norm, 1.0)
+        ztol = 1e-8 * max(np.linalg.norm(A, np.inf), 1.0)
         numeric = sorted(z.real for z in full_spectrum_numeric(params, T)
                          if abs(z.imag) <= ztol)
-        assert sorted(roots) == pytest.approx(numeric, abs=1e-7 * A.inf_norm)
+        assert sorted(roots) == pytest.approx(numeric, abs=1e-7 * np.linalg.norm(A, np.inf))
         assert min(roots) < -(params.c + params.c_I + 1.0 + 1.0)
 
     def test_double_zero_at_threshold(self):
@@ -189,7 +225,7 @@ def _reported(params, T):
     """(value, algebraic, geometric) for every real root analyze reports,
     and the count of real entries in its numeric spectrum."""
     report = analyze(params, T)
-    ztol = 1e-8 * max(coefficient_matrix(params, T).inf_norm, 1.0)
+    ztol = 1e-8 * max(np.linalg.norm(coefficient_matrix(params, T), np.inf), 1.0)
     roots = [(r.value, r.algebraic_multiplicity, r.geometric_multiplicity) for r in report.real_eigenvalues]
     return roots, sum(1 for z in report.numeric_spectrum if abs(z.imag) <= ztol)
 
@@ -311,7 +347,7 @@ class TestEigenvectors:
                 if abs(lam + params.c_I) <= 1e-9 * params.c_I:
                     continue  # formula pole
                 v = eigenvector(params, T, lam)
-                resid = np.max(np.abs(A.entries @ v - lam * v))
+                resid = np.max(np.abs(A @ v - lam * v))
                 assert resid <= 1e-8 * np.max(np.abs(v))
 
     def test_zero_mode_closed_form(self):
@@ -420,7 +456,7 @@ def test_spectrum_always_contains_zero(n_E, n_I, c, tau_I, T):
                          tau_E=1.0 if n_E else None, D_PCF=0.0, v_a=0.3, a=0.0)
     A = coefficient_matrix(params, T)
     eigs = full_spectrum_numeric(params, T)
-    assert np.min(np.abs(eigs)) <= 1e-9 * max(A.inf_norm, 1.0)
+    assert np.min(np.abs(eigs)) <= 1e-9 * max(np.linalg.norm(A, np.inf), 1.0)
 
 
 def _floor_rate(params: ModelParams) -> float:
@@ -440,9 +476,9 @@ class TestPerronRoot:
             roots = perron_root(params, Ts)
             for T, root in zip(Ts.tolist(), roots.tolist()):
                 A = coefficient_matrix(params, T)
-                scale = max(A.inf_norm, 1.0)
+                scale = max(np.linalg.norm(A, np.inf), 1.0)
                 ztol = 1e-8 * scale
-                block = A.entries[:-1, :-1]  # the W row and column carry the structural zero
+                block = A[:-1, :-1]  # the W row and column carry the structural zero
                 if T == 0.0:
                     # triangular: the dense solver scatters around the defective
                     # Jordan blocks, the diagonal is exact
@@ -471,6 +507,15 @@ class TestPerronRoot:
     def test_rejects_negative_T(self):
         with pytest.raises(ValueError):
             perron_root(make_params(), -1.0)
+
+    def test_no_overflow_up_to_the_largest_finite_pressure(self):
+        # beta*T*p = 2T; the bracket's q*n_I passes the float range past
+        # T = 4.5e307, where the root once came back as 0.0
+        Ts = np.array([1e72, 4.6e307, 8.9e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = perron_root(make_params(), Ts)
+        np.testing.assert_allclose(roots, np.sqrt(2.0) * np.sqrt(Ts), rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_deep_cascades_stay_bracketed(self, seed):
@@ -543,8 +588,8 @@ class TestPerronRootOracles:
         for _ in range(40):
             params, T = sample_params(rng, n_E_choices=(n_E,))
             A = coefficient_matrix(params, T)
-            abscissa = np.linalg.eigvals(A.entries[:-1, :-1]).real.max()
-            assert abs(perron_root(params, T) - abscissa) <= 1e-12 * max(A.inf_norm, 1.0), (params, T)
+            abscissa = np.linalg.eigvals(A[:-1, :-1]).real.max()
+            assert abs(perron_root(params, T) - abscissa) <= 1e-12 * max(np.linalg.norm(A, np.inf), 1.0), (params, T)
 
     @pytest.mark.parametrize("n_E, n_I", [(0, 1), (0, 7), (2, 40), (3, 200)])
     def test_slope_is_the_derivative_of_log_f(self, n_E, n_I):
@@ -628,14 +673,21 @@ class TestWorkCounts:
 
 class TestCoefficientInfNorm:
     def test_matches_assembled_matrix(self):
+        # sampled sets, then depths up to the parser's cap n_E + n_I = 1000
+        # with rates log-uniform in 1e-3..1e3; each at T = 0, T and 3T
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            params, T = sample_params(rng, n_I_choices=tuple(range(1, 61)))
-            want = coefficient_matrix(params, T).inf_norm
-            # the dense norm adds n_I copies of p; the closed form multiplies
-            assert coefficient_inf_norm(params, T) == pytest.approx(want, rel=1e-14)
+        sets = [sample_params(rng, n_I_choices=tuple(range(1, 61))) for _ in range(200)]
+        for n_E, n_I in [(0, 1), (1, 1), (0, 1000), (563, 437), (999, 1), (3, 997), (120, 80)]:
+            rates = {k: loguniform(rng, 1e-3, 1e3) for k in ("beta", "p", "c", "tau_I", "v_a")}
+            tau_E = loguniform(rng, 1e-3, 1e3) if n_E > 0 else None
+            params = ModelParams(n_E=n_E, n_I=n_I, tau_E=tau_E, **rates)
+            sets.append((params, loguniform(rng, 1e-3, 1e3) * params.T_star))
+        for params, T in sets:
             Ts = np.array([0.0, T, 3.0 * T])
+            # the dense norm adds n_I copies of p; the closed form multiplies
+            want = [np.linalg.norm(coefficient_matrix(params, t), np.inf) for t in Ts]
             norms = coefficient_inf_norm(params, Ts)
+            assert norms == pytest.approx(want, rel=1e-14), (params, T)
             assert norms.tolist() == [coefficient_inf_norm(params, float(t)) for t in Ts]
 
 
@@ -656,7 +708,7 @@ class TestDeepCascadeRoots:
             if r.eigenvector is None:
                 continue
             v = np.array(r.eigenvector)
-            resid = float(np.max(np.abs(A.entries @ v - r.value * v)))
+            resid = float(np.max(np.abs(A @ v - r.value * v)))
             assert resid <= 1e-8 * float(np.max(np.abs(v)))
         below = [x for x in values if x < -params.c_I]
         assert len(below) == (1 if n_I % 2 else 0)
@@ -717,5 +769,5 @@ class TestDeepDomain:
                 if lam == -params.c_I:
                     continue  # formula pole, a root only at beta*T = 0
                 v = eigenvector(params, T, lam)
-                resid = np.max(np.abs(A.entries @ v - lam * v))
-                assert resid <= 1e-12 * A.inf_norm * np.max(np.abs(v)), (params, T, lam)
+                resid = np.max(np.abs(A @ v - lam * v))
+                assert resid <= 1e-12 * np.linalg.norm(A, np.inf) * np.max(np.abs(v)), (params, T, lam)

@@ -136,7 +136,7 @@ class TestLinearized:
         A = coefficient_matrix(params, 0.8)
         s = np.array([0.4, 1.1, -0.2])
         out = frozen_field(params, 0.8, s, psi=0.25)
-        expected = A.entries @ s
+        expected = A @ s
         expected[-2] += 0.5 * 1.2
         expected[-1] += 0.25
         np.testing.assert_allclose(out, expected, rtol=1e-15)
@@ -144,7 +144,7 @@ class TestLinearized:
     def test_decay_rate_matches_dominant_mode(self):
         params = make_params(n_I=2, tau_I=1.0, p=2.0, c=3.0, v_a=0.5)
         T = 0.5 * params.T_star
-        eigs = np.linalg.eigvals(coefficient_matrix(params, T).entries)
+        eigs = np.linalg.eigvals(coefficient_matrix(params, T))
         nonzero = eigs[np.abs(eigs) > 1e-9]
         lam = float(np.max(nonzero.real))
         traj = integrate_linearized(params, T, np.ones(4), (0.0, 22.0 / abs(lam)), 0.02)

@@ -164,7 +164,7 @@ class TestPatternMatches:
     def test_own_cell_matches(self):
         params, T, A, w = self._spectrum(2, ">", "=")
         pattern = predicted_sign_pattern(params, T)
-        ok, detail = pattern_matches(pattern, w, params.c_I, 1e-8 * A.inf_norm, A.n)
+        ok, detail = pattern_matches(pattern, w, params.c_I, 1e-8 * np.linalg.norm(A, np.inf), len(A))
         assert ok, detail
 
     def test_foreign_spectrum_rejected(self):
@@ -174,7 +174,7 @@ class TestPatternMatches:
         pattern = predicted_sign_pattern(params_def, T_def)
         params_ind, T_ind, A_ind, w_ind = self._spectrum(2, "<", "=")
         ok, detail = pattern_matches(
-            pattern, w_ind, params_ind.c_I, 1e-8 * A_ind.inf_norm, A_ind.n
+            pattern, w_ind, params_ind.c_I, 1e-8 * np.linalg.norm(A_ind, np.inf), len(A_ind)
         )
         assert not ok
         assert detail
@@ -182,7 +182,7 @@ class TestPatternMatches:
     def test_dimension_bookkeeping_guard(self):
         params, T, A, w = self._spectrum(2, ">", "=")
         pattern = predicted_sign_pattern(params, T)
-        ok, detail = pattern_matches(pattern, w, params.c_I, 1e-8 * A.inf_norm, A.n + 1)
+        ok, detail = pattern_matches(pattern, w, params.c_I, 1e-8 * np.linalg.norm(A, np.inf), len(A) + 1)
         assert not ok
         assert "dimension" in detail
 
@@ -191,7 +191,7 @@ class TestPatternMatches:
         pattern = predicted_sign_pattern(params, T)
         tampered = np.concatenate([w[np.abs(w) > 1e-6], [0.4 + 0j]])
         ok, detail = pattern_matches(
-            pattern, tampered, params.c_I, 1e-8 * A.inf_norm, A.n
+            pattern, tampered, params.c_I, 1e-8 * np.linalg.norm(A, np.inf), len(A)
         )
         assert not ok
 
