@@ -133,10 +133,11 @@ def _rk4_kernel(n_E: int, n_I: int):
 
 
 def _rk4_advancer(params: ModelParams, coeffs: FieldCoefficients):
-    """dt -> (y, k) -> the k rows RK4 steps of dt take from the float state
-    y, one call of the shape's _rk4_kernel (the advancer form of surface._run)."""
+    """(dt, n) -> (y, k) -> the k rows RK4 steps of dt take from the float
+    state y, one call of the shape's _rk4_kernel (the advancer form of
+    surface._run; the run's length n is not needed)."""
     kernel = _RK4_KERNELS.get((params.n_E, params.n_I)) or _rk4_kernel(params.n_E, params.n_I)
-    return lambda dt: lambda y, k: kernel(params, coeffs, dt, y, k)
+    return lambda dt, n: lambda y, k: kernel(params, coeffs, dt, y, k)
 
 
 def _x_column(coeffs: FieldCoefficients) -> np.ndarray:

@@ -159,18 +159,21 @@ def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float) 
     """P(lam) / (c_I + lam)^(n_I - 1), with P as in _scaled_charpoly, taken
     exactly in integers from the float inputs and rounded once; NaN at
     lam = -c_I or where the ratio is past the float range."""
-    # each float is an integer over a power of 2; put all over 2^k
-    ratios = [v.as_integer_ratio() for v in (c, c_I, q, lam)]
+    # each float is an integer over a power of 2: c, c_I and lam over one
+    # 2^k, q = Qn / 2^e over its own, so a tiny q does not lengthen the rest
+    ratios = [v.as_integer_ratio() for v in (c, c_I, lam)]
     k = max(den for _, den in ratios).bit_length() - 1
-    C, CI, Q, X = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    C, CI, X = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    Qn, Qd = q.as_integer_ratio()
+    e = Qd.bit_length() - 1
     U = CI + X
     if U == 0:
         return math.nan
     V = U ** (n_I - 1)
-    # P * 2^(k(n_I + 2)) = U^n_I (C + X) X + Q (CI^n_I - U^n_I) 2^k
-    num = V * U * (C + X) * X + ((Q * (CI**n_I - V * U)) << k)
+    # P * 2^(k(n_I + 2) + e) = U^n_I (C + X) X 2^e + Qn (CI^n_I - U^n_I) 2^(2k)
+    num = ((V * U * (C + X) * X) << e) + ((Qn * (CI**n_I - V * U)) << (2 * k))
     try:
-        return num / (V << (3 * k))
+        return num / (V << (3 * k + e))
     except OverflowError:
         return math.nan
 

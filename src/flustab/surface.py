@@ -8,11 +8,15 @@ Python floats, four time_rhs calls per step. A surface's columns run one
 at a time through the RK4 run kernel of their cascade shape (dynamics),
 straight-line code that does the same operations in the same order, so
 every column equals its single run bit for bit. Frozen-T linearized runs
-take RK4's exact step map, one matrix-vector product per step, which
-differs from the four stages only by rounding. Every run advances a chunk
-of rows at a time and tests it for blow-up, and stops with the prefix a
-per-step test gives; numpy's floating-point warnings are silenced while it
-steps, so the steps a chunk takes past a blow-up print nothing.
+take RK4's exact step map y <- R y + c, which differs from the four stages
+only by rounding, from a table of its powers: a block of up to 64 rows is
+one matrix product from the block's first state. The table holds no more
+numbers than the run's states and stops before the first power that is
+not finite; a one-row table is the step map itself. Every run advances a
+chunk of rows at a time and tests it for blow-up, and stops with the
+prefix a per-step test gives; numpy's floating-point warnings are
+silenced while it steps, so the steps a chunk takes past a blow-up print
+nothing.
 
 The x-direction is not integrated: the x-field is affine in W, so its flow
 is closed form (RK4 gives it only up to rounding), and a surface's x-fibers
@@ -98,30 +102,33 @@ def _blown_up(rows: np.ndarray) -> np.ndarray:
 
 def _run(advancer, y0, span, h: float):
     """Fixed steps over span, at _nodes, from the state y0 (a list of floats
-    or an array). advancer(dt) returns the map advance(y, k) -> the k states
-    that k steps of dt take from y. Returns (times, states (n + 1, dim), step).
+    or an array). advancer(dt, n) returns, for a run of n steps of dt, the
+    map advance(y, k) -> the k states that k steps of dt take from y.
+    Returns (times, states (n + 1, dim), step).
 
     Rows are advanced _CHUNK_ROWS at a time, one advance call, stored with
-    one assignment and then tested: the first row that has _blown_up ends
-    the run with the rows before it, the prefix a test after every step
-    gives. The steps a chunk takes past that row are thrown away, and
-    numpy's floating-point warnings are silenced while the map is built and
-    run, so those steps print nothing.
+    one assignment and then tested, by one reduction over the chunk and, only
+    if that fails, row by row: the first row that has _blown_up ends the run
+    with the rows before it, the prefix a test after every step gives. The
+    steps a chunk takes past that row are thrown away, and numpy's
+    floating-point warnings are silenced while the map is built and run, so
+    those steps print nothing.
     """
     times, dt = _nodes(span, h)
     states = np.empty(times.shape + np.shape(y0))
     states[0] = y0
     with np.errstate(all="ignore"):
-        advance = advancer(dt)
+        advance = advancer(dt, len(times) - 1)
         y = y0
         for start in range(1, len(times), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, len(times))
             rows = advance(y, stop - start)
-            states[start:stop] = rows
+            chunk = states[start:stop]
+            chunk[...] = rows
             y = rows[-1]
-            bad = _blown_up(states[start:stop])
-            if bad.any():
-                k = start + int(bad.argmax())
+            # a NaN fails the chunk's test too
+            if not np.abs(chunk).max() <= BLOWUP_LIMIT:
+                k = start + int(_blown_up(chunk).argmax())
                 raise BlowUpError(times[:k], states[:k])
     return times, states, abs(dt)
 
@@ -130,7 +137,7 @@ def _stepwise(stepper):
     """The advancer of stepper(dt), a map that takes one step of dt: an
     advance call steps it k times."""
 
-    def advancer(dt: float):
+    def advancer(dt: float, n: int):
         step = stepper(dt)
         return lambda y, k: [y := step(y) for _ in range(k)]
 
@@ -195,20 +202,60 @@ def _frozen_system(params: ModelParams, T_frozen: float, psi: float, s):
     return M, F, y
 
 
-def _linear_rk4_stepper(M: np.ndarray, F: np.ndarray):
-    """One RK4 step of y' = M y + F as its exact step map y <- R y + dt S F,
-    with Z = dt M, S = I + Z/2 + Z^2/6 + Z^3/24 and R = I + Z S. The
-    stages differ from the map only by rounding."""
+def _linear_rk4_map(M: np.ndarray, F: np.ndarray, dt: float):
+    """One RK4 step of y' = M y + F as its exact step map y <- R y + c, as
+    (R, c): Z = dt M, S = I + Z/2 + Z^2/6 + Z^3/24, R = I + Z S and
+    c = dt S F. The four stages differ from the map only by rounding."""
+    Z = dt * M
+    eye = np.eye(len(M))
+    S = eye + Z @ (eye / 2.0 + Z @ (eye / 6.0 + Z / 24.0))
+    return eye + Z @ S, dt * (S @ F)
 
-    def stepper(dt: float):
-        Z = dt * M
-        eye = np.eye(len(M))
-        S = eye + Z @ (eye / 2.0 + Z @ (eye / 6.0 + Z / 24.0))
-        R = eye + Z @ S
-        c = dt * (S @ F)
-        return lambda y: R @ y + c
 
-    return stepper
+def _power_table(R: np.ndarray, c: np.ndarray, n: int):
+    """The maps y <- P_j y + Q_j of j = 1..K steps of y <- R y + c, for a
+    run of n steps, as (P, Q): P_j = R^j stacked into P (K*d, d), and
+    Q (K, d) with Q_1 = c, Q_j = R Q_(j-1) + c. K is at most _CHUNK_ROWS and
+    at most (n + 1)/(d + 1), so the table holds no more numbers than the
+    run's states, and the table stops before the first P_j or Q_j with an
+    entry that is not finite (0 * inf would turn an exact 0 into NaN). K is
+    at least 1: the one-row table is (R, c), the step map itself."""
+    d = len(R)
+    K = max(1, min(_CHUNK_ROWS, (n + 1) // (d + 1)))
+    P, Q = np.empty((K, d, d)), np.empty((K, d))
+    P[0], Q[0] = R, c
+    for j in range(1, K):
+        np.matmul(R, P[j - 1], out=P[j])
+        np.matmul(R, Q[j - 1], out=Q[j])
+        Q[j] += c
+    finite = np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Q).all(axis=1)
+    K = max(1, K if finite.all() else int(finite.argmin()))
+    return P[:K].reshape(K * d, d), Q[:K]
+
+
+def _linear_rk4_advancer(M: np.ndarray, F: np.ndarray):
+    """The _run advancer of RK4 on y' = M y + F from the _power_table of
+    its step map (_linear_rk4_map): an advance call returns its rows in
+    blocks of the table's K rows, each one product P y + Q from the state y
+    that starts the block, and the block's last row starts the next."""
+
+    def advancer(dt: float, n: int):
+        P, Q = _power_table(*_linear_rk4_map(M, F, dt), n)
+        K, d = Q.shape
+
+        def advance(y, k):
+            rows = np.empty((k, d))
+            for start in range(0, k, K):
+                block = rows[start : start + K]
+                m = len(block)
+                np.matmul(P[: m * d], y, out=block.reshape(m * d))
+                block += Q[:m]
+                y = block[-1]
+            return rows
+
+        return advance
+
+    return advancer
 
 
 def integrate_linearized(
@@ -219,12 +266,14 @@ def integrate_linearized(
     h_t: float,
     psi: float = 0.0,
 ) -> Trajectory:
-    """Integrate the frozen-T linear field by RK4, one matrix-vector product
-    per step (the exact step map of _linear_rk4_stepper); used by the
+    """Integrate the frozen-T linear field by RK4 through the exact step map
+    of _linear_rk4_map, taken up to 64 steps at a time from a table of its
+    powers (_linear_rk4_advancer): one matrix product per block of rows,
+    which differs from stepping the map only by rounding. Used by the
     rate-recovery validation where the fitted decay/growth rate is compared
     against the dominant eigenvalue."""
     M, F, y0 = _frozen_system(params, T_frozen, psi, s0_block)
-    times, states, h = _run(_stepwise(_linear_rk4_stepper(M, F)), y0, t_span, h_t)
+    times, states, h = _run(_linear_rk4_advancer(M, F), y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)
 
 

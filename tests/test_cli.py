@@ -417,6 +417,26 @@ class TestSimulate:
         lam = (-4.0 + math.sqrt(10.0)) / 2.0
         assert verdict["rate"] == pytest.approx(lam, rel=0.05)
 
+    def test_linearized_zero_block_stays_zero_past_overflowing_powers(self, capsys, tmp_path):
+        # the step map's powers overflow from the 28th; the zero rows are exact
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": params_doc(a=0.0),
+                "T": 1e6,
+                "linearized": True,
+                "initial_state": [0.0, 0.0, 0.0],
+                "grid": {"t_span": 700.0, "h_t": 1.0},
+            },
+        )
+        code, out, err = run_cli(capsys, ["simulate", "--config", cfg])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 701
+        assert all(row[3:] == ["0", "0", "0", "0"] for row in rows)
+        verdict = json.loads(err.strip().splitlines()[-1])["asymptotics"]
+        assert verdict["kind"] == "Converging" and verdict["rate"] == 0.0
+
     def test_backward_run_of_a_decaying_system_diverges(self, capsys, tmp_path):
         # run from t = 8 down to 0, the frozen system's fastest decaying
         # mode, exp(-(2 + sqrt 2) t), grows at 2 + sqrt 2 per unit of run

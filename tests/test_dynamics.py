@@ -221,7 +221,7 @@ def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
     states.append(np.array([1.0] + [-0.0] * (n_E + n_I) + [0.0, -0.0]))
     params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, D_PCF=0.0, a=-0.4)
     coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, dim - 1)), psi=0.05)
-    advance = dynamics._rk4_advancer(params, coeffs)(0.01)
+    advance = dynamics._rk4_advancer(params, coeffs)(0.01, 3)
     step = surface._rk4_float_step(lambda y: time_rhs(params, coeffs, y), 0.01)
     for y in states:
         rows = [y.tolist()]

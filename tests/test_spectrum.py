@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -133,12 +134,28 @@ class TestRealRoots:
         the float range."""
         for c, c_I, q, n_I, lam in [(1.3, 13 / 1.7, 0.77, 13, 0.875), (2.0, 3.0, 4.0, 2, -3.5),
                                     (2.0, 3.0, 4.0, 5, -7.25), (0.4, 2.5, 1.1, 1, -0.3),
-                                    (1e3, 3e-3, 1e-3, 200, -1e-2), (0.5, 2.0, 1e-300, 3, 1e-310)]:
+                                    (1e3, 3e-3, 1e-3, 200, -1e-2), (0.5, 2.0, 1e-300, 3, 1e-310),
+                                    (1e3, 999e3, 5e-324, 999, -1478631.1780471362), (1.3, 2.1, 5e-324, 40, 0.25),
+                                    (2.0, 3.0, 1e-310, 7, -3.0000001), (0.5, 2.0, 5e-324, 3, 1e-310)]:
             C, CI, Q, X = map(Fraction, (c, c_I, q, lam))
             want = ((CI + X) ** n_I * (C + X) * X + Q * (CI**n_I - (CI + X) ** n_I)) / (CI + X) ** (n_I - 1)
             assert _exact_charpoly_ratio(c, c_I, q, n_I, lam) == float(want)
         assert math.isnan(_exact_charpoly_ratio(2.0, 3.0, 4.0, 5, -3.0))
         assert math.isnan(_exact_charpoly_ratio(1e-3, 999e3, 1e300, 999, -1e150))
+
+    def test_exact_ratio_integers_do_not_grow_with_a_tiny_q(self):
+        """q has its own power of two, so a subnormal q at n_I = 999 keeps the
+        integers short: under 100 KB at the peak, where all four inputs over
+        the one denominator of 5e-324 peaked at 876 KB."""
+        args = (1e3, 999e3, 5e-324, 999, -1478631.1780471362)
+        _exact_charpoly_ratio(*args)
+        tracemalloc.start()
+        try:
+            _exact_charpoly_ratio(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("seed", range(6))
     def test_roots_are_within_an_ulp_of_the_exact_roots(self, seed):

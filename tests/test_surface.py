@@ -57,6 +57,13 @@ def frozen_field(params, T_frozen, s, psi=0.0):
     return M @ y + F
 
 
+def frozen_step(M, F, dt):
+    """One step of y' = M y + F by its exact step map R y + c, the per-step
+    reference for frozen-T runs."""
+    R, c = surface._linear_rk4_map(M, F, dt)
+    return lambda y: R @ y + c
+
+
 def float_rk4(f):
     """The _run advancer of classical RK4 on the float-list field f."""
     return surface._stepwise(lambda dt: surface._rk4_float_step(f, dt))
@@ -156,8 +163,9 @@ class TestLinearized:
 @pytest.mark.parametrize("regime", [0.5, 2.0])
 @pytest.mark.parametrize("n_I,n_E", [(1, 0), (3, 2), (12, 1), (40, 0)])
 def test_linearized_steps_are_rk4_steps(n_I, n_E, regime):
-    """The exact step map R y + dt S F gives one classical RK4 step of the
-    frozen-T field, up to rounding, on both sides of T*."""
+    """Each row of a frozen-T run, from the step map's power table, is one
+    classical RK4 step of the frozen-T field from the row before, up to
+    rounding, on both sides of T*."""
     params = make_params(beta=1.3, p=1.7, c=0.9, n_I=n_I, tau_I=1.1, n_E=n_E,
                          tau_E=0.7 if n_E else None, D_PCF=0.2, v_a=0.4, a=0.3)
     T = regime * params.T_star
@@ -173,6 +181,131 @@ def test_linearized_steps_are_rk4_steps(n_I, n_E, regime):
         step = before + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         scale = max(np.max(np.abs(before)), np.max(np.abs(after)))
         assert np.max(np.abs(after - step)) <= 1e-13 * scale
+
+
+def deep_frozen_system(rng):
+    """(M, F, y0) of a frozen-T field: n_E in 0-10, n_I in [1, 200], rates
+    log-uniform in [1e-3, 1e3], T in [0.3, 2] T*, a signed start and psi."""
+    n_E = int(rng.integers(0, 11))
+    rates = {k: loguniform(rng, 1e-3, 1e3) for k in ("beta", "p", "c", "tau_I", "D_PCF", "v_a")}
+    params = ModelParams(n_E=n_E, tau_E=loguniform(rng, 1e-3, 1e3) if n_E else None,
+                         n_I=int(rng.integers(1, 201)), a=float(rng.uniform(-2.0, 2.0)), **rates)
+    T = float(rng.uniform(0.3, 2.0)) * params.T_star
+    y0 = rng.uniform(-1.0, 1.0, params.state_dim - 1)
+    return surface._frozen_system(params, T, float(rng.uniform(-1.0, 1.0)), y0)
+
+
+def stepwise_frozen(M, F):
+    """The _run advancer that steps the exact step map one row at a time."""
+    return surface._stepwise(lambda dt: frozen_step(M, F, dt))
+
+
+def assert_rows_close(states, ref, rel):
+    """Every row of states within rel of ref, relative to the row's scale."""
+    scale = np.maximum(np.abs(states).max(axis=-1), np.abs(ref).max(axis=-1))
+    assert np.all(np.abs(states - ref).max(axis=-1) <= rel * scale)
+
+
+def full_table_steps(d: int) -> int:
+    """The fewest steps whose run may hold a table of _CHUNK_ROWS rows of
+    dimension d: the table holds no more numbers than the states."""
+    return surface._CHUNK_ROWS * (d + 1) - 1
+
+
+class TestPowerTable:
+    """Frozen-T runs take their rows K at a time from a table of step-map
+    powers (_power_table): each row is one RK4 step from the row before up
+    to rounding, and the table is bounded by _CHUNK_ROWS, by the run's
+    states and by the first power or sum that is not finite."""
+
+    @pytest.mark.parametrize("dt_rho", [0.01, 0.1, 0.5])
+    def test_rows_are_rk4_steps_on_deep_sets(self, dt_rho):
+        rng = np.random.default_rng(int(1000 * dt_rho))
+        for _ in range(16):
+            M, F, y0 = deep_frozen_system(rng)
+            # dt_rho is dt times the field's scale, the infinity norm of M
+            d, dt = len(M), dt_rho / np.linalg.norm(M, np.inf)
+            # a run long enough for the whole table; two blocks and two rows
+            advance = surface._linear_rk4_advancer(M, F)(dt, full_table_steps(d))
+            rows = np.vstack([y0, advance(y0, 2 * surface._CHUNK_ROWS + 2)])
+            before, after = rows[:-1], rows[1:]
+            f = lambda Y: Y @ M.T + F
+            k1 = f(before)
+            k2 = f(before + 0.5 * dt * k1)
+            k3 = f(before + 0.5 * dt * k2)
+            k4 = f(before + dt * k3)
+            assert_rows_close(after, before + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 1e-13)
+
+    @pytest.mark.parametrize("steps", [full_table_steps(6), 10_000])
+    def test_long_runs_take_chunk_sized_tables(self, steps):
+        params = make_params(n_I=3, n_E=1, tau_E=0.5, D_PCF=0.2, a=0.3)
+        M, F, _ = surface._frozen_system(params, 0.5 * params.T_star, 0.1, np.zeros(6))
+        P, Q = surface._power_table(*surface._linear_rk4_map(M, F, 0.01), steps)
+        assert P.shape == (surface._CHUNK_ROWS * 6, 6) and Q.shape == (surface._CHUNK_ROWS, 6)
+        _, Q = surface._power_table(*surface._linear_rk4_map(M, F, 0.01), full_table_steps(6) - 1)
+        assert len(Q) == surface._CHUNK_ROWS - 1
+
+    def test_zero_block_stays_zero_past_overflowing_powers(self):
+        # |R| ~ 8e10: R^29 overflows, and 0 * inf would be NaN
+        params = make_params(a=0.0)
+        M, F, _ = surface._frozen_system(params, 1e6, 0.0, np.zeros(3))
+        with np.errstate(all="ignore"):
+            P, Q = surface._power_table(*surface._linear_rk4_map(M, F, 1.0), 700)
+        assert 1 < len(Q) < surface._CHUNK_ROWS
+        assert np.all(np.isfinite(P)) and np.all(np.isfinite(Q))
+        traj = integrate_linearized(params, 1e6, np.zeros(3), (0.0, 700.0), 1.0)
+        assert traj.states.shape == (701, 3)
+        np.testing.assert_array_equal(traj.states, 0.0)
+
+    def test_table_holds_no_more_numbers_than_the_states(self, monkeypatch):
+        # at the parser's cap n_E + n_I = 1000 a 64-row table would be 514 MB
+        params = make_params(n_E=400, tau_E=400.0, n_I=600, tau_I=600.0)
+        tables, power_table = [], surface._power_table
+
+        def recorded(*args):
+            tables.append(power_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(surface, "_power_table", recorded)
+        d, steps = params.state_dim - 1, 2006
+        traj = integrate_linearized(params, 0.5 * params.T_star, np.ones(d), (0.0, steps * 0.01), 0.01)
+        (P, Q), = tables
+        assert len(Q) == 2  # (steps + 1) // (d + 1)
+        assert P.size + Q.size <= traj.states.size
+
+    @pytest.mark.parametrize("span", [(4.0, 0.0), (2.5, -1.3), (2.0, 2.0)])
+    def test_backward_and_empty_spans_follow_the_step_map(self, span):
+        # a backward run of this decaying system grows, by e^4.03 per unit at most
+        params = make_params(n_I=3, n_E=1, tau_E=0.5, D_PCF=0.2, a=0.3)
+        M, F, y0 = surface._frozen_system(params, 0.5 * params.T_star, 0.1, np.linspace(-1.0, 1.0, 6))
+        h = 0.01
+        advancer = surface._linear_rk4_advancer(M, F)
+        times, states, step = surface._run(advancer, y0, span, h)
+        ref_times, ref_states, ref_step = surface._run(stepwise_frozen(M, F), y0, span, h)
+        np.testing.assert_array_equal(times, ref_times)
+        assert step == ref_step
+        assert_rows_close(states, ref_states, 1e-13)
+        assert len(times) == (1 if span[0] == span[1] else round(abs(span[1] - span[0]) / h) + 1)
+
+    def test_one_row_table_is_the_step_map_bit_for_bit(self):
+        M, F, y0 = deep_frozen_system(np.random.default_rng(11))
+        d, dt = len(M), 0.3 / np.linalg.norm(M, np.inf)
+        R, c = surface._linear_rk4_map(M, F, dt)
+        # a run of fewer steps than d takes a one-row table
+        assert surface._power_table(R, c, d - 1)[0].shape == (d, d)
+        advance = surface._linear_rk4_advancer(M, F)(dt, d - 1)
+        rows, y = [], y0
+        for _ in range(70):
+            rows.append(y := R @ y + c)
+        np.testing.assert_array_equal(advance(y0, 70), rows)
+
+    def test_identical_calls_are_bit_identical(self):
+        params = make_params(n_I=3, n_E=2, tau_E=0.7, D_PCF=0.2, a=0.3)
+        y0 = np.linspace(-1.0, 1.0, params.state_dim - 1)
+        a = integrate_linearized(params, 1.7 * params.T_star, y0, (0.0, 5.0), 0.01, psi=0.1)
+        b = integrate_linearized(params, 1.7 * params.T_star, y0, (0.0, 5.0), 0.01, psi=0.1)
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.times, b.times)
 
 
 class TestRunBlowUp:
@@ -228,7 +361,9 @@ class TestChunkedBlowUp:
     state of a block and on a frozen-T run. The field is LAM * y, so every
     state grows by RK4's factor R = 1 + z + z^2/2 + z^3/6 + z^4/24,
     z = LAM * DT, per step, and the largest component sets the row that
-    fails."""
+    fails. Float and block rows equal the per-step rows bit for bit; a
+    frozen-T run takes its rows from a table of step-map powers, so its
+    rows equal the per-step map's up to rounding."""
 
     LAM, DT = 18.0, 0.01
     Z = LAM * DT
@@ -247,8 +382,8 @@ class TestChunkedBlowUp:
             return rk4_run(cls.field, y0, span, dt)
         if kind == "block":
             return surface._rk4_each(float_rk4(cls.field), y0, span, dt)
-        stepper = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))
-        return surface._run(surface._stepwise(stepper), y0, span, dt)
+        advancer = surface._linear_rk4_advancer(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))
+        return surface._run(advancer, y0, span, dt)
 
     @classmethod
     def reference(cls, kind, y0, n, dt):
@@ -258,7 +393,7 @@ class TestChunkedBlowUp:
             step = surface._rk4_float_step(cls.field, dt)
             y0 = y0.tolist()
         else:
-            step = surface._linear_rk4_stepper(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)))(dt)
+            step = frozen_step(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)), dt)
         rows = [y0]
         for _ in range(n):
             y = step(rows[-1])
@@ -266,6 +401,13 @@ class TestChunkedBlowUp:
                 break
             rows.append(y)
         return dt * np.arange(len(rows)), np.array(rows, dtype=float)
+
+    @staticmethod
+    def assert_rows(kind, states, ref_states):
+        if kind == "frozen":
+            np.testing.assert_allclose(states, ref_states, rtol=1e-13, atol=0.0)
+        else:
+            np.testing.assert_array_equal(states, ref_states)
 
     @classmethod
     def start(cls, kind, first_bad_row):
@@ -299,7 +441,7 @@ class TestChunkedBlowUp:
         assert exc.times.size == first_bad_row
         assert exc.t_last == times[-1]
         np.testing.assert_array_equal(exc.times, times)
-        np.testing.assert_array_equal(exc.states, states)
+        self.assert_rows(kind, exc.states, states)
 
     @pytest.mark.parametrize("steps", [64, 65])
     @pytest.mark.parametrize("kind", ["float", "block", "frozen"])
@@ -310,7 +452,7 @@ class TestChunkedBlowUp:
         for state, start in zip(states, y0) if kind == "block" else [(states, y0)]:
             ref_times, ref_states = self.reference(kind, start, steps, self.DT)
             assert len(ref_states) == steps + 1
-            np.testing.assert_array_equal(state, ref_states)
+            self.assert_rows(kind, state, ref_states)
             np.testing.assert_allclose(times, ref_times, rtol=1e-15)
         assert h == self.DT
 
