@@ -8,7 +8,6 @@ from flustab import (
     ModelParams,
     classify,
     full_spectrum_numeric,
-    target_cell_threshold,
 )
 from flustab.charpoly import coefficient_inf_norm
 
@@ -25,7 +24,7 @@ def positive_count(params, T):
 def main():
     params = ModelParams(beta=0.8, p=2.5, c=3.0, n_E=0, n_I=3, tau_I=1.2,
                          D_PCF=0.1, v_a=0.5, a=0.0)
-    T_star = target_cell_threshold(params)
+    T_star = params.T_star
     print(f"threshold T* = c / (tau_I * p * beta) = {T_star:.6f}")
     print()
     print(f"{'T':>8} {'T/T*':>6} {'classification':>15} {'n_positive':>11} {'max Re':>10}")

@@ -17,7 +17,6 @@ from flustab import (
     eigenvector,
     geometric_multiplicity,
     real_roots,
-    target_cell_threshold,
 )
 
 
@@ -36,7 +35,7 @@ def show(params, T, title):
 def main():
     params = ModelParams(beta=1.0, p=2.0, c=3.0, n_E=0, n_I=2, tau_I=1.0,
                          D_PCF=0.1, v_a=0.5, a=0.0)
-    T_star = target_cell_threshold(params)
+    T_star = params.T_star
 
     show(params, 0.5 * T_star, "below threshold")
     show(params, T_star, "at threshold")

@@ -12,7 +12,6 @@ from flustab import (
     full_spectrum_numeric,
     integrate_linearized,
     integrate_time,
-    target_cell_threshold,
 )
 
 
@@ -20,7 +19,7 @@ def main():
     params = ModelParams(beta=1.0, p=2.0, c=3.0, n_E=0, n_I=1, tau_I=1.0,
                          D_PCF=0.1, v_a=0.5, a=0.0)
     coeffs = FieldCoefficients.default_for(params)
-    T_star = target_cell_threshold(params)
+    T_star = params.T_star
 
     # nonlinear run from a small viral seed below threshold
     s0 = StateVector.for_params(params, [0.5 * T_star, 0.0, 0.01, 0.0])

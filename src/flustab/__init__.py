@@ -15,18 +15,12 @@ from .charpoly import (
     charpoly_sum_form,
     coefficient_matrix,
 )
-from .dynamics import (
-    time_field,
-    time_rhs,
-    x_field,
-    x_rhs,
-)
+from .dynamics import time_rhs, x_rhs
 from .model import (
     FieldCoefficients,
     InvalidParamsError,
     ModelParams,
     StateVector,
-    target_cell_threshold,
     validate,
 )
 from .spectrum import (
@@ -95,11 +89,8 @@ __all__ = [
     "run_all",
     "sample_params",
     "sign_class",
-    "target_cell_threshold",
-    "time_field",
     "time_rhs",
     "trace_surface",
     "validate",
-    "x_field",
     "x_rhs",
 ]

@@ -49,7 +49,7 @@ def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
     for that column alone, as a list or an array.
     Nothing is validated: integrators check the state and the field
     coefficients once per run (_checked_state) and call this in their
-    inner loop. Use time_field for the checked StateVector version.
+    inner loop.
     """
     kernel = _TIME_KERNELS.get((params.n_E, params.n_I)) or _time_kernel(params.n_E, params.n_I)
     if isinstance(y, list):
@@ -156,17 +156,7 @@ def x_rhs(params: ModelParams, coeffs: FieldCoefficients, y: np.ndarray) -> np.n
     return out
 
 
-def time_field(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
-    return time_rhs(params, coeffs, _checked_state(params, coeffs, s))
-
-
-def x_field(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
-    return x_rhs(params, coeffs, _checked_state(params, coeffs, s))
-
-
 __all__ = [
     "time_rhs",
     "x_rhs",
-    "time_field",
-    "x_field",
 ]

@@ -84,7 +84,16 @@ class ModelParams:
 
     @property
     def T_star(self) -> float:
-        return target_cell_threshold(self)
+        """Critical target-cell fraction c/(tau_I*p*beta).
+
+        Below this fraction the spectrum of the frozen-T system has no
+        positive eigenvalue; above it exactly one appears. Raises
+        InvalidParamsError, naming each, when beta, p or c is not > 0.
+        """
+        problems = [f"{name} must be > 0" for name in ("beta", "p", "c") if not (getattr(self, name) > 0)]
+        if problems:
+            raise InvalidParamsError(problems)
+        return _threshold(self)
 
     @property
     def state_dim(self) -> int:
@@ -165,18 +174,6 @@ def _structural_problems(params: ModelParams) -> list[str]:
     return problems
 
 
-def target_cell_threshold(params: ModelParams) -> float:
-    """Critical target-cell fraction c/(tau_I*p*beta).
-
-    Below this fraction the spectrum of the frozen-T system has no positive
-    eigenvalue; above it exactly one appears.
-    """
-    problems = [f"{name} must be > 0" for name in ("beta", "p", "c") if not (getattr(params, name) > 0)]
-    if problems:
-        raise InvalidParamsError(problems)
-    return _threshold(params)
-
-
 def _threshold(params: ModelParams) -> float:
     """c/(tau_I*p*beta) unchecked, +inf where the denominator is not
     positive (beta = 0 leaves the system Definite at every T)."""
@@ -216,39 +213,20 @@ class StateVector:
     V: float
     W: float
 
-    @property
-    def dim(self) -> int:
-        return 3 + len(self.E) + len(self.I)
-
     def to_array(self) -> np.ndarray:
         return np.array([self.T, *self.E, *self.I, self.V, self.W], dtype=float)
 
-    def to_jsonable(self) -> list[float]:
-        # Flat list in canonical component order; floats round-trip exactly
-        # through JSON because Python serializes shortest repr.  Coerce to
-        # builtin float so numpy scalars never leak into json.dumps.
-        return [float(v) for v in (self.T, *self.E, *self.I, self.V, self.W)]
-
-    @classmethod
-    def from_array(cls, arr: Sequence[float], n_E: int, n_I: int) -> "StateVector":
-        arr = list(map(float, arr))
-        expected = n_E + n_I + 3
-        if len(arr) != expected:
-            raise ValueError(
-                f"state vector has {len(arr)} components, expected {expected} "
-                f"for n_E={n_E}, n_I={n_I}"
-            )
-        return cls(
-            T=arr[0],
-            E=tuple(arr[1 : 1 + n_E]),
-            I=tuple(arr[1 + n_E : 1 + n_E + n_I]),
-            V=arr[-2],
-            W=arr[-1],
-        )
-
     @classmethod
     def for_params(cls, params: ModelParams, arr: Sequence[float]) -> "StateVector":
-        return cls.from_array(arr, params.n_E, params.n_I)
+        """The state of the flat array arr, laid out for params' n_E and n_I."""
+        arr = list(map(float, arr))
+        n_E, n_I = params.n_E, params.n_I
+        if len(arr) != params.state_dim:
+            raise ValueError(
+                f"state vector has {len(arr)} components, expected {params.state_dim} "
+                f"for n_E={n_E}, n_I={n_I}"
+            )
+        return cls(T=arr[0], E=tuple(arr[1 : 1 + n_E]), I=tuple(arr[1 + n_E : 1 + n_E + n_I]), V=arr[-2], W=arr[-1])
 
 
 @dataclass(frozen=True)
@@ -294,6 +272,5 @@ __all__ = [
     "ModelParams",
     "StateVector",
     "FieldCoefficients",
-    "target_cell_threshold",
     "validate",
 ]

@@ -41,9 +41,6 @@ class Classification:
     kind: str  # "Definite" | "Indefinite" | "Critical"
     T_star: float
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "T_star": self.T_star}
-
 
 def _regime_rows(params: ModelParams, T, tol_class_rel: float) -> tuple[np.ndarray, np.ndarray]:
     """The regime cell (row, column) of each T (a float or an array), each
@@ -515,20 +512,20 @@ def full_spectrum_numeric(params: ModelParams, T: float) -> np.ndarray:
     return np.linalg.eigvals(coefficient_matrix(params, T))
 
 
-def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0) -> np.ndarray:
+def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
     """Closed-form eigenvector for a real eigenvalue, n_E = 0 layout
-    (I_1..I_{n_I}, V, W), scaled so the V component equals V_scale.
+    (I_1..I_{n_I}, V, W), scaled so the V component is 1.
 
     For lam != 0 the W component is exactly 0 and
-    I_k = (beta*T*V/c_I) * (c_I/(c_I + lam))^k; a component that overflows
-    raises ArithmeticError. For lam = 0 every I_k equals
-    beta*T*V / c_I and the W component balances the V row:
-    W = (beta*T*p*tau_I - c) * V / (-v_a). The formula has a pole at
-    lam = -c_I, which is generically not an eigenvalue.
+    I_k = (beta*T/c_I) * (c_I/(c_I + lam))^k; a component that overflows
+    raises ArithmeticError. For lam = 0 every I_k equals beta*T/c_I and
+    the W component balances the V row: W = (beta*T*p*tau_I - c)/(-v_a).
+    Without advection (v_a = 0) that row balances only on classify's
+    Critical row; off it the zero eigenvector is the pure W direction. The
+    formula has a pole at lam = -c_I, which is generically not an
+    eigenvalue.
     """
     _require_nE0(params)
-    if V_scale == 0:
-        raise ValueError("V_scale must be nonzero")
     c_I = params.c_I
     n_I = params.n_I
     if lam != 0.0 and abs(c_I + lam) <= 1e-300:
@@ -536,24 +533,23 @@ def eigenvector(params: ModelParams, T: float, lam: float, V_scale: float = 1.0)
     v = np.zeros(n_I + 2)
     w = 0.0  # forced for lam != 0; at lam = 0 with a balanced V row any W works, take the simplest
     if lam == 0.0:
-        pressure = _viral_pressure(params, T)
         if params.v_a != 0.0:
-            w = (pressure - params.c) * V_scale / (-params.v_a)
-        elif not abs(pressure - params.c) <= 1e-12 * max(abs(pressure), abs(params.c), 1e-300):
+            w = (_viral_pressure(params, T) - params.c) / (-params.v_a)
+        elif classify(params, T).kind != "Critical":
             # advection-free and off-critical: the zero eigenvector is the
             # pure W direction instead of the V-scaled family
-            v[-1] = V_scale
+            v[-1] = 1.0
             return v
-    # I_k = (beta*T*V/c_I) * rho^k with rho = c_I/(c_I + lam), 1 at lam = 0, as
+    # I_k = (beta*T/c_I) * rho^k with rho = c_I/(c_I + lam), 1 at lam = 0, as
     # a running product: it stays 0.0 at beta*T = 0 and forms no power of a rate
     rho = c_I / (c_I + lam)
-    x = params.beta * T * V_scale / c_I
+    x = params.beta * T / c_I
     for k in range(n_I):
         x *= rho
         v[k] = x
     if not math.isfinite(x):
         raise ArithmeticError(f"eigenvector at lam = {lam!r} overflows at n_I = {n_I}")
-    v[-2] = V_scale
+    v[-2] = 1.0
     v[-1] = w
     return v
 

@@ -11,12 +11,12 @@ every column equals its single run bit for bit. Frozen-T linearized runs
 take RK4's exact step map y <- R y + c, which differs from the four stages
 only by rounding, from a table of its powers: a block of up to 64 rows is
 one matrix product from the block's first state. The table holds no more
-numbers than the run's states and stops before the first power that is
-not finite; a one-row table is the step map itself. Every run advances a
-chunk of rows at a time and tests it for blow-up, and stops with the
-prefix a per-step test gives; numpy's floating-point warnings are
-silenced while it steps, so the steps a chunk takes past a blow-up print
-nothing.
+numbers than the run's states or than fit in cache, and stops before the
+first power that is not finite; a one-row table is the step map itself.
+Every run advances a chunk of rows at a time and tests it for blow-up,
+and stops with the prefix a per-step test gives; numpy's floating-point
+warnings are silenced while it steps, so the steps a chunk takes past a
+blow-up print nothing.
 
 The x-direction is not integrated: the x-field is affine in W, so its flow
 is closed form (RK4 gives it only up to rounding), and a surface's x-fibers
@@ -76,6 +76,9 @@ class Trajectory:
 
 # rows stepped between two blow-up tests
 _CHUNK_ROWS = 64
+# entries of a frozen-T power table: each block of rows streams the whole
+# table, which stays fast only while it fits in a core's cache (512 KiB)
+_TABLE_ENTRIES = 2**16
 
 
 def _nodes(span, h: float):
@@ -215,13 +218,14 @@ def _linear_rk4_map(M: np.ndarray, F: np.ndarray, dt: float):
 def _power_table(R: np.ndarray, c: np.ndarray, n: int):
     """The maps y <- P_j y + Q_j of j = 1..K steps of y <- R y + c, for a
     run of n steps, as (P, Q): P_j = R^j stacked into P (K*d, d), and
-    Q (K, d) with Q_1 = c, Q_j = R Q_(j-1) + c. K is at most _CHUNK_ROWS and
+    Q (K, d) with Q_1 = c, Q_j = R Q_(j-1) + c. K is at most _CHUNK_ROWS,
     at most (n + 1)/(d + 1), so the table holds no more numbers than the
-    run's states, and the table stops before the first P_j or Q_j with an
-    entry that is not finite (0 * inf would turn an exact 0 into NaN). K is
-    at least 1: the one-row table is (R, c), the step map itself."""
+    run's states, and at most _TABLE_ENTRIES/d^2, so P stays in cache; the
+    table stops before the first P_j or Q_j with an entry that is not
+    finite (0 * inf would turn an exact 0 into NaN). K is at least 1: the
+    one-row table is (R, c), the step map itself."""
     d = len(R)
-    K = max(1, min(_CHUNK_ROWS, (n + 1) // (d + 1)))
+    K = max(1, min(_CHUNK_ROWS, (n + 1) // (d + 1), _TABLE_ENTRIES // (d * d)))
     P, Q = np.empty((K, d, d)), np.empty((K, d))
     P[0], Q[0] = R, c
     for j in range(1, K):

@@ -12,7 +12,7 @@ import pytest
 from flustab import cli, spectrum
 from flustab.charpoly import coefficient_inf_norm, coefficient_matrix
 from flustab.cli import EXIT_BROKEN_PIPE, _write_state_csv, main
-from flustab.dynamics import time_field, x_field
+from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.spectrum import classify, perron_root
 
@@ -824,8 +824,8 @@ class TestSurface:
 
 
 def field_reference(params, coeffs) -> list[str]:
-    """field's rows by the per-point loop: both checked fields at one
-    lattice state at a time, every cell by _fmt."""
+    """field's rows by the per-point loop: both fields at one lattice
+    state at a time, every cell by _fmt."""
     T_star = params.T_star
     lattice = np.linspace(-1.0, 1.0, 9)
     v_neg = cli._shared_negative_axis(params, 0.5 * T_star)
@@ -834,10 +834,10 @@ def field_reference(params, coeffs) -> list[str]:
         v_panel, axis_name = cli._panel_axis(params, label, T)
         for u in lattice:
             for w in lattice:
-                s = StateVector.for_params(params, np.concatenate([[T], u * v_neg + w * v_panel]))
+                y = StateVector.for_params(params, np.concatenate([[T], u * v_neg + w * v_panel])).to_array()
                 cells = [label, axis_name, _fmt(T), _fmt(u), _fmt(w)]
-                cells += [_fmt(v) for v in time_field(params, coeffs, s)]
-                cells += [_fmt(v) for v in x_field(params, coeffs, s)]
+                cells += [_fmt(v) for v in time_rhs(params, coeffs, y)]
+                cells += [_fmt(v) for v in x_rhs(params, coeffs, y)]
                 rows.append(",".join(cells))
     return rows
 

@@ -1,5 +1,7 @@
-"""Every README demo runs to completion as a script and prints its report."""
+"""Every README demo runs to completion as a script and prints its report,
+and the README's library tour runs as written."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,12 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_tour_runs():
+    # so a name the package no longer has cannot linger in the README
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["traj"].states.shape == (2001, 5)

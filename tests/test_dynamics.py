@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flustab import dynamics, surface
-from flustab.dynamics import time_field, time_rhs, x_field, x_rhs
+from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 from flustab.validation import sample_params
 
@@ -62,24 +62,18 @@ def test_x_rhs_block_columns_equal_single_states():
 
 
 def test_dimension_and_coefficient_guards():
-    # time_rhs/x_rhs are deliberately unchecked; the StateVector wrappers
-    # are where shape and coefficient contracts are enforced.
+    # time_rhs/x_rhs are deliberately unchecked; the StateVector entry points
+    # of surface are where shape and coefficient contracts are enforced.
     params = make_params()
     coeffs = FieldCoefficients.default_for(params)
     short = StateVector(T=1.0, E=(), I=(0.5,), V=1.0, W=0.0)
-    with pytest.raises(ValueError):
-        time_field(params, coeffs, short)
     good = StateVector.for_params(params, [0.8, 0.3, 0.5, 1.2, 0.1])
-    with pytest.raises(InvalidParamsError):
-        time_field(params, FieldCoefficients(r=(1.0, 1.0)), good)
-
-
-def test_state_wrappers_match_raw_arrays():
-    params = make_params()
-    coeffs = FieldCoefficients.default_for(params)
-    s = StateVector.for_params(params, [0.8, 0.3, 0.5, 1.2, 0.1])
-    np.testing.assert_array_equal(time_field(params, coeffs, s), time_rhs(params, coeffs, s.to_array()))
-    np.testing.assert_array_equal(x_field(params, coeffs, s), x_rhs(params, coeffs, s.to_array()))
+    for run in (lambda c, s: surface.integrate_time(params, c, s, (0.0, 0.1), 0.05),
+                lambda c, s: surface.lie_bracket(params, c, s)):
+        with pytest.raises(ValueError, match="state has shape"):
+            run(coeffs, short)
+        with pytest.raises(InvalidParamsError):
+            run(FieldCoefficients(r=(1.0, 1.0)), good)
 
 
 @given(
@@ -233,7 +227,8 @@ def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
 def fields_rank(params, coeffs, s, tol=1e-9):
     """Rank of the two fields at s, from the singular values of the stacked
     2 x n matrix."""
-    both = np.vstack([x_field(params, coeffs, s), time_field(params, coeffs, s)])
+    y = s.to_array()
+    both = np.vstack([x_rhs(params, coeffs, y), time_rhs(params, coeffs, y)])
     sv = np.linalg.svd(both, compute_uv=False)
     return int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
 

@@ -10,7 +10,6 @@ from flustab.model import (
     InvalidParamsError,
     ModelParams,
     StateVector,
-    target_cell_threshold,
     validate,
 )
 
@@ -90,16 +89,15 @@ class TestValidByConstruction:
 class TestThreshold:
     def test_value(self):
         params = make_params(beta=1.0, p=2.0, c=3.0, tau_I=1.0)
-        assert target_cell_threshold(params) == pytest.approx(1.5)
         assert params.T_star == pytest.approx(1.5)
 
     def test_zero_rate_has_no_threshold(self):
         with pytest.raises(InvalidParamsError):
-            target_cell_threshold(make_params(beta=0.0))
+            make_params(beta=0.0).T_star
 
     def test_raises_with_full_list(self):
         with pytest.raises(InvalidParamsError) as err:
-            target_cell_threshold(make_params(beta=0.0, p=0.0))
+            make_params(beta=0.0, p=0.0).T_star
         assert len(err.value.problems) >= 2
 
     @given(
@@ -204,7 +202,7 @@ class TestStateVector:
         s = StateVector(T=0.9, E=(0.1, 0.2), I=(0.3,), V=1.5, W=-0.4)
         flat = s.to_array()
         assert flat.tolist() == [0.9, 0.1, 0.2, 0.3, 1.5, -0.4]
-        assert StateVector.from_array(flat, n_E=2, n_I=1) == s
+        assert StateVector.for_params(make_params(n_E=2, n_I=1), flat) == s
 
     def test_for_params(self):
         params = make_params()  # n_E=1, n_I=2
@@ -212,14 +210,8 @@ class TestStateVector:
         assert s.E == (0.1,) and s.I == (0.2, 0.3) and s.V == 0.4 and s.W == 0.5
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            StateVector.from_array([1.0, 2.0], n_E=1, n_I=1)
-
-    def test_jsonable_is_plain_floats(self):
-        s = StateVector(T=1.0, E=(), I=(0.5,), V=np.float64(2.0), W=0.0)
-        out = s.to_jsonable()
-        assert out == [1.0, 0.5, 2.0, 0.0]
-        assert all(type(v) is float for v in out)
+        with pytest.raises(ValueError, match="expected 5 for n_E=1, n_I=1"):
+            StateVector.for_params(make_params(n_E=1, n_I=1), [1.0, 2.0])
 
 
 class TestFieldCoefficients:

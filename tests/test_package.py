@@ -9,12 +9,12 @@ EXPORTS = [
     "charpoly_closed", "charpoly_direct", "charpoly_sum_form", "classify", "coefficient_matrix", "eigenvector",
     "full_spectrum_numeric", "geometric_multiplicity", "integrate_linearized", "integrate_time", "lie_bracket",
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
-    "target_cell_threshold", "time_field", "time_rhs", "trace_surface", "validate", "x_field", "x_rhs",
+    "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 41
+    assert len(EXPORTS) == 38
     assert sorted(flustab.__all__) == EXPORTS
     assert len(set(flustab.__all__)) == len(flustab.__all__)
     assert all(hasattr(flustab, name) for name in EXPORTS)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flustab import spectrum
 from flustab.charpoly import charpoly, coefficient_inf_norm, coefficient_matrix
-from flustab.model import InvalidParamsError, ModelParams, target_cell_threshold
+from flustab.model import InvalidParamsError, ModelParams
 from flustab.spectrum import (
     algebraic_multiplicity,
     analyze,
@@ -77,7 +77,7 @@ class TestClassify:
         rng = np.random.default_rng(3)
         for _ in range(20):
             params, T = sample_params(rng)
-            assert classify(params, T).T_star == target_cell_threshold(params)
+            assert classify(params, T).T_star == params.T_star
 
     def test_pressure_order(self):
         params = make_params(beta=0.7, p=1.3, tau_I=2.0)
@@ -204,6 +204,26 @@ class TestRealRoots:
         monkeypatch.setattr(spectrum, "_ROOT_STEPS", 3)
         with pytest.raises(ArithmeticError, match="not certified in 3 steps"):
             real_roots(make_params(), 0.75)
+
+    @pytest.mark.parametrize("T", [0.75, 3.0])
+    def test_a_flat_stretch_is_not_taken_for_a_root(self, monkeypatch, T):
+        # P, wrapped to keep its sign but sit at 1e-300 on a stretch of 2e-11
+        # around the first iterate of the first bracket searched: a Newton
+        # step there is tiny, and only P's sign change tells it from a root
+        params = make_params()
+        honest, scaled, seen = real_roots(params, T), spectrum._scaled_charpoly, []
+        monkeypatch.setattr(spectrum, "_scaled_charpoly", lambda *args: seen.append(args[-1]) or scaled(*args))
+        real_roots(params, T)
+        # the endpoints are evaluated first, in ascending order, then the iterates
+        first = seen[next(k for k in range(1, len(seen)) if seen[k] < seen[k - 1])]
+
+        def flat(c, c_I, q, n_I, lam):
+            value, size = scaled(c, c_I, q, n_I, lam)
+            return (math.copysign(1e-300, value) if abs(lam - first) <= 1e-11 else value), size
+
+        monkeypatch.setattr(spectrum, "_scaled_charpoly", flat)
+        assert all(abs(r - first) > 1e-3 for r in honest)
+        assert real_roots(params, T) == pytest.approx(honest, rel=1e-15, abs=1e-15)
 
     def test_overflowing_critical_points_raise(self):
         # the derivative quadratic's discriminant, 64T here, passes the float
@@ -370,7 +390,7 @@ class TestEigenvectors:
     def test_zero_mode_closed_form(self):
         params = make_params(beta=1.0, p=2.0, c=3.0, n_I=2, tau_I=1.0, v_a=0.5)
         T = 1.0  # pressure 2*2 = 4... clearance 3: off threshold
-        v = eigenvector(params, T, 0.0, V_scale=1.0)
+        v = eigenvector(params, T, 0.0)
         c_I = 2.0
         np.testing.assert_allclose(v[:2], [1.0 * 1.0 / c_I] * 2)
         assert v[2] == 1.0
@@ -391,6 +411,21 @@ class TestEigenvectors:
         assert v[-1] == 0.0  # balanced production needs no gradient term
         off = eigenvector(params_flat, 0.5 * T, 0.0)
         assert off[-1] != 0.0 and np.allclose(off[:-1], 0.0)  # pure gradient direction
+
+    @pytest.mark.parametrize("rel", [5e-13, 5e-11, -5e-11])
+    def test_zero_advection_critical_window_is_classify_s(self, rel):
+        # T* = 1.5; within classify's 1e-10 window of it the zero is double
+        # and its eigenvector is the V family, balanced with W = 0
+        params = make_params(v_a=0.0)
+        T = 1.5 * (1 + rel)
+        assert classify(params, T).kind == "Critical"
+        zero, = (r for r in analyze(params, T).real_eigenvalues if r.value == 0.0)
+        assert zero.algebraic_multiplicity == 2
+        np.testing.assert_array_equal(eigenvector(params, T, 0.0), [T / 2.0, T / 2.0, 1.0, 0.0])
+        # past the window the zero is simple and its eigenvector is the pure W direction
+        for off in (1.5 * (1 + 1e-8), 1.5 * (1 - 1e-8)):
+            assert classify(params, off).kind != "Critical"
+            np.testing.assert_array_equal(eigenvector(params, off, 0.0), [0.0, 0.0, 0.0, 1.0])
 
     def test_multiplicities(self):
         params = make_params()

@@ -216,7 +216,7 @@ class TestPowerTable:
     """Frozen-T runs take their rows K at a time from a table of step-map
     powers (_power_table): each row is one RK4 step from the row before up
     to rounding, and the table is bounded by _CHUNK_ROWS, by the run's
-    states and by the first power or sum that is not finite."""
+    states, by the cache and by the first power or sum that is not finite."""
 
     @pytest.mark.parametrize("dt_rho", [0.01, 0.1, 0.5])
     def test_rows_are_rk4_steps_on_deep_sets(self, dt_rho):
@@ -258,8 +258,6 @@ class TestPowerTable:
         np.testing.assert_array_equal(traj.states, 0.0)
 
     def test_table_holds_no_more_numbers_than_the_states(self, monkeypatch):
-        # at the parser's cap n_E + n_I = 1000 a 64-row table would be 514 MB
-        params = make_params(n_E=400, tau_E=400.0, n_I=600, tau_I=600.0)
         tables, power_table = [], surface._power_table
 
         def recorded(*args):
@@ -267,11 +265,25 @@ class TestPowerTable:
             return tables[-1]
 
         monkeypatch.setattr(surface, "_power_table", recorded)
-        d, steps = params.state_dim - 1, 2006
-        traj = integrate_linearized(params, 0.5 * params.T_star, np.ones(d), (0.0, steps * 0.01), 0.01)
-        (P, Q), = tables
-        assert len(Q) == 2  # (steps + 1) // (d + 1)
-        assert P.size + Q.size <= traj.states.size
+        # a short run at d = 6 and one at the parser's cap n_E + n_I = 1000,
+        # where a 64-row table would be 514 MB and even two rows miss the cache
+        shallow = make_params(n_I=3, n_E=1, tau_E=0.5)
+        deep = make_params(n_E=400, tau_E=400.0, n_I=600, tau_I=600.0)
+        for params, steps, rows in ((shallow, 20, 3), (deep, 2006, 1)):
+            d = params.state_dim - 1
+            traj = integrate_linearized(params, 0.5 * params.T_star, np.ones(d), (0.0, steps * 0.01), 0.01)
+            P, Q = tables.pop()
+            assert len(Q) == rows
+            assert P.size + Q.size <= traj.states.size
+
+    @pytest.mark.parametrize("d", [6, 9, 32, 33, 62, 102, 182, 302])
+    def test_table_stays_in_cache(self, d):
+        # 64 rows through d = 32, fewer past it, one (the step map) from d = 182
+        params = make_params(n_I=d - 2, tau_I=1.0)
+        M, F, _ = surface._frozen_system(params, 0.5 * params.T_star, 0.0, np.zeros(d))
+        P, Q = surface._power_table(*surface._linear_rk4_map(M, F, 0.01), 10_000)
+        assert len(Q) == max(1, min(surface._CHUNK_ROWS, 2**16 // d**2))
+        assert P.size <= max(2**16, d * d)
 
     @pytest.mark.parametrize("span", [(4.0, 0.0), (2.5, -1.3), (2.0, 2.0)])
     def test_backward_and_empty_spans_follow_the_step_map(self, span):

@@ -1,20 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from flustab import validation
 from flustab.charpoly import coefficient_matrix
 from flustab.model import ModelParams
-from flustab.spectrum import classify, full_spectrum_numeric, predicted_sign_pattern
+from flustab.spectrum import SignPattern, classify, full_spectrum_numeric, predicted_sign_pattern
 from flustab.validation import (
     SuiteResult,
     cell_params,
-    classify_eigenvalue,
     pattern_matches,
     run_all,
     sample_params,
     suite_charpoly_equivalence,
     suite_multiplicities,
-    suite_zero_eigenvalue,
 )
 
 
@@ -135,23 +135,46 @@ class TestCellParams:
             assert classify(params, T).kind == kind
 
 
+def one_root_pattern(cls: str) -> SignPattern:
+    """A pattern that asks for the zero and one root of class cls."""
+    return SignPattern("even", "<", "=", ("zero", cls), (), 1)
+
+
 class TestClassifyEigenvalue:
+    """Each nonzero real eigenvalue counts in one sign class, or, within the
+    window of -c_I, in either negative class (pattern_matches)."""
+
+    @staticmethod
+    def classes(lam, c_I=2.0, ztol=1e-8):
+        spectrum = np.array([0.0, lam])
+        classes = ("positive", "neg_in_cI_0", "neg_below_cI")
+        return {cls for cls in classes if pattern_matches(one_root_pattern(cls), spectrum, c_I, ztol, 2)[0]}
+
     def test_plain_classes(self):
-        assert classify_eigenvalue(0.5, 2.0, 1e-8) == {"positive"}
-        assert classify_eigenvalue(-1.0, 2.0, 1e-8) == {"neg_in_cI_0"}
-        assert classify_eigenvalue(-3.0, 2.0, 1e-8) == {"neg_below_cI"}
-        assert classify_eigenvalue(1e-10, 2.0, 1e-8) == {"zero"}
+        assert self.classes(0.5) == {"positive"}
+        assert self.classes(-1.0) == {"neg_in_cI_0"}
+        assert self.classes(-3.0) == {"neg_below_cI"}
+        # inside the zero window it is a second zero, which no class takes
+        assert self.classes(1e-10) == set()
 
     def test_ambiguous_band_around_minus_cI(self):
         # numerically indistinguishable from -c_I: either side is acceptable
-        assert classify_eigenvalue(-2.0 + 1e-10, 2.0, 1e-8) == {
-            "neg_below_cI",
-            "neg_in_cI_0",
-        }
-        assert classify_eigenvalue(-2.0 - 1e-10, 2.0, 1e-8) == {
-            "neg_below_cI",
-            "neg_in_cI_0",
-        }
+        assert self.classes(-2.0 + 1e-10) == {"neg_below_cI", "neg_in_cI_0"}
+        assert self.classes(-2.0 - 1e-10) == {"neg_below_cI", "neg_in_cI_0"}
+        # just outside the band only its own side is
+        assert self.classes(-2.0 + 2e-8) == {"neg_in_cI_0"}
+        assert self.classes(-2.0 - 2e-8) == {"neg_below_cI"}
+
+    def test_band_roots_split_between_the_negative_classes(self):
+        # two roots in the band may be one of each, both below, or both above
+        band = [-2.0 - 1e-10, -2.0 + 1e-10]
+        spectrum = np.array([0.0, *band])
+        for want in (("neg_in_cI_0", "neg_below_cI"), ("neg_below_cI",) * 2, ("neg_in_cI_0",) * 2):
+            pattern = SignPattern("odd", ">", "=", ("zero", *want), (), 1)
+            assert pattern_matches(pattern, spectrum, 2.0, 1e-8, 3)[0]
+        # but not one band root and a plain root of the same class twice over
+        pattern = SignPattern("odd", ">", "=", ("zero", "neg_in_cI_0", "neg_in_cI_0"), (), 1)
+        assert not pattern_matches(pattern, np.array([0.0, -3.0, band[0]]), 2.0, 1e-8, 3)[0]
 
 
 class TestPatternMatches:
@@ -196,6 +219,128 @@ class TestPatternMatches:
         assert not ok
 
 
+def reference_classes(lam, c_I, ztol):
+    """The sign classes one nonzero real eigenvalue may take, two inside
+    the window of -c_I: the pattern_matches oracle's classifier."""
+    if lam > 0:
+        return {"positive"}
+    if abs(lam + c_I) <= ztol:
+        return {"neg_below_cI", "neg_in_cI_0"}
+    return {"neg_below_cI"} if lam < -c_I else {"neg_in_cI_0"}
+
+
+def reference_cover(required, acceptable):
+    """Whether the classes in required match the sets in acceptable one to
+    one, by backtracking."""
+    if len(required) != len(acceptable):
+        return False
+    if not required:
+        return True
+    head, rest = required[0], required[1:]
+    return any(head in acc and reference_cover(rest, acceptable[:i] + acceptable[i + 1:])
+               for i, acc in enumerate(acceptable))
+
+
+def reference_pattern_matches(pattern, eigvals, c_I, ztol, dim):
+    """The general matcher pattern_matches' class counts replace: every
+    choice of the surplus real roots for the optional slots, then a one to
+    one cover of the mandatory classes by the rest. Returns (ok, guard),
+    guard naming the dimension, odd-complex or zero-count check that
+    failed."""
+    reals = sorted(float(z.real) for z in eigvals if abs(z.imag) <= ztol)
+    n_complex = len(eigvals) - len(reals)
+    if len(reals) + n_complex != dim:
+        return False, "dimension"
+    if n_complex % 2 != 0:
+        return False, "odd complex"
+    if sum(abs(r) <= ztol for r in reals) != pattern.zero_algebraic_multiplicity:
+        return False, "zero count"
+    nonzero = [r for r in reals if abs(r) > ztol]
+    acceptable = [reference_classes(r, c_I, ztol) for r in nonzero]
+    required = [cls for cls in pattern.mandatory if cls != "zero"]
+    optional = [cls for pair in pattern.optional_pairs for cls in pair]
+    surplus = len(nonzero) - len(required)
+    if surplus < 0 or surplus > len(optional) or surplus % 2:
+        return False, ""
+    for extra in itertools.combinations(range(len(nonzero)), surplus):
+        if all(optional[k] in acceptable[i] for k, i in enumerate(extra)):
+            rest = [acceptable[i] for i in range(len(nonzero)) if i not in extra]
+            if reference_cover(required, rest):
+                return True, ""
+    return False, ""
+
+
+def random_spectrum(rng, pattern, c_I, ztol, dim):
+    """A spectrum near the pattern: its classes, in random order, with
+    values drawn anywhere in a class or on the edges of the zero and -c_I
+    windows, and complex pairs for the rest; then, two times in three, one
+    value moved to another class, a value added or dropped, or one value
+    made real or complex alone."""
+    edges = [ztol, -ztol, np.nextafter(ztol, 1.0), -np.nextafter(ztol, 1.0),
+             -c_I + ztol, -c_I - ztol, -c_I, np.nextafter(-c_I + ztol, 0.0), np.nextafter(-c_I - ztol, -np.inf)]
+    draw = {
+        "zero": lambda: rng.uniform(-ztol, ztol),
+        "positive": lambda: rng.uniform(ztol, 5.0),
+        "neg_in_cI_0": lambda: rng.uniform(-c_I, -ztol),
+        "neg_below_cI": lambda: -c_I - rng.uniform(0.0, 5.0),
+        "band": lambda: -c_I + rng.uniform(-ztol, ztol),
+        "edge": lambda: edges[rng.integers(len(edges))],
+    }
+    classes = [cls for cls in pattern.mandatory for _ in range(
+        pattern.zero_algebraic_multiplicity if cls == "zero" else 1)]
+    if pattern.optional_pairs and rng.random() < 0.5:
+        classes += list(pattern.optional_pairs[0])
+    # some classes drawn from the -c_I band or a window edge instead
+    classes = [str(rng.choice(["band", "edge"])) if cls != "zero" and rng.random() < 0.3 else cls
+               for cls in classes]
+    reals = [complex(draw[cls]()) for cls in classes]
+    pairs = []
+    while len(reals) + 2 * len(pairs) + 2 <= dim:
+        im = ztol * (1.0 + rng.uniform(0.0, 1e3))
+        pairs.append(complex(rng.uniform(-3.0, 3.0), im))
+    w = reals + [z for pair in pairs for z in (pair, pair.conjugate())]
+    w += [complex(draw["edge"]()) for _ in range(dim - len(w))]
+    tamper = rng.integers(6)
+    if tamper == 1:
+        w[rng.integers(len(w))] = complex(draw[str(rng.choice(list(draw)))]())
+    elif tamper == 2:
+        w.append(complex(draw[str(rng.choice(list(draw)))]()))
+    elif tamper == 3 and len(w) > 1:
+        w.pop(rng.integers(len(w)))
+    elif tamper == 4:
+        # a partner whose imaginary part sits on the window edge is a real,
+        # and a real moved off the axis is complex: an odd complex count
+        k = len(reals) + 1 if pairs else 0
+        w[k] = complex(w[k].real, ztol if pairs else 2.0 * ztol)
+    return np.array(rng.permutation(w))
+
+
+@pytest.mark.parametrize("n_I", range(1, 7))
+def test_class_counts_agree_with_the_general_matcher(n_I):
+    # every regime cell's pattern at this depth, against spectra near it
+    rng = np.random.default_rng(n_I)
+    verdicts = {True: 0, False: 0}
+    guards = set()
+    for row, col in itertools.product("<=>", "<=>"):
+        params, T = cell_params(n_I, row, col)
+        pattern = predicted_sign_pattern(params, T)
+        dim = params.state_dim - 1
+        # windows of powers of two, so a value on an edge of the -c_I window
+        # (c_I is an integer here) is exactly ztol from it
+        for ztol in (2.0**-27, 2.0**-10 * params.c_I):
+            for _ in range(150):
+                w = random_spectrum(rng, pattern, params.c_I, ztol, dim)
+                ok, detail = pattern_matches(pattern, w, params.c_I, ztol, dim)
+                want, guard = reference_pattern_matches(pattern, w, params.c_I, ztol, dim)
+                # a guard's failure keeps its wording ("" is in every detail)
+                assert (ok, guard in detail) == (want, True), (pattern, w.tolist(), guard, detail)
+                verdicts[ok] += 1
+                guards.add(guard)
+    # both verdicts and every guard are reached, so the agreement is not vacuous
+    assert min(verdicts.values()) >= 300, verdicts
+    assert guards >= {"dimension", "odd complex", "zero count"}
+
+
 class TestSuites:
     def test_run_all_passes_and_names(self):
         results = run_all(seed=0)
@@ -234,10 +379,6 @@ class TestSuites:
         monkeypatch.setattr(validation, "algebraic_multiplicity", closed_form)
         monkeypatch.setattr(validation, "_finite_difference_multiplicity", lambda params, T, lam: 3)
         assert suite_multiplicities(seed=0).failures == honest.checks - 12  # all but the geometric checks
-
-    def test_zero_eigenvalue_suite(self):
-        r = suite_zero_eigenvalue(seed=3, n_sets=40)
-        assert r.ok and r.checks == 40
 
     def test_impossible_tolerance_fails_honestly(self):
         # a tolerance below roundoff must produce recorded failures,
