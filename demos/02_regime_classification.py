@@ -13,8 +13,8 @@ from flustab.charpoly import coefficient_inf_norm
 
 
 def positive_count(params, T):
-    # an eigenvalue within 1e-8 of the matrix's scale counts as zero, the
-    # window analyze and sweep use too
+    # a dense eigensolver value within 1e-8 of the matrix's scale counts as
+    # zero, the window analyze uses for such values too
     w = full_spectrum_numeric(params, T)
     ztol = 1e-8 * max(coefficient_inf_norm(params, T), 1.0)
     reals = [z.real for z in w if abs(z.imag) <= ztol]

@@ -36,7 +36,7 @@ from .model import (
     StateVector,
     validate as validate_params,
 )
-from .spectrum import _KIND_BY_ROW, _regime_rows, _viral_pressure, _zero_window
+from .spectrum import _KIND_BY_ROW, _regime_rows, _viral_pressure
 from .spectrum import analyze, eigenvector, perron_root, real_roots
 from .surface import (
     BlowUpError,
@@ -55,11 +55,9 @@ EXIT_NUMERIC = 3
 EXIT_BLOW_UP = 4
 EXIT_BROKEN_PIPE = 141
 
-_TOP_KEYS = {"params", "coeffs", "T", "initial_state", "grid", "linearized", "tolerances", "seed"}
+_TOP_KEYS = {"params", "coeffs", "T", "initial_state", "grid", "linearized", "seed"}
 _GRID_KEYS = {"x_span", "t_span", "h_x", "h_t", "asymptotics_window"}
 _SWEEP_KEYS = {"from", "to", "steps"}
-_SUITE_TOLERANCE_KEYS = {"charpoly_rel", "eigenvector_residual_rel", "tol_rank", "sign_zero_rel"}
-_TOLERANCE_KEYS = _SUITE_TOLERANCE_KEYS | {"tol_class_rel", "zero_rel"}
 
 
 class ConfigError(Exception):
@@ -121,7 +119,6 @@ class RunConfig:
     initial_state: list[float] | None = None
     grid: dict = dc_field(default_factory=dict)
     linearized: bool = False
-    tolerances: dict = dc_field(default_factory=dict)
     seed: int = 0
 
 
@@ -159,21 +156,6 @@ def _parse_grid(node) -> dict:
                 raise ConfigError(f"grid.{key} must be > 0")
             grid[key] = value
     return grid
-
-
-def _parse_tolerances(node) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError("tolerances must be an object")
-    unknown = set(node) - _TOLERANCE_KEYS
-    if unknown:
-        raise ConfigError("unknown tolerance keys", {"keys": sorted(unknown)})
-    out = {}
-    for key, value in node.items():
-        value = _as_float(value, f"tolerances.{key}")
-        if value <= 0:
-            raise ConfigError(f"tolerances.{key} must be > 0")
-        out[key] = value
-    return out
 
 
 def _check_pressure(params: ModelParams | None, T: float, key: str) -> None:
@@ -257,9 +239,6 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError("linearized must be true or false")
         cfg.linearized = doc["linearized"]
 
-    if "tolerances" in doc:
-        cfg.tolerances = _parse_tolerances(doc["tolerances"])
-
     if "seed" in doc:
         seed = doc["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -308,12 +287,7 @@ def cmd_analyze(cfg: RunConfig, args, out) -> int:
     params = _need_params(cfg)
     if cfg.T_value is None:
         raise ConfigError("analyze needs a scalar T in the config")
-    report = analyze(
-        params,
-        cfg.T_value,
-        tol_class_rel=cfg.tolerances.get("tol_class_rel", 1e-10),
-        tol_rank=cfg.tolerances.get("tol_rank", 1e-7),
-    )
+    report = analyze(params, cfg.T_value)
     out.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 
@@ -327,11 +301,12 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     # the structural zero is set aside: the Perron root of the (E, I, V)
     # block is the largest real eigenvalue, and the only one that can be > 0
     roots = perron_root(params, Ts)
-    positive = roots > _zero_window(params, Ts, cfg.tolerances.get("zero_rel", 1e-8))
-    # classify's regime row at its default window
-    kinds = [_KIND_BY_ROW[row] for row in "<=>"]
-    kind = [kinds[k] for k in _regime_rows(params, Ts, 1e-10)[0].tolist()]
-    rows = list(zip(Ts.tolist(), kind, roots.tolist(), positive.tolist()))
+    # classify's regime row decides both columns: by the next-generation
+    # theorem the root is > 0, the one positive eigenvalue, exactly on "<"
+    row = _regime_rows(params, Ts)[0]
+    kinds = [_KIND_BY_ROW[r] for r in "<=>"]
+    kind = [kinds[k] for k in row.tolist()]
+    rows = list(zip(Ts.tolist(), kind, roots.tolist(), (row == 0).tolist()))
     out.write("T,classification,max_real_eig,n_positive\n")
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
         block = rows[start : start + _CSV_BLOCK_ROWS]
@@ -447,8 +422,7 @@ def _shared_negative_axis(params: ModelParams, T_below: float) -> np.ndarray:
     into a complex pair, so the shared axis is anchored here and reused by
     every panel.
     """
-    ztol = _zero_window(params, T_below)
-    negatives = [r for r in real_roots(params, T_below) if r < -ztol]
+    negatives = [r for r in real_roots(params, T_below) if r < 0.0]
     if not negatives:
         raise NumericError(f"no negative real eigen-direction at T = {T_below:g}")
     return _unit(eigenvector(params, T_below, min(negatives)))
@@ -458,8 +432,7 @@ def _panel_axis(params: ModelParams, label: str, T: float) -> tuple[np.ndarray, 
     if label == "below":
         return _unit(eigenvector(params, T, 0.0)), "zero"
     if label == "above":
-        ztol = _zero_window(params, T)
-        positives = [r for r in real_roots(params, T) if r > ztol]
+        positives = [r for r in real_roots(params, T) if r > 0.0]
         if not positives:
             raise NumericError(f"no positive eigen-direction at T = {T:g}")
         return _unit(eigenvector(params, T, max(positives))), "positive"
@@ -509,8 +482,7 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
 
 def cmd_validate(cfg: RunConfig, args, out) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
-    overrides = {k: v for k, v in cfg.tolerances.items() if k in _SUITE_TOLERANCE_KEYS}
-    results = run_all(seed=seed, tolerances=overrides or None)
+    results = run_all(seed=seed)
     ok = all(r.ok for r in results)
     if args.json:
         doc = {"seed": seed, "ok": ok, "suites": [r.to_json_dict() for r in results]}

@@ -29,6 +29,13 @@ import numpy as np
 from .charpoly import coefficient_inf_norm, coefficient_matrix
 from .model import InvalidParamsError, ModelParams, _threshold
 
+# One fixed value per numeric decision; none of them is a parameter.
+_CLASS_REL = 1e-10  # the regime cell's "=" window, relative to the larger term
+_ZERO_REL = 1e-8  # a dense eigensolver value within this of max(||A||_inf, 1) is 0
+_RANK_REL = 1e-7  # the SVD rank cut, relative to the largest singular value
+_ROOT_TOL = 1e-12
+_ROOT_STEPS = 2200  # twice the bisections from a bracket of 2 * 1.8e308 to _ROOT_TOL
+
 
 def _viral_pressure(params: ModelParams, T: float) -> float:
     # Canonical evaluation order; the Critical/equality tests in this module
@@ -42,20 +49,22 @@ class Classification:
     T_star: float
 
 
-def _regime_rows(params: ModelParams, T, tol_class_rel: float) -> tuple[np.ndarray, np.ndarray]:
+def _regime_rows(params: ModelParams, T) -> tuple[np.ndarray, np.ndarray]:
     """The regime cell (row, column) of each T (a float or an array), each
     an index 0, 1, 2 into "<=>". Row: the sign of c - beta*T*p*tau_I.
     Column: the sign of c_I^2 - c*c_I - beta*T*p, where -c_I falls against
     the roots of the quadratic factor. Each is "=" inside a relative window
-    of tol_class_rel of its largest term; a NaN or infinite value lands in
-    "<", as an overflowing viral pressure does."""
+    of _CLASS_REL of its largest term; a NaN or infinite value lands in
+    "<", as an overflowing viral pressure does. By the next-generation
+    theorem the row alone says whether an eigenvalue is positive ("<"), the
+    zero is double ("=") or neither (">"); every caller takes it from here."""
     c, c_I = params.c, params.c_I
     q = params.beta * T * params.p
     pressure = q * params.tau_I  # _viral_pressure's evaluation order
 
     def three_way(value, scale):
         # only a finite gap can be "=": an infinite one has an infinite window
-        return np.where((np.abs(value) <= tol_class_rel * scale) & np.isfinite(value), 1, 2 * (value > 0))
+        return np.where((np.abs(value) <= _CLASS_REL * scale) & np.isfinite(value), 1, 2 * (value > 0))
 
     row = three_way(c - pressure, np.maximum(abs(c), np.abs(pressure)))
     col_scale = np.maximum(max(c_I * c_I, abs(c) * c_I, 1e-300), np.abs(q))
@@ -65,14 +74,16 @@ def _regime_rows(params: ModelParams, T, tol_class_rel: float) -> tuple[np.ndarr
 _KIND_BY_ROW = {"<": "Indefinite", "=": "Critical", ">": "Definite"}
 
 
-def _zero_window(params: ModelParams, T, rel: float = 1e-8):
-    """The absolute window rel * max(||A||_inf, 1) within which an
-    eigenvalue of the frozen-T matrix A at T (a float or an array) counts
-    as zero, from coefficient_inf_norm's closed-form row sums."""
-    return rel * np.maximum(coefficient_inf_norm(params, T), 1.0)
+def _zero_window(params: ModelParams, T):
+    """The absolute window _ZERO_REL * max(||A||_inf, 1) within which a
+    dense eigensolver value of the frozen-T matrix A at T counts as zero,
+    from coefficient_inf_norm's closed-form row sums. Only analyze's
+    complex-pair count and its n_E > 0 branch judge such values; a
+    certified root is zero only when it is 0.0."""
+    return _ZERO_REL * max(coefficient_inf_norm(params, T), 1.0)
 
 
-def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Classification:
+def classify(params: ModelParams, T: float) -> Classification:
     """Regime of the frozen-T system.
 
     Definite when clearance c exceeds the viral pressure beta*T*p*tau_I
@@ -80,7 +91,7 @@ def classify(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> Cla
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    row = "<=>"[int(_regime_rows(params, T, tol_class_rel)[0])]
+    row = "<=>"[int(_regime_rows(params, T)[0])]
     return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
 
 
@@ -175,10 +186,6 @@ def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float) 
         return math.nan
 
 
-_ROOT_TOL = 1e-12
-_ROOT_STEPS = 2200  # twice the bisections from a bracket of 2 * 1.8e308 to _ROOT_TOL
-
-
 def real_roots(params: ModelParams, T: float) -> list[float]:
     """All real roots of the n_E = 0 characteristic polynomial, ascending.
 
@@ -192,11 +199,16 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
     step alone does not show. That leaves the root within the rounding of
     _scaled_charpoly (a few ulps); one more Newton step, on the value taken
     exactly from the float inputs (_exact_charpoly_ratio), puts it on one
-    of the two floats around the exact root. Roots sitting exactly on a
-    critical point (the double zero at the Critical regime boundary) are
-    caught by evaluating the endpoints themselves. The structural root at 0
-    is always included exactly, and an interval around 0 is not searched:
-    its one root is 0. Every sign is taken from _scaled_charpoly, so no
+    of the two floats around the exact root. A root sitting on a critical
+    point (a double root) is caught by evaluating the critical point itself.
+    The structural root at 0 is always included exactly, and an interval
+    around 0 is not searched: its one root is 0. The interior critical
+    point nearest 0 lies between 0 and 0's partner root; the regime row
+    decides it. On the Critical row it stands for the double zero: it is
+    dropped, and the interval around 0 that takes its place is not
+    searched. Elsewhere it is a root only where _scaled_charpoly is exactly
+    0.0 there, and the partner is bracketed like any other root. Every
+    sign is taken from _scaled_charpoly, so no
     cascade depth or rate overflows it. A bracket still wider than that
     after _ROOT_STEPS steps raises ArithmeticError, as critical points past
     the float range do: no root is reported without its sign change.
@@ -221,15 +233,12 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
         if endpoints[-1] + 1e-14 * (1 + abs(cp)) < cp < hi:
             endpoints.append(cp)
     endpoints.append(hi)
+    near = min(range(1, len(endpoints) - 1), key=lambda i: abs(endpoints[i]), default=None)
+    if near is not None and _regime_rows(params, T)[0] == 1:
+        del endpoints[near]  # the double zero: 0 and its partner are one root
+        near = None
 
     P = lambda lam: _scaled_charpoly(c, c_I, q, n_I, lam)[0]
-    roots: list[float] = [0.0]
-
-    def push(x: float):
-        for r in roots:
-            if abs(x - r) <= max(_ROOT_TOL, 1e-9 * max(1.0, abs(x), abs(r))):
-                return
-        roots.append(x)
 
     def newton_step(x: float, value: float) -> float:
         # P/P' = value * M^n_I / ((c_I + x)^(n_I - 1) Q(x)), where
@@ -244,14 +253,15 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
         return -step if c_I + x < 0.0 and n_I % 2 == 0 else step  # (c_I + x)^(n_I - 1) < 0
 
     # Endpoint-as-root detection stays near the roundoff floor (a few eps of
-    # the term scale): loose windows would swallow the two distinct roots
-    # that flank a critical point just off the Critical boundary, while the
-    # exactly-double root at the boundary evaluates to 0.0 and is caught.
+    # the term scale): loose windows would swallow two distinct roots that
+    # flank a critical point, while a double root evaluates to ~0.0 and is
+    # caught. The critical point nearest 0 is never a nonzero double root,
+    # so there nothing but an exact 0.0 counts.
     vals, scales = zip(*(_scaled_charpoly(c, c_I, q, n_I, e) for e in endpoints))
     zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
-    for e, z in zip(endpoints, zero_at):
-        if z:
-            push(e)
+    if near is not None:
+        zero_at[near] = vals[near] == 0.0
+    roots = [0.0] + [e for e, z in zip(endpoints, zero_at) if z]
 
     for i in range(len(endpoints) - 1):
         if zero_at[i] or zero_at[i + 1]:
@@ -298,7 +308,7 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
             polished = x - _exact_charpoly_ratio(c, c_I, q, n_I, x) / slope
             if a - tol <= polished <= b + tol:
                 x = polished
-        push(x)
+        roots.append(x)
 
     return sorted(roots)
 
@@ -340,7 +350,7 @@ class SignPattern:
         }
 
 
-def predicted_sign_pattern(params: ModelParams, T: float, tol_class_rel: float = 1e-10) -> SignPattern:
+def predicted_sign_pattern(params: ModelParams, T: float) -> SignPattern:
     """Select the regime cell and return its predicted pattern.
 
     Row: sign of c - beta*T*p*tau_I. Column: sign of c_I^2 - c*c_I - beta*T*p
@@ -358,7 +368,7 @@ def predicted_sign_pattern(params: ModelParams, T: float, tol_class_rel: float =
         row >:  neg_below_cI, neg_in_cI_0, zero
     """
     _require_nE0(params)
-    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T, tol_class_rel))
+    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
     return _sign_pattern(params.n_I, row, col)
 
 
@@ -554,18 +564,18 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
     return v
 
 
-def geometric_multiplicity(A: np.ndarray, lam: float, tol_rank: float = 1e-7) -> int:
+def geometric_multiplicity(A: np.ndarray, lam: float) -> int:
     """Eigenspace dimension n - rank(A - lam*I) of the square matrix A, rank
-    by singular values above tol_rank times the largest. Raises if lam is
-    not an eigenvalue within that tolerance (computed multiplicity zero)."""
+    by singular values above _RANK_REL times the largest. Raises if lam is
+    not an eigenvalue within that cut (computed multiplicity zero)."""
     sv = np.linalg.svd(A - lam * np.eye(len(A)), compute_uv=False)
-    gm = len(A) - int(np.sum(sv > tol_rank * sv[0]))
+    gm = len(A) - int(np.sum(sv > _RANK_REL * sv[0]))
     if gm == 0:
         raise ValueError(f"{lam} is not an eigenvalue of the matrix within tolerance")
     return gm
 
 
-def algebraic_multiplicity(params: ModelParams, T: float, lam: float, tol_class_rel: float = 1e-10) -> int:
+def algebraic_multiplicity(params: ModelParams, T: float, lam: float) -> int:
     """Algebraic multiplicity of the real root lam: 1 plus its order as a
     zero of P' = (c_I + lam)^(n_I - 1) * Q(lam), Q the quadratic of
     derivative_quadratic_coeffs.
@@ -574,20 +584,20 @@ def algebraic_multiplicity(params: ModelParams, T: float, lam: float, tol_class_
     beta*T*p = 0 (elsewhere P(-c_I) = beta*T*p*c_I^n_I). At lam = 0,
     Q(0) = c*c_I - beta*T*p*n_I is c_I times the Critical row's gap, so the
     Critical window decides it, and Q'(0) > 0. Elsewhere Q(lam) and then
-    Q'(lam) count as zero within tol_class_rel of the sum of their terms'
+    Q'(lam) count as zero within _CLASS_REL of the sum of their terms'
     magnitudes; Q'' is a nonzero constant.
     """
     _require_nE0(params)
     c_I = params.c_I
     if lam == 0.0:
-        return 2 if _regime_rows(params, T, tol_class_rel)[0] == 1 else 1
+        return 2 if _regime_rows(params, T)[0] == 1 else 1
     order = params.n_I - 1 if lam == -c_I else 0
     a2, a1, a0 = derivative_quadratic_coeffs(params, T)
     t2, t1 = a2 * lam * lam, a1 * lam
-    if abs(t2 + t1 + a0) <= tol_class_rel * (abs(t2) + abs(t1) + abs(a0)):
+    if abs(t2 + t1 + a0) <= _CLASS_REL * (abs(t2) + abs(t1) + abs(a0)):
         order += 1
         d2 = 2.0 * a2 * lam
-        if abs(d2 + a1) <= tol_class_rel * (abs(d2) + abs(a1)):
+        if abs(d2 + a1) <= _CLASS_REL * (abs(d2) + abs(a1)):
             order += 1
     return 1 + order
 
@@ -639,14 +649,19 @@ class SpectrumReport:
         }
 
 
-def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_rank: float = 1e-7) -> SpectrumReport:
+def analyze(params: ModelParams, T: float) -> SpectrumReport:
     """Full spectrum report at one T value.
 
     With n_E = 0 the real roots come from the analytic bracketing path and
-    carry formula eigenvectors; with n_E > 0 only the numeric oracle is
-    available and the report says so.
+    carry formula eigenvectors. A root is "zero" only when it is 0.0, and
+    the regime row gives the zero's multiplicities: algebraic 2 on the
+    Critical row, geometric 2 there only without advection (v_a = 0), when
+    the W direction joins the V family. Every other certified root is
+    geometrically simple. With n_E > 0 only the numeric oracle is
+    available and the report says so; its reals are judged by the zero
+    window and the SVD.
     """
-    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T, tol_class_rel))
+    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
     classification = Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
     A = coefficient_matrix(params, T)
     w = np.linalg.eigvals(A)
@@ -658,18 +673,19 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
     reports: list[RootReport] = []
     if params.n_E == 0:
         pattern = _sign_pattern(params.n_I, row, col)
+        zero_geometric = 2 if row == "=" and params.v_a == 0.0 else 1
         for r in real_roots(params, T):
             vec = None
             if abs(c_I + r) > 1e-9 * c_I:
-                vec = [float(x) for x in eigenvector(params, T, r if abs(r) > ztol else 0.0)]
+                vec = [float(x) for x in eigenvector(params, T, r)]
             reports.append(
                 RootReport(
                     value=r,
-                    sign_class=sign_class(r, c_I, ztol),
+                    sign_class=sign_class(r, c_I, 0.0),
                     # the structural zero's from the cell decided above
                     algebraic_multiplicity=(pattern.zero_algebraic_multiplicity if r == 0.0
-                                            else algebraic_multiplicity(params, T, r, tol_class_rel)),
-                    geometric_multiplicity=geometric_multiplicity(A, r, tol_rank=tol_rank),
+                                            else algebraic_multiplicity(params, T, r)),
+                    geometric_multiplicity=zero_geometric if r == 0.0 else 1,
                     eigenvector=vec,
                 )
             )
@@ -693,7 +709,7 @@ def analyze(params: ModelParams, T: float, tol_class_rel: float = 1e-10, tol_ran
                     value=value,
                     sign_class=sign_class(value, c_I, ztol),
                     algebraic_multiplicity=len(cl),
-                    geometric_multiplicity=geometric_multiplicity(A, value, tol_rank=tol_rank),
+                    geometric_multiplicity=geometric_multiplicity(A, value),
                     eigenvector=None,
                 )
             )

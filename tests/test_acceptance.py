@@ -124,7 +124,7 @@ def test_criterion_04_threshold_flip(capfd):
 
 
 def test_criterion_05_eigenvector_formulas(capfd):
-    suite = suite_eigenvector_residuals(seed=0, n_sets=50, resid_rel=1e-8, tol_rank=1e-7)
+    suite = suite_eigenvector_residuals(seed=0, n_sets=50, resid_rel=1e-8)
     ok = suite.failures == 0
     report(
         capfd, 5, ok,

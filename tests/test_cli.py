@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from flustab import cli, spectrum
-from flustab.charpoly import coefficient_inf_norm, coefficient_matrix
+from flustab.charpoly import coefficient_matrix
 from flustab.cli import EXIT_BROKEN_PIPE, _write_state_csv, main
 from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
-from flustab.spectrum import classify, perron_root
+from flustab.spectrum import analyze, classify, perron_root
+from flustab.validation import SuiteResult
 
 
 def _fmt(x: float) -> str:
@@ -211,6 +212,13 @@ class TestConfigRejection:
         assert code == 2
         assert error_doc(err)["code"] == 2
 
+    def test_tolerances_is_an_unknown_key(self, capsys, tmp_path):
+        # the zero, rank and Critical windows are fixed; no config sets them
+        cfg = write_config(tmp_path, {"params": params_doc(), "T": 1.0, "tolerances": {"zero_rel": 1e-8}})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 2 and out == ""
+        assert error_doc(err)["details"]["keys"] == ["tolerances"]
+
     @pytest.mark.parametrize("command, T, key", [("analyze", 1e308, "T"), ("simulate", 1e308, "T"),
                                                  ("sweep", {"from": 0.0, "to": 1e308, "steps": 5}, "T.to")])
     def test_overflowing_viral_pressure(self, capsys, tmp_path, command, T, key):
@@ -344,10 +352,24 @@ class TestSweep:
         expected = ["T,classification,max_real_eig,n_positive"]
         for T in np.linspace(0.0, 3.0, 601).tolist():
             root = float(perron_root(params, T))
-            ztol = 1e-8 * max(float(coefficient_inf_norm(params, T)), 1.0)
-            expected.append(f"{_fmt(T)},{classify(params, T).kind},{_fmt(root)},{1 if root > ztol else 0}")
+            kind = classify(params, T).kind
+            expected.append(f"{_fmt(T)},{kind},{_fmt(root)},{1 if kind == 'Indefinite' else 0}")
         assert out == "\n".join(expected) + "\n"
         assert "Critical" in out
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_agrees_with_analyze_beside_the_threshold(self, capsys, tmp_path, k):
+        # a two-step sweep's nodes are exactly T*(1 - 10^-k) and T*(1 + 10^-k)
+        doc = {"params": params_doc(n_I=2), "T": {"from": 1.5 * (1 - 10.0**-k), "to": 1.5 * (1 + 10.0**-k), "steps": 2}}
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 0
+        params = ModelParams.from_json_dict(doc["params"])
+        for line in out.splitlines()[1:]:
+            T, kind, _, n_positive = line.split(",")
+            report = analyze(params, float(T))
+            positives = [r for r in report.real_eigenvalues if r.sign_class == "positive"]
+            assert (kind, int(n_positive)) == (report.classification.kind, len(positives)), T
+            assert int(n_positive) == (kind == "Indefinite")
 
     def test_largest_finite_pressure(self, capsys, tmp_path):
         # beta*T*p*tau_I = 2T stays finite up to T = 8.9e307: every row past
@@ -925,12 +947,13 @@ class TestValidate:
         assert code == 0
         assert out.splitlines()[-1] == "all suites passed [seed 4]"
 
-    def test_impossible_tolerance_fails_with_exit_1(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, {"tolerances": {"charpoly_rel": 1e-30}})
-        code, out, err = run_cli(capsys, ["validate", "--config", cfg])
+    def test_suite_failure_exits_1(self, capsys, monkeypatch):
+        failing = SuiteResult("charpoly_equivalence", checks=2, failures=1, failure_examples=["lam=0.5"])
+        monkeypatch.setattr(cli, "run_all", lambda seed: [failing])
+        code, out, err = run_cli(capsys, ["validate", "--seed", "3"])
         assert code == 1
-        assert "FAIL" in out
-        assert "suite failures" in out.strip().splitlines()[-1]
+        assert "charpoly_equivalence: FAIL (1/2 checks)" in out
+        assert out.strip().splitlines()[-1] == "suite failures [seed 3]"
 
 
 class TestOutFile:

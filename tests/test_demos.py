@@ -1,5 +1,6 @@
 """Every README demo runs to completion as a script and prints its report,
-and the README's library tour runs as written."""
+the README's library tour runs as written, and its config example parses."""
+import json
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from flustab.cli import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -31,3 +34,11 @@ def test_readme_library_tour_runs():
     namespace: dict = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["traj"].states.shape == (2001, 5)
+
+
+def test_readme_config_example_parses():
+    # so a config key the parser no longer has cannot linger in the README
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(json.loads(blocks[0]))
+    assert cfg.params.n_I == 2 and cfg.T_sweep == (0.5, 2.5, 101)

@@ -320,7 +320,6 @@ class TestAlgebraicMultiplicity:
         params = make_params()  # T* = 1.5
         assert algebraic_multiplicity(params, 1.5 * (1 + 1e-12), 0.0) == 2
         assert algebraic_multiplicity(params, 1.5 * (1 + 1e-8), 0.0) == 1
-        assert algebraic_multiplicity(params, 1.5 * (1 + 1e-8), 0.0, tol_class_rel=1e-6) == 2
 
     def test_agrees_with_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -493,6 +492,71 @@ class TestAnalyze:
                 "value", "sign_class", "algebraic_multiplicity",
                 "geometric_multiplicity", "eigenvector",
             }
+
+
+def _threshold_sample(rng):
+    """One n_E = 0 set next to its threshold: n_I uniform in [1, 40], beta,
+    p, c and tau_I log-uniform in [1e-2, 1e2], v_a = 0 in 30% of sets, at
+    T = T*(1 +- 10^u) with u uniform in [-13, -3]."""
+    params = ModelParams(
+        beta=loguniform(rng, 1e-2, 1e2), p=loguniform(rng, 1e-2, 1e2), c=loguniform(rng, 1e-2, 1e2),
+        n_E=0, n_I=int(rng.integers(1, 41)), tau_I=loguniform(rng, 1e-2, 1e2), D_PCF=0.1,
+        v_a=0.0 if rng.random() < 0.3 else loguniform(rng, 1e-2, 1e2), a=0.2,
+    )
+    return params, params.T_star * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13, -3))
+
+
+class TestNearThreshold:
+    """Next to T* the regime row alone decides the zero and the sign of the
+    root beside it: one zero, double exactly on the Critical row, and one
+    positive root, the Perron root, exactly on the Indefinite row."""
+
+    def test_reports_follow_the_row(self):
+        rng = np.random.default_rng(20)
+        for _ in range(1000):
+            params, T = _threshold_sample(rng)
+            report = analyze(params, T)
+            kind, roots = report.classification.kind, report.real_eigenvalues
+            zeros = [r for r in roots if r.sign_class == "zero"]
+            assert [r.value for r in zeros] == [0.0], (params, T)
+            assert (zeros[0].algebraic_multiplicity == 2) == (kind == "Critical"), (params, T)
+            positive = [r.value for r in roots if r.sign_class == "positive"]
+            assert len(positive) == (1 if kind == "Indefinite" else 0), (params, T)
+            if positive:
+                scale = max(coefficient_inf_norm(params, T), 1.0)
+                assert abs(positive[0] - perron_root(params, T)) <= 1e-13 * scale, (params, T)
+            assert all(r.geometric_multiplicity <= r.algebraic_multiplicity for r in roots), (params, T)
+
+    @pytest.mark.parametrize("v_a", [0.0, 0.5])
+    @pytest.mark.parametrize("side, label", [(1.0, "positive"), (-1.0, "neg_in_cI_0")])
+    def test_root_beside_zero_is_the_perron_root(self, v_a, side, label):
+        # the root is ~9.23e-9 from 0; the critical point halfway between
+        # them is no root, though P there is ~1e-17 of its scale
+        params = make_params(v_a=v_a)  # T* = 1.5
+        T = 1.5 * (1 + side * 1e-8)
+        report = analyze(params, T)
+        beside, = (r for r in report.real_eigenvalues if r.value != 0.0)
+        assert abs(beside.value - perron_root(params, T)) <= 1e-13 * max(coefficient_inf_norm(params, T), 1.0)
+        assert (beside.sign_class, beside.algebraic_multiplicity, beside.geometric_multiplicity) == (label, 1, 1)
+        zero, = (r for r in report.real_eigenvalues if r.value == 0.0)
+        assert (zero.sign_class, zero.algebraic_multiplicity, zero.geometric_multiplicity) == ("zero", 1, 1)
+
+    @pytest.mark.parametrize("v_a, geometric", [(0.0, 2), (0.5, 1)])
+    def test_critical_row_reports_only_the_double_zero(self, v_a, geometric):
+        params = make_params(v_a=v_a)
+        T = 1.5 * (1 + 1e-11)
+        assert real_roots(params, T) == [0.0]
+        roots = [(r.value, r.sign_class, r.algebraic_multiplicity, r.geometric_multiplicity)
+                 for r in analyze(params, T).real_eigenvalues]
+        assert roots == [(0.0, "zero", 2, geometric)]
+
+    @pytest.mark.parametrize("T", [1e9, 1e17])
+    def test_large_T_roots_keep_their_classes(self, T):
+        # a zero window of 1e-8 ||A||_inf ~ 2e-8 T would hold -4 and, at
+        # 1e17, every root; an SVD rank cut gives -4 and 0 multiplicity 3
+        report = analyze(make_params(v_a=0.5), T)
+        roots = [(r.sign_class, r.geometric_multiplicity) for r in report.real_eigenvalues]
+        assert roots == [("neg_below_cI", 1), ("neg_below_cI", 1), ("zero", 1), ("positive", 1)]
 
 
 @given(
