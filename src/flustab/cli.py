@@ -447,8 +447,6 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     from ._g17 import g17_bytes
 
     params = _need_params(cfg)
-    if params.n_E != 0:
-        raise ConfigError("field sketches need n_E = 0 (analytic eigenvectors)")
     T_star = params.T_star
     if not math.isfinite(T_star) or T_star <= 0:
         raise ConfigError("field sketches need beta, p, c > 0 so the threshold is finite")
@@ -459,13 +457,8 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     # the panel's lattice points, u the outer and w the inner loop
     u, w = np.repeat(lattice, lattice.size), np.tile(lattice, lattice.size)
 
-    header = (
-        "panel,panel_axis,T,u_neg,u_panel,"
-        + ",".join(f"dt_{n}" for n in names)
-        + ","
-        + ",".join(f"dx_{n}" for n in names)
-    )
-    out.write(header + "\n")
+    header = ["panel", "panel_axis", "T", "u_neg", "u_panel"] + [f"d{d}_{n}" for d in "tx" for n in names]
+    out.write(",".join(header) + "\n")
     seps = np.frombuffer(b"," * (2 + 2 * len(names)) + b"\n", np.uint8)
     v_neg = _shared_negative_axis(params, 0.5 * T_star)
     for label, T in (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star)):

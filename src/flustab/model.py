@@ -186,6 +186,9 @@ def validate(params: ModelParams) -> list[str]:
     ModelParams raises this list at construction when a structural check
     fails, so a count need not be an integer here."""
     problems = _structural_problems(params)
+    if not problems:  # a cascade rate past the float range, as 3/1e-320, makes no matrix
+        problems += [f"{name} must be finite" for name, rate in (("n_E/tau_E", params.c_E), ("n_I/tau_I", params.c_I))
+                     if not math.isfinite(rate)]
     # a generated field kernel's compile time and memory grow with the depth
     counts = (params.n_E, params.n_I)
     if all(isinstance(n, int) for n in counts) and sum(counts) > 1000:

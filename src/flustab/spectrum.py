@@ -1,17 +1,19 @@
 """Eigenvalue analysis of the frozen-T system.
 
-For n_E = 0 the characteristic polynomial is low-degree and fully analyzable:
-its critical points are known in closed form, every real root can be
-bracketed between consecutive critical points, the roots sort into four sign
-classes, and the possible class patterns form a 3x3 grid indexed by the sign
-of c - beta*T*p*tau_I (clearance versus viral pressure) and the sign of
-c_I^2 - c*c_I - beta*T*p (where -c_I falls relative to the quadratic's
-roots). One helper decides that cell for every caller, and algebraic
-multiplicities are read off the factored derivative, not estimated. For
-any n_E the largest real eigenvalue, the one whose sign is the
-stability answer, is the Perron root of the (E, I, V) block and solves one
-monotone scalar equation. A dense nonsymmetric eigensolver provides the
-oracle spectrum for any n_E.
+Every real root of the characteristic polynomial P is found one way, for
+any n_E: bracketed between consecutive critical points, where P is
+monotone, and reported only with a sign change of P across it. The
+critical points come from factored derivatives: P' = (c_I+lam)^(n_I-1) H,
+with H a quadratic at n_E = 0; for n_E > 0, H' = (c_E+lam)^(n_E-2) K with
+K a cubic, whose critical points are closed form. The roots sort into four
+sign classes; at n_E = 0 the class patterns form a 3x3 grid indexed by the
+sign of c - beta*T*p*tau_I (clearance versus viral pressure) and the sign
+of c_I^2 - c*c_I - beta*T*p (where -c_I falls against the quadratic's
+roots), decided for every caller by one helper. Multiplicities are read
+off the factored derivatives. The largest real eigenvalue, whose sign is
+the stability answer, is the Perron root of the (E, I, V) block and solves
+one monotone scalar equation. A dense eigensolver gives the oracle
+spectrum, which no decision here reads.
 
 Sign-class labels used throughout:
     "neg_below_cI"   real root < -c_I
@@ -22,19 +24,18 @@ Sign-class labels used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .charpoly import coefficient_inf_norm, coefficient_matrix
+from .charpoly import coefficient_matrix
 from .model import InvalidParamsError, ModelParams, _threshold
 
 # One fixed value per numeric decision; none of them is a parameter.
 _CLASS_REL = 1e-10  # the regime cell's "=" window, relative to the larger term
-_ZERO_REL = 1e-8  # a dense eigensolver value within this of max(||A||_inf, 1) is 0
 _RANK_REL = 1e-7  # the SVD rank cut, relative to the largest singular value
-_ROOT_TOL = 1e-12
-_ROOT_STEPS = 2200  # twice the bisections from a bracket of 2 * 1.8e308 to _ROOT_TOL
+_ROOT_TOL = 1e-12  # a root's bracket, relative to the root
+_ROOT_STEPS = 2200  # more than the bisections from a bracket of 2 * 1.8e308 to a subnormal
 
 
 def _viral_pressure(params: ModelParams, T: float) -> float:
@@ -74,15 +75,6 @@ def _regime_rows(params: ModelParams, T) -> tuple[np.ndarray, np.ndarray]:
 _KIND_BY_ROW = {"<": "Indefinite", "=": "Critical", ">": "Definite"}
 
 
-def _zero_window(params: ModelParams, T):
-    """The absolute window _ZERO_REL * max(||A||_inf, 1) within which a
-    dense eigensolver value of the frozen-T matrix A at T counts as zero,
-    from coefficient_inf_norm's closed-form row sums. Only analyze's
-    complex-pair count and its n_E > 0 branch judge such values; a
-    certified root is zero only when it is 0.0."""
-    return _ZERO_REL * max(coefficient_inf_norm(params, T), 1.0)
-
-
 def classify(params: ModelParams, T: float) -> Classification:
     """Regime of the frozen-T system.
 
@@ -95,11 +87,6 @@ def classify(params: ModelParams, T: float) -> Classification:
     return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
 
 
-def _require_nE0(params: ModelParams):
-    if params.n_E != 0:
-        raise InvalidParamsError(["analytic spectrum routines require n_E = 0"])
-
-
 def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, float, float]:
     """Coefficients (A2, A1, A0) of the quadratic factor of the polynomial's
     derivative: (n_I + 2) lam^2 + (c (n_I + 1) + 2 c_I) lam + (c c_I - q n_I),
@@ -110,212 +97,295 @@ def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, f
     return (n_I + 2.0, params.c * (n_I + 1.0) + 2.0 * c_I, params.c * c_I - q * n_I)
 
 
-def _critical_points(c_I: float, n_I: int, coeffs: tuple[float, float, float]) -> list[float]:
-    """All real critical points of the characteristic polynomial, ascending.
-
-    These are -c_I (present when n_I >= 2, from the (c_I + lam)^(n_I - 1)
-    derivative factor) plus any real roots of the derivative quadratic with
-    the coefficients of derivative_quadratic_coeffs; a negative
-    discriminant contributes nothing, and one past the float range raises.
-    """
-    pts = [-c_I] if n_I >= 2 else []
-    a2, a1, a0 = coeffs
+def _quadratic_roots(a2: float, a1: float, a0: float) -> list[float]:
+    """The real roots of a2 lam^2 + a1 lam + a0 (a2 > 0), subtraction-free:
+    r1 adds the root of the discriminant to a1 with a1's sign, r2 is a0/(a2
+    r1). A discriminant past the float range raises ArithmeticError."""
     disc = a1 * a1 - 4.0 * a2 * a0
     if not math.isfinite(disc):
         raise ArithmeticError("critical points of the characteristic polynomial overflow")
-    if disc >= 0.0:
-        rt = math.sqrt(disc)
-        # subtraction-free: r1 adds rt to a1 with a1's sign, and r2 comes
-        # from the product of the roots, a0/a2
-        if a1 >= 0:
-            r1 = (-a1 - rt) / (2.0 * a2)
-        else:
-            r1 = (-a1 + rt) / (2.0 * a2)
-        r2 = a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2
-        pts.extend([r1, r2])
-    return sorted(pts)
+    if disc < 0.0:
+        return []
+    rt = math.sqrt(disc)
+    if a1 >= 0:
+        r1 = (-a1 - rt) / (2.0 * a2)
+    else:
+        r1 = (-a1 + rt) / (2.0 * a2)
+    return [r1, a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2]
 
 
-def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float) -> tuple[float, float]:
-    """The n_E = 0 characteristic polynomial and the sum of its terms'
-    magnitudes, both divided by M^n_I with M = max(c_I, |c_I + lam|).
+def _critical_points(c_I: float, n_I: int, coeffs: tuple[float, float, float]) -> list[float]:
+    """The real critical points of the n_E = 0 polynomial, ascending: -c_I
+    (n_I >= 2) and the roots of the derivative quadratic with coeffs."""
+    return sorted(([-c_I] if n_I >= 2 else []) + _quadratic_roots(*coeffs))
 
-    P(lam) = (c_I + lam)^n_I (c + lam) lam + q (c_I^n_I - (c_I + lam)^n_I)
-    with q = beta*T*p. Over M^n_I one of the two powers is +-1 and the other
-    is e^(-|L|), L = n_I log(|c_I + lam|/c_I), so nothing can overflow; the
-    sign (-1)^n_I of the power below -c_I is taken apart, and where it is +1
-    the difference of powers is an expm1 of L. The value is an exact 0.0 at
-    lam = 0 and q at lam = -c_I. The division keeps every sign, and a value
-    below ~1e-13 of the scale is indistinguishable from a true zero.
-    """
-    u = c_I + lam
+
+def _slope_cubics(params: ModelParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Coefficients, highest first, of the cubics R and K of an n_E > 0
+    cascade. With u = c_E + lam, w = c_I + lam and q = beta*T*p,
+    P' = w^(n_I - 1) H, H = u^(n_E - 1) R - q c_E^n_E n_I, where
+    R = (2 lam + c) u w + lam (c + lam)(n_E w + n_I u), and
+    H' = u^(n_E - 2) K with K = (n_E - 1) R + u R'."""
+    c, c_E, c_I, n_E, n_I = params.c, params.c_E, params.c_I, params.n_E, params.n_I
+    r = (n_E + n_I + 2.0, (2 + n_I) * c_E + (2 + n_E) * c_I + c * (1 + n_E + n_I),
+         2.0 * c_E * c_I + c * ((1 + n_I) * c_E + (1 + n_E) * c_I), c * c_E * c_I)
+    k = ((n_E + 2) * r[0], (n_E + 1) * r[1] + 3.0 * c_E * r[0], n_E * r[2] + 2.0 * c_E * r[1],
+         (n_E - 1) * r[3] + c_E * r[2])
+    return r, k
+
+
+def _cubic(coeffs, x: float) -> tuple[float, float]:
+    """The cubic with these coefficients, highest first, at x, and the sum
+    of its terms' magnitudes."""
+    a3, a2, a1, a0 = coeffs
+    m = abs(x)
+    return ((a3 * x + a2) * x + a1) * x + a0, ((abs(a3) * m + abs(a2)) * m + abs(a1)) * m + abs(a0)
+
+
+def _scaled_powers(rate: float, n: int, lam: float) -> tuple[float, float, float]:
+    """(rate + lam)^n, rate^n and rate^n - (rate + lam)^n over M^n, with
+    M = max(rate, |rate + lam|): one power is +-1 and the other e^(-|L|),
+    L = n log(|rate + lam|/rate), and where both are positive their
+    difference is an expm1 of L."""
+    u = rate + lam
     if u == 0.0:
         L = -math.inf
     else:
-        L = n_I * (math.log1p(lam / c_I) if u > 0.0 else math.log(-u / c_I))
-    # |c_I + lam|^n_I and c_I^n_I over M^n_I: the larger is 1, the other e^(-|L|)
+        L = n * (math.log1p(lam / rate) if u > 0.0 else math.log(-u / rate))
     pu, pc = (1.0, math.exp(-L)) if L >= 0.0 else (math.exp(L), 1.0)
-    if u < 0.0 and n_I % 2 == 1:  # (c_I + lam)^n_I < 0
-        pu, diff = -pu, pc + pu
-    else:
-        diff = math.expm1(-L) if L >= 0.0 else -math.expm1(L)
+    if u < 0.0 and n % 2 == 1:  # (rate + lam)^n < 0
+        return -pu, pc, pc + pu
+    return pu, pc, math.expm1(-L) if L >= 0.0 else -math.expm1(L)
+
+
+def _eclipse_powers(c_E: float, n: int, lam: float) -> tuple[float, float]:
+    """(c_E + lam)^n and c_E^n over M_E^n, M_E = max(c_E, |c_E + lam|):
+    powers of two ratios in [-1, 1], so they cannot overflow."""
+    M = max(c_E, abs(c_E + lam))
+    return ((c_E + lam) / M) ** n, (c_E / M) ** n
+
+
+def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float,
+                     c_E: float = 0.0, n_E: int = 0) -> tuple[float, float]:
+    """The characteristic polynomial
+    P(lam) = (c_E + lam)^n_E (c_I + lam)^n_I (c + lam) lam
+             + q c_E^n_E (c_I^n_I - (c_I + lam)^n_I),  q = beta*T*p,
+    and the size of its terms, both over M_E^n_E M^n_I with
+    M = max(c_I, |c_I + lam|) and M_E = max(c_E, |c_E + lam|): no depth or
+    rate overflows it, every sign is kept, and the value is an exact 0.0 at
+    lam = 0. A value below ~1e-13 of the size is indistinguishable from 0.
+    """
+    pu, pc, diff = _scaled_powers(c_I, n_I, lam)
     cascade = pu * (c + lam) * lam
-    return cascade + q * diff, abs(cascade) + abs(q) * (pc + abs(pu))
+    if n_E:
+        eu, ec = _eclipse_powers(c_E, n_E, lam)
+        cascade, q = cascade * eu, q * ec
+    # above -c_I the difference of powers is good to a few eps of itself,
+    # and the powers it cancels overstate its rounding; only eclipse stages
+    # put critical points but the one nearest 0 (tested for an exact 0.0)
+    # at |lam| far below c_I, so at n_E = 0 the size is their sum
+    spread = abs(diff) if n_E and c_I + lam > 0.0 else pc + abs(pu)
+    return cascade + q * diff, abs(cascade) + abs(q) * spread
 
 
-def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float) -> float:
-    """P(lam) / (c_I + lam)^(n_I - 1), with P as in _scaled_charpoly, taken
-    exactly in integers from the float inputs and rounded once; NaN at
-    lam = -c_I or where the ratio is past the float range."""
-    # each float is an integer over a power of 2: c, c_I and lam over one
-    # 2^k, q = Qn / 2^e over its own, so a tiny q does not lengthen the rest
-    ratios = [v.as_integer_ratio() for v in (c, c_I, lam)]
+def _scaled_slope(c_E: float, q: float, n_E: int, n_I: int, r, lam: float) -> tuple[float, float]:
+    """H(lam) = P'(lam)/(c_I + lam)^(n_I - 1) of an n_E > 0 cascade and the
+    sum of its terms' magnitudes, both over M_E^n_E as in _scaled_charpoly;
+    r holds the coefficients of _slope_cubics' R."""
+    eu, ec = _eclipse_powers(c_E, n_E - 1, lam)
+    M = max(c_E, abs(c_E + lam))
+    value, size = _cubic(r, lam)
+    feedback = q * n_I * c_E * ec
+    return (eu * value - feedback) / M, (abs(eu) * size + abs(feedback)) / M
+
+
+def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float,
+                          c_E: float = 0.0, n_E: int = 0) -> float:
+    """P(lam) / (M_E^n_E (c_I + lam)^(n_I - 1)), with P and M_E as in
+    _scaled_charpoly, taken exactly in integers from the float inputs and
+    rounded once; NaN at lam = -c_I or where the ratio is past the float
+    range."""
+    # each float is an integer over a power of 2: c, c_I, lam and c_E over
+    # one 2^k, q = Qn / 2^e over its own, so a tiny q does not lengthen the rest
+    ratios = [v.as_integer_ratio() for v in (c, c_I, lam, c_E)]
     k = max(den for _, den in ratios).bit_length() - 1
-    C, CI, X = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    C, CI, X, CE = (num << (k - den.bit_length() + 1) for num, den in ratios)
     Qn, Qd = q.as_integer_ratio()
     e = Qd.bit_length() - 1
     U = CI + X
     if U == 0:
         return math.nan
     V = U ** (n_I - 1)
-    # P * 2^(k(n_I + 2) + e) = U^n_I (C + X) X 2^e + Qn (CI^n_I - U^n_I) 2^(2k)
-    num = ((V * U * (C + X) * X) << e) + ((Qn * (CI**n_I - V * U)) << (2 * k))
+    # P * 2^(k(n_E + n_I + 2) + e)
+    #   = (CE + X)^n_E U^n_I (C + X) X 2^e + Qn CE^n_E (CI^n_I - U^n_I) 2^(2k)
+    num = (((CE + X) ** n_E * V * U * (C + X) * X) << e) + ((Qn * CE**n_E * (CI**n_I - V * U)) << (2 * k))
     try:
-        return num / (V << (3 * k + e))
+        return num / ((V * max(CE, abs(CE + X)) ** n_E) << (3 * k + e))
     except OverflowError:
         return math.nan
 
 
-def real_roots(params: ModelParams, T: float) -> list[float]:
-    """All real roots of the n_E = 0 characteristic polynomial, ascending.
-
-    Between consecutive critical points the polynomial is strictly monotone,
-    so each open interval holds at most one root and a sign change pins it.
-    Each such bracket is solved by a safeguarded Newton iteration (rtsafe)
-    on the ratio P/P' of the analytic derivative P' = (c_I+lam)^(n_I-1) Q:
-    a step that leaves the bracket, or does not halve the step before last,
-    bisects instead, and a root is accepted only once P changes sign across
-    a bracket no wider than _ROOT_TOL (or two ulps, far out), which a small
-    step alone does not show. That leaves the root within the rounding of
-    _scaled_charpoly (a few ulps); one more Newton step, on the value taken
-    exactly from the float inputs (_exact_charpoly_ratio), puts it on one
-    of the two floats around the exact root. A root sitting on a critical
-    point (a double root) is caught by evaluating the critical point itself.
-    The structural root at 0 is always included exactly, and an interval
-    around 0 is not searched: its one root is 0. The interior critical
-    point nearest 0 lies between 0 and 0's partner root; the regime row
-    decides it. On the Critical row it stands for the double zero: it is
-    dropped, and the interval around 0 that takes its place is not
-    searched. Elsewhere it is a root only where _scaled_charpoly is exactly
-    0.0 there, and the partner is bracketed like any other root. Every
-    sign is taken from _scaled_charpoly, so no
-    cascade depth or rate overflows it. A bracket still wider than that
-    after _ROOT_STEPS steps raises ArithmeticError, as critical points past
-    the float range do: no root is reported without its sign change.
-    """
-    _require_nE0(params)
-    c_I = params.c_I
-    c, n_I = params.c, params.n_I
-    q = params.beta * T * params.p
-    coeffs = a2, a1, a0 = derivative_quadratic_coeffs(params, T)
-    # P keeps one sign, by a third of its terms' size, outside the roots'
-    # own scale (lo, hi): past s = |c| + 2|q|^(1/2) + 1, (c + lam) lam >=
-    # 4|q| + 1 beats q (1 - (c_I/(c_I + lam))^n_I) above hi = s; below
-    # lo = -max(2 c_I, s), |c_I + lam| >= c_I too, so q c_I^n_I is at most
-    # |q| |c_I + lam|^n_I, against the cascade term's |c_I + lam|^n_I times
-    # mu (mu - c) - q >= 3|q| + 1, mu = -lam.
-    s = abs(c) + 2.0 * math.sqrt(abs(q)) + 1.0
-    lo, hi = -max(2.0 * c_I, s), s
-
+def _interior(lo: float, critical: list[float], hi: float) -> list[float]:
+    """lo, the ascending critical points strictly inside (lo, hi) with
+    near-duplicates dropped, and hi."""
     endpoints = [lo]
-    for cp in _critical_points(c_I, n_I, coeffs):
-        # keep only interior critical points, dedupe collisions
-        if endpoints[-1] + 1e-14 * (1 + abs(cp)) < cp < hi:
+    for cp in critical:
+        if endpoints[-1] + 1e-14 * abs(cp) < cp < hi:
             endpoints.append(cp)
-    endpoints.append(hi)
+    return endpoints + [hi]
+
+
+def _rtsafe(f, newton_step, a: float, b: float, fa: float, T: float) -> tuple[float, float, float]:
+    """The root of f in (a, b), where f changes sign (fa is f at a), and
+    the final bracket: Newton steps newton_step(x, f(x)[0]) from the
+    midpoint, bisecting whenever a step fails, leaves the bracket or does
+    not halve the step before last. A root is accepted only once f changes
+    sign across a bracket no wider than _ROOT_TOL relative (or two ulps); a
+    bracket wider after _ROOT_STEPS steps raises ArithmeticError."""
+    x = 0.5 * (a + b)
+    dx = dx_old = b - a
+    for _ in range(_ROOT_STEPS):
+        value = f(x)[0]
+        if value == 0.0:
+            break
+        if (value > 0) == (fa > 0):
+            a = x
+        else:
+            b = x
+        try:
+            step = newton_step(x, value)
+        except (OverflowError, ZeroDivisionError):
+            step = math.nan  # a zero derivative or a step that overflows
+        estimate = x - step
+        tol = max(_ROOT_TOL * abs(x), 2.0 * math.ulp(x))  # two ulps at 0 and subnormals
+        if b - a <= tol:
+            x = 0.5 * (a + b) if math.isnan(estimate) else min(max(estimate, a), b)
+            break
+        if not (a <= estimate <= b) or abs(2.0 * step) > abs(dx_old):
+            dx_old, dx = dx, 0.5 * (b - a)
+            x = a + dx
+        elif abs(step) < 0.5 * tol:
+            # converged: probe just past the estimate, across the root
+            x = estimate + 0.5 * tol if x == a else estimate - 0.5 * tol
+        else:
+            dx_old, dx = dx, step
+            x = estimate
+    else:
+        raise ArithmeticError(f"real root in [{a!r}, {b!r}] not certified in {_ROOT_STEPS} steps at T = {T!r}")
+    return x, a, b
+
+
+def _bracketed_roots(f, newton_step, endpoints: list[float], T: float, near=None, polish=None) -> list[float]:
+    """The roots of f, strictly monotone between consecutive endpoints,
+    with f(x) = (value, size of its terms). An endpoint is a (double) root
+    where the value is within 1e-13 of the size, near the roundoff floor,
+    so that two roots flanking it are not swallowed; at the index near only
+    an exact 0.0 counts. Each other sign change is solved by _rtsafe. For P
+    itself, given with polish, 0 is a root, the interval around it is not
+    searched, and each bracketed root x in (a, b) becomes polish(x, a, b)."""
+    vals, scales = zip(*(f(e) for e in endpoints))
+    zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
+    if near is not None:
+        zero_at[near] = vals[near] == 0.0
+    roots = ([0.0] if polish else []) + [e for e, z in zip(endpoints, zero_at) if z]
+    for i in range(len(endpoints) - 1):
+        if zero_at[i] or zero_at[i + 1]:
+            continue
+        a, b, fa = endpoints[i], endpoints[i + 1], vals[i]
+        if (fa > 0) == (vals[i + 1] > 0) or polish and a < 0.0 < b:
+            continue  # no sign change, or the interval's one root is the structural 0
+        x, a, b = _rtsafe(f, newton_step, a, b, fa, T)
+        roots.append(polish(x, a, b) if polish else x)
+    return roots
+
+
+def _slope_roots(c_E: float, q: float, n_E: int, n_I: int, cubics, lo: float, hi: float, T: float) -> list[float]:
+    """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics),
+    ascending: K's between the closed-form roots of K', then H's between
+    -c_E and K's. Coefficients past the float range raise ArithmeticError."""
+    r, k = cubics
+    dk = (0.0, 3.0 * k[0], 2.0 * k[1], k[2])  # K'
+    if not math.isfinite(_cubic(k, lo)[1] + _cubic(r, lo)[1] + q * n_I * c_E):  # |lo| >= hi
+        raise ArithmeticError("critical points of the characteristic polynomial overflow")
+    K = lambda x: _cubic(k, x)
+    k_roots = _bracketed_roots(K, lambda x, value: value / _cubic(dk, x)[0],
+                               _interior(lo, sorted(_quadratic_roots(*dk[1:])), hi), T)
+
+    def h_step(x: float, value: float) -> float:
+        # H/H' with H = value M_E^n_E and H' = (c_E + x)^(n_E - 2) K(x)
+        M = max(c_E, abs(c_E + x))
+        return value / K(x)[0] * M * M * (M / (c_E + x)) ** (n_E - 2)
+
+    H = lambda x: _scaled_slope(c_E, q, n_E, n_I, r, x)
+    return sorted(_bracketed_roots(H, h_step, _interior(lo, sorted(k_roots + [-c_E]), hi), T))
+
+
+def real_roots(params: ModelParams, T: float) -> list[float]:
+    """All real roots of the characteristic polynomial, ascending.
+
+    Between consecutive critical points, -c_I (n_I >= 2) and the roots of
+    H = P'/(c_I + lam)^(n_I - 1) (closed form at n_E = 0, _slope_roots
+    otherwise), P is strictly monotone, and each sign change is solved by
+    _rtsafe on P/P'. One more Newton step, on P taken exactly from the
+    float inputs (_exact_charpoly_ratio), puts the root on one of the two
+    floats around the exact one. The structural root 0 is included exactly
+    and the interval around it is not searched. The critical point nearest
+    0 lies between 0 and its partner root: on the Critical row it stands
+    for the double zero and is dropped; elsewhere it is a root only where
+    P is exactly 0.0 there. Critical points past the float range raise
+    ArithmeticError.
+    """
+    c_E, c_I = params.c_E, params.c_I
+    c, n_E, n_I = params.c, params.n_E, params.n_I
+    q = params.beta * T * params.p
+    eclipse = (c_E, n_E) if n_E else ()
+    # P keeps its sign outside (lo, hi). With s = |c| + 2|q|^(1/2) + 1 and
+    # |lam| >= s, |c + lam| |lam| >= 3|q| + 1 beats the feedback
+    # q (c_E/(c_E + lam))^n_E (1 - (c_I/(c_I + lam))^n_I): at most |q| above
+    # s, and at most 2|q| for complex lam with |lam| >= -lo, where
+    # |c_I + lam| >= c_I and |c_E + lam| >= c_E.
+    s = abs(c) + 2.0 * math.sqrt(abs(q)) + 1.0
+    s += 4.0 * math.ulp(s)  # above the exact sum, whose 1 a large |c| rounds away
+    lo, hi = -max(2.0 * c_I, 2.0 * c_E, s), s
+    if n_E:
+        cubics = _slope_cubics(params)
+        slope = lambda x: _scaled_slope(c_E, q, n_E, n_I, cubics[0], x)[0]  # H over M_E^n_E
+        critical = sorted(([-c_I] if n_I >= 2 else []) + _slope_roots(c_E, q, n_E, n_I, cubics, lo, hi, T))
+    else:
+        a2, a1, a0 = coeffs = derivative_quadratic_coeffs(params, T)
+        slope = lambda x: a2 * x * x + a1 * x + a0
+        critical = _critical_points(c_I, n_I, coeffs)
+    endpoints = _interior(lo, critical, hi)
     near = min(range(1, len(endpoints) - 1), key=lambda i: abs(endpoints[i]), default=None)
     if near is not None and _regime_rows(params, T)[0] == 1:
         del endpoints[near]  # the double zero: 0 and its partner are one root
         near = None
 
-    P = lambda lam: _scaled_charpoly(c, c_I, q, n_I, lam)[0]
-
     def newton_step(x: float, value: float) -> float:
-        # P/P' = value * M^n_I / ((c_I + x)^(n_I - 1) Q(x)), where
-        # M^n_I / |c_I + x|^(n_I - 1) = M (M/|c_I + x|)^(n_I - 1); NaN for
-        # a zero derivative or a step that overflows
+        # P/P' = value M^n_I / ((c_I + x)^(n_I - 1) slope(x)), with
+        # M^n_I / |c_I + x|^(n_I - 1) = M (M/|c_I + x|)^(n_I - 1)
         u = abs(c_I + x)
         M = max(c_I, u)
-        try:
-            step = value / (a2 * x * x + a1 * x + a0) * M * math.exp((n_I - 1) * math.log(M / u))
-        except (OverflowError, ZeroDivisionError):
-            return math.nan
+        step = value / slope(x) * M * math.exp((n_I - 1) * math.log(M / u))
         return -step if c_I + x < 0.0 and n_I % 2 == 0 else step  # (c_I + x)^(n_I - 1) < 0
 
-    # Endpoint-as-root detection stays near the roundoff floor (a few eps of
-    # the term scale): loose windows would swallow two distinct roots that
-    # flank a critical point, while a double root evaluates to ~0.0 and is
-    # caught. The critical point nearest 0 is never a nonzero double root,
-    # so there nothing but an exact 0.0 counts.
-    vals, scales = zip(*(_scaled_charpoly(c, c_I, q, n_I, e) for e in endpoints))
-    zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
-    if near is not None:
-        zero_at[near] = vals[near] == 0.0
-    roots = [0.0] + [e for e, z in zip(endpoints, zero_at) if z]
-
-    for i in range(len(endpoints) - 1):
-        if zero_at[i] or zero_at[i + 1]:
-            continue  # monotone interval with a root on its boundary has no interior root
-        a, b, fa = endpoints[i], endpoints[i + 1], vals[i]
-        if (fa > 0) == (vals[i + 1] > 0) or a < 0.0 < b:
-            continue  # no sign change, or the interval's one root is the structural 0
-        # rtsafe: Newton from the midpoint, bisecting whenever a step leaves
-        # the bracket or does not halve the step before last; a root is
-        # accepted only once P changes sign across a bracket of _ROOT_TOL
-        x = 0.5 * (a + b)
-        dx = dx_old = b - a
-        for _ in range(_ROOT_STEPS):
-            value = P(x)
-            if value == 0.0:
-                break
-            if (value > 0) == (fa > 0):
-                a = x
-            else:
-                b = x
-            step = newton_step(x, value)
-            estimate = x - step
-            # far out, adjacent floats are wider apart than _ROOT_TOL
-            tol = max(_ROOT_TOL, 2.0 * math.ulp(x))
-            if b - a <= tol:
-                x = 0.5 * (a + b) if math.isnan(estimate) else min(max(estimate, a), b)
-                break
-            if not (a <= estimate <= b) or abs(2.0 * step) > abs(dx_old):
-                dx_old, dx = dx, 0.5 * (b - a)
-                x = a + dx
-            elif abs(step) < 0.5 * tol:
-                # converged: probe just past the estimate, across the root
-                x = estimate + 0.5 * tol if x == a else estimate - 0.5 * tol
-            else:
-                dx_old, dx = dx, step
-                x = estimate
-        else:
-            raise ArithmeticError(f"real root in [{a!r}, {b!r}] not certified in {_ROOT_STEPS} steps at T = {T!r}")
-        # x is within _scaled_charpoly's rounding of the root; one Newton
-        # step on the exact value puts it on a float next to the root
-        tol = max(_ROOT_TOL, 2.0 * math.ulp(x))
-        slope = a2 * x * x + a1 * x + a0  # P' over (c_I + x)^(n_I - 1)
-        if slope != 0.0:
-            polished = x - _exact_charpoly_ratio(c, c_I, q, n_I, x) / slope
+    def polish(x: float, a: float, b: float) -> float:
+        # one Newton step on the exact value puts x on a float next to the root
+        tol = max(_ROOT_TOL * abs(x), 2.0 * math.ulp(x))
+        slope_x = slope(x)  # P' over (c_I + x)^(n_I - 1) M_E^n_E
+        if slope_x != 0.0:
+            polished = x - _exact_charpoly_ratio(c, c_I, q, n_I, x, *eclipse) / slope_x
             if a - tol <= polished <= b + tol:
-                x = polished
-        roots.append(x)
+                return polished
+        return x
 
-    return sorted(roots)
+    P = lambda lam: _scaled_charpoly(c, c_I, q, n_I, lam, *eclipse)
+    return sorted(_bracketed_roots(P, newton_step, endpoints, T, near, polish))
 
 
-def sign_class(lam: float, c_I: float, ztol: float) -> str:
-    """Sign class of a real eigenvalue; ztol is the absolute zero window."""
-    if abs(lam) <= ztol:
+def sign_class(lam: float, c_I: float) -> str:
+    """Sign class of a certified real eigenvalue: "zero" only for 0.0."""
+    if lam == 0.0:
         return "zero"
     if lam > 0:
         return "positive"
@@ -340,14 +410,7 @@ class SignPattern:
     zero_algebraic_multiplicity: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_I_parity": self.n_I_parity,
-            "clearance_vs_pressure": self.clearance_vs_pressure,
-            "quadratic_at_minus_cI": self.quadratic_at_minus_cI,
-            "mandatory": list(self.mandatory),
-            "optional_pairs": [list(p) for p in self.optional_pairs],
-            "zero_algebraic_multiplicity": self.zero_algebraic_multiplicity,
-        }
+        return asdict(self)  # the tuples print as JSON arrays
 
 
 def predicted_sign_pattern(params: ModelParams, T: float) -> SignPattern:
@@ -367,36 +430,23 @@ def predicted_sign_pattern(params: ModelParams, T: float) -> SignPattern:
         row =:  neg_below_cI, zero
         row >:  neg_below_cI, neg_in_cI_0, zero
     """
-    _require_nE0(params)
+    if params.n_E != 0:
+        raise InvalidParamsError(["the regime table is stated for n_E = 0"])
     row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
     return _sign_pattern(params.n_I, row, col)
 
 
 def _sign_pattern(n_I: int, row: str, col: str) -> SignPattern:
-    """The predicted pattern of the regime cell (row, col) at depth n_I."""
-    parity = "even" if n_I % 2 == 0 else "odd"
-
-    if parity == "even":
-        mandatory = {
-            "<": ("zero", "positive"),
-            "=": ("zero",),
-            ">": ("neg_in_cI_0", "zero"),
-        }[row]
-        optional = ((("neg_below_cI", "neg_below_cI"),) if col == "<" else ())
-    else:
-        mandatory = {
-            "<": ("neg_below_cI", "zero", "positive"),
-            "=": ("neg_below_cI", "zero"),
-            ">": ("neg_below_cI", "neg_in_cI_0", "zero"),
-        }[row]
-        optional = ()
-
+    """The pattern of the regime cell (row, col) at depth n_I, as tabled in
+    predicted_sign_pattern."""
+    even = n_I % 2 == 0
+    mandatory = {"<": ("zero", "positive"), "=": ("zero",), ">": ("neg_in_cI_0", "zero")}[row]
     return SignPattern(
-        n_I_parity=parity,
+        n_I_parity="even" if even else "odd",
         clearance_vs_pressure=row,
         quadratic_at_minus_cI=col,
-        mandatory=mandatory,
-        optional_pairs=optional,
+        mandatory=mandatory if even else ("neg_below_cI",) + mandatory,
+        optional_pairs=(("neg_below_cI", "neg_below_cI"),) if even and col == "<" else (),
         zero_algebraic_multiplicity=2 if row == "=" else 1,
     )
 
@@ -523,24 +573,20 @@ def full_spectrum_numeric(params: ModelParams, T: float) -> np.ndarray:
 
 
 def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
-    """Closed-form eigenvector for a real eigenvalue, n_E = 0 layout
-    (I_1..I_{n_I}, V, W), scaled so the V component is 1.
-
-    For lam != 0 the W component is exactly 0 and
-    I_k = (beta*T/c_I) * (c_I/(c_I + lam))^k; a component that overflows
-    raises ArithmeticError. For lam = 0 every I_k equals beta*T/c_I and
-    the W component balances the V row: W = (beta*T*p*tau_I - c)/(-v_a).
-    Without advection (v_a = 0) that row balances only on classify's
-    Critical row; off it the zero eigenvector is the pure W direction. The
-    formula has a pole at lam = -c_I, which is generically not an
-    eigenvalue.
+    """Closed-form eigenvector for a real eigenvalue, laid out
+    (E_1..E_{n_E}, I_1..I_{n_I}, V, W) with V = 1: E_k = (beta*T/c_E)
+    rho_E^k and I_k = (beta*T/c_I) rho_E^n_E rho^k, rho_E = c_E/(c_E + lam),
+    rho = c_I/(c_I + lam), and W = 0 for lam != 0; a component that
+    overflows raises ArithmeticError. At lam = 0, W balances the V row:
+    (beta*T*p*tau_I - c)/(-v_a); without advection that row balances only
+    on classify's Critical row, and off it the zero eigenvector is the pure
+    W direction. The poles lam = -c_I, -c_E are generically no eigenvalues.
     """
-    _require_nE0(params)
-    c_I = params.c_I
-    n_I = params.n_I
-    if lam != 0.0 and abs(c_I + lam) <= 1e-300:
-        raise ValueError("eigenvector formula has a pole at lam = -c_I")
-    v = np.zeros(n_I + 2)
+    c_E, c_I = params.c_E, params.c_I
+    n_E, n_I = params.n_E, params.n_I
+    if lam != 0.0 and (abs(c_I + lam) <= 1e-300 or n_E and abs(c_E + lam) <= 1e-300):
+        raise ValueError("eigenvector formula has a pole at lam = -c_I or -c_E")
+    v = np.zeros(n_E + n_I + 2)
     w = 0.0  # forced for lam != 0; at lam = 0 with a balanced V row any W works, take the simplest
     if lam == 0.0:
         if params.v_a != 0.0:
@@ -550,15 +596,20 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
             # pure W direction instead of the V-scaled family
             v[-1] = 1.0
             return v
-    # I_k = (beta*T/c_I) * rho^k with rho = c_I/(c_I + lam), 1 at lam = 0, as
-    # a running product: it stays 0.0 at beta*T = 0 and forms no power of a rate
+    # running products of rho_E, then rho, each 1 at lam = 0: they stay 0.0
+    # at beta*T = 0 and form no power of a rate
+    x = params.beta * T / (c_E if n_E else c_I)
+    for k in range(n_E):
+        x *= c_E / (c_E + lam)
+        v[k] = x
+    if n_E:
+        x *= c_E / c_I  # I_1 = E_{n_E} * c_E/(c_I + lam)
     rho = c_I / (c_I + lam)
-    x = params.beta * T / c_I
-    for k in range(n_I):
+    for k in range(n_E, n_E + n_I):
         x *= rho
         v[k] = x
     if not math.isfinite(x):
-        raise ArithmeticError(f"eigenvector at lam = {lam!r} overflows at n_I = {n_I}")
+        raise ArithmeticError(f"eigenvector at lam = {lam!r} overflows at n_E = {n_E}, n_I = {n_I}")
     v[-2] = 1.0
     v[-1] = w
     return v
@@ -567,7 +618,7 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
 def geometric_multiplicity(A: np.ndarray, lam: float) -> int:
     """Eigenspace dimension n - rank(A - lam*I) of the square matrix A, rank
     by singular values above _RANK_REL times the largest. Raises if lam is
-    not an eigenvalue within that cut (computed multiplicity zero)."""
+    not an eigenvalue within that cut. The validate suites' oracle."""
     sv = np.linalg.svd(A - lam * np.eye(len(A)), compute_uv=False)
     gm = len(A) - int(np.sum(sv > _RANK_REL * sv[0]))
     if gm == 0:
@@ -577,28 +628,30 @@ def geometric_multiplicity(A: np.ndarray, lam: float) -> int:
 
 def algebraic_multiplicity(params: ModelParams, T: float, lam: float) -> int:
     """Algebraic multiplicity of the real root lam: 1 plus its order as a
-    zero of P' = (c_I + lam)^(n_I - 1) * Q(lam), Q the quadratic of
-    derivative_quadratic_coeffs.
-
-    The cascade factor adds n_I - 1 at lam = -c_I, a root only at
-    beta*T*p = 0 (elsewhere P(-c_I) = beta*T*p*c_I^n_I). At lam = 0,
-    Q(0) = c*c_I - beta*T*p*n_I is c_I times the Critical row's gap, so the
-    Critical window decides it, and Q'(0) > 0. Elsewhere Q(lam) and then
-    Q'(lam) count as zero within _CLASS_REL of the sum of their terms'
-    magnitudes; Q'' is a nonzero constant.
-    """
-    _require_nE0(params)
-    c_I = params.c_I
+    zero of P' = (c_I + lam)^(n_I - 1) H(lam), n_I - 1 of it at -c_I (a root
+    only at beta*T*p = 0). H(0) is c_E^n_E c_I times the Critical row's gap,
+    so the row decides lam = 0. Elsewhere a value is zero within _CLASS_REL
+    of its terms' size: H, the quadratic of derivative_quadratic_coeffs at
+    n_E = 0, and its derivatives in turn; for n_E > 0, H and then K, K', K''
+    with H' = (c_E + lam)^(n_E - 2) K, n_E - 2 more at -c_E."""
+    c_I, n_E = params.c_I, params.n_E
     if lam == 0.0:
         return 2 if _regime_rows(params, T)[0] == 1 else 1
     order = params.n_I - 1 if lam == -c_I else 0
-    a2, a1, a0 = derivative_quadratic_coeffs(params, T)
-    t2, t1 = a2 * lam * lam, a1 * lam
-    if abs(t2 + t1 + a0) <= _CLASS_REL * (abs(t2) + abs(t1) + abs(a0)):
+    if n_E:
+        r, poly = _slope_cubics(params)
+        h, size = _scaled_slope(params.c_E, params.beta * T * params.p, n_E, params.n_I, r, lam)
+        if abs(h) > _CLASS_REL * size:
+            return 1 + order
+        order += 1 + (n_E - 2 if lam == -params.c_E else 0)
+    else:
+        poly = (0.0, *derivative_quadratic_coeffs(params, T))
+    for _ in range(3):
+        value, size = _cubic(poly, lam)
+        if abs(value) > _CLASS_REL * size:
+            break
         order += 1
-        d2 = 2.0 * a2 * lam
-        if abs(d2 + a1) <= _CLASS_REL * (abs(d2) + abs(a1)):
-            order += 1
+        poly = (0.0, 3.0 * poly[0], 2.0 * poly[1], poly[2])  # the derivative
     return 1 + order
 
 
@@ -611,24 +664,18 @@ class RootReport:
     eigenvector: list[float] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "sign_class": self.sign_class,
-            "algebraic_multiplicity": self.algebraic_multiplicity,
-            "geometric_multiplicity": self.geometric_multiplicity,
-            "eigenvector": self.eigenvector,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    analytic: bool
     classification: Classification
     regime: tuple[str, str, str]  # (parity, sign of c_I^2-c*c_I-q, sign of c-pressure)
     real_eigenvalues: list[RootReport]
     complex_pair_count: int
     numeric_spectrum: list[complex]
     predicted_pattern: SignPattern | None
+    analytic: bool = True  # every real root certified, for every n_E
     notice: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -650,80 +697,46 @@ class SpectrumReport:
 
 
 def analyze(params: ModelParams, T: float) -> SpectrumReport:
-    """Full spectrum report at one T value.
+    """Full spectrum report at one T value, the same way for every n_E.
 
-    With n_E = 0 the real roots come from the analytic bracketing path and
-    carry formula eigenvectors. A root is "zero" only when it is 0.0, and
-    the regime row gives the zero's multiplicities: algebraic 2 on the
-    Critical row, geometric 2 there only without advection (v_a = 0), when
-    the W direction joins the V family. Every other certified root is
-    geometrically simple. With n_E > 0 only the numeric oracle is
-    available and the report says so; its reals are judged by the zero
-    window and the SVD.
+    The real roots are real_roots', with formula eigenvectors (none at the
+    poles -c_I, -c_E). A root is "zero" only when it is 0.0; the regime row
+    gives its multiplicities: algebraic 2 on the Critical row, geometric 2
+    there only without advection, when the W direction joins the V family.
+    Every other root is geometrically simple. Complex pairs fill the rest
+    of the dimension n_E + n_I + 2; an odd or negative rest raises
+    ArithmeticError. The dense eigenvalues are reported and decide nothing;
+    the predicted pattern is given at n_E = 0, where the regime table holds.
     """
     row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
     classification = Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
-    A = coefficient_matrix(params, T)
-    w = np.linalg.eigvals(A)
-    ztol = _zero_window(params, T)
-    c_I = params.c_I
-    regime = ("even" if params.n_I % 2 == 0 else "odd", col, row)
-    n_complex = int(np.sum(np.abs(w.imag) > ztol))
-
+    w = np.linalg.eigvals(coefficient_matrix(params, T))
+    c_E, c_I, n_E = params.c_E, params.c_I, params.n_E
+    zero_geometric = 2 if row == "=" and params.v_a == 0.0 else 1
     reports: list[RootReport] = []
-    if params.n_E == 0:
-        pattern = _sign_pattern(params.n_I, row, col)
-        zero_geometric = 2 if row == "=" and params.v_a == 0.0 else 1
-        for r in real_roots(params, T):
-            vec = None
-            if abs(c_I + r) > 1e-9 * c_I:
-                vec = [float(x) for x in eigenvector(params, T, r)]
-            reports.append(
-                RootReport(
-                    value=r,
-                    sign_class=sign_class(r, c_I, 0.0),
-                    # the structural zero's from the cell decided above
-                    algebraic_multiplicity=(pattern.zero_algebraic_multiplicity if r == 0.0
-                                            else algebraic_multiplicity(params, T, r)),
-                    geometric_multiplicity=zero_geometric if r == 0.0 else 1,
-                    eigenvector=vec,
-                )
+    for r in real_roots(params, T):
+        vec = None
+        if abs(c_I + r) > 1e-9 * c_I and (not n_E or abs(c_E + r) > 1e-9 * c_E):
+            vec = [float(x) for x in eigenvector(params, T, r)]
+        reports.append(
+            RootReport(
+                value=r,
+                sign_class=sign_class(r, c_I),
+                algebraic_multiplicity=(2 if row == "=" else 1) if r == 0.0 else algebraic_multiplicity(params, T, r),
+                geometric_multiplicity=zero_geometric if r == 0.0 else 1,
+                eigenvector=vec,
             )
-        notice = None
-    else:
-        pattern = None
-        reals = sorted(float(z.real) for z in w if abs(z.imag) <= ztol)
-        # cluster numeric reals so a double root reports once with count 2
-        clusters: list[list[float]] = []
-        for x in reals:
-            if clusters and abs(x - clusters[-1][-1]) <= max(1e-7, 10 * ztol):
-                clusters[-1].append(x)
-            else:
-                clusters.append([x])
-        for cl in clusters:
-            value = float(np.mean(cl))
-            if abs(value) <= ztol:
-                value = 0.0
-            reports.append(
-                RootReport(
-                    value=value,
-                    sign_class=sign_class(value, c_I, ztol),
-                    algebraic_multiplicity=len(cl),
-                    geometric_multiplicity=geometric_multiplicity(A, value),
-                    eigenvector=None,
-                )
-            )
-        notice = "n_E > 0: analytic root classification unavailable, numeric oracle only"
-
+        )
+    unpaired = n_E + params.n_I + 2 - sum(r.algebraic_multiplicity for r in reports)
+    if unpaired < 0 or unpaired % 2:
+        raise ArithmeticError(f"real roots at T = {T!r} leave {unpaired} eigenvalues, not complex pairs")
     return SpectrumReport(
-        analytic=params.n_E == 0,
         classification=classification,
-        regime=regime,
+        regime=("even" if params.n_I % 2 == 0 else "odd", col, row),
         real_eigenvalues=reports,
-        complex_pair_count=n_complex // 2,
+        complex_pair_count=unpaired // 2,
         numeric_spectrum=[complex(z) for z in w],
-        predicted_pattern=pattern,
-        notice=notice,
+        predicted_pattern=_sign_pattern(params.n_I, row, col) if n_E == 0 else None,
     )
 
 

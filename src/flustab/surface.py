@@ -33,7 +33,7 @@ size enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -411,13 +411,7 @@ class AsymptoticsVerdict:
     n_points: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "window": self.window,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 def _log_fit(t: np.ndarray, d: np.ndarray) -> tuple[float, float]:

@@ -10,7 +10,7 @@ are countable and reproducible from the seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,12 +58,7 @@ class SuiteResult:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checks": self.checks,
-            "failures": self.failures,
-            "failure_examples": self.failure_examples,
-        }
+        return asdict(self)
 
 
 def sample_params(

@@ -1,13 +1,17 @@
+import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flustab import cli, spectrum
 from flustab.charpoly import coefficient_matrix
@@ -16,6 +20,7 @@ from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.spectrum import analyze, classify, perron_root
 from flustab.validation import SuiteResult
+from test_spectrum import uncertified
 
 
 def _fmt(x: float) -> str:
@@ -85,19 +90,23 @@ class TestAnalyze:
             }
         assert all(len(z) == 2 for z in doc["numeric_spectrum"])
 
-    def test_numeric_only_with_eclipse(self, capsys, tmp_path):
+    def test_eclipse_stages_are_analytic(self, capsys, tmp_path):
         cfg = write_config(
             tmp_path, {"params": params_doc(n_E=2, tau_E=0.5), "T": 0.5}
         )
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
         assert code == 0
         doc = json.loads(out)
-        assert doc["analytic"] is False
-        # numeric reals are still reported, but without formula eigenvectors
+        assert doc["analytic"] is True and doc["notice"] is None
+        # certified roots with formula eigenvectors, laid out (E1, E2, I1, V, W)
         assert doc["real_eigenvalues"]
-        assert all(e["eigenvector"] is None for e in doc["real_eigenvalues"])
+        A = coefficient_matrix(ModelParams.from_json_dict(params_doc(n_E=2, tau_E=0.5)), 0.5)
+        for entry in doc["real_eigenvalues"]:
+            v = np.array(entry["eigenvector"])
+            assert v.shape == (5,)
+            assert np.max(np.abs(A @ v - entry["value"] * v)) <= 1e-12 * np.max(np.abs(v))
+        # the 3x3 regime table is stated at n_E = 0
         assert doc["predicted_pattern"] is None
-        assert doc["notice"]
 
     @pytest.mark.parametrize(
         "n_I, tau_I, expected",
@@ -253,6 +262,19 @@ class TestConfigRejection:
         code, out, err = run_cli(capsys, ["analyze", "--config", str(path)])
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert error_doc(err)["details"]["problems"] == [f"{key} must be finite"]
+
+    @pytest.mark.parametrize("command, overrides, T, problem", [
+        ("analyze", {"n_I": 3, "tau_I": 1e-320}, 1.0, "n_I/tau_I must be finite"),
+        ("analyze", {"n_E": 2, "tau_E": 1e-320}, 1.0, "n_E/tau_E must be finite"),
+        ("sweep", {"n_I": 3, "tau_I": 1e-320}, {"from": 0.0, "to": 2.0, "steps": 3}, "n_I/tau_I must be finite"),
+    ])
+    def test_overflowing_cascade_rate(self, capsys, tmp_path, command, overrides, T, problem):
+        # 3/1e-320 is past the float range; numpy's "Array must not contain
+        # infs or NaNs" and "math domain error" once came out as exit 3
+        cfg = write_config(tmp_path, {"params": params_doc(**overrides), "T": T})
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert error_doc(err)["details"]["problems"] == [problem]
 
     def test_structural_problems_listed_in_full(self, capsys, tmp_path):
         params = params_doc(n_I=0, tau_I=0.0, n_E=1, tau_E=-1.0, beta=-1.0, D_PCF=-0.5)
@@ -899,11 +921,24 @@ class TestField:
         header, *rows = out.splitlines()
         assert rows == field_reference(params, field_coeffs)
 
-    def test_rejects_eclipse_stages(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, {"params": params_doc(n_E=1, tau_E=0.5)})
-        code, out, err = run_cli(capsys, ["field", "--config", cfg])
-        assert code == 2
-        assert "n_E = 0" in error_doc(err)["message"]
+    def test_eclipse_stages(self, capsys, tmp_path):
+        # n_E = 2: the panels' axes are unit eigenvectors of the frozen-T matrix
+        doc = {"params": params_doc(n_E=2, tau_E=0.5, n_I=3, tau_I=0.8)}
+        code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 243 and header.split(",")[5:7] == ["dt_T", "dt_E1"]
+        params = ModelParams.from_json_dict(doc["params"])
+        assert rows == field_reference(params, FieldCoefficients.default_for(params))
+        T_star = params.T_star
+        axes = [(0.5 * T_star, cli._shared_negative_axis(params, 0.5 * T_star))]
+        axes += [(T, cli._panel_axis(params, label, T)[0]) for label, T in
+                 (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star))]
+        for T, v in axes:
+            A = coefficient_matrix(params, T)
+            lam = float(v @ A @ v)  # the Rayleigh quotient of a unit eigenvector
+            assert v.shape == (7,) and abs(np.linalg.norm(v) - 1.0) <= 1e-15
+            assert np.max(np.abs(A @ v - lam * v)) <= 1e-8
 
 
 class TestValidate:
@@ -979,3 +1014,79 @@ class TestOutFile:
             ["analyze", "--config", cfg, "--out", str(tmp_path / "no_dir" / "x.json")],
         )
         assert code == 2
+
+
+# Messages of flustab's own for a numeric failure (exit 3), and the blow-up's
+# (exit 4); a library's text ("math domain error", numpy's "Array must not
+# contain infs or NaNs") never passes.
+_OWN_MESSAGES = re.compile(
+    r"numeric failure: (critical points of the characteristic polynomial overflow"
+    r"|real root in \[.*\] not certified in \d+ steps at T = .*"
+    r"|real roots at T = .* leave -?\d+ eigenvalues, not complex pairs"
+    r"|eigenvector at lam = .* overflows at n_E = \d+, n_I = \d+"
+    r"|eigenvector formula has a pole at lam = -c_I or -c_E)"
+    r"|eigen-direction collapsed to zero|no (negative|positive) real eigen-direction at T = .*"
+    r"|no positive eigen-direction at T = .*|state exceeded .*"
+)
+
+
+def _rate(draw, width):
+    return 10.0 ** (width * draw(st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def _domain_configs(draw):
+    """A command and a config drawn over the parser's domain: each rate
+    10^u with |u| up to a width of 6 to 300 decades, v_a, a and psi of
+    either sign, n_E 0-4, n_I 1-10, grids under 2,000 nodes."""
+    width = draw(st.floats(6.0, 300.0))
+    rate = lambda: _rate(draw, width)
+    sign = lambda: draw(st.sampled_from((-1.0, 1.0)))
+    n_E, n_I = draw(st.integers(0, 4)), draw(st.integers(1, 10))
+    params = {"beta": rate(), "p": rate(), "c": rate(), "n_E": n_E, "n_I": n_I, "tau_I": rate(),
+              "D_PCF": rate(), "v_a": sign() * rate(), "a": sign() * rate()}
+    if n_E:
+        params["tau_E"] = rate()
+    denom = params["tau_I"] * params["p"] * params["beta"]
+    T_star = params["c"] / denom if denom > 0.0 else 1.0
+    T = T_star * 10.0 ** draw(st.floats(-3.0, 3.0))
+    T = T if math.isfinite(T) else 1.0
+    command = draw(st.sampled_from(("analyze", "analyze", "sweep", "field", "simulate", "surface")))
+    doc = {"params": params}
+    dim = n_E + n_I + 3
+    if command == "analyze":
+        doc["T"] = T
+    elif command == "sweep":
+        doc["T"] = {"from": 0.0, "to": T, "steps": draw(st.integers(2, 40))}
+    elif command != "field":
+        steps, h_t = draw(st.integers(1, 40)), rate()
+        doc["coeffs"] = {"r": [rate() for _ in range(dim - 2)] + [1.0], "psi": sign() * rate()}
+        doc["initial_state"] = [T] + [draw(st.floats(0.0, 1.0)) for _ in range(dim - 1)]
+        doc["grid"] = {"t_span": [0.0, steps * h_t], "h_t": h_t}
+        if command == "surface":
+            nx, h_x = draw(st.integers(1, 40)), rate()
+            doc["grid"].update(x_span=nx * h_x, h_x=h_x)
+    return command, doc
+
+
+@given(_domain_configs())
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+def test_whole_domain_exits_are_documented(tmp_path_factory, case):
+    """Every exit code is in README's table, every failure ends with one
+    JSON error object of flustab's own, and every root analyze reports
+    carries an exact sign change of P (for its multiplicity)."""
+    command, doc = case
+    cfg = write_config(tmp_path_factory.mktemp("domain"), doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg])
+    assert code in (0, 1, 2, 3, 4, 141), (command, doc)
+    if code != 0:
+        error = error_doc(err.getvalue())
+        assert error["code"] == code
+        assert code == 2 or _OWN_MESSAGES.fullmatch(error["message"]), (command, doc, error)
+    elif command == "analyze":
+        report = json.loads(out.getvalue())
+        params = ModelParams.from_json_dict(doc["params"])
+        roots = [(r["value"], r["algebraic_multiplicity"]) for r in report["real_eigenvalues"]]
+        assert uncertified(params, doc["T"], roots) == [], (command, doc)

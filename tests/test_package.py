@@ -1,5 +1,7 @@
-"""The package's public surface, pinned so that a new export is a visible
-change to this test."""
+"""The package's public surface and size, pinned so that a new export or a
+longer src/ is a visible change to this test."""
+from pathlib import Path
+
 import flustab
 
 EXPORTS = [
@@ -11,6 +13,9 @@ EXPORTS = [
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
     "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
+# `wc -l src/flustab/*.py` when the one root path for every n_E went in;
+# a change that grows src/ raises this on purpose
+SRC_LINES = 3046
 
 
 def test_exports_are_pinned():
@@ -18,3 +23,8 @@ def test_exports_are_pinned():
     assert sorted(flustab.__all__) == EXPORTS
     assert len(set(flustab.__all__)) == len(flustab.__all__)
     assert all(hasattr(flustab, name) for name in EXPORTS)
+
+
+def test_source_lines_are_capped():
+    lines = sum(path.read_bytes().count(b"\n") for path in Path(flustab.__file__).parent.glob("*.py"))
+    assert lines <= SRC_LINES

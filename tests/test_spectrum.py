@@ -30,6 +30,7 @@ from flustab.spectrum import (
     _log_perron_f,
     _log_perron_slope,
     _scaled_charpoly,
+    _slope_cubics,
     _viral_pressure,
 )
 from flustab.validation import _finite_difference_multiplicity, cell_params, sample_params
@@ -44,6 +45,71 @@ def make_params(**overrides):
                 D_PCF=0.0, v_a=0.5, a=0.0)
     base.update(overrides)
     return ModelParams(**base)
+
+
+def poly_from(coeffs) -> list[Fraction]:
+    """Exact lowest-first coefficients of float coefficients given highest first."""
+    return [Fraction(a) for a in reversed(coeffs)]
+
+
+def poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] += x
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_mul(*factors):
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = poly_add(prod, [])
+    return out
+
+
+def poly_pow(a, n):
+    return poly_mul(*([a] * n))
+
+
+def poly_deriv(a):
+    return poly_add([i * x for i, x in enumerate(a)][1:] or [Fraction(0)], [])
+
+
+def poly_eval(a, x):
+    value = Fraction(0)
+    for coeff in reversed(a):
+        value = value * x + coeff
+    return value
+
+
+def exact_charpoly(params: ModelParams, T: float, x) -> Fraction:
+    """P(x) in rational arithmetic from the float inputs."""
+    c, c_E, c_I, q, x = map(Fraction, (params.c, params.c_E, params.c_I, params.beta * T * params.p, x))
+    n_E, n_I = params.n_E, params.n_I
+    return (c_E + x) ** n_E * (c_I + x) ** n_I * (c + x) * x + q * c_E**n_E * (c_I**n_I - (c_I + x) ** n_I)
+
+
+def uncertified(params: ModelParams, T: float, roots) -> list[float]:
+    """The reported (value, algebraic multiplicity) pairs whose window
+    x(1 +- 1e-8) does not show an exact sign change of P exactly when the
+    multiplicities reported inside it add up to an odd number: a simple
+    root must carry a sign change, a double root must not."""
+    bad = []
+    for x, _ in roots:
+        if x == 0.0:
+            continue  # the structural zero, exact by construction
+        lo, hi = sorted((x * (1 - 1e-8), x * (1 + 1e-8)))
+        odd = sum(m for y, m in roots if lo <= y <= hi) % 2 == 1
+        if ((exact_charpoly(params, T, lo) > 0) != (exact_charpoly(params, T, hi) > 0)) != odd:
+            bad.append(x)
+    return bad
 
 
 class TestClassify:
@@ -108,10 +174,41 @@ class TestDerivative:
             exact = (params.c_I + lam) ** (params.n_I - 1) * (a2 * lam * lam + a1 * lam + a0)
             assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6 * max(1.0, abs(fd)))
 
-    def test_needs_no_eclipse_stages(self):
-        params = make_params(n_E=1, tau_E=1.0)
-        with pytest.raises(InvalidParamsError):
-            real_roots(params, 1.0)
+    def test_slope_identities_hold_exactly(self):
+        """P' = (c_I+lam)^(n_I-1) H and H' = (c_E+lam)^(n_E-2) K in rational
+        arithmetic at random rational rates and points, with R and K from
+        _slope_cubics (dyadic rates keep its float coefficients exact)."""
+        rng = np.random.default_rng(21)
+        for n_E, n_I in [(1, 3), (2, 2), (3, 5), (5, 1), (4, 9)]:
+            for _ in range(4):
+                # c_E and c_I powers of 2, so that n/(n/c) gives them back exactly
+                c = Fraction(int(rng.integers(1, 64)), 16)
+                c_E, c_I = (Fraction(2) ** int(rng.integers(-3, 4)) for _ in range(2))
+                q = Fraction(int(rng.integers(0, 200)), 8)
+                params = make_params(c=float(c), n_E=n_E, tau_E=float(n_E / c_E), n_I=n_I, tau_I=float(n_I / c_I))
+                assert (params.c_E, params.c_I) == (c_E, c_I)
+                r, k = (poly_from(coeffs) for coeffs in _slope_cubics(params))
+                u, w, lam = [c_E, 1], [c_I, 1], [0, 1]
+                P = poly_add(poly_mul(poly_pow(u, n_E), poly_pow(w, n_I), [c, 1], lam),
+                             poly_mul([q * c_E**n_E], poly_add([c_I**n_I], poly_mul([-1], poly_pow(w, n_I)))))
+                H = poly_add(poly_mul(poly_pow(u, n_E - 1), r), [-q * c_E**n_E * n_I])
+                # R and K from their definitions, not from _slope_cubics
+                assert r == poly_add(poly_mul([c, 2], u, w), poly_mul(lam, [c, 1], poly_add([n_E * c_I, n_E], [n_I * c_E, n_I])))
+                assert k == poly_add(poly_mul([n_E - 1], r), poly_mul(u, poly_deriv(r)))
+                for x in (Fraction(int(rng.integers(-400, 400)), int(rng.integers(1, 50))) for _ in range(5)):
+                    assert poly_eval(poly_deriv(P), x) == (c_I + x) ** (n_I - 1) * poly_eval(H, x)
+                    if x != -c_E:
+                        assert poly_eval(poly_deriv(H), x) == (c_E + x) ** (n_E - 2) * poly_eval(k, x)
+
+    def test_slope_is_the_quadratic_without_eclipse_stages(self):
+        # at n_E = 0, H = R/lam - q n_I, bit for bit the derivative quadratic
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            params, T = sample_params(rng, n_E_choices=(0,))
+            r, _ = _slope_cubics(params)
+            q = params.beta * T * params.p
+            assert r[3] == 0.0
+            assert (r[0], r[1], r[2] - q * params.n_I) == derivative_quadratic_coeffs(params, T)
 
 
 class TestRealRoots:
@@ -199,6 +296,14 @@ class TestRealRoots:
         for r in (-root, -4.0, root):
             lo, hi = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
             assert (P(Fraction(lo)) < 0) != (P(Fraction(hi)) < 0), r
+
+    def test_outer_bracket_holds_the_root_past_a_large_clearance(self):
+        # P = lam ((1 + lam)(c + lam) - 1) has a root just below -c - 1; the
+        # bracket |c| + 2|q|^(1/2) + 1 once rounded to 1e44 and left it out
+        params = make_params(c=1e44, n_I=1, tau_I=1.0, beta=1.0, p=1.0)
+        roots = real_roots(params, 1.0)
+        assert roots == [-1e44, -1.0, 0.0]
+        assert uncertified(params, 1.0, [(r, 1) for r in roots]) == []
 
     def test_a_root_left_uncertified_raises(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_ROOT_STEPS", 3)
@@ -336,17 +441,91 @@ class TestAlgebraicMultiplicity:
                         assert m == _finite_difference_multiplicity(params, T, lam)
 
 
+def _eclipse_sample(rng, n_E_range, n_I_range):
+    """One n_E > 0 set: counts uniform in the ranges, rates log-uniform in
+    [0.1, 10], T uniform in [0, 2 T*], or in [0, 1e-3 T*] for one set in four."""
+    n_E, n_I = (int(rng.integers(lo, hi + 1)) for lo, hi in (n_E_range, n_I_range))
+    rates = {k: loguniform(rng, 0.1, 10.0) for k in ("beta", "p", "c", "tau_E", "tau_I", "v_a")}
+    params = ModelParams(n_E=n_E, n_I=n_I, D_PCF=0.1, a=0.2, **rates)
+    return params, float(rng.uniform(0.0, (2.0 if rng.random() < 0.75 else 1e-3) * params.T_star))
+
+
+class TestEclipseRoots:
+    """Real roots of n_E > 0 cascades, each certified by an exact sign
+    change of P, with multiplicities that fill the degree."""
+
+    def test_pinned_deep_set(self):
+        # dense eigenvalues, clustered, once reported -277.5926377641322 here
+        params = ModelParams(beta=9.794912639021726, p=3.8487866582892636, c=1.75532872096134, n_E=13,
+                             tau_E=0.26953638321405765, n_I=40, tau_I=0.20913372245936446, v_a=1.679110233738963)
+        T = 0.01956680333550516
+        report = analyze(params, T)
+        values = [r.value for r in report.real_eigenvalues]
+        true_root = Fraction("-277.591456603904473")
+        lo, = (x for x in values if abs(x + 277.59) < 1e-2)
+        assert abs(Fraction(lo) - true_root) <= Fraction(math.ulp(lo))
+        assert uncertified(params, T, [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]) == []
+
+    @pytest.mark.parametrize("seed, n_E_range, n_I_range, n_sets", [(0, (5, 30), (5, 40), 100), (1, (1, 5), (1, 12), 200)])
+    def test_samples_are_certified(self, seed, n_E_range, n_I_range, n_sets):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_sets):
+            params, T = _eclipse_sample(rng, n_E_range, n_I_range)
+            report = analyze(params, T)
+            roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
+            assert uncertified(params, T, roots) == [], (params, T)
+            assert sum(m for _, m in roots) + 2 * report.complex_pair_count == params.state_dim - 1
+            positive = [r.value for r in report.real_eigenvalues if r.sign_class == "positive"]
+            if positive:
+                assert positive == pytest.approx([perron_root(params, T)], rel=1e-12)
+
+    def test_critical_points_far_below_c_I_are_not_roots(self):
+        # c_E = 1e-31 and |lam| far below c_I = 1e18: c_I^n_I and
+        # (c_I + lam)^n_I cancel to ~1e-48 of either, which _scaled_charpoly
+        # forms by expm1, so they are no scale for P's rounding; as one, they
+        # once made -c_E and the critical point -c_E/2 (double) pass for roots
+        params = ModelParams(beta=1.0, p=1.0, c=1e-56, n_E=2, tau_E=2e31, n_I=9, tau_I=9e-18, v_a=1.0)
+        report = analyze(params, 8e-42)
+        roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
+        assert roots == [(-1.0000000000004424e18, 1), (-9.928e-57, 1), (0.0, 1)]
+        assert uncertified(params, 8e-42, roots) == [] and report.complex_pair_count == 5
+
+    @pytest.mark.parametrize("n_E, n_I", [(1, 1), (1, 4), (2, 3), (5, 2), (13, 40)])
+    def test_zero_infection(self, n_E, n_I):
+        # T = 0: P = (c_E + lam)^n_E (c_I + lam)^n_I (c + lam) lam
+        params = make_params(n_E=n_E, tau_E=n_E / 0.75, n_I=n_I, tau_I=n_I / 2.5, c=1.5)
+        report = analyze(params, 0.0)
+        roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
+        assert roots == [(-2.5, n_I), (-1.5, 1), (-0.75, n_E), (0.0, 1)]
+        assert report.complex_pair_count == 0
+
+    @pytest.mark.parametrize("n_E, n_I", [(1, 1), (2, 3), (4, 4)])
+    def test_equal_cascade_rates(self, n_E, n_I):
+        # c_E = c_I = 2: at T = 0 one root of multiplicity n_E + n_I
+        params = make_params(n_E=n_E, tau_E=n_E / 2.0, n_I=n_I, tau_I=n_I / 2.0, c=1.5)
+        assert params.c_E == params.c_I == 2.0
+        roots = [(r.value, r.algebraic_multiplicity) for r in analyze(params, 0.0).real_eigenvalues]
+        assert roots == [(-2.0, n_E + n_I), (-1.5, 1), (0.0, 1)]
+        for T in (0.1, 1.0, 3.0):
+            report = analyze(params, T)
+            roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
+            assert uncertified(params, T, roots) == [], T
+            assert sum(m for _, m in roots) + 2 * report.complex_pair_count == n_E + n_I + 2
+
+
 class TestSignClass:
     def test_buckets(self):
-        c_I, ztol = 2.0, 1e-9
-        assert sign_class(-3.0, c_I, ztol) == "neg_below_cI"
-        assert sign_class(-1.0, c_I, ztol) == "neg_in_cI_0"
-        assert sign_class(0.0, c_I, ztol) == "zero"
-        assert sign_class(4.0, c_I, ztol) == "positive"
+        c_I = 2.0
+        assert sign_class(-3.0, c_I) == "neg_below_cI"
+        assert sign_class(-1.0, c_I) == "neg_in_cI_0"
+        assert sign_class(0.0, c_I) == "zero"
+        assert sign_class(4.0, c_I) == "positive"
 
-    def test_boundary_uses_tolerance(self):
-        assert sign_class(5e-10, 2.0, 1e-9) == "zero"
-        assert sign_class(2e-9, 2.0, 1e-9) == "positive"
+    def test_only_an_exact_zero_is_zero(self):
+        # a certified root is zero only when it is 0.0; no window holds others
+        assert sign_class(-0.0, 2.0) == "zero"
+        assert sign_class(5e-324, 2.0) == "positive"
+        assert sign_class(-5e-324, 2.0) == "neg_in_cI_0"
 
 
 class TestPredictedPattern:
@@ -366,6 +545,11 @@ class TestPredictedPattern:
         mandatories = {tuple(sorted(p.mandatory)) for p in patterns}
         assert mandatories == {("neg_below_cI", "neg_in_cI_0", "zero")}
         assert all(p.optional_pairs == () for p in patterns)
+
+    def test_stated_for_n_E_0_only(self):
+        # the paper states its 3x3 grid without eclipse stages
+        with pytest.raises(InvalidParamsError):
+            predicted_sign_pattern(make_params(n_E=1, tau_E=1.0), 1.0)
 
     def test_double_zero_only_on_equality_row(self):
         assert predicted_sign_pattern(*cell_params(2, "=", ">")).zero_algebraic_multiplicity == 2
@@ -472,12 +656,20 @@ class TestAnalyze:
                 classes = [r.sign_class for r in analyze(params, T).real_eigenvalues]
                 assert classes.count("positive") == n_positive
 
-    def test_numeric_only_with_eclipse_stages(self):
-        report = analyze(make_params(n_E=2, tau_E=1.0), 1.0)
-        assert not report.analytic
-        assert report.predicted_pattern is None
-        assert report.notice
+    def test_eclipse_stages_are_analytic(self):
+        params, T = make_params(n_E=2, tau_E=1.0), 1.0
+        report = analyze(params, T)
+        assert report.analytic and report.notice is None
+        assert report.predicted_pattern is None  # the 3x3 regime table is stated at n_E = 0
         assert len(report.numeric_spectrum) == 6
+        A = coefficient_matrix(params, T)
+        for r in report.real_eigenvalues:
+            v = np.array(r.eigenvector)
+            assert v.shape == (6,) and v[-2] == 1.0
+            assert np.max(np.abs(A @ v - r.value * v)) <= 1e-12 * np.max(np.abs(v))
+            assert r.geometric_multiplicity == 1
+        total = sum(r.algebraic_multiplicity for r in report.real_eigenvalues)
+        assert total + 2 * report.complex_pair_count == 6
 
     def test_json_shape(self):
         doc = analyze(make_params(), 1.0).to_json_dict()
