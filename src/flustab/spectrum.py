@@ -24,7 +24,7 @@ Sign-class labels used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,13 +158,6 @@ def _scaled_powers(rate: float, n: int, lam: float) -> tuple[float, float, float
     return pu, pc, math.expm1(-L) if L >= 0.0 else -math.expm1(L)
 
 
-def _eclipse_powers(c_E: float, n: int, lam: float) -> tuple[float, float]:
-    """(c_E + lam)^n and c_E^n over M_E^n, M_E = max(c_E, |c_E + lam|):
-    powers of two ratios in [-1, 1], so they cannot overflow."""
-    M = max(c_E, abs(c_E + lam))
-    return ((c_E + lam) / M) ** n, (c_E / M) ** n
-
-
 def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float,
                      c_E: float = 0.0, n_E: int = 0) -> tuple[float, float]:
     """The characteristic polynomial
@@ -177,9 +170,9 @@ def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float,
     """
     pu, pc, diff = _scaled_powers(c_I, n_I, lam)
     cascade = pu * (c + lam) * lam
-    if n_E:
-        eu, ec = _eclipse_powers(c_E, n_E, lam)
-        cascade, q = cascade * eu, q * ec
+    if n_E:  # the eclipse powers over M_E^n_E: powers of ratios in [-1, 1]
+        M = max(c_E, abs(c_E + lam))
+        cascade, q = cascade * ((c_E + lam) / M) ** n_E, q * (c_E / M) ** n_E
     # above -c_I the difference of powers is good to a few eps of itself,
     # and the powers it cancels overstate its rounding; only eclipse stages
     # put critical points but the one nearest 0 (tested for an exact 0.0)
@@ -192,10 +185,11 @@ def _scaled_slope(c_E: float, q: float, n_E: int, n_I: int, r, lam: float) -> tu
     """H(lam) = P'(lam)/(c_I + lam)^(n_I - 1) of an n_E > 0 cascade and the
     sum of its terms' magnitudes, both over M_E^n_E as in _scaled_charpoly;
     r holds the coefficients of _slope_cubics' R."""
-    eu, ec = _eclipse_powers(c_E, n_E - 1, lam)
-    M = max(c_E, abs(c_E + lam))
+    u = c_E + lam
+    M = max(c_E, abs(u))
+    eu = (u / M) ** (n_E - 1)
     value, size = _cubic(r, lam)
-    feedback = q * n_I * c_E * ec
+    feedback = q * n_I * c_E * (c_E / M) ** (n_E - 1)
     return (eu * value - feedback) / M, (abs(eu) * size + abs(feedback)) / M
 
 
@@ -301,23 +295,29 @@ def _bracketed_roots(f, newton_step, endpoints: list[float], T: float, near=None
 
 def _slope_roots(c_E: float, q: float, n_E: int, n_I: int, cubics, lo: float, hi: float, T: float) -> list[float]:
     """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics),
-    ascending: K's between the closed-form roots of K', then H's between
-    -c_E and K's. Coefficients past the float range raise ArithmeticError."""
+    ascending. Between -c_E and the closed-form roots of K', K is monotone,
+    so H' = (c_E + lam)^(n_E - 2) K changes sign at most once: a piece where
+    H changes sign holds one root of H, and any other is split at K's root
+    there. Coefficients past the float range raise ArithmeticError."""
     r, k = cubics
     dk = (0.0, 3.0 * k[0], 2.0 * k[1], k[2])  # K'
     if not math.isfinite(_cubic(k, lo)[1] + _cubic(r, lo)[1] + q * n_I * c_E):  # |lo| >= hi
         raise ArithmeticError("critical points of the characteristic polynomial overflow")
     K = lambda x: _cubic(k, x)
-    k_roots = _bracketed_roots(K, lambda x, value: value / _cubic(dk, x)[0],
-                               _interior(lo, sorted(_quadratic_roots(*dk[1:])), hi), T)
+    H = lambda x: _scaled_slope(c_E, q, n_E, n_I, r, x)
+    pieces = _interior(lo, sorted(_quadratic_roots(*dk[1:]) + [-c_E]), hi)
+    ends = [H(x) for x in pieces]
+    turns = []
+    for a, b, (fa, sa), (fb, sb) in zip(pieces, pieces[1:], ends, ends[1:]):
+        if (fa > 0) == (fb > 0) or abs(fa) <= 1e-13 * sa or abs(fb) <= 1e-13 * sb:
+            turns += _bracketed_roots(K, lambda x, value: value / _cubic(dk, x)[0], [a, b], T)
 
     def h_step(x: float, value: float) -> float:
         # H/H' with H = value M_E^n_E and H' = (c_E + x)^(n_E - 2) K(x)
         M = max(c_E, abs(c_E + x))
         return value / K(x)[0] * M * M * (M / (c_E + x)) ** (n_E - 2)
 
-    H = lambda x: _scaled_slope(c_E, q, n_E, n_I, r, x)
-    return sorted(_bracketed_roots(H, h_step, _interior(lo, sorted(k_roots + [-c_E]), hi), T))
+    return sorted(_bracketed_roots(H, h_step, _interior(lo, sorted(pieces[1:-1] + turns), hi), T))
 
 
 def real_roots(params: ModelParams, T: float) -> list[float]:
@@ -410,7 +410,7 @@ class SignPattern:
     zero_algebraic_multiplicity: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)  # the tuples print as JSON arrays
+        return dict(vars(self))  # the fields in order; the tuples print as JSON arrays
 
 
 def predicted_sign_pattern(params: ModelParams, T: float) -> SignPattern:
@@ -664,7 +664,7 @@ class RootReport:
     eigenvector: list[float] | None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields in order
 
 
 @dataclass(frozen=True)

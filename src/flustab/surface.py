@@ -33,7 +33,7 @@ size enters.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -411,7 +411,7 @@ class AsymptoticsVerdict:
     n_points: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields in order
 
 
 def _log_fit(t: np.ndarray, d: np.ndarray) -> tuple[float, float]:

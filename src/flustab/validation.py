@@ -10,7 +10,7 @@ are countable and reproducible from the seed.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,7 @@ class SuiteResult:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields in order
 
 
 def sample_params(
