@@ -270,13 +270,14 @@ def _rtsafe(f, newton_step, a: float, b: float, fa: float, T: float) -> tuple[fl
 
 
 def _bracketed_roots(f, newton_step, endpoints: list[float], T: float, near=None, polish=None) -> list[float]:
-    """The roots of f, strictly monotone between consecutive endpoints,
-    with f(x) = (value, size of its terms). An endpoint is a (double) root
-    where the value is within 1e-13 of the size, near the roundoff floor,
-    so that two roots flanking it are not swallowed; at the index near only
-    an exact 0.0 counts. Each other sign change is solved by _rtsafe. For P
-    itself, given with polish, 0 is a root, the interval around it is not
-    searched, and each bracketed root x in (a, b) becomes polish(x, a, b)."""
+    """The roots of f = (value, size of its terms), strictly monotone between
+    consecutive endpoints or with one root where it changes sign between two
+    nonzero ends. An endpoint is a (double) root where the value is within
+    1e-13 of the size (the roundoff floor, so that two roots flanking it are
+    not swallowed), and only at an exact 0.0 at the index near. Each other
+    sign change is solved by _rtsafe. For P itself, given with polish, 0 is
+    a root, the interval around it is not searched, and a bracketed root x
+    in (a, b) becomes polish(x, a, b)."""
     vals, scales = zip(*(f(e) for e in endpoints))
     zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
     if near is not None:
