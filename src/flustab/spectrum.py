@@ -98,9 +98,8 @@ def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, f
 
 
 def _quadratic_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """The real roots of a2 lam^2 + a1 lam + a0 (a2 > 0), subtraction-free:
-    r1 adds the root of the discriminant to a1 with a1's sign, r2 is a0/(a2
-    r1). A discriminant past the float range raises ArithmeticError."""
+    """The real roots of a2 lam^2 + a1 lam + a0 (a2 > 0), subtraction-free: r1
+    takes a1's sign, r2 = a0/(a2 r1). An overflow raises ArithmeticError."""
     disc = a1 * a1 - 4.0 * a2 * a0
     if not math.isfinite(disc):
         raise ArithmeticError("critical points of the characteristic polynomial overflow")
@@ -115,8 +114,7 @@ def _quadratic_roots(a2: float, a1: float, a0: float) -> list[float]:
 
 
 def _critical_points(c_I: float, n_I: int, coeffs: tuple[float, float, float]) -> list[float]:
-    """The real critical points of the n_E = 0 polynomial, ascending: -c_I
-    (n_I >= 2) and the roots of the derivative quadratic with coeffs."""
+    """The n_E = 0 polynomial's critical points, ascending: -c_I (n_I >= 2), the quadratic's roots."""
     return sorted(([-c_I] if n_I >= 2 else []) + _quadratic_roots(*coeffs))
 
 
@@ -135,8 +133,7 @@ def _slope_cubics(params: ModelParams) -> tuple[tuple[float, ...], tuple[float, 
 
 
 def _cubic(coeffs, x: float) -> tuple[float, float]:
-    """The cubic with these coefficients, highest first, at x, and the sum
-    of its terms' magnitudes."""
+    """The cubic of coeffs, highest first, at x, and the sum of its terms' sizes."""
     a3, a2, a1, a0 = coeffs
     m = abs(x)
     return ((a3 * x + a2) * x + a1) * x + a0, ((abs(a3) * m + abs(a2)) * m + abs(a1)) * m + abs(a0)
@@ -182,9 +179,8 @@ def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float,
 
 
 def _scaled_slope(c_E: float, q: float, n_E: int, n_I: int, r, lam: float) -> tuple[float, float]:
-    """H(lam) = P'(lam)/(c_I + lam)^(n_I - 1) of an n_E > 0 cascade and the
-    sum of its terms' magnitudes, both over M_E^n_E as in _scaled_charpoly;
-    r holds the coefficients of _slope_cubics' R."""
+    """H(lam) = P'(lam)/(c_I + lam)^(n_I - 1) at n_E > 0 and the size of its
+    terms, over M_E^n_E as in _scaled_charpoly; r is _slope_cubics' R."""
     u = c_E + lam
     M = max(c_E, abs(u))
     eu = (u / M) ** (n_E - 1)
@@ -220,8 +216,7 @@ def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float,
 
 
 def _interior(lo: float, critical: list[float], hi: float) -> list[float]:
-    """lo, the ascending critical points strictly inside (lo, hi) with
-    near-duplicates dropped, and hi."""
+    """lo, the ascending critical points inside (lo, hi) but near-duplicates, and hi."""
     endpoints = [lo]
     for cp in critical:
         if endpoints[-1] + 1e-14 * abs(cp) < cp < hi:
@@ -230,12 +225,11 @@ def _interior(lo: float, critical: list[float], hi: float) -> list[float]:
 
 
 def _rtsafe(f, newton_step, a: float, b: float, fa: float, T: float) -> tuple[float, float, float]:
-    """The root of f in (a, b), where f changes sign (fa is f at a), and
-    the final bracket: Newton steps newton_step(x, f(x)[0]) from the
-    midpoint, bisecting whenever a step fails, leaves the bracket or does
-    not halve the step before last. A root is accepted only once f changes
-    sign across a bracket no wider than _ROOT_TOL relative (or two ulps); a
-    bracket wider after _ROOT_STEPS steps raises ArithmeticError."""
+    """The root of f in (a, b), where f changes sign (fa is f at a), and the
+    final bracket: Newton steps newton_step(x, f(x)[0]) from the midpoint,
+    bisecting when a step fails, leaves the bracket or does not halve the
+    step before last, until f changes sign across a bracket of _ROOT_TOL
+    relative (or two ulps); still wider after _ROOT_STEPS, ArithmeticError."""
     x = 0.5 * (a + b)
     dx = dx_old = b - a
     for _ in range(_ROOT_STEPS):
@@ -295,11 +289,10 @@ def _bracketed_roots(f, newton_step, endpoints: list[float], T: float, near=None
 
 
 def _slope_roots(c_E: float, q: float, n_E: int, n_I: int, cubics, lo: float, hi: float, T: float) -> list[float]:
-    """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics),
-    ascending. Between -c_E and the closed-form roots of K', K is monotone,
-    so H' = (c_E + lam)^(n_E - 2) K changes sign at most once: a piece where
-    H changes sign holds one root of H, and any other is split at K's root
-    there. Coefficients past the float range raise ArithmeticError."""
+    """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics), ascending.
+    Between -c_E and the roots of K', K is monotone, so H' = (c_E + lam)^(n_E - 2) K
+    changes sign at most once: a piece where H changes sign holds one root of H,
+    any other is split at K's root. Coefficients past the float range raise."""
     r, k = cubics
     dk = (0.0, 3.0 * k[0], 2.0 * k[1], k[2])  # K'
     if not math.isfinite(_cubic(k, lo)[1] + _cubic(r, lo)[1] + q * n_I * c_E):  # |lo| >= hi
@@ -371,11 +364,17 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
         return -step if c_I + x < 0.0 and n_I % 2 == 0 else step  # (c_I + x)^(n_I - 1) < 0
 
     def polish(x: float, a: float, b: float) -> float:
-        # one Newton step on the exact value puts x on a float next to the root
+        # one Newton step on the exact value puts x on a float next to the root;
+        # it may leave the bracket by the root's shift under P's rounding
         tol = max(_ROOT_TOL * abs(x), 2.0 * math.ulp(x))
         slope_x = slope(x)  # P' over (c_I + x)^(n_I - 1) M_E^n_E
         if slope_x != 0.0:
             polished = x - _exact_charpoly_ratio(c, c_I, q, n_I, x, *eclipse) / slope_x
+            if not a - tol <= polished <= b + tol and math.isfinite(polished):
+                try:
+                    tol = max(tol, abs(1e-13 * newton_step(x, P(x)[1])))
+                except (OverflowError, ZeroDivisionError):
+                    pass
             if a - tol <= polished <= b + tol:
                 return polished
         return x
@@ -698,9 +697,8 @@ class SpectrumReport:
 
 
 def analyze(params: ModelParams, T: float) -> SpectrumReport:
-    """Full spectrum report at one T value, the same way for every n_E.
-
-    The real roots are real_roots', with formula eigenvectors (none at the
+    """Full spectrum report at one T value, the same way for every n_E. The
+    real roots are real_roots', with formula eigenvectors (none at the
     poles -c_I, -c_E). A root is "zero" only when it is 0.0; the regime row
     gives its multiplicities: algebraic 2 on the Critical row, geometric 2
     there only without advection, when the W direction joins the V family.
