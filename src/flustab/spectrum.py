@@ -139,33 +139,30 @@ def _cubic(coeffs, x: float) -> tuple[float, float]:
     return ((a3 * x + a2) * x + a1) * x + a0, ((abs(a3) * m + abs(a2)) * m + abs(a1)) * m + abs(a0)
 
 
-def _scaled_powers(rate: float, n: int, lam: float) -> tuple[float, float, float]:
-    """(rate + lam)^n, rate^n and rate^n - (rate + lam)^n over M^n, with
-    M = max(rate, |rate + lam|): one power is +-1 and the other e^(-|L|),
-    L = n log(|rate + lam|/rate), and where both are positive their
-    difference is an expm1 of L."""
-    u = rate + lam
-    if u == 0.0:
-        L = -math.inf
-    else:
-        L = n * (math.log1p(lam / rate) if u > 0.0 else math.log(-u / rate))
-    pu, pc = (1.0, math.exp(-L)) if L >= 0.0 else (math.exp(L), 1.0)
-    if u < 0.0 and n % 2 == 1:  # (rate + lam)^n < 0
-        return -pu, pc, pc + pu
-    return pu, pc, math.expm1(-L) if L >= 0.0 else -math.expm1(L)
-
-
 def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float,
                      c_E: float = 0.0, n_E: int = 0) -> tuple[float, float]:
     """The characteristic polynomial
     P(lam) = (c_E + lam)^n_E (c_I + lam)^n_I (c + lam) lam
              + q c_E^n_E (c_I^n_I - (c_I + lam)^n_I),  q = beta*T*p,
     and the size of its terms, both over M_E^n_E M^n_I with
-    M = max(c_I, |c_I + lam|) and M_E = max(c_E, |c_E + lam|): no depth or
-    rate overflows it, every sign is kept, and the value is an exact 0.0 at
-    lam = 0. A value below ~1e-13 of the size is indistinguishable from 0.
+    M = max(c_I, |c_I + lam|) and M_E = max(c_E, |c_E + lam|). Over M^n_I
+    one of the two c_I powers is +-1 and the other is e^(-|L|),
+    L = n_I log(|c_I + lam|/c_I), so no depth or rate overflows it; the sign
+    (-1)^n_I of the power below -c_I is taken apart, and where it is +1 the
+    difference of powers is an expm1 of L. The value is an exact 0.0 at
+    lam = 0, and one below ~1e-13 of the size is indistinguishable from 0.
     """
-    pu, pc, diff = _scaled_powers(c_I, n_I, lam)
+    u = c_I + lam
+    if u == 0.0:
+        L = -math.inf
+    else:
+        L = n_I * (math.log1p(lam / c_I) if u > 0.0 else math.log(-u / c_I))
+    # |c_I + lam|^n_I and c_I^n_I over M^n_I: the larger is 1, the other e^(-|L|)
+    pu, pc = (1.0, math.exp(-L)) if L >= 0.0 else (math.exp(L), 1.0)
+    if u < 0.0 and n_I % 2 == 1:  # (c_I + lam)^n_I < 0
+        pu, diff = -pu, pc + pu
+    else:
+        diff = math.expm1(-L) if L >= 0.0 else -math.expm1(L)
     cascade = pu * (c + lam) * lam
     if n_E:  # the eclipse powers over M_E^n_E: powers of ratios in [-1, 1]
         M = max(c_E, abs(c_E + lam))

@@ -15,7 +15,7 @@ EXPORTS = [
 ]
 # `wc -l src/flustab/*.py` when the one root path for every n_E went in;
 # a change that grows src/ raises this on purpose
-SRC_LINES = 3045
+SRC_LINES = 3042
 
 
 def test_exports_are_pinned():
