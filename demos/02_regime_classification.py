@@ -7,16 +7,16 @@ import numpy as np
 from flustab import (
     ModelParams,
     classify,
+    coefficient_matrix,
     full_spectrum_numeric,
 )
-from flustab.charpoly import coefficient_inf_norm
 
 
 def positive_count(params, T):
     # a dense eigensolver value within 1e-8 of the matrix's scale counts as
     # zero, the window analyze uses for such values too
     w = full_spectrum_numeric(params, T)
-    ztol = 1e-8 * max(coefficient_inf_norm(params, T), 1.0)
+    ztol = 1e-8 * max(np.linalg.norm(coefficient_matrix(params, T), np.inf), 1.0)
     reals = [z.real for z in w if abs(z.imag) <= ztol]
     return sum(1 for v in reals if v > ztol), max(z.real for z in w)
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from flustab import (
     ModelParams,
-    algebraic_multiplicity,
     analyze,
     coefficient_matrix,
     eigenvector,
@@ -51,7 +50,7 @@ def main():
     print()
 
     # the defective point: double zero root, single eigen-direction
-    am = algebraic_multiplicity(params, T_star, 0.0)
+    am = next(r.algebraic_multiplicity for r in analyze(params, T_star).real_eigenvalues if r.value == 0.0)
     gm = geometric_multiplicity(coefficient_matrix(params, T_star), 0.0)
     print(f"at T*: zero root has algebraic multiplicity {am}, geometric {gm}")
     print("a 2x2 Jordan block, so the critical system is not diagonalizable")

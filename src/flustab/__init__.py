@@ -28,7 +28,6 @@ from .spectrum import (
     RootReport,
     SignPattern,
     SpectrumReport,
-    algebraic_multiplicity,
     analyze,
     classify,
     eigenvector,
@@ -68,7 +67,6 @@ __all__ = [
     "SuiteResult",
     "SurfaceGrid",
     "Trajectory",
-    "algebraic_multiplicity",
     "analyze",
     "asymptotics",
     "charpoly",

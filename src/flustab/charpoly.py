@@ -52,27 +52,6 @@ def coefficient_matrix(params: ModelParams, T: float) -> np.ndarray:
     return A
 
 
-def coefficient_inf_norm(params: ModelParams, T):
-    """Infinity norm of coefficient_matrix(params, T) from its closed-form
-    row sums, for a scalar T or an array of them, without assembling it.
-
-    The rows are the first compartment (its rate plus |beta*T|, or c_E
-    passed on into I_1 when n_E > 0), the inner cascade rows (twice their
-    rate), I_1 after an eclipse cascade (c_I + c_E), and the V row
-    (n_I*|p| + |c| + |v_a|); the W row is zero.
-    """
-    c_E, c_I = params.c_E, params.c_I
-    first = np.abs(params.beta * np.asarray(T, dtype=float)) + (c_E if params.n_E > 0 else c_I)
-    rows = [abs(params.n_I * params.p) + abs(params.c) + abs(params.v_a)]
-    if params.n_E > 1:
-        rows.append(2.0 * c_E)
-    if params.n_E > 0:
-        rows.append(c_I + c_E)
-    if params.n_I > 1:
-        rows.append(2.0 * c_I)
-    return np.maximum(first, max(rows))
-
-
 def _powers(params: ModelParams):
     c_E, c_I = params.c_E, params.c_I
     # c_E^{n_E} with the 0^0 := 1 convention for n_E = 0
@@ -135,7 +114,6 @@ def charpoly(params: ModelParams, T: float, lam: float) -> float:
 
 __all__ = [
     "coefficient_matrix",
-    "coefficient_inf_norm",
     "charpoly_closed",
     "charpoly_sum_form",
     "charpoly_direct",

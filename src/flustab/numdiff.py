@@ -1,6 +1,6 @@
 """Small central-difference toolkit for derivatives of scalar callables.
 Nothing here knows about the model; the validation suites use it as the
-oracle the closed-form multiplicities are checked against."""
+oracle the root search's multiplicities are checked against."""
 from __future__ import annotations
 
 import math

@@ -1,19 +1,22 @@
 """Eigenvalue analysis of the frozen-T system.
 
 Every real root of the characteristic polynomial P is found one way, for
-any n_E: bracketed between consecutive critical points, where P is
-monotone, and reported only with a sign change of P across it. The
-critical points come from factored derivatives: P' = (c_I+lam)^(n_I-1) H,
-with H a quadratic at n_E = 0; for n_E > 0, H' = (c_E+lam)^(n_E-2) K with
-K a cubic, whose critical points are closed form. The roots sort into four
-sign classes; at n_E = 0 the class patterns form a 3x3 grid indexed by the
-sign of c - beta*T*p*tau_I (clearance versus viral pressure) and the sign
-of c_I^2 - c*c_I - beta*T*p (where -c_I falls against the quadratic's
-roots), decided for every caller by one helper. Multiplicities are read
-off the factored derivatives. The largest real eigenvalue, whose sign is
-the stability answer, is the Perron root of the (E, I, V) block and solves
-one monotone scalar equation. A dense eigensolver gives the oracle
-spectrum, which no decision here reads.
+any n_E: at beta*T*p = 0 from P's linear factors; otherwise bracketed
+between consecutive critical points, where P is monotone, and reported
+only with a sign change of P across it. The critical points come from
+factored derivatives: P' = (c_I+lam)^(n_I-1) H, with H a quadratic at
+n_E = 0; for n_E > 0, H' = (c_E+lam)^(n_E-2) K with K a cubic, whose
+critical points are closed form. The search that certifies a root also
+gives its multiplicity: a bracketed root is simple, one at a critical
+point has one plus the order of the derivative's zero there. The roots
+sort into four sign classes; at n_E = 0 the class patterns form a 3x3
+grid indexed by the sign of c - beta*T*p*tau_I (clearance versus viral
+pressure) and the sign of c_I^2 - c*c_I - beta*T*p (where -c_I falls
+against the quadratic's roots), decided for every caller by one helper.
+The largest real eigenvalue, whose sign is the stability answer, is the
+Perron root of the (E, I, V) block and solves one monotone scalar
+equation. A dense eigensolver gives the oracle spectrum, which no
+decision here reads.
 
 Sign-class labels used throughout:
     "neg_below_cI"   real root < -c_I
@@ -113,11 +116,6 @@ def _quadratic_roots(a2: float, a1: float, a0: float) -> list[float]:
     return [r1, a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2]
 
 
-def _critical_points(c_I: float, n_I: int, coeffs: tuple[float, float, float]) -> list[float]:
-    """The n_E = 0 polynomial's critical points, ascending: -c_I (n_I >= 2), the quadratic's roots."""
-    return sorted(([-c_I] if n_I >= 2 else []) + _quadratic_roots(*coeffs))
-
-
 def _slope_cubics(params: ModelParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Coefficients, highest first, of the cubics R and K of an n_E > 0
     cascade. With u = c_E + lam, w = c_I + lam and q = beta*T*p,
@@ -212,13 +210,17 @@ def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float,
         return math.nan
 
 
-def _interior(lo: float, critical: list[float], hi: float) -> list[float]:
-    """lo, the ascending critical points inside (lo, hi) but near-duplicates, and hi."""
-    endpoints = [lo]
-    for cp in critical:
-        if endpoints[-1] + 1e-14 * abs(cp) < cp < hi:
-            endpoints.append(cp)
-    return endpoints + [hi]
+def _interior(lo: float, critical: list[tuple[float, int]], hi: float) -> list[tuple[float, int]]:
+    """lo, the ascending critical points inside (lo, hi) and hi, each as
+    (point, order of the derivative's zero there), 0 at lo and hi; a
+    near-duplicate is merged into the point before it, adding its order."""
+    endpoints = [(lo, 0)]
+    for cp, order in sorted(critical):
+        if endpoints[-1][0] + 1e-14 * abs(cp) < cp < hi:
+            endpoints.append((cp, order))
+        elif lo < cp < hi:
+            endpoints[-1] = (endpoints[-1][0], endpoints[-1][1] + order)
+    return endpoints + [(hi, 0)]
 
 
 def _rtsafe(f, newton_step, a: float, b: float, fa: float, T: float) -> tuple[float, float, float]:
@@ -260,75 +262,100 @@ def _rtsafe(f, newton_step, a: float, b: float, fa: float, T: float) -> tuple[fl
     return x, a, b
 
 
-def _bracketed_roots(f, newton_step, endpoints: list[float], T: float, near=None, polish=None) -> list[float]:
-    """The roots of f = (value, size of its terms), strictly monotone between
-    consecutive endpoints or with one root where it changes sign between two
-    nonzero ends. An endpoint is a (double) root where the value is within
-    1e-13 of the size (the roundoff floor, so that two roots flanking it are
-    not swallowed), and only at an exact 0.0 at the index near. Each other
-    sign change is solved by _rtsafe. For P itself, given with polish, 0 is
-    a root, the interval around it is not searched, and a bracketed root x
-    in (a, b) becomes polish(x, a, b)."""
-    vals, scales = zip(*(f(e) for e in endpoints))
+def _bracketed_roots(f, newton_step, endpoints: list[tuple[float, int]], T: float,
+                     near=None, polish=None) -> list[tuple[float, int]]:
+    """The roots of f = (value, size of its terms) with their multiplicities,
+    f strictly monotone between consecutive endpoints (_interior's pairs) or
+    with one root where it changes sign between two nonzero ends. An
+    endpoint is a root of multiplicity 1 + its order where the value is
+    within 1e-13 of the size (the roundoff floor, so that two roots flanking
+    it are not swallowed), and only at an exact 0.0 at the index near. Each
+    other sign change is a simple root, solved by _rtsafe. For P itself,
+    given with polish, the interval around 0 is not searched (its one root
+    is the structural 0) and a bracketed root x in (a, b) becomes
+    polish(x, a, b)."""
+    vals, scales = zip(*(f(e) for e, _ in endpoints))
     zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
     if near is not None:
         zero_at[near] = vals[near] == 0.0
-    roots = ([0.0] if polish else []) + [e for e, z in zip(endpoints, zero_at) if z]
+    roots = [(e, 1 + order) for (e, order), z in zip(endpoints, zero_at) if z]
     for i in range(len(endpoints) - 1):
         if zero_at[i] or zero_at[i + 1]:
             continue
-        a, b, fa = endpoints[i], endpoints[i + 1], vals[i]
+        (a, _), (b, _), fa = endpoints[i], endpoints[i + 1], vals[i]
         if (fa > 0) == (vals[i + 1] > 0) or polish and a < 0.0 < b:
             continue  # no sign change, or the interval's one root is the structural 0
         x, a, b = _rtsafe(f, newton_step, a, b, fa, T)
-        roots.append(polish(x, a, b) if polish else x)
+        roots.append((polish(x, a, b) if polish else x, 1))
     return roots
 
 
-def _slope_roots(c_E: float, q: float, n_E: int, n_I: int, cubics, lo: float, hi: float, T: float) -> list[float]:
-    """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics), ascending.
-    Between -c_E and the roots of K', K is monotone, so H' = (c_E + lam)^(n_E - 2) K
-    changes sign at most once: a piece where H changes sign holds one root of H,
-    any other is split at K's root. Coefficients past the float range raise."""
+def _slope_roots(c_E: float, q: float, n_E: int, n_I: int, cubics, lo: float, hi: float,
+                 T: float) -> list[tuple[float, int]]:
+    """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics), with their
+    multiplicities. Between -c_E and the roots of K', K is monotone, so
+    H' = (c_E + lam)^(n_E - 2) K changes sign at most once: a piece where H
+    changes sign holds one root of H, any other is split at K's root. H''s
+    zero at -c_E has order n_E - 2 plus K's there (at n_E = 1, K = (c_E +
+    lam) R' has a root at -c_E that H' lacks). Coefficients past the float
+    range raise."""
     r, k = cubics
     dk = (0.0, 3.0 * k[0], 2.0 * k[1], k[2])  # K'
     if not math.isfinite(_cubic(k, lo)[1] + _cubic(r, lo)[1] + q * n_I * c_E):  # |lo| >= hi
         raise ArithmeticError("critical points of the characteristic polynomial overflow")
     K = lambda x: _cubic(k, x)
     H = lambda x: _scaled_slope(c_E, q, n_E, n_I, r, x)
-    pieces = _interior(lo, sorted(_quadratic_roots(*dk[1:]) + [-c_E]), hi)
-    ends = [H(x) for x in pieces]
-    turns = []
-    for a, b, (fa, sa), (fb, sb) in zip(pieces, pieces[1:], ends, ends[1:]):
+    pieces = _interior(lo, [(x, 1) for x in _quadratic_roots(*dk[1:])] + [(-c_E, 0)], hi)
+    ends = [H(x) for x, _ in pieces]
+    turns = {}  # K's roots; one on the end two pieces share is found twice, kept once
+    for i, ((fa, sa), (fb, sb)) in enumerate(zip(ends, ends[1:])):
         if (fa > 0) == (fb > 0) or abs(fa) <= 1e-13 * sa or abs(fb) <= 1e-13 * sb:
-            turns += _bracketed_roots(K, lambda x, value: value / _cubic(dk, x)[0], [a, b], T)
+            turns.update(_bracketed_roots(K, lambda x, value: value / _cubic(dk, x)[0], pieces[i:i + 2], T))
 
     def h_step(x: float, value: float) -> float:
         # H/H' with H = value M_E^n_E and H' = (c_E + x)^(n_E - 2) K(x)
         M = max(c_E, abs(c_E + x))
         return value / K(x)[0] * M * M * (M / (c_E + x)) ** (n_E - 2)
 
-    return sorted(_bracketed_roots(H, h_step, _interior(lo, sorted(pieces[1:-1] + turns), hi), T))
+    critical = [(x, 0) for x, _ in pieces[1:-1]] + [(-c_E, n_E - 2)] + list(turns.items())
+    return _bracketed_roots(H, h_step, _interior(lo, critical, hi), T)
 
 
 def real_roots(params: ModelParams, T: float) -> list[float]:
-    """All real roots of the characteristic polynomial, ascending.
+    """All real roots of the characteristic polynomial, ascending, each
+    listed once: _certified_roots' values."""
+    return [x for x, _ in _certified_roots(params, T)]
 
-    Between consecutive critical points, -c_I (n_I >= 2) and the roots of
-    H = P'/(c_I + lam)^(n_I - 1) (closed form at n_E = 0, _slope_roots
-    otherwise), P is strictly monotone, and each sign change is solved by
-    _rtsafe on P/P'. One more Newton step, on P taken exactly from the
-    float inputs (_exact_charpoly_ratio), puts the root on one of the two
-    floats around the exact one. The structural root 0 is included exactly
-    and the interval around it is not searched. The critical point nearest
-    0 lies between 0 and its partner root: on the Critical row it stands
-    for the double zero and is dropped; elsewhere it is a root only where
-    P is exactly 0.0 there. Critical points past the float range raise
-    ArithmeticError.
+
+def _certified_roots(params: ModelParams, T: float) -> list[tuple[float, int]]:
+    """All real roots of the characteristic polynomial, ascending, each with
+    its algebraic multiplicity, which the search that finds the root decides.
+
+    At q = beta*T*p = 0, P = (c_E + lam)^n_E (c_I + lam)^n_I (c + lam) lam:
+    its factors' roots, equal ones merged with their multiplicities added.
+    Otherwise, between consecutive critical points, -c_I (n_I >= 2) and the
+    roots of H = P'/(c_I + lam)^(n_I - 1) (closed form at n_E = 0,
+    _slope_roots otherwise), P is strictly monotone, and each sign change is
+    a simple root, solved by _rtsafe on P/P'. One more Newton step, on P
+    taken exactly from the float inputs (_exact_charpoly_ratio), puts the
+    root on one of the two floats around the exact one. A root at a
+    critical point has multiplicity 1 + the order of P''s zero there:
+    n_I - 1 at -c_I plus H's root's multiplicity. The structural root 0 is
+    included exactly, double on the Critical row, and the interval around
+    it is not searched. The critical point nearest 0 lies between 0 and its
+    partner root: on the Critical row it stands for the double zero and is
+    dropped; elsewhere it is a root only where P is exactly 0.0 there.
+    Critical points past the float range raise ArithmeticError.
     """
     c_E, c_I = params.c_E, params.c_I
     c, n_E, n_I = params.c, params.n_E, params.n_I
     q = params.beta * T * params.p
+    if q == 0.0:
+        factors: dict[float, int] = {}
+        for root, multiplicity in ((-c_E, n_E), (-c_I, n_I), (-c, 1), (0.0, 1)):
+            if multiplicity:
+                factors[root] = factors.get(root, 0) + multiplicity
+        return sorted(factors.items())
     eclipse = (c_E, n_E) if n_E else ()
     # P keeps its sign outside (lo, hi). With s = |c| + 2|q|^(1/2) + 1 and
     # |lam| >= s, |c + lam| |lam| >= 3|q| + 1 beats the feedback
@@ -341,14 +368,15 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
     if n_E:
         cubics = _slope_cubics(params)
         slope = lambda x: _scaled_slope(c_E, q, n_E, n_I, cubics[0], x)[0]  # H over M_E^n_E
-        critical = sorted(([-c_I] if n_I >= 2 else []) + _slope_roots(c_E, q, n_E, n_I, cubics, lo, hi, T))
+        critical = _slope_roots(c_E, q, n_E, n_I, cubics, lo, hi, T)
     else:
         a2, a1, a0 = coeffs = derivative_quadratic_coeffs(params, T)
         slope = lambda x: a2 * x * x + a1 * x + a0
-        critical = _critical_points(c_I, n_I, coeffs)
-    endpoints = _interior(lo, critical, hi)
-    near = min(range(1, len(endpoints) - 1), key=lambda i: abs(endpoints[i]), default=None)
-    if near is not None and _regime_rows(params, T)[0] == 1:
+        critical = [(x, 1) for x in _quadratic_roots(*coeffs)]
+    endpoints = _interior(lo, critical + ([(-c_I, n_I - 1)] if n_I >= 2 else []), hi)
+    near = min(range(1, len(endpoints) - 1), key=lambda i: abs(endpoints[i][0]), default=None)
+    critical_row = _regime_rows(params, T)[0] == 1
+    if near is not None and critical_row:
         del endpoints[near]  # the double zero: 0 and its partner are one root
         near = None
 
@@ -377,7 +405,7 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
         return x
 
     P = lambda lam: _scaled_charpoly(c, c_I, q, n_I, lam, *eclipse)
-    return sorted(_bracketed_roots(P, newton_step, endpoints, T, near, polish))
+    return sorted(_bracketed_roots(P, newton_step, endpoints, T, near, polish) + [(0.0, 2 if critical_row else 1)])
 
 
 def sign_class(lam: float, c_I: float) -> str:
@@ -623,35 +651,6 @@ def geometric_multiplicity(A: np.ndarray, lam: float) -> int:
     return gm
 
 
-def algebraic_multiplicity(params: ModelParams, T: float, lam: float) -> int:
-    """Algebraic multiplicity of the real root lam: 1 plus its order as a
-    zero of P' = (c_I + lam)^(n_I - 1) H(lam), n_I - 1 of it at -c_I (a root
-    only at beta*T*p = 0). H(0) is c_E^n_E c_I times the Critical row's gap,
-    so the row decides lam = 0. Elsewhere a value is zero within _CLASS_REL
-    of its terms' size: H, the quadratic of derivative_quadratic_coeffs at
-    n_E = 0, and its derivatives in turn; for n_E > 0, H and then K, K', K''
-    with H' = (c_E + lam)^(n_E - 2) K, n_E - 2 more at -c_E."""
-    c_I, n_E = params.c_I, params.n_E
-    if lam == 0.0:
-        return 2 if _regime_rows(params, T)[0] == 1 else 1
-    order = params.n_I - 1 if lam == -c_I else 0
-    if n_E:
-        r, poly = _slope_cubics(params)
-        h, size = _scaled_slope(params.c_E, params.beta * T * params.p, n_E, params.n_I, r, lam)
-        if abs(h) > _CLASS_REL * size:
-            return 1 + order
-        order += 1 + (n_E - 2 if lam == -params.c_E else 0)
-    else:
-        poly = (0.0, *derivative_quadratic_coeffs(params, T))
-    for _ in range(3):
-        value, size = _cubic(poly, lam)
-        if abs(value) > _CLASS_REL * size:
-            break
-        order += 1
-        poly = (0.0, 3.0 * poly[0], 2.0 * poly[1], poly[2])  # the derivative
-    return 1 + order
-
-
 @dataclass(frozen=True)
 class RootReport:
     value: float
@@ -695,11 +694,11 @@ class SpectrumReport:
 
 def analyze(params: ModelParams, T: float) -> SpectrumReport:
     """Full spectrum report at one T value, the same way for every n_E. The
-    real roots are real_roots', with formula eigenvectors (none at the
-    poles -c_I, -c_E). A root is "zero" only when it is 0.0; the regime row
-    gives its multiplicities: algebraic 2 on the Critical row, geometric 2
-    there only without advection, when the W direction joins the V family.
-    Every other root is geometrically simple. Complex pairs fill the rest
+    real roots and their algebraic multiplicities are _certified_roots',
+    with formula eigenvectors (none at the poles -c_I, -c_E). A root is
+    "zero" only when it is 0.0; it is geometrically double only on the
+    Critical row without advection, when the W direction joins the V
+    family. Every other root is geometrically simple. Complex pairs fill the rest
     of the dimension n_E + n_I + 2; an odd or negative rest raises
     ArithmeticError. The dense eigenvalues are reported and decide nothing;
     the predicted pattern is given at n_E = 0, where the regime table holds.
@@ -710,7 +709,7 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
     c_E, c_I, n_E = params.c_E, params.c_I, params.n_E
     zero_geometric = 2 if row == "=" and params.v_a == 0.0 else 1
     reports: list[RootReport] = []
-    for r in real_roots(params, T):
+    for r, multiplicity in _certified_roots(params, T):
         vec = None
         if abs(c_I + r) > 1e-9 * c_I and (not n_E or abs(c_E + r) > 1e-9 * c_E):
             vec = [float(x) for x in eigenvector(params, T, r)]
@@ -718,7 +717,7 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
             RootReport(
                 value=r,
                 sign_class=sign_class(r, c_I),
-                algebraic_multiplicity=(2 if row == "=" else 1) if r == 0.0 else algebraic_multiplicity(params, T, r),
+                algebraic_multiplicity=multiplicity,
                 geometric_multiplicity=zero_geometric if r == 0.0 else 1,
                 eigenvector=vec,
             )
@@ -750,6 +749,5 @@ __all__ = [
     "perron_root",
     "eigenvector",
     "geometric_multiplicity",
-    "algebraic_multiplicity",
     "analyze",
 ]

@@ -3,7 +3,7 @@
 These are the oracle cross-checks the command-line `validate` subcommand
 runs and the acceptance tests reuse: closed form against determinant,
 formula eigenvectors against the matrix, predicted sign patterns against the
-numeric spectrum, and the closed-form multiplicities against adaptive
+numeric spectrum, and the root search's multiplicities against adaptive
 central differences of the characteristic polynomial (numdiff, used only
 here). Each suite returns a SuiteResult with per-check counts so failures
 are countable and reproducible from the seed.
@@ -27,7 +27,7 @@ from .model import ModelParams
 from .spectrum import (
     _KIND_BY_ROW,
     SignPattern,
-    algebraic_multiplicity,
+    _certified_roots,
     classify,
     eigenvector,
     full_spectrum_numeric,
@@ -244,7 +244,7 @@ def _finite_difference_multiplicity(params: ModelParams, T: float, lam: float) -
     """Smallest m < n_I + 2 with a nonvanishing m-th derivative of the
     characteristic polynomial at lam, by adaptive-step central differences
     with one Richardson level (numdiff.derivative_is_zero), else n_I + 2.
-    The oracle for the closed form at the suites' small n_I."""
+    The oracle for the root search's counts at the suites' small n_I."""
     max_order = params.n_I + 2
     f = lambda x: charpoly(params, T, x)
     for m in range(1, max_order):
@@ -257,21 +257,21 @@ def _finite_difference_multiplicity(params: ModelParams, T: float, lam: float) -
 def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     """Algebraic multiplicity 1 for every real root of random off-critical
     sets; the constructed Critical cells must report the double zero. Every
-    closed-form count must also equal the finite-difference one."""
+    count, taken with its root from one _certified_roots call per set, must
+    also equal the finite-difference one."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
         params, T = sample_params(rng, n_E_choices=(0,))
         if classify(params, T).kind == "Critical":
             continue  # measure-zero; the constructed cells cover it
-        for lam in real_roots(params, T):
-            m = algebraic_multiplicity(params, T, lam)
+        for lam, m in _certified_roots(params, T):
             fd = _finite_difference_multiplicity(params, T, lam)
             result.record(m == 1 == fd, lambda: f"params={params} T={T} lam={lam} m={m} finite differences {fd}")
     for n_I in (2, 3, 4, 5):
         for col in ("<", "=", ">"):
             params, T = cell_params(n_I, "=", col)
-            m = algebraic_multiplicity(params, T, 0.0)
+            m = dict(_certified_roots(params, T))[0.0]
             fd = _finite_difference_multiplicity(params, T, 0.0)
             result.record(m == 2 == fd, lambda: f"critical cell n_I={n_I} col={col}: zero multiplicity {m} (finite differences {fd}) != 2")
             gm = geometric_multiplicity(coefficient_matrix(params, T), 0.0)

@@ -123,6 +123,19 @@ class TestAnalyze:
         n_real = sum(1 for re, im in report["numeric_spectrum"] if im == 0.0)
         assert sum(m for _, m in found) == n_real
 
+    def test_root_beside_zero_next_to_the_critical_window(self, capsys, tmp_path):
+        # 1.4e-10 relative below T*: H's terms cancel to the regime gap at the
+        # root beside 0, which a second 1e-10 window once called double (exit 3)
+        params = dict(beta=0.6438176404687572, p=0.1001554263608411, c=0.1634197473122929, n_E=1,
+                      tau_E=0.7181056505734725, n_I=4, tau_I=0.9951766372064375, D_PCF=0.1, v_a=1.0, a=0.0)
+        doc = {"params": params, "T": 2.5466367760565527}
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
+        assert code == 0, err
+        report = json.loads(out)
+        found = [(e["value"], e["algebraic_multiplicity"]) for e in report["real_eigenvalues"]]
+        assert found == [(-4.937991382378264, 1), (-1.8521180235356107e-11, 1), (0.0, 1)]
+        assert report["complex_pair_count"] == 2
+
     def test_missing_T_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc()})
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])

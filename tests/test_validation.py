@@ -362,21 +362,22 @@ class TestSuites:
         assert all(r.ok for r in run_all(seed=0))
 
     def test_multiplicities_check_closed_form_against_finite_differences(self, monkeypatch):
-        closed_form = validation.algebraic_multiplicity
+        # the multiplicities come from the root search, one call per set
+        certified = validation._certified_roots
 
-        def simple_at_critical(params, T, lam, *args):
+        def simple_at_critical(params, T):
             if classify(params, T).kind == "Critical":
-                return 1
-            return closed_form(params, T, lam, *args)
+                return [(lam, 1) for lam, _ in certified(params, T)]
+            return certified(params, T)
 
         honest = suite_multiplicities(seed=0)
-        monkeypatch.setattr(validation, "algebraic_multiplicity", simple_at_critical)
+        monkeypatch.setattr(validation, "_certified_roots", simple_at_critical)
         broken = suite_multiplicities(seed=0)
         assert honest.ok and broken.checks == honest.checks
         assert broken.failures == 12  # the zero of every constructed Critical cell
         assert all("finite differences 2" in e for e in broken.failure_examples)
         # and a closed form that is right fails against a disagreeing oracle
-        monkeypatch.setattr(validation, "algebraic_multiplicity", closed_form)
+        monkeypatch.setattr(validation, "_certified_roots", certified)
         monkeypatch.setattr(validation, "_finite_difference_multiplicity", lambda params, T, lam: 3)
         assert suite_multiplicities(seed=0).failures == honest.checks - 12  # all but the geometric checks
 
