@@ -30,7 +30,7 @@ def main():
     print(f"{'T':>8} {'T/T*':>6} {'classification':>15} {'n_positive':>11} {'max Re':>10}")
     for u in np.linspace(0.2, 1.8, 9):
         T = float(u * T_star)
-        kind = classify(params, T).kind
+        kind = classify(params, T)
         n_pos, max_re = positive_count(params, T)
         print(f"{T:8.4f} {u:6.2f} {kind:>15} {n_pos:11d} {max_re:10.5f}")
     print()

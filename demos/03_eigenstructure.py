@@ -21,7 +21,7 @@ from flustab import (
 
 def show(params, T, title):
     report = analyze(params, T)
-    print(f"--- {title} (T = {T:.4f}, {report.classification.kind})")
+    print(f"--- {title} (T = {T:.4f}, {report.classification})")
     for root in report.real_eigenvalues:
         print(
             f"  lambda = {root.value:+10.6f}  class={root.sign_class:<13}"

@@ -24,7 +24,6 @@ from .model import (
     validate,
 )
 from .spectrum import (
-    Classification,
     RootReport,
     SignPattern,
     SpectrumReport,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticsVerdict",
     "BlowUpError",
-    "Classification",
     "FieldCoefficients",
     "InvalidParamsError",
     "ModelParams",

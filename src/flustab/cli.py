@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .charpoly import coefficient_matrix
-from .dynamics import _check_fields, time_rhs, x_rhs
+from .dynamics import time_rhs, x_rhs
 from .model import (
     FieldCoefficients,
     InvalidParamsError,
@@ -113,7 +113,7 @@ def _open_out(path: str | None):
 @dataclass
 class RunConfig:
     params: ModelParams | None = None
-    coeffs: FieldCoefficients | None = None
+    coeffs: FieldCoefficients | None = None  # parse_config's default whenever params are given
     T_value: float | None = None
     T_sweep: tuple[float, float, int] | None = None
     initial_state: list[float] | None = None
@@ -201,6 +201,8 @@ def parse_config(doc) -> RunConfig:
         if problems:
             raise ConfigError("invalid coeffs", {"problems": problems})
         cfg.coeffs = coeffs
+    elif cfg.params is not None:
+        cfg.coeffs = FieldCoefficients.default_for(cfg.params)
 
     if "T" in doc:
         node = doc["T"]
@@ -265,10 +267,6 @@ def _need_params(cfg: RunConfig) -> ModelParams:
     if cfg.params is None:
         raise ConfigError("this subcommand needs a config with params")
     return cfg.params
-
-
-def _coeffs_or_default(cfg: RunConfig, params: ModelParams) -> FieldCoefficients:
-    return cfg.coeffs if cfg.coeffs is not None else FieldCoefficients.default_for(params)
 
 
 def _state_names(params: ModelParams) -> list[str]:
@@ -340,7 +338,7 @@ def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:
     except ValueError as exc:
         doc["note"] = str(exc)
     else:
-        doc["asymptotics"] = verdict.to_json_dict()
+        doc["asymptotics"] = vars(verdict)
     print(json.dumps(doc), file=sys.stderr)
 
 
@@ -361,16 +359,14 @@ def cmd_simulate(cfg: RunConfig, args, out) -> int:
             raise ConfigError(
                 f"linearized initial_state needs {block_dim} entries (E.., I.., V, W)"
             )
-        psi = cfg.coeffs.psi if cfg.coeffs is not None else 0.0
-        traj = integrate_linearized(params, cfg.T_value, cfg.initial_state, t_span, h_t, psi=psi)
+        traj = integrate_linearized(params, cfg.T_value, cfg.initial_state, t_span, h_t, psi=cfg.coeffs.psi)
         T_column = np.full(traj.states.shape[0], cfg.T_value)
         table = np.column_stack([T_column, traj.states])
     else:
         if len(cfg.initial_state) != params.state_dim:
             raise ConfigError(f"initial_state needs {params.state_dim} entries (T, E.., I.., V, W)")
-        coeffs = _coeffs_or_default(cfg, params)
         s0 = StateVector.for_params(params, cfg.initial_state)
-        traj = integrate_time(params, coeffs, s0, t_span, h_t)
+        traj = integrate_time(params, cfg.coeffs, s0, t_span, h_t)
         table = traj.states
 
     zeros = np.zeros(traj.times.size)
@@ -390,10 +386,9 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
         raise ConfigError("surface needs initial_state")
     if len(cfg.initial_state) != params.state_dim:
         raise ConfigError(f"initial_state needs {params.state_dim} entries (T, E.., I.., V, W)")
-    coeffs = _coeffs_or_default(cfg, params)
     s0 = StateVector.for_params(params, cfg.initial_state)
     grid = trace_surface(
-        params, coeffs, s0, cfg.grid["x_span"], cfg.grid["t_span"], cfg.grid["h_x"], cfg.grid["h_t"]
+        params, cfg.coeffs, s0, cfg.grid["x_span"], cfg.grid["t_span"], cfg.grid["h_x"], cfg.grid["h_t"]
     )
     nx, nt = grid.x_nodes.size, grid.t_nodes.size
     table = np.column_stack([
@@ -450,8 +445,6 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     T_star = params.T_star
     if not math.isfinite(T_star) or T_star <= 0:
         raise ConfigError("field sketches need beta, p, c > 0 so the threshold is finite")
-    coeffs = _coeffs_or_default(cfg, params)
-    _check_fields(params, coeffs)
     names = _state_names(params)
     lattice = np.linspace(-1.0, 1.0, 9)
     # the panel's lattice points, u the outer and w the inner loop
@@ -465,7 +458,7 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
         v_panel, axis_name = _panel_axis(params, label, T)
         # one state per column; each field's column is its value at that state
         states = np.vstack([np.full(u.size, T), u * v_neg[:, None] + w * v_panel[:, None]])
-        fields = (time_rhs(params, coeffs, states).T, x_rhs(params, coeffs, states).T)
+        fields = (time_rhs(params, cfg.coeffs, states).T, x_rhs(params, cfg.coeffs, states).T)
         table = np.column_stack([states[0], u, w, *fields])
         lines = g17_bytes(table, seps).decode("ascii")
         head = f"{label},{axis_name},"
@@ -478,7 +471,7 @@ def cmd_validate(cfg: RunConfig, args, out) -> int:
     results = run_all(seed=seed)
     ok = all(r.ok for r in results)
     if args.json:
-        doc = {"seed": seed, "ok": ok, "suites": [r.to_json_dict() for r in results]}
+        doc = {"seed": seed, "ok": ok, "suites": [vars(r) for r in results]}
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
         for r in results:

@@ -21,21 +21,16 @@ import numpy as np
 from .model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 
 
-def _check_fields(params: ModelParams, coeffs: FieldCoefficients) -> None:
-    """The check time_rhs and x_rhs leave out, but for the state's length:
-    the field coefficients against the shape of params (which is valid by
-    construction)."""
-    problems = coeffs.problems_for(params)
-    if problems:
-        raise InvalidParamsError(problems)
-
-
 def _checked_state(params: ModelParams, coeffs: FieldCoefficients, s: StateVector) -> np.ndarray:
-    """The raw array of s, after the state's length and _check_fields."""
+    """The raw array of s, after the checks time_rhs and x_rhs leave out:
+    the state's length, and the field coefficients against the shape of
+    params (which is valid by construction)."""
     y = s.to_array()
     if y.shape != (params.state_dim,):
         raise ValueError(f"state has shape {y.shape}, expected ({params.state_dim},)")
-    _check_fields(params, coeffs)
+    problems = coeffs.problems_for(params)
+    if problems:
+        raise InvalidParamsError(problems)
     return y
 
 

@@ -100,22 +100,6 @@ class ModelParams:
         """Phase-space dimension: T plus all compartments plus V and W."""
         return self.n_E + self.n_I + 3
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "beta": self.beta,
-            "p": self.p,
-            "c": self.c,
-            "n_E": self.n_E,
-            "n_I": self.n_I,
-            "tau_I": self.tau_I,
-            "D_PCF": self.D_PCF,
-            "v_a": self.v_a,
-            "a": self.a,
-        }
-        if self.tau_E is not None:
-            d["tau_E"] = self.tau_E
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelParams":
         """The params object of a config: exactly the known keys, each rate

@@ -39,18 +39,13 @@ _CLASS_REL = 1e-10  # the regime cell's "=" window, relative to the larger term
 _RANK_REL = 1e-7  # the SVD rank cut, relative to the largest singular value
 _ROOT_TOL = 1e-12  # a root's bracket, relative to the root
 _ROOT_STEPS = 2200  # more than the bisections from a bracket of 2 * 1.8e308 to a subnormal
+_POLE_REL = 1e-9  # a root this close to -c_I or -c_E, relative to the rate, gets no formula eigenvector
 
 
 def _viral_pressure(params: ModelParams, T: float) -> float:
     # Canonical evaluation order; the Critical/equality tests in this module
     # and in the validation suites compare against exactly this expression.
     return params.beta * T * params.p * params.tau_I
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "Definite" | "Indefinite" | "Critical"
-    T_star: float
 
 
 def _regime_rows(params: ModelParams, T) -> tuple[np.ndarray, np.ndarray]:
@@ -78,16 +73,15 @@ def _regime_rows(params: ModelParams, T) -> tuple[np.ndarray, np.ndarray]:
 _KIND_BY_ROW = {"<": "Indefinite", "=": "Critical", ">": "Definite"}
 
 
-def classify(params: ModelParams, T: float) -> Classification:
-    """Regime of the frozen-T system.
+def classify(params: ModelParams, T: float) -> str:
+    """Regime of the frozen-T system: "Definite", "Indefinite" or "Critical".
 
     Definite when clearance c exceeds the viral pressure beta*T*p*tau_I
     (no positive eigenvalue), Indefinite when it falls short (exactly one),
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    row = "<=>"[int(_regime_rows(params, T)[0])]
-    return Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
+    return _KIND_BY_ROW["<=>"[int(_regime_rows(params, T)[0])]]
 
 
 def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, float, float]:
@@ -434,9 +428,6 @@ class SignPattern:
     optional_pairs: tuple[tuple[str, str], ...]
     zero_algebraic_multiplicity: int
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order; the tuples print as JSON arrays
-
 
 def predicted_sign_pattern(params: ModelParams, T: float) -> SignPattern:
     """Select the regime cell and return its predicted pattern.
@@ -616,7 +607,7 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
     if lam == 0.0:
         if params.v_a != 0.0:
             w = (_viral_pressure(params, T) - params.c) / (-params.v_a)
-        elif classify(params, T).kind != "Critical":
+        elif classify(params, T) != "Critical":
             # advection-free and off-critical: the zero eigenvector is the
             # pure W direction instead of the V-scaled family
             v[-1] = 1.0
@@ -659,43 +650,42 @@ class RootReport:
     geometric_multiplicity: int
     eigenvector: list[float] | None
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    classification: Classification
+    classification: str  # classify's kind
+    T_star: float
     regime: tuple[str, str, str]  # (parity, sign of c_I^2-c*c_I-q, sign of c-pressure)
     real_eigenvalues: list[RootReport]
     complex_pair_count: int
     numeric_spectrum: list[complex]
     predicted_pattern: SignPattern | None
-    analytic: bool = True  # every real root certified, for every n_E
-    notice: str | None = None
 
     def to_json_dict(self) -> dict:
+        # every real root is certified for every n_E, so "analytic" is always
+        # true and "notice" null; the dataclasses' fields print in order
         return {
-            "analytic": self.analytic,
-            "classification": self.classification.kind,
-            "T_star": self.classification.T_star,
+            "analytic": True,
+            "classification": self.classification,
+            "T_star": self.T_star,
             "regime": {
                 "n_I_parity": self.regime[0],
                 "quadratic_at_minus_cI": self.regime[1],
                 "clearance_vs_pressure": self.regime[2],
             },
-            "real_eigenvalues": [r.to_json_dict() for r in self.real_eigenvalues],
+            "real_eigenvalues": [vars(r) for r in self.real_eigenvalues],
             "complex_pair_count": self.complex_pair_count,
             "numeric_spectrum": [[z.real, z.imag] for z in self.numeric_spectrum],
-            "predicted_pattern": self.predicted_pattern.to_json_dict() if self.predicted_pattern else None,
-            "notice": self.notice,
+            "predicted_pattern": vars(self.predicted_pattern) if self.predicted_pattern else None,
+            "notice": None,
         }
 
 
 def analyze(params: ModelParams, T: float) -> SpectrumReport:
     """Full spectrum report at one T value, the same way for every n_E. The
     real roots and their algebraic multiplicities are _certified_roots',
-    with formula eigenvectors (none at the poles -c_I, -c_E). A root is
+    with formula eigenvectors (none within _POLE_REL of the poles -c_I,
+    -c_E, where the formula's residual is no longer small). A root is
     "zero" only when it is 0.0; it is geometrically double only on the
     Critical row without advection, when the W direction joins the V
     family. Every other root is geometrically simple. Complex pairs fill the rest
@@ -704,14 +694,13 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
     the predicted pattern is given at n_E = 0, where the regime table holds.
     """
     row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
-    classification = Classification(kind=_KIND_BY_ROW[row], T_star=_threshold(params))
-    w = np.linalg.eigvals(coefficient_matrix(params, T))
+    w = full_spectrum_numeric(params, T)
     c_E, c_I, n_E = params.c_E, params.c_I, params.n_E
     zero_geometric = 2 if row == "=" and params.v_a == 0.0 else 1
     reports: list[RootReport] = []
     for r, multiplicity in _certified_roots(params, T):
         vec = None
-        if abs(c_I + r) > 1e-9 * c_I and (not n_E or abs(c_E + r) > 1e-9 * c_E):
+        if abs(c_I + r) > _POLE_REL * c_I and (not n_E or abs(c_E + r) > _POLE_REL * c_E):
             vec = [float(x) for x in eigenvector(params, T, r)]
         reports.append(
             RootReport(
@@ -726,7 +715,8 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
     if unpaired < 0 or unpaired % 2:
         raise ArithmeticError(f"real roots at T = {T!r} leave {unpaired} eigenvalues, not complex pairs")
     return SpectrumReport(
-        classification=classification,
+        classification=_KIND_BY_ROW[row],
+        T_star=_threshold(params),
         regime=("even" if params.n_I % 2 == 0 else "odd", col, row),
         real_eigenvalues=reports,
         complex_pair_count=unpaired // 2,
@@ -736,7 +726,6 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
 
 
 __all__ = [
-    "Classification",
     "SignPattern",
     "RootReport",
     "SpectrumReport",

@@ -69,10 +69,6 @@ class Trajectory:
     states: np.ndarray  # (len(times), dim)
     h: float
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 # rows stepped between two blow-up tests
 _CHUNK_ROWS = 64
@@ -404,14 +400,12 @@ def lie_bracket(
 
 @dataclass(frozen=True)
 class AsymptoticsVerdict:
+    # vars() of it is the CLI footer's "asymptotics" object: the fields in order
     kind: str  # "Converging" | "Diverging" | "Undetermined"
     rate: float
     window: float
     r_squared: float
     n_points: int
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order
 
 
 def _log_fit(t: np.ndarray, d: np.ndarray) -> tuple[float, float]:

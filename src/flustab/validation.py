@@ -26,6 +26,7 @@ from .charpoly import (
 from .model import ModelParams
 from .spectrum import (
     _KIND_BY_ROW,
+    _POLE_REL,
     SignPattern,
     _certified_roots,
     classify,
@@ -39,6 +40,7 @@ from .spectrum import (
 
 @dataclass
 class SuiteResult:
+    # vars() of it is one suite of validate --json: the fields in order
     name: str
     checks: int = 0
     failures: int = 0
@@ -56,9 +58,6 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return self.failures == 0
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order
 
 
 def sample_params(
@@ -207,7 +206,7 @@ def suite_sign_tables(
                 w = full_spectrum_numeric(params, T)
                 ok, detail = pattern_matches(pattern, w, params.c_I, ztol, len(A))
                 result.record(ok, lambda: f"n_I={n_I} cell ({row},{col}): {detail}")
-                kind = classify(params, T).kind
+                kind = classify(params, T)
                 expected_kind = _KIND_BY_ROW[row]
                 result.record(kind == expected_kind, lambda: f"n_I={n_I} cell ({row},{col}) classification {kind} != {expected_kind}")
     return result
@@ -226,7 +225,7 @@ def suite_eigenvector_residuals(
         params, T = sample_params(rng, n_E_choices=(0,))
         A = coefficient_matrix(params, T)
         for lam in real_roots(params, T):
-            if abs(params.c_I + lam) <= 1e-9 * params.c_I:
+            if abs(params.c_I + lam) <= _POLE_REL * params.c_I:
                 continue  # formula pole; not an eigenvalue generically
             v = eigenvector(params, T, lam)
             resid = float(np.max(np.abs(A @ v - lam * v)))
@@ -263,7 +262,7 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
         params, T = sample_params(rng, n_E_choices=(0,))
-        if classify(params, T).kind == "Critical":
+        if classify(params, T) == "Critical":
             continue  # measure-zero; the constructed cells cover it
         for lam, m in _certified_roots(params, T):
             fd = _finite_difference_multiplicity(params, T, lam)

@@ -140,7 +140,7 @@ def test_criterion_06_integrator_order(capfd):
     s0 = StateVector.for_params(params, [1.0, 0.2, 0.3, 0.1, 0.5, 0.2])
     h = 0.1
     finals = {
-        div: integrate_time(params, coeffs, s0, (0.0, 2.0), h / div).final
+        div: integrate_time(params, coeffs, s0, (0.0, 2.0), h / div).states[-1]
         for div in (1, 2, 8)
     }
     e1 = float(np.max(np.abs(finals[1] - finals[8])))

@@ -61,7 +61,8 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
         assert code == 0
         doc = json.loads(out)
-        assert set(doc) == {
+        # the key order is part of the byte contract
+        assert list(doc) == [
             "analytic",
             "classification",
             "T_star",
@@ -71,23 +72,32 @@ class TestAnalyze:
             "numeric_spectrum",
             "predicted_pattern",
             "notice",
-        }
+        ]
         assert doc["analytic"] is True
         assert doc["classification"] == "Definite"
         assert doc["T_star"] == pytest.approx(1.5)
-        assert set(doc["regime"]) == {
+        assert list(doc["regime"]) == [
             "n_I_parity",
             "quadratic_at_minus_cI",
             "clearance_vs_pressure",
-        }
+        ]
+        assert doc["real_eigenvalues"]
         for entry in doc["real_eigenvalues"]:
-            assert set(entry) == {
+            assert list(entry) == [
                 "value",
                 "sign_class",
                 "algebraic_multiplicity",
                 "geometric_multiplicity",
                 "eigenvector",
-            }
+            ]
+        assert list(doc["predicted_pattern"]) == [
+            "n_I_parity",
+            "clearance_vs_pressure",
+            "quadratic_at_minus_cI",
+            "mandatory",
+            "optional_pairs",
+            "zero_algebraic_multiplicity",
+        ]
         assert all(len(z) == 2 for z in doc["numeric_spectrum"])
 
     def test_eclipse_stages_are_analytic(self, capsys, tmp_path):
@@ -387,7 +397,7 @@ class TestSweep:
         expected = ["T,classification,max_real_eig,n_positive"]
         for T in np.linspace(0.0, 3.0, 601).tolist():
             root = float(perron_root(params, T))
-            kind = classify(params, T).kind
+            kind = classify(params, T)
             expected.append(f"{_fmt(T)},{kind},{_fmt(root)},{1 if kind == 'Indefinite' else 0}")
         assert out == "\n".join(expected) + "\n"
         assert "Critical" in out
@@ -403,7 +413,7 @@ class TestSweep:
             T, kind, _, n_positive = line.split(",")
             report = analyze(params, float(T))
             positives = [r for r in report.real_eigenvalues if r.sign_class == "positive"]
-            assert (kind, int(n_positive)) == (report.classification.kind, len(positives)), T
+            assert (kind, int(n_positive)) == (report.classification, len(positives)), T
             assert int(n_positive) == (kind == "Indefinite")
 
     def test_largest_finite_pressure(self, capsys, tmp_path):
@@ -974,12 +984,12 @@ class TestValidate:
         code, out, err = run_cli(capsys, ["validate", "--json", "--seed", "5"])
         assert code == 0
         doc = json.loads(out)
-        assert set(doc) == {"seed", "ok", "suites"}
+        assert list(doc) == ["seed", "ok", "suites"]
         assert doc["seed"] == 5
         assert doc["ok"] is True
         assert len(doc["suites"]) == 4
         for suite in doc["suites"]:
-            assert set(suite) == {"name", "checks", "failures", "failure_examples"}
+            assert list(suite) == ["name", "checks", "failures", "failure_examples"]
             assert suite["failures"] == 0
 
     def test_parser_keeps_nothing_between_calls(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,7 +241,7 @@ def test_rank_check():
     generic = StateVector.for_params(params, [0.8, 0.3, 0.5, 1.2, 0.1])
     assert fields_rank(params, coeffs, generic) == 2
     # kill the x direction entirely: no gradient, no curvature
-    flat = ModelParams(**{**params.to_json_dict(), "a": 0.0})
+    flat = dataclasses.replace(params, a=0.0)
     stalled = StateVector.for_params(flat, [0.8, 0.3, 0.5, 1.2, 0.0])
     assert fields_rank(flat, coeffs, stalled) == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -116,35 +117,34 @@ def uncertified(params: ModelParams, T: float, roots) -> list[float]:
 class TestClassify:
     def test_three_regimes(self):
         params = make_params()  # T* = 1.5
-        assert classify(params, 1.0).kind == "Definite"
-        assert classify(params, 1.5).kind == "Critical"
-        assert classify(params, 2.0).kind == "Indefinite"
-        assert classify(params, 1.0).T_star == pytest.approx(1.5)
+        assert classify(params, 1.0) == "Definite"
+        assert classify(params, 1.5) == "Critical"
+        assert classify(params, 2.0) == "Indefinite"
+        assert analyze(params, 1.0).T_star == pytest.approx(1.5)
 
     def test_infinite_pressure_lands_in_the_indefinite_cell(self):
         # beta*T*p overflows at T = 1e308; no window may swallow an infinite gap
         params = make_params()
         for T in (1e308, math.inf):
-            assert classify(params, T).kind == "Indefinite"
+            assert classify(params, T) == "Indefinite"
             pattern = predicted_sign_pattern(params, T)
             assert (pattern.clearance_vs_pressure, pattern.quadratic_at_minus_cI) == ("<", "<")
 
     def test_critical_window_is_relative(self):
         params = make_params()
-        assert classify(params, 1.5 * (1 + 1e-12)).kind == "Critical"
-        assert classify(params, 1.5 * (1 + 1e-8)).kind == "Indefinite"
+        assert classify(params, 1.5 * (1 + 1e-12)) == "Critical"
+        assert classify(params, 1.5 * (1 + 1e-8)) == "Indefinite"
 
     def test_zero_infection_rate_is_definite(self):
         params = make_params(beta=0.0)
-        verdict = classify(params, 5.0)
-        assert verdict.kind == "Definite"
-        assert math.isinf(verdict.T_star)
+        assert classify(params, 5.0) == "Definite"
+        assert math.isinf(analyze(params, 5.0).T_star)
 
     def test_T_star_is_the_threshold(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             params, T = sample_params(rng)
-            assert classify(params, T).T_star == params.T_star
+            assert analyze(params, T).T_star == params.T_star
 
     def test_pressure_order(self):
         params = make_params(beta=0.7, p=1.3, tau_I=2.0)
@@ -669,7 +669,7 @@ class TestEigenvectors:
 
     def test_zero_advection_branches(self):
         params, T = cell_params(2, "=", ">")
-        params_flat = ModelParams(**{**params.to_json_dict(), "v_a": 0.0})
+        params_flat = dataclasses.replace(params, v_a=0.0)
         v = eigenvector(params_flat, T, 0.0)
         assert v[-1] == 0.0  # balanced production needs no gradient term
         off = eigenvector(params_flat, 0.5 * T, 0.0)
@@ -681,13 +681,13 @@ class TestEigenvectors:
         # and its eigenvector is the V family, balanced with W = 0
         params = make_params(v_a=0.0)
         T = 1.5 * (1 + rel)
-        assert classify(params, T).kind == "Critical"
+        assert classify(params, T) == "Critical"
         zero, = (r for r in analyze(params, T).real_eigenvalues if r.value == 0.0)
         assert zero.algebraic_multiplicity == 2
         np.testing.assert_array_equal(eigenvector(params, T, 0.0), [T / 2.0, T / 2.0, 1.0, 0.0])
         # past the window the zero is simple and its eigenvector is the pure W direction
         for off in (1.5 * (1 + 1e-8), 1.5 * (1 - 1e-8)):
-            assert classify(params, off).kind != "Critical"
+            assert classify(params, off) != "Critical"
             np.testing.assert_array_equal(eigenvector(params, off, 0.0), [0.0, 0.0, 0.0, 1.0])
 
     def test_multiplicities(self):
@@ -710,10 +710,10 @@ class TestEigenvectors:
 class TestAnalyze:
     def test_analytic_report(self):
         report = analyze(make_params(), 1.0)
-        assert report.analytic
-        assert report.classification.kind == "Definite"
+        assert report.classification == "Definite"
         assert report.predicted_pattern is not None
-        assert report.notice is None
+        doc = report.to_json_dict()
+        assert doc["analytic"] is True and doc["notice"] is None
         classes = [r.sign_class for r in report.real_eigenvalues]
         assert "zero" in classes and "positive" not in classes
 
@@ -740,7 +740,8 @@ class TestAnalyze:
     def test_eclipse_stages_are_analytic(self):
         params, T = make_params(n_E=2, tau_E=1.0), 1.0
         report = analyze(params, T)
-        assert report.analytic and report.notice is None
+        doc = report.to_json_dict()
+        assert doc["analytic"] is True and doc["notice"] is None
         assert report.predicted_pattern is None  # the 3x3 regime table is stated at n_E = 0
         assert len(report.numeric_spectrum) == 6
         A = coefficient_matrix(params, T)
@@ -753,18 +754,24 @@ class TestAnalyze:
         assert total + 2 * report.complex_pair_count == 6
 
     def test_json_shape(self):
+        # the key order is part of the byte contract
         doc = analyze(make_params(), 1.0).to_json_dict()
-        assert set(doc) == {
+        assert list(doc) == [
             "analytic", "classification", "T_star", "regime", "real_eigenvalues",
             "complex_pair_count", "numeric_spectrum", "predicted_pattern", "notice",
-        }
+        ]
         assert doc["classification"] == "Definite"
-        assert set(doc["regime"]) == {"n_I_parity", "quadratic_at_minus_cI", "clearance_vs_pressure"}
+        assert list(doc["regime"]) == ["n_I_parity", "quadratic_at_minus_cI", "clearance_vs_pressure"]
+        assert doc["real_eigenvalues"]
         for entry in doc["real_eigenvalues"]:
-            assert set(entry) == {
+            assert list(entry) == [
                 "value", "sign_class", "algebraic_multiplicity",
                 "geometric_multiplicity", "eigenvector",
-            }
+            ]
+        assert list(doc["predicted_pattern"]) == [
+            "n_I_parity", "clearance_vs_pressure", "quadratic_at_minus_cI",
+            "mandatory", "optional_pairs", "zero_algebraic_multiplicity",
+        ]
 
 
 def _threshold_sample(rng):
@@ -789,7 +796,7 @@ class TestNearThreshold:
         for _ in range(1000):
             params, T = _threshold_sample(rng)
             report = analyze(params, T)
-            kind, roots = report.classification.kind, report.real_eigenvalues
+            kind, roots = report.classification, report.real_eigenvalues
             zeros = [r for r in roots if r.sign_class == "zero"]
             assert [r.value for r in zeros] == [0.0], (params, T)
             assert (zeros[0].algebraic_multiplicity == 2) == (kind == "Critical"), (params, T)
