@@ -286,7 +286,8 @@ def cmd_analyze(cfg: RunConfig, args, out) -> int:
     if cfg.T_value is None:
         raise ConfigError("analyze needs a scalar T in the config")
     report = analyze(params, cfg.T_value)
-    out.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    # a value JSON cannot hold, as an infinite T_star, is a ValueError: exit 3
+    out.write(json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -444,7 +445,7 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     params = _need_params(cfg)
     T_star = params.T_star
     if not math.isfinite(T_star) or T_star <= 0:
-        raise ConfigError("field sketches need beta, p, c > 0 so the threshold is finite")
+        raise ConfigError(f"field sketches need a finite threshold c/(tau_I*p*beta) > 0, not {T_star:g}")
     names = _state_names(params)
     lattice = np.linspace(-1.0, 1.0, 9)
     # the panel's lattice points, u the outer and w the inner loop

@@ -6,7 +6,10 @@ compiles it to one evaluation, which takes a state as a list of Python
 floats, as an array, or a block of states, one per column, with the same
 bits for a state in every form; the I compartments are added in index
 order from 0.0. The same template gives the four stages of the shape's RK4
-run kernel, which advances one float state a chunk of steps per call.
+run kernel, which advances one float state a chunk of steps per call. The
+shape's RK4 step kernel has the run kernel's stage updates and combination
+but takes each stage's field from one call of a field it is passed
+(time_rhs, for a single trajectory).
 
 The x-direction field is the heuristic spatial companion: every slot moves
 proportionally to W (coefficients r_i, the T slot with a minus sign), the V
@@ -58,6 +61,7 @@ def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
 # compiled kernels by cascade shape (n_E, n_I); each depends on nothing else
 _TIME_KERNELS: dict = {}
 _RK4_KERNELS: dict = {}
+_STEP_KERNELS: dict = {}
 
 # the rates the field reads, as expressions in params and coeffs
 _RATES = {"beta": "params.beta", "p": "params.p", "c": "params.c", "source": "params.D_PCF * params.a",
@@ -106,33 +110,48 @@ def _time_kernel(n_E: int, n_I: int):
     return _compiled(_TIME_KERNELS, "time_rhs kernel", n_E, n_I, "params, coeffs, y", body)
 
 
-def _rk4_kernel(n_E: int, n_I: int):
+def _rk4_kernel(n_E: int, n_I: int, field_call: bool = False):
     """Classical RK4 of the time field for one cascade shape, as a function
-    (params, coeffs, dt, y, k) -> the k rows (tuples) that k steps of dt
-    take from the float state y, kept in _RK4_KERNELS: the rates bound
-    once, the state in locals, and the four stages of _field_source and the
-    combination as straight-line code in surface._rk4_float_step's order,
-    so its rows equal those steps with time_rhs as the field, bit for bit."""
+    that returns the k rows (tuples) that k steps of dt take from the float
+    state y: the state in locals, and each stage's state update and the
+    combination as straight-line code. The run kernel,
+    (params, coeffs, dt, y, k) kept in _RK4_KERNELS, binds the rates once
+    and writes each stage's field from _field_source. The step kernel
+    (field_call), (field, params, coeffs, dt, y, k) kept in _STEP_KERNELS,
+    takes each stage's field from one call field(params, coeffs, [z0, z1,
+    ...]). Both do the same operations in the same order, so with time_rhs
+    as the field their rows are equal, bit for bit."""
     slots, loop = range(n_E + n_I + 3), []
     for stage, (y, scale) in enumerate((("y", ""), ("z", "half"), ("z", "half"), ("z", "dt")), 1):
         if scale:
             loop += [f"z{i} = y{i} + {scale} * k{stage - 1}_{i}" for i in slots]
-        lines, field = _field_source(n_E, n_I, y, {name: name for name in _RATES})
-        loop += lines + [f"k{stage}_{i} = {slot}" for i, slot in enumerate(field)]
+        if field_call:
+            state = ", ".join(f"{y}{i}" for i in slots)
+            loop.append(f"{', '.join(f'k{stage}_{i}' for i in slots)}, = field(params, coeffs, [{state}])")
+        else:
+            lines, field = _field_source(n_E, n_I, y, {name: name for name in _RATES})
+            loop += lines + [f"k{stage}_{i} = {slot}" for i, slot in enumerate(field)]
     loop += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in slots]
     loop.append(f"rows.append(({', '.join(f'y{i}' for i in slots)},))")
-    body = [f"{name} = {rate}" for name, rate in _RATES.items()]
+    body = [] if field_call else [f"{name} = {rate}" for name, rate in _RATES.items()]
     body += ["half, sixth = 0.5 * dt, dt / 6.0", "rows = []", "for _ in range(k):"]
     body += [f"    {line}" for line in loop] + ["return rows"]
+    if field_call:
+        return _compiled(_STEP_KERNELS, "RK4 step kernel", n_E, n_I, "field, params, coeffs, dt, y, k", body)
     return _compiled(_RK4_KERNELS, "RK4 run kernel", n_E, n_I, "params, coeffs, dt, y, k", body)
 
 
-def _rk4_advancer(params: ModelParams, coeffs: FieldCoefficients):
+def _rk4_advancer(params: ModelParams, coeffs: FieldCoefficients, field=None):
     """(dt, n) -> (y, k) -> the k rows RK4 steps of dt take from the float
-    state y, one call of the shape's _rk4_kernel (the advancer form of
-    surface._run; the run's length n is not needed)."""
-    kernel = _RK4_KERNELS.get((params.n_E, params.n_I)) or _rk4_kernel(params.n_E, params.n_I)
-    return lambda dt, n: lambda y, k: kernel(params, coeffs, dt, y, k)
+    state y, one call of the shape's run kernel or, given field, of its
+    step kernel with that field (the advancer form of surface._run; the
+    run's length n is not needed)."""
+    shape = params.n_E, params.n_I
+    if field is None:
+        kernel = _RK4_KERNELS.get(shape) or _rk4_kernel(*shape)
+        return lambda dt, n: lambda y, k: kernel(params, coeffs, dt, y, k)
+    kernel = _STEP_KERNELS.get(shape) or _rk4_kernel(*shape, field_call=True)
+    return lambda dt, n: lambda y, k: kernel(field, params, coeffs, dt, y, k)
 
 
 def _x_column(coeffs: FieldCoefficients) -> np.ndarray:

@@ -3,20 +3,21 @@ diagnostics for the 2-distribution spanned by the two fields.
 
 Time integration is fixed-step classical fourth-order Runge-Kutta: no
 adaptivity, so identical inputs give bit-identical output and step-halving
-order studies are exact. A single trajectory is advanced as a list of
-Python floats, four time_rhs calls per step. A surface's columns run one
-at a time through the RK4 run kernel of their cascade shape (dynamics),
-straight-line code that does the same operations in the same order, so
-every column equals its single run bit for bit. Frozen-T linearized runs
-take RK4's exact step map y <- R y + c, which differs from the four stages
-only by rounding, from a table of its powers: a block of up to 64 rows is
-one matrix product from the block's first state. The table holds no more
-numbers than the run's states or than fit in cache, and stops before the
-first power that is not finite; a one-row table is the step map itself.
-Every run advances a chunk of rows at a time and tests it for blow-up,
-and stops with the prefix a per-step test gives; numpy's floating-point
-warnings are silenced while it steps, so the steps a chunk takes past a
-blow-up print nothing.
+order studies are exact. A single trajectory runs through the RK4 step
+kernel of its cascade shape (dynamics): straight-line stage arithmetic on
+Python floats, each stage's field one call of time_rhs, four per step. A
+surface's columns run one at a time through the shape's RK4 run kernel,
+which evaluates the field inline and does the same operations in the same
+order, so every column equals its single run bit for bit. Frozen-T
+linearized runs take RK4's exact step map y <- R y + c, which differs from
+the four stages only by rounding, from a table of its powers: a block of up
+to 64 rows is one matrix product from the block's first state. The table
+holds no more numbers than the run's states or than fit in cache, and stops
+before the first power that is not finite; a one-row table is the step map
+itself. Every run advances a chunk of rows at a time and tests it for
+blow-up, and stops with the prefix a per-step test gives; numpy's
+floating-point warnings are silenced while it steps, so the steps a chunk
+takes past a blow-up print nothing.
 
 The x-direction is not integrated: the x-field is affine in W, so its flow
 is closed form (RK4 gives it only up to rounding), and a surface's x-fibers
@@ -132,30 +133,6 @@ def _run(advancer, y0, span, h: float):
     return times, states, abs(dt)
 
 
-def _stepwise(stepper):
-    """The advancer of stepper(dt), a map that takes one step of dt: an
-    advance call steps it k times."""
-
-    def advancer(dt: float, n: int):
-        step = stepper(dt)
-        return lambda y, k: [y := step(y) for _ in range(k)]
-
-    return advancer
-
-
-def _rk4_float_step(f, dt: float):
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def step(y):
-        k1 = f(y)
-        k2 = f([a + half * b for a, b in zip(y, k1)])
-        k3 = f([a + half * b for a, b in zip(y, k2)])
-        k4 = f([a + dt * b for a, b in zip(y, k3)])
-        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-    return step
-
-
 def _rk4_each(advancer, starts: np.ndarray, span, h: float):
     """One _run of advancer from every row of starts (m, dim), in index
     order, as (times, states (m, n + 1, dim), step), each run copied into
@@ -182,8 +159,8 @@ def integrate_time(
     """Integrate the time-direction field from s0. Deterministic: the same
     inputs give bit-identical trajectories."""
     y0 = _checked_state(params, coeffs, s0).tolist()
-    f = lambda y: time_rhs(params, coeffs, y)
-    times, states, h = _run(_stepwise(lambda dt: _rk4_float_step(f, dt)), y0, t_span, h_t)
+    # the module's time_rhs as bound at call time: every stage is one call of it
+    times, states, h = _run(_rk4_advancer(params, coeffs, time_rhs), y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)
 
 

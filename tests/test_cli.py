@@ -210,6 +210,13 @@ class TestAnalyze:
             assert np.all(np.isfinite(v)) and v[-2] == 1.0
             assert np.max(np.abs(A @ v - e["value"] * v)) <= 1e-12 * np.linalg.norm(A, np.inf) * np.max(np.abs(v))
 
+    def test_infinite_threshold_exits_3_with_no_report(self, capsys, tmp_path):
+        # tau_I*p*beta underflows to 0, so T* is +inf, which JSON cannot hold
+        doc = {"params": params_doc(beta=1e-200, p=1e-200, c=1.0), "T": 0.5}
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert error_doc(err)["message"].startswith("numeric failure: Out of range float values are not JSON compliant")
+
 
 class TestConfigRejection:
     # every rejection must exit 2 with a single machine-readable error line
@@ -926,6 +933,13 @@ class TestField:
         assert axes == {"below": "zero", "at": "zero_numeric", "above": "positive"}
         T_by_panel = {line.split(",")[0]: float(line.split(",")[2]) for line in lines[1:]}
         assert T_by_panel == {"below": 0.75, "at": 1.5, "above": 2.25}
+
+    def test_infinite_threshold_is_named(self, capsys, tmp_path):
+        # beta, p and c are > 0, but tau_I*p*beta underflows to 0
+        cfg = write_config(tmp_path, {"params": params_doc(beta=1e-200, p=1e-200, c=1.0)})
+        code, out, err = run_cli(capsys, ["field", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert error_doc(err)["message"] == "field sketches need a finite threshold c/(tau_I*p*beta) > 0, not inf"
 
     @pytest.mark.parametrize("n_I", [1, 7, 16])
     @pytest.mark.parametrize("coeffs", [None, "random"])

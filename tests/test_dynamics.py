@@ -9,6 +9,7 @@ from flustab import dynamics, surface
 from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, InvalidParamsError, ModelParams, StateVector
 from flustab.validation import sample_params
+from test_surface import _rk4_float_step
 
 
 def make_params(**overrides):
@@ -207,8 +208,9 @@ def test_numpy_counts_reuse_the_int_shape_kernel(monkeypatch):
 @pytest.mark.parametrize("n_I", [1, 12, 200])
 @pytest.mark.parametrize("n_E", [0, 3])
 def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
-    # the run kernel's stages come from the time field's template: its rows
-    # are float RK4 steps with time_rhs as the field, special values included
+    # the run kernel's stages come from the time field's template, the step
+    # kernel's from time_rhs calls: the rows of both are float RK4 steps with
+    # time_rhs as the field, special values included
     rng = np.random.default_rng([n_E, n_I, 4])
     dim = n_E + n_I + 3
     states = [rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-3, 4) for _ in range(12)]
@@ -217,13 +219,14 @@ def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
     states.append(np.array([1.0] + [-0.0] * (n_E + n_I) + [0.0, -0.0]))
     params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, D_PCF=0.0, a=-0.4)
     coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, dim - 1)), psi=0.05)
-    advance = dynamics._rk4_advancer(params, coeffs)(0.01, 3)
-    step = surface._rk4_float_step(lambda y: time_rhs(params, coeffs, y), 0.01)
+    advances = [dynamics._rk4_advancer(params, coeffs, field)(0.01, 3) for field in (None, time_rhs)]
+    step = _rk4_float_step(lambda y: time_rhs(params, coeffs, y), 0.01)
     for y in states:
         rows = [y.tolist()]
         for _ in range(3):
             rows.append(step(rows[-1]))
-        assert same_bits(np.array(rows[1:]), np.array(advance(y.tolist(), 3)))
+        for advance in advances:
+            assert same_bits(np.array(rows[1:]), np.array(advance(y.tolist(), 3)))
 
 
 def fields_rank(params, coeffs, s, tol=1e-9):

@@ -64,9 +64,36 @@ def frozen_step(M, F, dt):
     return lambda y: R @ y + c
 
 
+# _stepwise and _rk4_float_step are the reference RK4 on float lists, one
+# stage per field call: the RK4 kernels of dynamics must equal their rows,
+# bit for bit, with time_rhs as the field.
+def _stepwise(stepper):
+    """The advancer of stepper(dt), a map that takes one step of dt: an
+    advance call steps it k times."""
+
+    def advancer(dt: float, n: int):
+        step = stepper(dt)
+        return lambda y, k: [y := step(y) for _ in range(k)]
+
+    return advancer
+
+
+def _rk4_float_step(f, dt: float):
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(y):
+        k1 = f(y)
+        k2 = f([a + half * b for a, b in zip(y, k1)])
+        k3 = f([a + half * b for a, b in zip(y, k2)])
+        k4 = f([a + dt * b for a, b in zip(y, k3)])
+        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+    return step
+
+
 def float_rk4(f):
     """The _run advancer of classical RK4 on the float-list field f."""
-    return surface._stepwise(lambda dt: surface._rk4_float_step(f, dt))
+    return _stepwise(lambda dt: _rk4_float_step(f, dt))
 
 
 def rk4_run(f, y0, span, h):
@@ -197,7 +224,7 @@ def deep_frozen_system(rng):
 
 def stepwise_frozen(M, F):
     """The _run advancer that steps the exact step map one row at a time."""
-    return surface._stepwise(lambda dt: frozen_step(M, F, dt))
+    return _stepwise(lambda dt: frozen_step(M, F, dt))
 
 
 def assert_rows_close(states, ref, rel):
@@ -402,7 +429,7 @@ class TestChunkedBlowUp:
         """(times, states) of one state y0 up to the row before the first
         that fails, taking one step at a time and testing every row."""
         if kind in ("float", "block"):
-            step = surface._rk4_float_step(cls.field, dt)
+            step = _rk4_float_step(cls.field, dt)
             y0 = y0.tolist()
         else:
             step = frozen_step(cls.LAM * np.eye(len(y0)), np.zeros(len(y0)), dt)
@@ -627,8 +654,8 @@ def test_x_fibers_are_the_exact_x_flow(n_I, n_E, a):
 
 
 def counted_field_calls(monkeypatch):
-    """Counts of the field calls trace_surface makes, by the module-level
-    names where tracers wrap the fields."""
+    """Counts of the field calls trace_surface and integrate_time make, by
+    the module-level names where tracers wrap the fields."""
     assert surface.time_rhs is dynamics.time_rhs and surface.x_rhs is dynamics.x_rhs
     calls = {"t": 0, "x": 0}
 
@@ -650,7 +677,9 @@ def counted_kernels(monkeypatch):
     builds, calls = [], []
     build = dynamics._rk4_kernel
 
-    def counted_build(n_E, n_I):
+    def counted_build(n_E, n_I, field_call=False):
+        if field_call:  # a single trajectory's step kernel
+            return build(n_E, n_I, field_call)
         builds.append((n_E, n_I))
         kernel = build(n_E, n_I)
 
@@ -721,6 +750,55 @@ def test_kernel_columns_equal_integrate_time(n_E, n_I, h_t):
         column = integrate_time(params, coeffs, bottom, t_span, h_t)
         np.testing.assert_array_equal(column.times, grid.t_nodes)
         np.testing.assert_array_equal(column.states, grid.states[i])
+
+
+def rows_or_prefix(run):
+    """(times, states, step) of the run, or (times, states, where) of the
+    prefix its BlowUpError carries."""
+    try:
+        traj = run()
+        return traj.times, traj.states, traj.h
+    except BlowUpError as e:
+        return e.times, e.states, e.where
+
+
+@pytest.mark.parametrize("n_E,n_I", [(n_E, n_I) for n_E in range(4) for n_I in range(1, 7)] + [(0, 200), (3, 200)])
+def test_integrate_time_is_the_reference_rk4(n_E, n_I):
+    # forward and backward spans, and a start 20 times larger whose backward
+    # run blows up (after 54 to 206 rows, so inside every chunk position)
+    params, coeffs, s0 = deep_setup(n_I, n_E)
+    h = 0.01 if n_I < 200 else 0.001
+    f = lambda y: time_rhs(params, coeffs, y)
+    outcomes = []
+    for span, scale in (((0.0, 200 * h), 1.0), ((50 * h, -150 * h), 1.0), ((0.0, -300 * h), 20.0)):
+        y0 = scale * s0.to_array()
+        got = rows_or_prefix(lambda: integrate_time(params, coeffs, StateVector.for_params(params, y0), span, h))
+        ref = rows_or_prefix(lambda: Trajectory(*rk4_run(f, y0, span, h)))
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        assert got[2] == ref[2]
+        outcomes.append(len(got[0]))
+    assert outcomes[0] == 201 and outcomes[2] < 301
+
+
+@pytest.mark.parametrize("n_E,n_I", [(0, 1), (2, 6), (3, 200)])
+def test_step_and_run_kernels_give_the_same_rows(n_E, n_I):
+    params, coeffs, s0 = deep_setup(n_I, n_E)
+    y = s0.to_array().tolist()
+    for dt in (0.001, -0.001):
+        run = dynamics._rk4_advancer(params, coeffs)(dt, 130)(y, 130)
+        step = dynamics._rk4_advancer(params, coeffs, time_rhs)(dt, 130)(y, 130)
+        assert np.array(run).tobytes() == np.array(step).tobytes()
+
+
+@pytest.mark.parametrize("n_E,n_I,span,steps", [(0, 1, (0.0, 1.3), 130), (2, 6, (0.0, 0.64), 64),
+                                                 (1, 3, (1.0, -0.3), 130), (3, 200, (0.0, 0.05), 5)])
+def test_integrate_time_calls_time_rhs_once_per_stage(monkeypatch, n_E, n_I, span, steps):
+    # every stage is one call of surface.time_rhs, where tracers wrap the field
+    fields = counted_field_calls(monkeypatch)
+    params, coeffs, s0 = deep_setup(n_I, n_E)
+    traj = integrate_time(params, coeffs, s0, span, 0.01)
+    assert traj.times.size == steps + 1
+    assert fields == {"t": 4 * steps, "x": 0}
 
 
 class TestSurfaceBlowUp:
