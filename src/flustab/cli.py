@@ -314,20 +314,42 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
 
 
 _CSV_BLOCK_ROWS = 256  # sweep rows per %
-_CSV_BLOCK_VALUES = 4096  # state CSV values per g17_bytes call
+_CSV_BLOCK_VALUES = 4096  # state CSV array values per g17_bytes call
 
 
-def _write_state_csv(out, names: list[str], table: np.ndarray) -> None:
-    """One CSV line per table row (x, t, state.., mismatch), each value the
-    text of "%.17g". Rows go through g17_bytes about _CSV_BLOCK_VALUES
-    values at a time, which bounds the memory that takes."""
+def _write_state_csv(out, names: list[str], columns: list) -> None:
+    """One CSV line per row (x, t, state.., mismatch), each value the text
+    of "%.17g". columns are the CSV's columns, each an array with one value
+    per row or a float every row holds; one at least is an array. A float's
+    text is made once and spliced into each row: a run of floats between
+    two arrays replaces a separator byte from 128 up (never in g17_bytes'
+    text; 128 distinct runs at most). The array columns are stacked and go
+    through g17_bytes about _CSV_BLOCK_VALUES values at a time, which
+    bounds the memory that takes."""
     from ._g17 import g17_bytes
 
     out.write("x,t," + ",".join(names) + ",mismatch\n")
-    seps = np.frombuffer(b"," * (table.shape[1] - 1) + b"\n", np.uint8)
-    rows = max(1, _CSV_BLOCK_VALUES // table.shape[1])
-    for start in range(0, len(table), rows):
-        out.write(g17_bytes(table[start : start + rows], seps).decode("ascii"))
+    arrays, runs = [], [[]]  # runs[k]: the texts of the floats after k arrays
+    for column in columns:
+        if isinstance(column, float):
+            runs[-1].append(b"%.17g" % column)
+        else:
+            arrays.append(column)
+            runs.append([])
+    head = b"".join(text + b"," for text in runs[0])
+    end = b"".join(b"," + text for text in runs[-1]) + b"\n" + head
+    marks: dict = {}  # a run's text between two arrays -> its separator byte
+    gaps = (marks.setdefault(b"," + b",".join(run) + b",", 128 + len(marks)) if run else 44 for run in runs[1:-1])
+    seps = np.frombuffer(bytes(gaps) + b"\n", np.uint8)
+    rows = max(1, _CSV_BLOCK_VALUES // len(arrays))
+    for start in range(0, len(arrays[0]), rows):
+        text = g17_bytes(np.array([a[start : start + rows] for a in arrays]).T, seps)
+        for run, mark in marks.items():
+            text = text.replace(bytes([mark]), run)
+        if end != b"\n":  # every row ends with end, less the next row's head
+            text = text.replace(b"\n", end)
+            text = head + text[: len(text) - len(head)]
+        out.write(text.decode("ascii"))
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:
@@ -361,17 +383,16 @@ def cmd_simulate(cfg: RunConfig, args, out) -> int:
                 f"linearized initial_state needs {block_dim} entries (E.., I.., V, W)"
             )
         traj = integrate_linearized(params, cfg.T_value, cfg.initial_state, t_span, h_t, psi=cfg.coeffs.psi)
-        T_column = np.full(traj.states.shape[0], cfg.T_value)
-        table = np.column_stack([T_column, traj.states])
+        state = [cfg.T_value, *traj.states.T]  # T stays frozen
     else:
         if len(cfg.initial_state) != params.state_dim:
             raise ConfigError(f"initial_state needs {params.state_dim} entries (T, E.., I.., V, W)")
         s0 = StateVector.for_params(params, cfg.initial_state)
         traj = integrate_time(params, cfg.coeffs, s0, t_span, h_t)
-        table = traj.states
+        state = list(traj.states.T)
 
-    zeros = np.zeros(traj.times.size)
-    _write_state_csv(out, names, np.column_stack([zeros, traj.times, table, zeros]))
+    # a single trajectory sits at x = 0 with no mismatch
+    _write_state_csv(out, names, [0.0, traj.times, *state, 0.0])
     _emit_asymptotics_footer(traj, cfg.grid)
     return EXIT_OK
 
@@ -392,13 +413,9 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
         params, cfg.coeffs, s0, cfg.grid["x_span"], cfg.grid["t_span"], cfg.grid["h_x"], cfg.grid["h_t"]
     )
     nx, nt = grid.x_nodes.size, grid.t_nodes.size
-    table = np.column_stack([
-        np.repeat(grid.x_nodes, nt),
-        np.tile(grid.t_nodes, nx),
-        grid.states.reshape(nx * nt, -1),
-        grid.mismatch.ravel(),
-    ])
-    _write_state_csv(out, _state_names(params), table)
+    states = grid.states.reshape(nx * nt, -1).T
+    columns = [np.repeat(grid.x_nodes, nt), np.tile(grid.t_nodes, nx), *states, grid.mismatch.ravel()]
+    _write_state_csv(out, _state_names(params), columns)
     base_fiber = Trajectory(times=grid.t_nodes, states=grid.states[0], h=grid.h_t)
     _emit_asymptotics_footer(base_fiber, cfg.grid)
     return EXIT_OK

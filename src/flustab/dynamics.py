@@ -9,7 +9,9 @@ order from 0.0. The same template gives the four stages of the shape's RK4
 run kernel, which advances one float state a chunk of steps per call. The
 shape's RK4 step kernel has the run kernel's stage updates and combination
 but takes each stage's field from one call of a field it is passed
-(time_rhs, for a single trajectory).
+(time_rhs, for a single trajectory). Kernels bind only the rates their
+body reads, c_E and c_I as a ModelParams derived them; time_rhs finds its
+kernel by the params' _shape, so a call divides nothing and builds no key.
 
 The x-direction field is the heuristic spatial companion: every slot moves
 proportionally to W (coefficients r_i, the T slot with a minus sign), the V
@@ -49,7 +51,7 @@ def time_rhs(params: ModelParams, coeffs: FieldCoefficients, y):
     coefficients once per run (_checked_state) and call this in their
     inner loop.
     """
-    kernel = _TIME_KERNELS.get((params.n_E, params.n_I)) or _time_kernel(params.n_E, params.n_I)
+    kernel = _TIME_KERNELS.get(params._shape) or _time_kernel(*params._shape)
     if isinstance(y, list):
         return kernel(params, coeffs, y)
     out = np.empty_like(y)
@@ -68,11 +70,18 @@ _RATES = {"beta": "params.beta", "p": "params.p", "c": "params.c", "source": "pa
           "v_a": "params.v_a", "psi": "coeffs.psi"}
 
 
+def _cascade_rates(n_E: int) -> list[str]:
+    """The bindings of the cascade rates _field_source reads, c_E only
+    where there are E slots."""
+    return (["c_E = params.c_E"] if n_E > 0 else []) + ["c_I = params.c_I"]
+
+
 def _field_source(n_E: int, n_I: int, y: str, rate: dict) -> tuple[list[str], list[str]]:
     """The one template of the time field at the state y0, y1, ... (name
     prefix y): source lines, then every slot's expression, each rate read as
-    rate[name]. Slot i's outflow is f_i = c * y_i; I_total adds the I slots
-    to 0.0 in index order; the W slot is psi, a float even for a block."""
+    rate[name], c_E and c_I as names. Slot i's outflow is f_i = c * y_i;
+    I_total adds the I slots to 0.0 in index order; the W slot is psi, a
+    float even for a block."""
     dim = n_E + n_I + 3
     V, W = f"{y}{dim - 2}", f"{y}{dim - 1}"
     lines = [f"f0 = {rate['beta']} * {y}0 * {V}"]
@@ -86,14 +95,11 @@ def _field_source(n_E: int, n_I: int, y: str, rate: dict) -> tuple[list[str], li
 
 
 def _compiled(cache: dict, label: str, n_E: int, n_I: int, args: str, body: list[str]):
-    """def kernel(args), kept in cache under the shape (n_E, n_I): it binds
-    c_E and c_I from params, unpacks y into y0, y1, ..., then runs body.
-    The counts come only from a ModelParams, so they are ints in range
-    before they enter the source."""
+    """def kernel(args), kept in cache under the shape (n_E, n_I): it
+    unpacks y into y0, y1, ..., then runs body. The counts come only from a
+    ModelParams, so they are ints in range before they enter the source."""
     ys = ", ".join(f"y{i}" for i in range(n_E + n_I + 3))
-    head = [f"c_E = {n_E} / params.tau_E"] if n_E > 0 else []
-    head += [f"c_I = {n_I} / params.tau_I", f"{ys}, = y"]
-    source = "\n".join([f"def kernel({args}):", *(f"    {line}" for line in head + body)])
+    source = "\n".join([f"def kernel({args}):", *(f"    {line}" for line in [f"{ys}, = y", *body])])
     namespace: dict = {}
     exec(compile(source, f"<{label} n_E={n_E} n_I={n_I}>", "exec"), namespace)
     cache[n_E, n_I] = namespace["kernel"]
@@ -106,7 +112,7 @@ def _time_kernel(n_E: int, n_I: int):
     the first call for the shape and kept in _TIME_KERNELS. It reads the
     rates on every call and unpacks y (floats, or the rows of a block)."""
     lines, slots = _field_source(n_E, n_I, "y", _RATES)
-    body = lines + [f"return [{', '.join(slots)}]"]
+    body = _cascade_rates(n_E) + lines + [f"return [{', '.join(slots)}]"]
     return _compiled(_TIME_KERNELS, "time_rhs kernel", n_E, n_I, "params, coeffs, y", body)
 
 
@@ -133,7 +139,7 @@ def _rk4_kernel(n_E: int, n_I: int, field_call: bool = False):
             loop += lines + [f"k{stage}_{i} = {slot}" for i, slot in enumerate(field)]
     loop += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in slots]
     loop.append(f"rows.append(({', '.join(f'y{i}' for i in slots)},))")
-    body = [] if field_call else [f"{name} = {rate}" for name, rate in _RATES.items()]
+    body = [] if field_call else [f"{name} = {rate}" for name, rate in _RATES.items()] + _cascade_rates(n_E)
     body += ["half, sixth = 0.5 * dt, dt / 6.0", "rows = []", "for _ in range(k):"]
     body += [f"    {line}" for line in loop] + ["return rows"]
     if field_call:
@@ -146,7 +152,7 @@ def _rk4_advancer(params: ModelParams, coeffs: FieldCoefficients, field=None):
     state y, one call of the shape's run kernel or, given field, of its
     step kernel with that field (the advancer form of surface._run; the
     run's length n is not needed)."""
-    shape = params.n_E, params.n_I
+    shape = params._shape
     if field is None:
         kernel = _RK4_KERNELS.get(shape) or _rk4_kernel(*shape)
         return lambda dt, n: lambda y, k: kernel(params, coeffs, dt, y, k)

@@ -5,7 +5,8 @@ eclipse-phase age classes E_1..E_{n_E}, a cascade of n_I infectious age
 classes I_1..I_{n_I}, the free-virus concentration V, and its spatial
 derivative W along the airway coordinate x. Everything downstream (matrix
 assembly, spectra, field tracing) consumes the two container types defined
-here, so all input checking lives in this module.
+here, so all input checking lives in this module. A ModelParams derives
+its cascade rates once, when it is built; no reader divides for them.
 """
 from __future__ import annotations
 
@@ -43,6 +44,10 @@ class ModelParams:
         D_PCF: diffusion rate of virus in the periciliary fluid (>= 0).
         v_a: advection speed of the periciliary fluid (sign free).
         a: assumed constant second spatial derivative of V (sign free).
+        c_E, c_I: cascade rates n_E/tau_E (0.0 when n_E = 0, its power
+            c_E**n_E then read as 1) and n_I/tau_I; with _shape = (n_E,
+            n_I), the field kernels' key, derived at construction and not
+            fields, so ==, hash and dataclasses.replace see only the above.
     """
 
     beta: float
@@ -70,17 +75,10 @@ class ModelParams:
                 pass  # not an integer: _structural_problems names it
         if _structural_problems(self):
             raise InvalidParamsError(validate(self))
-
-    @property
-    def c_E(self) -> float:
-        """Eclipse cascade rate n_E/tau_E, with c_E = 0 when n_E = 0 (its
-        formal power c_E**n_E is then read as 1)."""
-        return self.n_E / self.tau_E if self.n_E > 0 else 0.0
-
-    @property
-    def c_I(self) -> float:
-        """Infectious cascade rate n_I/tau_I."""
-        return self.n_I / self.tau_I
+        # once, not per read: the field kernels read them on every call
+        object.__setattr__(self, "c_E", self.n_E / self.tau_E if self.n_E > 0 else 0.0)
+        object.__setattr__(self, "c_I", self.n_I / self.tau_I)
+        object.__setattr__(self, "_shape", (self.n_E, self.n_I))
 
     @property
     def T_star(self) -> float:

@@ -619,7 +619,7 @@ def test_state_csv_matches_fmt_per_row(rows):
     table[:, 0] = np.resize(extremes, rows)
     table[:, -1] = 0.1
     out = io.StringIO()
-    _write_state_csv(out, ["T", "I1", "V", "W"], table)
+    _write_state_csv(out, ["T", "I1", "V", "W"], list(table.T))
     expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
     assert out.getvalue() == expected
 
@@ -636,7 +636,7 @@ def test_state_csv_repeating_t_column_matches_fmt_per_row(nx, nt):
         rng.normal(size=nx * nt),
     ])
     out = io.StringIO()
-    _write_state_csv(out, ["T", "I1", "V", "W"], table)
+    _write_state_csv(out, ["T", "I1", "V", "W"], list(table.T))
     expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
     assert out.getvalue() == expected
 
@@ -676,7 +676,7 @@ def test_state_csv_constant_columns_match_fmt_per_row(name):
     table = _csv_tables()[name]
     names = [f"S{i}" for i in range(table.shape[1] - 3)]
     out = io.StringIO()
-    _write_state_csv(out, names, table)
+    _write_state_csv(out, names, list(table.T))
     expected = "".join(",".join(map(_fmt, row)) + "\n" for row in table)
     assert out.getvalue() == "x,t," + ",".join(names) + ",mismatch\n" + expected
 
@@ -692,16 +692,95 @@ def test_state_csv_memory_is_bounded_by_the_block():
 
     table = np.random.default_rng(25).normal(size=(100_000, 14))
     names = [f"S{i}" for i in range(12)]
-    _write_state_csv(Sink(), names, table[:1])  # the kernel and its tables, loaded once
+    _write_state_csv(Sink(), names, list(table[:1].T))  # the kernel and its tables, loaded once
     sink = Sink()
+    columns = list(table.T)
     tracemalloc.start()
     try:
-        _write_state_csv(sink, names, table)
+        _write_state_csv(sink, names, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sink.size > 100_000 * 14 * 20
     assert peak < 2_000_000
+
+
+def _fmt_csv(names, columns, rows):
+    # the % oracle: a float column is that value on every row
+    cells = [[_fmt(c)] * rows if isinstance(c, float) else list(map(_fmt, c)) for c in columns]
+    return "x,t," + ",".join(names) + ",mismatch\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -2.5, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("layout", ["fAAA", "AfAA", "AAAf", "fAfAf", "ffAffAAffA", "AfAfAfA"])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_state_csv_float_columns_match_fmt_per_row(layout, blocks, extra):
+    # f is a float column, A an array column; a table of one row, and rows
+    # around whole blocks of _CSV_BLOCK_VALUES // (array columns) rows
+    rows = blocks * (cli._CSV_BLOCK_VALUES // layout.count("A")) + extra
+    rng = np.random.default_rng([len(layout), rows])
+    floats = iter(_FLOATS * 2)
+    columns = [next(floats) if kind == "f" else rng.normal(0.0, 1e3, rows) for kind in layout]
+    names = [f"S{i}" for i in range(len(layout) - 3)]
+    out = io.StringIO()
+    _write_state_csv(out, names, columns)
+    assert out.getvalue() == _fmt_csv(names, columns, rows)
+
+
+@pytest.mark.parametrize("value", _FLOATS)
+def test_state_csv_float_column_in_every_position(value):
+    # first, between arrays (one and two in a run) and last, as simulate's
+    # x, frozen T and mismatch; one row and a row past a block
+    for rows in (1, cli._CSV_BLOCK_VALUES // 4 + 1):
+        arrays = list(np.random.default_rng(rows).normal(size=(4, rows)))
+        columns = [value, arrays[0], value, arrays[1], value, value, arrays[2], arrays[3], value]
+        out = io.StringIO()
+        _write_state_csv(out, ["T", "E1", "I1", "V", "W", "U"], columns)
+        assert out.getvalue() == _fmt_csv(["T", "E1", "I1", "V", "W", "U"], columns, rows)
+
+
+def test_state_csv_takes_128_distinct_float_runs_between_arrays():
+    # each distinct run of floats between two arrays takes one separator
+    # byte from 128 up; equal runs share theirs
+    A = np.arange(3.0)
+    distinct = [A] + [c for k in range(128) for c in (float(k), A)]
+    repeated = [A] + [c for _ in range(300) for c in (0.5, A)]
+    for columns in (distinct, repeated):
+        names = [f"S{i}" for i in range(len(columns) - 3)]
+        out = io.StringIO()
+        _write_state_csv(out, names, columns)
+        assert out.getvalue() == _fmt_csv(names, columns, 3)
+    with pytest.raises(ValueError):
+        _write_state_csv(io.StringIO(), [f"S{i}" for i in range(256)], distinct + [128.0, A])
+
+
+@pytest.mark.parametrize("linearized", [False, True])
+def test_simulate_prints_the_bytes_it_writes_to_out(tmp_path, linearized):
+    # stdout cannot seek: each block is spliced before it is written
+    doc = {
+        "params": params_doc(n_E=1, tau_E=0.5, n_I=2),
+        "coeffs": {"r": [1.0, 1.0, 1.0, 1.0, 1.0], "psi": 0.1},
+        "initial_state": [0.9, 0.0, 0.1, 0.1, 0.2, 0.0],
+        "grid": {"t_span": [0.0, 30.0], "h_t": 0.01},
+    }
+    if linearized:
+        doc.update(T=0.7, linearized=True, initial_state=doc["initial_state"][1:])
+    cfg = write_config(tmp_path, doc)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [
+        subprocess.run([sys.executable, "-m", "flustab.cli", "simulate", "--config", cfg, *extra],
+                       capture_output=True, env=env, timeout=120)
+        for extra in ([], ["--out", str(tmp_path / "out.csv")])
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stderr == runs[1].stderr and runs[1].stdout == b""
+    text = (tmp_path / "out.csv").read_bytes()
+    assert runs[0].stdout == text and text.count(b"\n") == 3002
+    first = text.splitlines()[1].decode().split(",")
+    assert first[0] == first[-1] == "0" and first[2] == ("0.69999999999999996" if linearized else "0.90000000000000002")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flustab.dynamics import time_rhs
 from flustab.model import (
     FieldCoefficients,
     InvalidParamsError,
@@ -35,6 +36,38 @@ class TestDerivedRates:
         params = make_params(n_E=0, tau_E=None)
         assert params.c_E == 0.0 and type(params.c_E) is float
         assert params.c_I == 2.0
+
+    def test_rates_are_python_floats_derived_once(self):
+        params = make_params(n_E=np.int64(3), tau_E=np.float64(0.7), n_I=5, tau_I=1.3)
+        assert type(params.c_E) is float and type(params.c_I) is float
+        assert params.c_E == 3 / 0.7 and params.c_I == 5 / 1.3
+        # plain attributes beside the fields, not properties that divide per read
+        assert vars(params)["c_E"] is params.c_E and vars(params)["c_I"] is params.c_I
+        assert params._shape == (3, 5) and all(type(n) is int for n in params._shape)
+
+    def test_replace_derives_new_rates_and_the_field_follows(self):
+        params = make_params(n_E=0, tau_E=None, n_I=1, tau_I=1.0)
+        coeffs = FieldCoefficients.default_for(params)
+        y = [0.8, 0.3, 0.5, 0.1]
+        slower = dataclasses.replace(params, tau_I=4.0)
+        assert (slower.c_E, slower.c_I) == (0.0, 0.25) and params.c_I == 1.0
+        # slot 1 is the I inflow beta*T*V less the outflow c_I*I
+        for each in (params, slower):
+            assert time_rhs(each, coeffs, y)[1] == each.beta * 0.8 * 0.5 - each.c_I * 0.3
+        eclipse = dataclasses.replace(params, n_E=2, tau_E=0.5)
+        assert (eclipse.c_E, eclipse._shape) == (4.0, (2, 1))
+        coeffs = FieldCoefficients.default_for(eclipse)
+        assert time_rhs(eclipse, coeffs, [0.8, 0.3, 0.2, 0.5, 0.1, 0.0])[2] == 4.0 * 0.3 - 4.0 * 0.2
+
+    def test_fields_equality_and_hash_see_only_the_inputs(self):
+        names = [f.name for f in dataclasses.fields(ModelParams)]
+        assert names == ["beta", "p", "c", "n_I", "tau_I", "n_E", "tau_E", "D_PCF", "v_a", "a"]
+        params = make_params()
+        same = make_params(n_I=np.int64(2), tau_I=np.float64(1.0))
+        assert params == same and hash(params) == hash(same)
+        assert hash(params) == hash(tuple(getattr(params, name) for name in names))
+        assert params != make_params(tau_I=2.0)
+        assert dataclasses.replace(params) == params
 
     def test_structural_rejects(self):
         with pytest.raises(InvalidParamsError):

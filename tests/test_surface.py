@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -569,7 +570,8 @@ def test_float_path_stays_on_python_floats():
     # deep_setup draws r from numpy; here the rates are numpy scalars too,
     # and the parameter objects still hand the fields Python floats
     params, coeffs, s0 = deep_setup(6, 2)
-    params = ModelParams(**{k: np.float64(v) if type(v) is float else v for k, v in vars(params).items()})
+    values = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    params = ModelParams(**{k: np.float64(v) if type(v) is float else v for k, v in values.items()})
     coeffs = FieldCoefficients(r=coeffs.r, psi=np.float64(coeffs.psi))
     y = s0.to_array().tolist()
     assert all(type(v) is float for v in time_rhs(params, coeffs, y))
@@ -633,7 +635,7 @@ def exact_x_flow(params, coeffs, y0, s):
 @pytest.mark.parametrize("n_I,n_E", [(2, 0), (12, 2)])
 def test_x_fibers_are_the_exact_x_flow(n_I, n_E, a):
     params, coeffs, s0 = deep_setup(n_I, n_E)
-    params = ModelParams(**{**vars(params), "a": a})  # a < 0 turns W round
+    params = dataclasses.replace(params, a=a)  # a < 0 turns W round
     # 0.33 is not a multiple of 0.05: a run takes 7 steps of 0.33 / 7
     x_span, h_x = (0.0, 0.33), 0.05
     grid = trace_surface(params, coeffs, s0, x_span, (0.0, 0.5), h_x, 0.05)
@@ -700,7 +702,7 @@ def test_surface_builds_one_run_kernel_per_shape(monkeypatch):
     params, coeffs, s0 = deep_setup(4, 0)
     grid = trace_surface(params, coeffs, s0, (0.0, 0.4), (0.0, 4.0), 0.05, 0.02)
     assert grid.states.shape[:2] == (9, 201)
-    other = ModelParams(**{**vars(params), "beta": 0.6, "tau_I": 2.0})
+    other = dataclasses.replace(params, beta=0.6, tau_I=2.0)
     trace_surface(other, coeffs, s0, (0.0, 0.4), (0.0, 4.0), 0.05, 0.02)
     # the columns run in the kernel; the corner fiber and the rows are closed form
     assert fields == {"t": 0, "x": 0}
