@@ -52,20 +52,13 @@ def coefficient_matrix(params: ModelParams, T: float) -> np.ndarray:
     return A
 
 
-def _powers(params: ModelParams):
-    c_E, c_I = params.c_E, params.c_I
-    # c_E^{n_E} with the 0^0 := 1 convention for n_E = 0
-    cEn = c_E**params.n_E if params.n_E > 0 else 1.0
-    return c_E, c_I, cEn
-
-
 def charpoly_closed(params: ModelParams, T: float, lam: float) -> float:
     """Closed-form characteristic polynomial value at lam, a scalar or an
     array of values."""
-    c_E, c_I, cEn = _powers(params)
+    c_E, c_I = params.c_E, params.c_I
     n_E, n_I = params.n_E, params.n_I
     cascade = (c_E + lam) ** n_E * (c_I + lam) ** n_I * (params.c + lam) * lam
-    feedback = params.beta * T * cEn * params.p * (c_I**n_I - (c_I + lam) ** n_I)
+    feedback = params.beta * T * c_E**n_E * params.p * (c_I**n_I - (c_I + lam) ** n_I)
     return cascade + feedback
 
 
@@ -78,13 +71,13 @@ def charpoly_sum_form(params: ModelParams, T: float, lam: float) -> float:
     rather than a cancellation of two equal powers. lam is a scalar or an
     array of values.
     """
-    c_E, c_I, cEn = _powers(params)
+    c_E, c_I = params.c_E, params.c_I
     n_E, n_I = params.n_E, params.n_I
     cascade = (c_E + lam) ** n_E * (c_I + lam) ** n_I * (params.c + lam) * lam
     s = 0.0
     for j in range(n_I):
         s += c_I**j * (c_I + lam) ** (n_I - 1 - j)
-    return cascade + params.beta * T * cEn * params.p * (-lam) * s
+    return cascade + params.beta * T * c_E**n_E * params.p * (-lam) * s
 
 
 def charpoly_direct(params: ModelParams, T: float, lam):

@@ -23,7 +23,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
 
 import numpy as np
 
@@ -190,7 +189,7 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError("coeffs must be an object with keys r and psi")
         r = node.get("r")
         if r is None:
-            r = [1.0] * (cfg.params.state_dim - 1)
+            r = FieldCoefficients.default_for(cfg.params).r
         if not isinstance(r, (list, tuple)):
             raise ConfigError("coeffs.r must be a list")
         coeffs = FieldCoefficients(
@@ -277,6 +276,10 @@ def _state_names(params: ModelParams) -> list[str]:
     return names
 
 
+def _state_header(params: ModelParams) -> str:
+    return "x,t," + ",".join(_state_names(params)) + ",mismatch\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -303,35 +306,33 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     # classify's regime row decides both columns: by the next-generation
     # theorem the root is > 0, the one positive eigenvalue, exactly on "<"
     row = _regime_rows(params, Ts)[0]
-    kinds = [_KIND_BY_ROW[r] for r in "<=>"]
-    kind = [kinds[k] for k in row.tolist()]
-    rows = list(zip(Ts.tolist(), kind, roots.tolist(), (row == 0).tolist()))
     out.write("T,classification,max_real_eig,n_positive\n")
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS]
-        out.write(("%.17g,%s,%.17g,%d\n" * len(block)) % tuple(chain.from_iterable(block)))
+    # one call per run of equal rows, whose kind and count every row holds
+    cuts = np.flatnonzero(np.diff(row)) + 1
+    for k, T_run, root_run in zip(row[np.r_[0, cuts]].tolist(), np.split(Ts, cuts), np.split(roots, cuts)):
+        _write_csv(out, [T_run, _KIND_BY_ROW["<=>"[k]], root_run, "1" if k == 0 else "0"])
     return EXIT_OK
 
 
-_CSV_BLOCK_ROWS = 256  # sweep rows per %
-_CSV_BLOCK_VALUES = 4096  # state CSV array values per g17_bytes call
+_CSV_BLOCK_VALUES = 4096  # CSV array values per g17_bytes call
 
 
-def _write_state_csv(out, names: list[str], columns: list) -> None:
-    """One CSV line per row (x, t, state.., mismatch), each value the text
-    of "%.17g". columns are the CSV's columns, each an array with one value
-    per row or a float every row holds; one at least is an array. A float's
-    text is made once and spliced into each row: a run of floats between
-    two arrays replaces a separator byte from 128 up (never in g17_bytes'
+def _write_csv(out, columns: list) -> None:
+    """One CSV line per row, each float the text of "%.17g". columns are
+    the CSV's columns, each an array with one value per row, or a float or
+    str every row holds; one at least is an array. A constant's text is
+    made once and spliced into each row: a run of constants between two
+    arrays replaces a separator byte from 128 up (never in g17_bytes'
     text; 128 distinct runs at most). The array columns are stacked and go
     through g17_bytes about _CSV_BLOCK_VALUES values at a time, which
-    bounds the memory that takes."""
+    bounds the memory that takes. The caller writes the header."""
     from ._g17 import g17_bytes
 
-    out.write("x,t," + ",".join(names) + ",mismatch\n")
-    arrays, runs = [], [[]]  # runs[k]: the texts of the floats after k arrays
+    arrays, runs = [], [[]]  # runs[k]: the texts of the constants after k arrays
     for column in columns:
-        if isinstance(column, float):
+        if isinstance(column, str):
+            runs[-1].append(column.encode("ascii"))
+        elif isinstance(column, float):
             runs[-1].append(b"%.17g" % column)
         else:
             arrays.append(column)
@@ -372,7 +373,6 @@ def cmd_simulate(cfg: RunConfig, args, out) -> int:
     if cfg.initial_state is None:
         raise ConfigError("simulate needs initial_state")
     t_span, h_t = cfg.grid["t_span"], cfg.grid["h_t"]
-    names = _state_names(params)
 
     if cfg.linearized:
         if cfg.T_value is None:
@@ -392,7 +392,8 @@ def cmd_simulate(cfg: RunConfig, args, out) -> int:
         state = list(traj.states.T)
 
     # a single trajectory sits at x = 0 with no mismatch
-    _write_state_csv(out, names, [0.0, traj.times, *state, 0.0])
+    out.write(_state_header(params))
+    _write_csv(out, [0.0, traj.times, *state, 0.0])
     _emit_asymptotics_footer(traj, cfg.grid)
     return EXIT_OK
 
@@ -415,16 +416,23 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
     nx, nt = grid.x_nodes.size, grid.t_nodes.size
     states = grid.states.reshape(nx * nt, -1).T
     columns = [np.repeat(grid.x_nodes, nt), np.tile(grid.t_nodes, nx), *states, grid.mismatch.ravel()]
-    _write_state_csv(out, _state_names(params), columns)
+    out.write(_state_header(params))
+    _write_csv(out, columns)
     base_fiber = Trajectory(times=grid.t_nodes, states=grid.states[0], h=grid.h_t)
     _emit_asymptotics_footer(base_fiber, cfg.grid)
     return EXIT_OK
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0 or not math.isfinite(norm):
-        raise NumericError("eigen-direction collapsed to zero")
+        # squares past the float range: the norm of v over its largest entry
+        scale = float(np.max(np.abs(v)))
+        if not 0.0 < scale < math.inf:
+            raise NumericError("eigen-direction collapsed to zero" if scale == 0.0 else "eigen-direction is not finite")
+        v = v / scale
+        norm = float(np.linalg.norm(v))
     return v / norm
 
 
@@ -457,8 +465,6 @@ def _panel_axis(params: ModelParams, label: str, T: float) -> tuple[np.ndarray, 
 
 
 def cmd_field(cfg: RunConfig, args, out) -> int:
-    from ._g17 import g17_bytes
-
     params = _need_params(cfg)
     T_star = params.T_star
     if not math.isfinite(T_star) or T_star <= 0:
@@ -470,21 +476,19 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
 
     header = ["panel", "panel_axis", "T", "u_neg", "u_panel"] + [f"d{d}_{n}" for d in "tx" for n in names]
     out.write(",".join(header) + "\n")
-    seps = np.frombuffer(b"," * (2 + 2 * len(names)) + b"\n", np.uint8)
     v_neg = _shared_negative_axis(params, 0.5 * T_star)
     for label, T in (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star)):
         v_panel, axis_name = _panel_axis(params, label, T)
-        # one state per column; each field's column is its value at that state
+        # one state per column; each field component is one CSV column
         states = np.vstack([np.full(u.size, T), u * v_neg[:, None] + w * v_panel[:, None]])
-        fields = (time_rhs(params, cfg.coeffs, states).T, x_rhs(params, cfg.coeffs, states).T)
-        table = np.column_stack([states[0], u, w, *fields])
-        lines = g17_bytes(table, seps).decode("ascii")
-        head = f"{label},{axis_name},"
-        out.write(head + lines[:-1].replace("\n", "\n" + head) + "\n")
+        fields = (*time_rhs(params, cfg.coeffs, states), *x_rhs(params, cfg.coeffs, states))
+        _write_csv(out, [label, axis_name, T, u, w, *fields])
     return EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig, args, out) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     seed = args.seed if args.seed is not None else cfg.seed
     results = run_all(seed=seed)
     ok = all(r.ok for r in results)
@@ -531,17 +535,16 @@ def _parser() -> argparse.ArgumentParser:
     for name, help_text in help_lines.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--json", action="store_true", help="machine-readable output where applicable")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", metavar="PATH", help="write output here instead of standard output")
+        if name == "validate":
+            p.add_argument("--json", action="store_true", help="print the suite results as JSON")
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("seed must be >= 0")
         cfg = _load_config(args.config)
         with _open_out(args.out) as out:
             return _COMMANDS[args.command](cfg, args, out)

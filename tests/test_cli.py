@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 from flustab import cli, spectrum
 from flustab.charpoly import coefficient_matrix
-from flustab.cli import EXIT_BROKEN_PIPE, _write_state_csv, main
+from flustab.cli import EXIT_BROKEN_PIPE, _write_csv, main
 from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.spectrum import analyze, classify, perron_root
-from flustab.validation import SuiteResult
+from flustab.validation import SuiteResult, cell_params
 from test_spectrum import uncertified
 
 
@@ -349,9 +350,11 @@ class TestConfigRejection:
         )
         assert code == 2
 
-    def test_negative_seed_flag(self, capsys):
-        code, out, err = run_cli(capsys, ["validate", "--seed", "-1"])
-        assert code == 2
+    def test_negative_seed_flag(self, capsys, tmp_path):
+        for config in ([], ["--config", write_config(tmp_path, {"seed": 4})]):
+            code, out, err = run_cli(capsys, ["validate", *config, "--json", "--seed", "-1"])
+            assert (code, out) == (2, "")
+            assert error_doc(err) == {"code": 2, "message": "seed must be >= 0", "details": {}}
 
 
 class TestSweep:
@@ -408,6 +411,26 @@ class TestSweep:
             expected.append(f"{_fmt(T)},{kind},{_fmt(root)},{1 if kind == 'Indefinite' else 0}")
         assert out == "\n".join(expected) + "\n"
         assert "Critical" in out
+
+    @pytest.mark.parametrize("span, kinds", [
+        ((0.0, 0.5, 5), ["Definite"] * 5),
+        ((0.0, 1.0, 3), ["Definite", "Definite", "Critical"]),
+        ((0.0, 2.0, 5), ["Definite", "Definite", "Critical", "Indefinite", "Indefinite"]),
+        ((1.0, 3.0, 4), ["Critical"] + ["Indefinite"] * 3),
+    ])
+    def test_regime_runs_match_the_per_row_reference(self, capsys, tmp_path, span, kinds):
+        # T* = 1 exactly, so a node at 1.0 is its own Critical run
+        params = cell_params(2, "=", "=")[0]
+        keys = ["beta", "p", "c", "n_E", "n_I", "tau_I", "D_PCF", "v_a", "a"]
+        doc = {"params": {k: getattr(params, k) for k in keys}, "T": dict(zip(("from", "to", "steps"), span))}
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        expected = ["T,classification,max_real_eig,n_positive"]
+        for T in np.linspace(*span).tolist():
+            kind = classify(params, T)
+            expected.append(f"{_fmt(T)},{kind},{_fmt(float(perron_root(params, T)))},{int(kind == 'Indefinite')}")
+        assert out == "\n".join(expected) + "\n"
+        assert [line.split(",")[1] for line in expected[1:]] == kinds
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_agrees_with_analyze_beside_the_threshold(self, capsys, tmp_path, k):
@@ -619,9 +642,8 @@ def test_state_csv_matches_fmt_per_row(rows):
     table[:, 0] = np.resize(extremes, rows)
     table[:, -1] = 0.1
     out = io.StringIO()
-    _write_state_csv(out, ["T", "I1", "V", "W"], list(table.T))
-    expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
-    assert out.getvalue() == expected
+    _write_csv(out, list(table.T))
+    assert out.getvalue() == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 @pytest.mark.parametrize("nx, nt", [(1, 300), (3, 100), (17, 151), (5, 1)])
@@ -636,9 +658,8 @@ def test_state_csv_repeating_t_column_matches_fmt_per_row(nx, nt):
         rng.normal(size=nx * nt),
     ])
     out = io.StringIO()
-    _write_state_csv(out, ["T", "I1", "V", "W"], list(table.T))
-    expected = "x,t,T,I1,V,W,mismatch\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in table)
-    assert out.getvalue() == expected
+    _write_csv(out, list(table.T))
+    assert out.getvalue() == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 def _csv_tables():
@@ -674,11 +695,9 @@ def _csv_tables():
 def test_state_csv_constant_columns_match_fmt_per_row(name):
     # constant, signed-zero, non-finite and strided columns
     table = _csv_tables()[name]
-    names = [f"S{i}" for i in range(table.shape[1] - 3)]
     out = io.StringIO()
-    _write_state_csv(out, names, list(table.T))
-    expected = "".join(",".join(map(_fmt, row)) + "\n" for row in table)
-    assert out.getvalue() == "x,t," + ",".join(names) + ",mismatch\n" + expected
+    _write_csv(out, list(table.T))
+    assert out.getvalue() == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 def test_state_csv_memory_is_bounded_by_the_block():
@@ -691,13 +710,12 @@ def test_state_csv_memory_is_bounded_by_the_block():
             self.size += len(text)
 
     table = np.random.default_rng(25).normal(size=(100_000, 14))
-    names = [f"S{i}" for i in range(12)]
-    _write_state_csv(Sink(), names, list(table[:1].T))  # the kernel and its tables, loaded once
+    _write_csv(Sink(), list(table[:1].T))  # the kernel and its tables, loaded once
     sink = Sink()
     columns = list(table.T)
     tracemalloc.start()
     try:
-        _write_state_csv(sink, names, columns)
+        _write_csv(sink, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -705,10 +723,12 @@ def test_state_csv_memory_is_bounded_by_the_block():
     assert peak < 2_000_000
 
 
-def _fmt_csv(names, columns, rows):
-    # the % oracle: a float column is that value on every row
-    cells = [[_fmt(c)] * rows if isinstance(c, float) else list(map(_fmt, c)) for c in columns]
-    return "x,t," + ",".join(names) + ",mismatch\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+def _fmt_csv(columns, rows):
+    # the % oracle: a float or str column is that value on every row
+    def cells(c):
+        return [c] * rows if isinstance(c, str) else [_fmt(c)] * rows if isinstance(c, float) else list(map(_fmt, c))
+
+    return "".join(",".join(row) + "\n" for row in zip(*map(cells, columns)))
 
 
 _FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -2.5, math.inf, math.nan]
@@ -723,10 +743,22 @@ def test_state_csv_float_columns_match_fmt_per_row(layout, blocks, extra):
     rng = np.random.default_rng([len(layout), rows])
     floats = iter(_FLOATS * 2)
     columns = [next(floats) if kind == "f" else rng.normal(0.0, 1e3, rows) for kind in layout]
-    names = [f"S{i}" for i in range(len(layout) - 3)]
     out = io.StringIO()
-    _write_state_csv(out, names, columns)
-    assert out.getvalue() == _fmt_csv(names, columns, rows)
+    _write_csv(out, columns)
+    assert out.getvalue() == _fmt_csv(columns, rows)
+
+
+@pytest.mark.parametrize("layout", ["sAA", "AsA", "AAs", "ssAfsA", "AsfAsA", "sAfsAs", "AsAs"])
+@pytest.mark.parametrize("rows", [1, 2, cli._CSV_BLOCK_VALUES // 3 + 1])
+def test_csv_str_columns_match_fmt_per_row(layout, rows):
+    # s is a str column, as sweep's and field's labels, before, between and
+    # after the arrays A and beside the floats f
+    rng = np.random.default_rng([len(layout), rows])
+    labels = iter(["below", "zero_numeric", "Definite", "1", "0", "at"])
+    columns = [next(labels) if kind == "s" else -0.0 if kind == "f" else rng.normal(0.0, 1e3, rows) for kind in layout]
+    out = io.StringIO()
+    _write_csv(out, columns)
+    assert out.getvalue() == _fmt_csv(columns, rows)
 
 
 @pytest.mark.parametrize("value", _FLOATS)
@@ -737,8 +769,8 @@ def test_state_csv_float_column_in_every_position(value):
         arrays = list(np.random.default_rng(rows).normal(size=(4, rows)))
         columns = [value, arrays[0], value, arrays[1], value, value, arrays[2], arrays[3], value]
         out = io.StringIO()
-        _write_state_csv(out, ["T", "E1", "I1", "V", "W", "U"], columns)
-        assert out.getvalue() == _fmt_csv(["T", "E1", "I1", "V", "W", "U"], columns, rows)
+        _write_csv(out, columns)
+        assert out.getvalue() == _fmt_csv(columns, rows)
 
 
 def test_state_csv_takes_128_distinct_float_runs_between_arrays():
@@ -748,12 +780,11 @@ def test_state_csv_takes_128_distinct_float_runs_between_arrays():
     distinct = [A] + [c for k in range(128) for c in (float(k), A)]
     repeated = [A] + [c for _ in range(300) for c in (0.5, A)]
     for columns in (distinct, repeated):
-        names = [f"S{i}" for i in range(len(columns) - 3)]
         out = io.StringIO()
-        _write_state_csv(out, names, columns)
-        assert out.getvalue() == _fmt_csv(names, columns, 3)
+        _write_csv(out, columns)
+        assert out.getvalue() == _fmt_csv(columns, 3)
     with pytest.raises(ValueError):
-        _write_state_csv(io.StringIO(), [f"S{i}" for i in range(256)], distinct + [128.0, A])
+        _write_csv(io.StringIO(), distinct + [128.0, A])
 
 
 @pytest.mark.parametrize("linearized", [False, True])
@@ -1037,6 +1068,35 @@ class TestField:
         header, *rows = out.splitlines()
         assert rows == field_reference(params, field_coeffs)
 
+    @pytest.mark.parametrize("n_E", [0, 2])
+    def test_eclipse_depths_match_the_per_point_reference(self, capsys, tmp_path, n_E):
+        doc = {"params": params_doc(n_E=n_E, tau_E=0.4 if n_E else None, n_I=2, tau_I=0.8, a=-0.3)}
+        params = ModelParams.from_json_dict(doc["params"])
+        r = np.random.default_rng(n_E).uniform(0.2, 3.0, n_E + 4)
+        r[-1] = 1.0
+        doc["coeffs"] = {"r": r.tolist(), "psi": -0.25}
+        code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert rows == field_reference(params, FieldCoefficients(r=tuple(r), psi=-0.25))
+
+    def test_eigen_direction_near_the_float_range(self, capsys, tmp_path):
+        # the shared axis has entries near 1e155, whose squares overflow
+        # the plain norm: it is taken again on the vector over its largest entry
+        doc = {"params": params_doc(beta=1.0, p=1e-155, c=1.0, tau_I=1.0, D_PCF=1.0, v_a=-1.0, a=-1.0)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 3 * 81
+        params = ModelParams.from_json_dict(doc["params"])
+        v = cli._shared_negative_axis(params, 0.5 * params.T_star)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+
+    def test_zero_eigen_direction_is_named(self):
+        with pytest.raises(cli.NumericError, match="^eigen-direction collapsed to zero$"):
+            cli._unit(np.zeros(4))
+
     def test_eclipse_stages(self, capsys, tmp_path):
         # n_E = 2: the panels' axes are unit eigenvectors of the frozen-T matrix
         doc = {"params": params_doc(n_E=2, tau_E=0.5, n_I=3, tau_I=0.8)}
@@ -1098,6 +1158,15 @@ class TestValidate:
         assert code == 0
         assert out.splitlines()[-1] == "all suites passed [seed 4]"
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "simulate", "surface", "field"])
+    @pytest.mark.parametrize("flag", [["--json"], ["--seed", "5"]])
+    def test_json_and_seed_are_validate_flags(self, capsys, tmp_path, command, flag):
+        cfg = write_config(tmp_path, {"params": params_doc(), "T": 0.5})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_suite_failure_exits_1(self, capsys, monkeypatch):
         failing = SuiteResult("charpoly_equivalence", checks=2, failures=1, failure_examples=["lam=0.5"])
         monkeypatch.setattr(cli, "run_all", lambda seed: [failing])
@@ -1141,7 +1210,7 @@ _OWN_MESSAGES = re.compile(
     r"|real roots at T = .* leave -?\d+ eigenvalues, not complex pairs"
     r"|eigenvector at lam = .* overflows at n_E = \d+, n_I = \d+"
     r"|eigenvector formula has a pole at lam = -c_I or -c_E)"
-    r"|eigen-direction collapsed to zero|no (negative|positive) real eigen-direction at T = .*"
+    r"|eigen-direction (collapsed to zero|is not finite)|no (negative|positive) real eigen-direction at T = .*"
     r"|no positive eigen-direction at T = .*|state exceeded .*"
 )
 

@@ -19,10 +19,9 @@ EXPORTS = [
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
     "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
-# `wc -l src/flustab/*.py` once constant CSV columns were formatted once and
-# the cascade rates derived once per ModelParams; a change that grows src/
-# raises this on purpose
-SRC_LINES = 2986
+# `wc -l src/flustab/*.py` once every CSV table went through one writer; a
+# change that grows src/ raises this on purpose
+SRC_LINES = 2982
 
 
 def test_exports_are_pinned():
@@ -65,3 +64,22 @@ def test_every_submodule_export_has_a_user():
                 definers.setdefault(member, []).append(f"{cls.__name__}.{member}")
     unread = [owners for member, owners in definers.items() if attribute_reads[member] < len(owners)]
     assert unread == []
+
+
+def test_one_function_formats_csv_floats():
+    # g17_bytes is read (imported, named or taken as an attribute) by the CSV
+    # writer alone, so every table's floats take one "%.17g" path
+    readers = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == "g17_bytes" for a in node.names)
+            named = isinstance(node, ast.Name) and node.id == "g17_bytes" and isinstance(node.ctx, ast.Load)
+            attribute = isinstance(node, ast.Attribute) and node.attr == "g17_bytes"
+            if imported or named or attribute:
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                    scope = parent[scope]
+                readers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert readers == {"cli._write_csv"}
