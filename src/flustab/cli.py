@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -54,7 +53,7 @@ EXIT_NUMERIC = 3
 EXIT_BLOW_UP = 4
 EXIT_BROKEN_PIPE = 141
 
-_TOP_KEYS = {"params", "coeffs", "T", "initial_state", "grid", "linearized", "seed"}
+_TOP_KEYS = {"params", "coeffs", "T", "initial_state", "grid", "linearized"}
 _GRID_KEYS = {"x_span", "t_span", "h_x", "h_t", "asymptotics_window"}
 _SWEEP_KEYS = {"from", "to", "steps"}
 
@@ -65,10 +64,6 @@ class ConfigError(Exception):
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
         self.details = details or {}
-
-
-class NumericError(Exception):
-    """A computation could not produce a usable result."""
 
 
 def _silence_stdout() -> None:
@@ -90,19 +85,24 @@ def _emit_error(code: int, message: str, details: dict | None = None) -> None:
     print(json.dumps(doc), file=sys.stderr)
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-        return
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot open --out path: {exc}") from exc
-    try:
-        yield fh
-    finally:
-        fh.close()
+class _OutFile:
+    """The --out file, opened (and truncated) on the first write, so a run
+    that fails before it writes leaves the path as it was."""
+
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            try:
+                self.fh = open(self.path, "w", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot open --out path: {exc}") from exc
+        self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,6 @@ class RunConfig:
     initial_state: list[float] | None = None
     grid: dict = dc_field(default_factory=dict)
     linearized: bool = False
-    seed: int = 0
 
 
 def _as_float(value, what: str) -> float:
@@ -240,12 +239,6 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError("linearized must be true or false")
         cfg.linearized = doc["linearized"]
 
-    if "seed" in doc:
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be an integer >= 0")
-        cfg.seed = seed
-
     return cfg
 
 
@@ -289,7 +282,8 @@ def cmd_analyze(cfg: RunConfig, args, out) -> int:
     if cfg.T_value is None:
         raise ConfigError("analyze needs a scalar T in the config")
     report = analyze(params, cfg.T_value)
-    # a value JSON cannot hold, as an infinite T_star, is a ValueError: exit 3
+    if not math.isfinite(report.T_star):  # tau_I*p*beta underflowed to 0
+        raise ArithmeticError(f"T_star = {report.T_star:g} cannot be written as JSON")
     out.write(json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
@@ -430,7 +424,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
         # squares past the float range: the norm of v over its largest entry
         scale = float(np.max(np.abs(v)))
         if not 0.0 < scale < math.inf:
-            raise NumericError("eigen-direction collapsed to zero" if scale == 0.0 else "eigen-direction is not finite")
+            raise ArithmeticError("eigen-direction collapsed to zero" if scale == 0.0 else "eigen-direction is not finite")
         v = v / scale
         norm = float(np.linalg.norm(v))
     return v / norm
@@ -445,7 +439,7 @@ def _shared_negative_axis(params: ModelParams, T_below: float) -> np.ndarray:
     """
     negatives = [r for r in real_roots(params, T_below) if r < 0.0]
     if not negatives:
-        raise NumericError(f"no negative real eigen-direction at T = {T_below:g}")
+        raise ArithmeticError(f"no negative real eigen-direction at T = {T_below:g}")
     return _unit(eigenvector(params, T_below, min(negatives)))
 
 
@@ -455,7 +449,7 @@ def _panel_axis(params: ModelParams, label: str, T: float) -> tuple[np.ndarray, 
     if label == "above":
         positives = [r for r in real_roots(params, T) if r > 0.0]
         if not positives:
-            raise NumericError(f"no positive eigen-direction at T = {T:g}")
+            raise ArithmeticError(f"no positive eigen-direction at T = {T:g}")
         return _unit(eigenvector(params, T, max(positives))), "positive"
     # at the threshold the zero direction is taken from the numeric
     # eigensolver; the double zero has a single eigen-direction
@@ -474,26 +468,29 @@ def cmd_field(cfg: RunConfig, args, out) -> int:
     # the panel's lattice points, u the outer and w the inner loop
     u, w = np.repeat(lattice, lattice.size), np.tile(lattice, lattice.size)
 
-    header = ["panel", "panel_axis", "T", "u_neg", "u_panel"] + [f"d{d}_{n}" for d in "tx" for n in names]
-    out.write(",".join(header) + "\n")
+    # every axis and field value comes before the first write: an exit 3 writes nothing
     v_neg = _shared_negative_axis(params, 0.5 * T_star)
+    panels = []
     for label, T in (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star)):
         v_panel, axis_name = _panel_axis(params, label, T)
         # one state per column; each field component is one CSV column
         states = np.vstack([np.full(u.size, T), u * v_neg[:, None] + w * v_panel[:, None]])
         fields = (*time_rhs(params, cfg.coeffs, states), *x_rhs(params, cfg.coeffs, states))
-        _write_csv(out, [label, axis_name, T, u, w, *fields])
+        panels.append([label, axis_name, T, u, w, *fields])
+    header = ["panel", "panel_axis", "T", "u_neg", "u_panel"] + [f"d{d}_{n}" for d in "tx" for n in names]
+    out.write(",".join(header) + "\n")
+    for columns in panels:
+        _write_csv(out, columns)
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig, args, out) -> int:
-    if args.seed is not None and args.seed < 0:
+def cmd_validate(cfg: None, args, out) -> int:
+    if args.seed < 0:
         raise ConfigError("seed must be >= 0")
-    seed = args.seed if args.seed is not None else cfg.seed
-    results = run_all(seed=seed)
+    results = run_all(seed=args.seed)
     ok = all(r.ok for r in results)
     if args.json:
-        doc = {"seed": seed, "ok": ok, "suites": [vars(r) for r in results]}
+        doc = {"seed": args.seed, "ok": ok, "suites": [vars(r) for r in results]}
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
         for r in results:
@@ -501,7 +498,7 @@ def cmd_validate(cfg: RunConfig, args, out) -> int:
             out.write(f"{r.name}: {status} ({r.checks - r.failures}/{r.checks} checks)\n")
             for example in r.failure_examples:
                 out.write(f"  failing case: {example}\n")
-        out.write(f"{'all suites passed' if ok else 'suite failures'} [seed {seed}]\n")
+        out.write(f"{'all suites passed' if ok else 'suite failures'} [seed {args.seed}]\n")
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 
@@ -534,20 +531,21 @@ def _parser() -> argparse.ArgumentParser:
     }
     for name, help_text in help_lines.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="JSON run configuration")
+        if name != "validate":
+            p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="PATH", help="write output here instead of standard output")
         if name == "validate":
             p.add_argument("--json", action="store_true", help="print the suite results as JSON")
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--seed", type=int, default=0, help="seed of the suites' random draws (default 0)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    out = sys.stdout if args.out is None else _OutFile(args.out)
     try:
-        cfg = _load_config(args.config)
-        with _open_out(args.out) as out:
-            return _COMMANDS[args.command](cfg, args, out)
+        cfg = None if args.command == "validate" else _load_config(args.config)
+        return _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         _emit_error(EXIT_BAD_CONFIG, str(exc), exc.details)
         return EXIT_BAD_CONFIG
@@ -558,9 +556,6 @@ def main(argv=None) -> int:
         details = {"rows": int(exc.times.size), "t_last": exc.t_last, "where": exc.where}
         _emit_error(EXIT_BLOW_UP, str(exc), details)
         return EXIT_BLOW_UP
-    except NumericError as exc:
-        _emit_error(EXIT_NUMERIC, str(exc))
-        return EXIT_NUMERIC
     except (np.linalg.LinAlgError, ArithmeticError, ValueError, MemoryError) as exc:
         _emit_error(EXIT_NUMERIC, f"numeric failure: {exc}")
         return EXIT_NUMERIC
@@ -568,6 +563,9 @@ def main(argv=None) -> int:
         # the reader has all it wants; no traceback, no error object
         _silence_stdout()
         return EXIT_BROKEN_PIPE
+    finally:
+        if args.out is not None:
+            out.close()
 
 
 if __name__ == "__main__":

@@ -246,9 +246,9 @@ def integrate_linearized(
     """Integrate the frozen-T linear field by RK4 through the exact step map
     of _linear_rk4_map, taken up to 64 steps at a time from a table of its
     powers (_linear_rk4_advancer): one matrix product per block of rows,
-    which differs from stepping the map only by rounding. Used by the
-    rate-recovery validation where the fitted decay/growth rate is compared
-    against the dominant eigenvalue."""
+    which differs from stepping the map only by rounding. Runs `simulate`'s
+    linearized configs; the tests fit its decay/growth rate against the
+    dominant eigenvalue (the rate-recovery criterion)."""
     M, F, y0 = _frozen_system(params, T_frozen, psi, s0_block)
     times, states, h = _run(_linear_rk4_advancer(M, F), y0, t_span, h_t)
     return Trajectory(times=times, states=states, h=h)

@@ -216,7 +216,7 @@ class TestAnalyze:
         doc = {"params": params_doc(beta=1e-200, p=1e-200, c=1.0), "T": 0.5}
         code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
         assert (code, out) == (3, "")
-        assert error_doc(err)["message"].startswith("numeric failure: Out of range float values are not JSON compliant")
+        assert error_doc(err)["message"] == "numeric failure: T_star = inf cannot be written as JSON"
 
 
 class TestConfigRejection:
@@ -350,11 +350,18 @@ class TestConfigRejection:
         )
         assert code == 2
 
-    def test_negative_seed_flag(self, capsys, tmp_path):
-        for config in ([], ["--config", write_config(tmp_path, {"seed": 4})]):
-            code, out, err = run_cli(capsys, ["validate", *config, "--json", "--seed", "-1"])
-            assert (code, out) == (2, "")
-            assert error_doc(err) == {"code": 2, "message": "seed must be >= 0", "details": {}}
+    def test_negative_seed_flag(self, capsys):
+        code, out, err = run_cli(capsys, ["validate", "--json", "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert error_doc(err) == {"code": 2, "message": "seed must be >= 0", "details": {}}
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "simulate", "surface", "field"])
+    def test_seed_is_an_unknown_key(self, capsys, tmp_path, command):
+        # validate's --seed is the one seed input; no config carries one
+        cfg = write_config(tmp_path, {"params": params_doc(), "T": 1.0, "seed": 0})
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert (code, out) == (2, "")
+        assert error_doc(err) == {"code": 2, "message": "unknown config keys", "details": {"keys": ["seed"]}}
 
 
 class TestSweep:
@@ -1093,9 +1100,16 @@ class TestField:
         v = cli._shared_negative_axis(params, 0.5 * params.T_star)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
 
-    def test_zero_eigen_direction_is_named(self):
-        with pytest.raises(cli.NumericError, match="^eigen-direction collapsed to zero$"):
+    def test_zero_eigen_direction_is_named(self, capsys, tmp_path, monkeypatch):
+        with pytest.raises(ArithmeticError, match="^eigen-direction collapsed to zero$"):
             cli._unit(np.zeros(4))
+        # the last panel's axis fails after two panels' fields are computed
+        monkeypatch.setattr(cli, "eigenvector", lambda params, T, lam: np.zeros(params.state_dim) if lam > 0 else
+                            spectrum.eigenvector(params, T, lam))
+        code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, {"params": params_doc()})])
+        assert (code, out) == (3, "")
+        assert error_doc(err) == {"code": 3, "message": "numeric failure: eigen-direction collapsed to zero",
+                                  "details": {}}
 
     def test_eclipse_stages(self, capsys, tmp_path):
         # n_E = 2: the panels' axes are unit eigenvectors of the frozen-T matrix
@@ -1121,6 +1135,7 @@ class TestValidate:
     def test_default_run_passes(self, capsys):
         code, out, err = run_cli(capsys, ["validate"])
         assert code == 0
+        assert run_cli(capsys, ["validate", "--seed", "0"]) == (code, out, err)
         lines = out.strip().splitlines()
         assert lines[-1] == "all suites passed [seed 0]"
         names = [line.split(":")[0] for line in lines[:-1]]
@@ -1145,7 +1160,7 @@ class TestValidate:
             assert list(suite) == ["name", "checks", "failures", "failure_examples"]
             assert suite["failures"] == 0
 
-    def test_parser_keeps_nothing_between_calls(self, capsys, tmp_path):
+    def test_parser_keeps_nothing_between_calls(self, capsys):
         # main parses with one parser per process; each call starts afresh
         code, out, err = run_cli(capsys, ["validate", "--seed", "3", "--json"])
         assert code == 0 and json.loads(out)["seed"] == 3
@@ -1153,10 +1168,15 @@ class TestValidate:
             main(["validate", "--seed", "three"])
         assert exc.value.code == 2
         capsys.readouterr()
-        cfg = write_config(tmp_path, {"seed": 4})
-        code, out, err = run_cli(capsys, ["validate", "--config", cfg])
+        code, out, err = run_cli(capsys, ["validate", "--seed", "4"])
         assert code == 0
         assert out.splitlines()[-1] == "all suites passed [seed 4]"
+
+    def test_config_is_not_a_validate_flag(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", write_config(tmp_path, {})])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "sweep", "simulate", "surface", "field"])
     @pytest.mark.parametrize("flag", [["--json"], ["--seed", "5"]])
@@ -1199,6 +1219,28 @@ class TestOutFile:
             ["analyze", "--config", cfg, "--out", str(tmp_path / "no_dir" / "x.json")],
         )
         assert code == 2
+        assert error_doc(err)["message"].startswith("cannot open --out path: ")
+
+    @pytest.mark.parametrize("command, doc, code", [
+        ("analyze", {"params": params_doc()}, 2),  # no T
+        ("sweep", {"params": params_doc(), "T": 1.0}, 2),  # a scalar T
+        ("simulate", {"params": params_doc(), "grid": {"t_span": 1.0, "h_t": 0.1}}, 2),  # no initial_state
+        ("surface", {"params": params_doc(), "initial_state": [1.0, 0.0, 0.0, 1.0]}, 2),  # no grid
+        ("field", {}, 2),  # no params
+        ("validate", None, 2),  # a negative seed
+        ("analyze", {"params": params_doc(beta=1e-200, p=1e-200, c=1.0), "T": 1.0}, 3),  # infinite T_star
+        ("simulate", {"params": params_doc(), "T": 4.5, "linearized": True, "initial_state": [1.0, 1.0, 1.0],
+                      "grid": {"t_span": 100.0, "h_t": 0.05}}, 4),
+    ])
+    def test_failed_run_leaves_out_untouched(self, capsys, tmp_path, command, doc, code):
+        # --out is opened on the first write, and a failed run writes nothing
+        args = ["--seed", "-1"] if doc is None else ["--config", write_config(tmp_path, doc)]
+        existing, absent = tmp_path / "existing.csv", tmp_path / "absent.csv"
+        existing.write_bytes(b"kept\r\nbytes")
+        for target in (existing, absent):
+            assert run_cli(capsys, [command, *args, "--out", str(target)])[:2] == (code, "")
+        assert existing.read_bytes() == b"kept\r\nbytes"
+        assert not absent.exists()
 
 
 # Messages of flustab's own for a numeric failure (exit 3), and the blow-up's
@@ -1209,9 +1251,11 @@ _OWN_MESSAGES = re.compile(
     r"|real root in \[.*\] not certified in \d+ steps at T = .*"
     r"|real roots at T = .* leave -?\d+ eigenvalues, not complex pairs"
     r"|eigenvector at lam = .* overflows at n_E = \d+, n_I = \d+"
-    r"|eigenvector formula has a pole at lam = -c_I or -c_E)"
-    r"|eigen-direction (collapsed to zero|is not finite)|no (negative|positive) real eigen-direction at T = .*"
-    r"|no positive eigen-direction at T = .*|state exceeded .*"
+    r"|eigenvector formula has a pole at lam = -c_I or -c_E"
+    r"|T_star = inf cannot be written as JSON"
+    r"|eigen-direction (collapsed to zero|is not finite)|no negative real eigen-direction at T = .*"
+    r"|no positive eigen-direction at T = .*)"
+    r"|state exceeded .*"
 )
 
 
@@ -1258,8 +1302,8 @@ def _domain_configs(draw):
 @settings(deadline=None, max_examples=300, derandomize=True, database=None)
 def test_whole_domain_exits_are_documented(tmp_path_factory, case):
     """Every exit code is in README's table, every failure ends with one
-    JSON error object of flustab's own, and every root analyze reports
-    carries an exact sign change of P (for its multiplicity)."""
+    JSON error object of flustab's own and no output, and every root
+    analyze reports carries an exact sign change of P (for its multiplicity)."""
     command, doc = case
     cfg = write_config(tmp_path_factory.mktemp("domain"), doc)
     out, err = io.StringIO(), io.StringIO()
@@ -1270,6 +1314,7 @@ def test_whole_domain_exits_are_documented(tmp_path_factory, case):
         error = error_doc(err.getvalue())
         assert error["code"] == code
         assert code == 2 or _OWN_MESSAGES.fullmatch(error["message"]), (command, doc, error)
+        assert out.getvalue() == "", (command, doc, error)
     elif command == "analyze":
         report = json.loads(out.getvalue())
         params = ModelParams.from_json_dict(doc["params"])

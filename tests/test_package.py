@@ -1,5 +1,6 @@
 """The package's public surface and size, pinned so that a new export or a
 longer src/ is a visible change to this test."""
+import argparse
 import ast
 import importlib
 import inspect
@@ -7,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import flustab
+from flustab import cli
 
 SRC = Path(flustab.__file__).parent
 
@@ -19,9 +21,12 @@ EXPORTS = [
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
     "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
-# `wc -l src/flustab/*.py` once every CSV table went through one writer; a
-# change that grows src/ raises this on purpose
-SRC_LINES = 2982
+# `wc -l src/flustab/*.py` once validate's --seed became the one seed input;
+# a change that grows src/ raises this on purpose
+SRC_LINES = 2980
+# each subcommand's flags, so an inert flag cannot come back unseen
+FLAGS = {name: {"-h", "--help", "--config", "--out"} for name in ("analyze", "sweep", "simulate", "surface", "field")}
+FLAGS["validate"] = {"-h", "--help", "--out", "--json", "--seed"}
 
 
 def test_exports_are_pinned():
@@ -29,6 +34,13 @@ def test_exports_are_pinned():
     assert sorted(flustab.__all__) == EXPORTS
     assert len(set(flustab.__all__)) == len(flustab.__all__)
     assert all(hasattr(flustab, name) for name in EXPORTS)
+
+
+def test_subcommand_flags_are_pinned():
+    subparsers = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {flag for action in p._actions for flag in action.option_strings}
+             for name, p in subparsers.choices.items()}
+    assert flags == FLAGS
 
 
 def test_source_lines_are_capped():
