@@ -12,9 +12,12 @@ N = p + rint(r) is y correctly rounded unless r is within _TIE of a
 half-integer. Where log10 was one off, E is moved by one and y taken again;
 N = 10**17 carries to 10**16 and E + 1. Near-ties, and values outside
 [_MIN, _MAX] (0 aside), are formatted by "%" and spliced into their slots.
-A value takes a 48-byte slot of NUL-padded text: sign, "0.000" prefix, the
-leading digit, the other 16 digits with a point slot before each, exponent
-and separator; one translate drops the NULs.
+A value takes a 32-byte slot of four little-endian words, NUL where no
+byte is shown: sign, "0.000" prefix, d0, point slot | d1, point slot, d2,
+point slot, d3-d6 | d7-d14 | d15, d16, exponent, separator. A point after
+d0, d1 or d2 takes its slot; a point after d3..d15 (fixed notation from
+1000 up) moves the digits before it one byte down, into d2's point slot.
+One translate drops the NULs.
 
 The CLI imports this module on its first CSV, so it costs nothing at
 start-up, and the lookup tables are built on the first call.
@@ -29,7 +32,7 @@ _MIN, _MAX = 1e-280, 1e280
 _K = (16 - 281, 16 + 282)  # the powers 10**k a value in range can need
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _TIE = 2.0**-30  # far above the 2**-48 error bound of r
-_SLOT = 48
+_SLOT = 32
 
 
 @functools.cache
@@ -46,47 +49,61 @@ def tables() -> dict:
     for k in range(-1, k0 - 1, -1):
         power *= 10
         h = 1 / power  # int / int rounds correctly
-        num, den = h.as_integer_ratio()  # den = 2**s
-        hi[k - k0], lo[k - k0] = h, (den - num * power) / (power << den.bit_length() - 1)
+        num, den = h.as_integer_ratio()  # den = 2**s; the rest, scaled by 2**-s exactly
+        hi[k - k0], lo[k - k0] = h, (den - num * power) / power * 2.0 ** (1 - den.bit_length())
     hi = np.array(hi)
     split = hi * _SPLIT
 
-    # the slot's first word, its little-endian bytes by (prefix length, sign,
-    # leading digit): sign, "0.000" prefix, NUL, digit
-    head = [
-        int.from_bytes((b"-" if sign else b"\0") + prefix.ljust(6, b"\0") + bytes([48 + d]), "little")
-        for prefix in (b"", b"0.", b"0.0", b"0.00", b"0.000")
-        for sign in (0, 1)
-        for d in range(10)
-    ]
-
-    def digit(v: np.ndarray, n: int) -> np.ndarray:
-        # by // alone: % would page in one more int64 loop for the tables only
-        return v // 10**n - v // 10 ** (n + 1) * 10
-
-    # a chunk of four digits, each after a NUL point slot, and its count of
-    # trailing zeros (4 for 0000), both by its two pairs of digits
-    pair = np.arange(100)
-    pair_zeros = (digit(pair, 0) == 0) + (pair == 0) * 1
-    pair = (48 + digit(pair, 1)) * 256 + (48 + digit(pair, 0)) * 256**3
-    quad = (pair[:, None] + pair * 2**32).ravel()
+    # a pair of digits in ASCII, the first in the low byte, and its count of
+    # trailing zeros (2 for 00); a chunk of four digits and its count (4 for
+    # 0000) by its two pairs. By // alone: % would page in one more int64
+    # loop for the tables only.
+    tens = np.arange(100) // 10
+    ones = np.arange(100) - tens * 10
+    pair = (0x3030 + tens + ones * 256).astype(np.uint32)
+    pair_zeros = ((ones == 0) * (1 + (tens == 0))).astype(np.int8)
+    dense = (pair[:, None] + (pair << 16)).ravel()
     trailing = (pair_zeros + (pair_zeros == 2) * pair_zeros[:, None]).ravel()
-    # "e", sign and two or three digits (a NUL for the third) of E + 300
+    # by E + 300: the point's class (0, 1, 2 after that digit, 3 none or
+    # after d3..d15, 3 + n after the n + 1 bytes "0.0..." of E = -n), the
+    # integer digits E of fixed notation (else 0), the bytes 2-6 of the last
+    # word: "e", sign and two or three digits (a NUL for the third) of the
+    # exponent, NUL in fixed notation
     E = np.arange(-300, 301)
     m = np.maximum(E, -E)
-    exponent = (101 + (43 + 2 * (E < 0)) * 256 + (48 + digit(m, 2)) * (m >= 100) * 256**2
-                + (48 + digit(m, 1)) * 256**3 + (48 + digit(m, 0)) * 256**4)
-    # chunk c keeps clip(shown - 4c, 0, 4) of its digits, shown the index of
-    # the value's last digit shown
-    mask = [(1 << 16 * n) - 1 for n in range(4)] + [-1]
+    fixed = (E >= -4) & (E < 17)
+    point, integer = np.where(E < 0, 3 - E, np.minimum(E, 3)) * fixed, np.maximum(E, 0) * fixed
+    exponent = np.zeros((601, 8), np.uint8)
+    exponent[:, 2], exponent[:, 3] = 101, 43 + 2 * (E < 0)
+    exponent[:, 4], exponent[:, 5:7] = (48 + m // 100) * (m >= 100), pair[m - m // 100 * 100, None].view(np.uint8)[:, :2]
+    exponent[fixed] = 0
+    # the byte masks of the words, (8, 17, 4) by key = 17 * class + shown,
+    # shown the index of the last digit shown: a byte is kept where it holds
+    # no digit (at = -1), a digit up to shown, or the class's point before a
+    # shown digit (after: the digit it follows)
+    at = np.array([-1] * 6 + [0, 17, 1, 17, 2, 17] + list(range(3, 17)) + [-1] * 6)
+    after = np.array([17] * 7 + [0, 17, 1, 17, 2] + [17] * 20)
+    cls, shown = np.arange(8)[:, None, None], np.arange(17)[:, None]
+    keep = (((at <= shown) | ((after == cls) & (after < shown))) * 255).astype(np.uint8).view(np.uint64)
+    # the first word by key, sign and d0: sign, prefix, d0 and point
+    text = np.zeros((8, 2, 10, 8), np.uint8)
+    text[:, 1, :, 0], text[..., 6], text[..., 7] = 45, 48 + np.arange(10), 46
+    prefixes = b"".join(b"0.000"[:n].ljust(5, b"\0") for n in range(2, 6))
+    text[4:, :, :, 1:6] = np.frombuffer(prefixes, np.uint8).reshape(4, 1, 1, 5)
+    head = text.view(np.uint64)[..., 0][:, None] & keep[:, :, None, None, 0]
+    # the 192-bit mask of the digits d3..dE that a point after dE moves
+    # down, and that point, as three words by E
+    shift = [(((1 << 8 * (k - 2)) - 1) << 32 if k >= 3 else 0, 46 << 8 * (k + 1)) for k in range(16)]
+    shift = np.array([[[v >> 64 * j & 2**64 - 1 for j in range(3)] for v in vs] for vs in shift], np.uint64)
     return {
         "hi": hi, "hi_head": split - (split - hi), "lo": np.array(lo),
-        "head": np.array(head),
-        "quad": quad,
-        "keep": np.array([[mask[min(max(s - 4 * c, 0), 4)] for s in range(17)] for c in range(4)]),
-        "trailing": trailing,
-        # the last word is the empty exponent of fixed notation
-        "exponent": np.append(exponent, 0),
+        "pair": pair, "dense": dense, "pair_zeros": pair_zeros, "trailing": trailing,
+        "spread": (0x2E302E30 + tens + ones * 2**16).astype(np.uint32),  # d1 ".", d2 "." for keep to clear
+        "class": (17 * point).astype(np.int16), "integer": integer.astype(np.int8),
+        "moved": np.where(integer >= 3, integer, 16).astype(np.int8),  # the digit a moved point follows
+        "exponent": exponent.view(np.uint64).ravel(),
+        "head": head.ravel(), "keep": keep.reshape(136, 4).T.copy(),
+        "move": shift[:, 0].T.copy(), "dot": shift[:, 1].T.copy(),
     }
 
 
@@ -132,32 +149,37 @@ def decimal(x: np.ndarray, tabs: dict):
 def _slots(x: np.ndarray, N: np.ndarray, E: np.ndarray, tabs: dict) -> bytearray:
     """The _SLOT-byte slot of each value x = N * 10**(E - 16) (N = 0 for a
     zero), its separator byte left NUL."""
-    # N = d0 c1 c2 c3 c4, c the 4-digit chunks
-    upper = N // 10**8
-    d0 = upper // 10**8
-    c2 = upper - d0 * 10**8
-    c1 = c2 // 10**4
-    c2 -= c1 * 10**4
-    c4 = N - upper * 10**8
-    c3 = c4 // 10**4
-    c4 -= c3 * 10**4
-    t = tabs["trailing"]
-    last = 16 - (t[c4] + (c4 == 0) * (t[c3] + (c3 == 0) * (t[c2] + (c2 == 0) * t[c1])))
+    # N = d0 p1 q1 q2 q3 p8 (p pairs, q 4-digit chunks), split in place to bound memory
+    q1 = N // 10**10
+    p8 = N - q1 * 10**10
+    p1, q3 = q1 // 10**4, p8 // 100
+    q1 -= p1 * 10**4
+    p8 -= q3 * 100
+    d0, q2 = p1 // 100, q3 // 10**4
+    p1 -= d0 * 100
+    q3 -= q2 * 10**4
+    t, t2 = tabs["trailing"], tabs["pair_zeros"]
+    last = 16 - (t2[p8] + (p8 == 0) * (t[q3] + (q3 == 0) * (t[q2] + (q2 == 0) * (t[q1] + (q1 == 0) * t2[p1]))))
+    e = E + 300
     # %g: fixed notation for -4 <= E < 17, the integer digits always shown
-    fixed = (E >= -4) & (E < 17)
-    shown = np.where(fixed, np.maximum(last, E), last)
-    prefix = np.where(fixed & (E < 0), -E, 0)
+    shown = np.maximum(last, tabs["integer"][e])
+    key = tabs["class"][e] + shown
+    keep, dense = tabs["keep"], tabs["dense"]
     # the slots live in a bytearray, which translates without a copy to bytes
     buffer = bytearray(x.size * _SLOT)
-    slots = np.frombuffer(buffer, np.int64).reshape(x.size, 6)
-    slots[:, 0] = tabs["head"][(2 * prefix + (x.view(np.int64) < 0)) * 10 + d0]
-    for c, chunk in enumerate((c1, c2, c3, c4)):
-        slots[:, 1 + c] = tabs["quad"][chunk] & tabs["keep"][c][shown]
-    slots[:, 5] = tabs["exponent"][np.where(fixed, 601, E + 300)]
-    # the point follows digit E in fixed notation, else the leading digit
-    point = np.where(fixed, E, 0)
-    at = np.flatnonzero((last > point) & (point >= 0))
-    np.frombuffer(buffer, np.uint8)[at * _SLOT + 8 + 2 * point[at]] = 46
+    words = np.frombuffer(buffer, np.uint64).reshape(x.size, 4)
+    words[:, 0] = tabs["head"][(key * 2 + (x.view(np.int64) < 0)) * 10 + d0]
+    words[:, 1] = (tabs["spread"][p1] | np.left_shift(dense[q1], 32, dtype=np.uint64)) & keep[1][key]
+    words[:, 2] = (dense[q2] | np.left_shift(dense[q3], 32, dtype=np.uint64)) & keep[2][key]
+    words[:, 3] = (tabs["pair"][p8] | tabs["exponent"][e]) & keep[3][key]
+    # a point after d3..d15 (fixed notation, 1000 up): d3..dE move one byte
+    # down into d2's point slot, a 192-bit shift of words 1-3
+    at = np.flatnonzero(last > tabs["moved"][e])
+    if at.size:
+        flat, k, at = words.reshape(-1), E[at], at * 4
+        y = [flat[at + j] & tabs["move"][j - 1][k] for j in (1, 2, 3)] + [0]
+        for j in (1, 2, 3):
+            flat[at + j] ^= y[j - 1] ^ y[j - 1] >> 8 ^ y[j] << 56 ^ tabs["dot"][j - 1][k]
     return buffer
 
 
@@ -167,11 +189,10 @@ def g17_bytes(values: np.ndarray, seps: np.ndarray) -> bytearray:
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     tabs = tables()
     N, E, certified = decimal(x, tabs)
-    N[~certified] = 0
-    E[~certified] = 0
+    N[~certified] = E[~certified] = 0
     buffer = _slots(x, N, E, tabs)
+    np.frombuffer(buffer, np.uint64).reshape(*np.shape(values), 4)[..., 3] |= np.asarray(seps, np.uint64) << 56
     text = np.frombuffer(buffer, np.uint8).reshape(x.size, _SLOT)
-    text[:, -1] = np.broadcast_to(seps, np.shape(values)).ravel()
     for i in np.flatnonzero(~certified & (x != 0.0)).tolist():
         exact = b"%.17g" % x[i]
         text[i, :-1] = 0

@@ -6,11 +6,11 @@ samples the two vector fields on eigen-direction lattices, and `validate`
 runs the randomized oracle suites.
 
 Exit codes are a stable contract: 0 success, 1 validation-suite failure,
-2 invalid config, 3 numeric failure (a grid too large to allocate
-included), 4 trajectory blow-up, 141 output pipe closed by the reader (as in
-`flustab simulate ... | head -1`; 128 + SIGPIPE, the shell's code for a
-writer the pipe killed). Machine-readable errors go to standard error as a
-single JSON object; a closed pipe ends the run quietly.
+2 invalid config or unwritable output, 3 numeric failure (a grid too
+large to allocate included), 4 trajectory blow-up, 141 output pipe closed
+by the reader (as in `flustab simulate ... | head -1`; 128 + SIGPIPE, the
+shell's code for a writer the pipe killed). Machine-readable errors go to
+standard error as a single JSON object; a closed pipe ends the run quietly.
 """
 
 from __future__ import annotations
@@ -319,7 +319,9 @@ def _write_csv(out, columns: list) -> None:
     arrays replaces a separator byte from 128 up (never in g17_bytes'
     text; 128 distinct runs at most). The array columns are stacked and go
     through g17_bytes about _CSV_BLOCK_VALUES values at a time, which
-    bounds the memory that takes. The caller writes the header."""
+    bounds the memory that takes. A row's newline carries the next row's
+    leading constants: the first row's are written once, and the last
+    block drops the copy after the last row. The caller writes the header."""
     from ._g17 import g17_bytes
 
     arrays, runs = [], [[]]  # runs[k]: the texts of the constants after k arrays
@@ -336,14 +338,17 @@ def _write_csv(out, columns: list) -> None:
     marks: dict = {}  # a run's text between two arrays -> its separator byte
     gaps = (marks.setdefault(b"," + b",".join(run) + b",", 128 + len(marks)) if run else 44 for run in runs[1:-1])
     seps = np.frombuffer(bytes(gaps) + b"\n", np.uint8)
-    rows = max(1, _CSV_BLOCK_VALUES // len(arrays))
-    for start in range(0, len(arrays[0]), rows):
+    rows, total = max(1, _CSV_BLOCK_VALUES // len(arrays)), len(arrays[0])
+    if head and total:
+        out.write(head.decode("ascii"))
+    for start in range(0, total, rows):
         text = g17_bytes(np.array([a[start : start + rows] for a in arrays]).T, seps)
         for run, mark in marks.items():
             text = text.replace(bytes([mark]), run)
-        if end != b"\n":  # every row ends with end, less the next row's head
+        if end != b"\n":
             text = text.replace(b"\n", end)
-            text = head + text[: len(text) - len(head)]
+            if start + rows >= total:
+                text = text[: len(text) - len(head)]
         out.write(text.decode("ascii"))
 
 
@@ -544,8 +549,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out = sys.stdout if args.out is None else _OutFile(args.out)
     try:
-        cfg = None if args.command == "validate" else _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args, out)
+        try:
+            cfg = None if args.command == "validate" else _load_config(args.config)
+            return _COMMANDS[args.command](cfg, args, out)
+        finally:  # a full disk shows at the last flush as often as at a write
+            out.flush() if args.out is None else out.close()
     except ConfigError as exc:
         _emit_error(EXIT_BAD_CONFIG, str(exc), exc.details)
         return EXIT_BAD_CONFIG
@@ -563,9 +571,10 @@ def main(argv=None) -> int:
         # the reader has all it wants; no traceback, no error object
         _silence_stdout()
         return EXIT_BROKEN_PIPE
-    finally:
-        if args.out is not None:
-            out.close()
+    except OSError as exc:  # a full disk: one error object, nothing left to flush at exit
+        _silence_stdout()
+        _emit_error(EXIT_BAD_CONFIG, f"cannot write output: {exc}")
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

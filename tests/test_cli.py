@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -910,6 +911,47 @@ class TestBrokenPipe:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+class TestOutputFailure:
+    """An output that cannot take the text (a full disk) ends the run with
+    exit 2 and one error object, with no traceback."""
+
+    def test_stdout_refusing_a_write(self, capsys, monkeypatch, tmp_path):
+        class FullDisk:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                pass
+
+        cfg = write_config(tmp_path, TestBrokenPipe.CONFIG)
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        code = main(["simulate", "--config", cfg])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert error_doc(err) == {"code": 2, "message": "cannot write output: [Errno 28] No space left on device",
+                                  "details": {}}
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", [["simulate", "--config", "CONFIG"], ["validate", "--json"]])
+    @pytest.mark.parametrize("to", ["stdout", "--out"])
+    def test_full_device(self, tmp_path, command, to):
+        # the interpreter's own flush at exit finds nothing left to write
+        cfg = write_config(tmp_path, TestBrokenPipe.CONFIG)
+        args = [cfg if a == "CONFIG" else a for a in command] + (["--out", "/dev/full"] if to == "--out" else [])
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "flustab.cli", *args], stdout=full if to == "stdout" else None,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert error_doc(err)["message"].startswith("cannot write output: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestSurface:

@@ -37,9 +37,58 @@ def g17_fallbacks(values) -> int:
     return int(np.count_nonzero(~certified & (x != 0.0)))
 
 
+def text_layout(text: bytes) -> tuple:
+    """(scientific, E, index of the last digit shown) of a "%.17g" text."""
+    mantissa, _, exponent = text.lstrip(b"-").partition(b"e")
+    whole, _, fraction = mantissa.partition(b".")
+    if exponent:
+        E = int(exponent)
+    elif whole == b"0":
+        E = len(fraction.lstrip(b"0")) - len(fraction) - 1
+    else:
+        E = len(whole) - 1
+    return bool(exponent), E, len((whole + fraction).lstrip(b"0")) - 1
+
+
+def values_of_every_layout() -> dict:
+    """A value of each text layout, both signs: scientific notation with no
+    fraction, a short one and 17 digits, at 2- and 3-digit exponents of
+    either sign; fixed notation for every E from -4 to 16, its last digit
+    shown at E, at E + 1 and at d16 (d0 and d1 below 1)."""
+    rng = np.random.default_rng(29)
+    layouts = [(True, E, last) for E in (-99, -100, -300, 17, 100, 280) for last in (0, 3, 16)]
+    layouts += [(False, E, last) for E in range(-4, 17) for last in sorted({max(E, 0), max(E, 0) + 1, 16}) if last <= 16]
+    found = {}
+    for layout in layouts:
+        _, E, last = layout
+        for _ in range(400):  # decimal strings of last + 1 digits, the last nonzero
+            digits = [rng.integers(1, 10)] + list(rng.integers(0, 10, last))
+            digits[-1] = digits[-1] or 1
+            x = float(f"{digits[0]}.{''.join(map(str, digits[1:]))}e{E}")
+            if text_layout(b"%.17g" % x) == layout:
+                found[layout] = [x, -x]
+                break
+    return found
+
+
 class TestG17Kernel:
     """g17_bytes gives the bytes of "%.17g" % x and its separator, value
     for value, against CPython's own conversion."""
+
+    def test_every_text_layout_in_every_place(self):
+        # a point after d0, d1, d2 in its slot, after d3..d15 by the shift,
+        # none, the "0.000" prefixes, 2- and 3-digit exponents, the longest
+        # text; each before ",", a separator from 128 up and a row's newline
+        found = values_of_every_layout()
+        assert len(found) == 18 + 60  # every layout drawn: 18 scientific, 60 fixed
+        assert all((False, E, last) in found for E in range(3, 16) for last in (E + 1, 16))
+        values = np.concatenate(list(found.values()))
+        assert max(len(b"%.17g" % x) for x in values) == 24
+        seps = np.frombuffer(b",\xc8\n", np.uint8)
+        values = np.resize(values, (-(-values.size // 3), 3))
+        for shift in range(3):
+            table = np.roll(values, shift)
+            assert bytes(g17_bytes(table, seps)) == g17_oracle(table.ravel(), np.tile(seps, len(table)))
 
     def test_random_bit_patterns(self):
         # both signs, every exponent, NaN payloads and subnormals among them
