@@ -11,6 +11,8 @@ large to allocate included), 4 trajectory blow-up, 141 output pipe closed
 by the reader (as in `flustab simulate ... | head -1`; 128 + SIGPIPE, the
 shell's code for a writer the pipe killed). Machine-readable errors go to
 standard error as a single JSON object; a closed pipe ends the run quietly.
+The indented JSON documents (`analyze`, `validate --json`) are written by
+_json_text, faster than json's indented encoder and with the same bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -103,6 +106,31 @@ class _OutFile:
     def close(self) -> None:
         if self.fh is not None:
             self.fh.close()
+
+
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+                 bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(doc, pad: str = "\n") -> str:
+    """json.dumps(doc, indent=2, allow_nan=False) byte for byte, its
+    ValueError included, for str-keyed dicts, lists, tuples and the exact
+    types of _JSON_SCALARS; pad is the newline and indent that close doc."""
+    scalar = _JSON_SCALARS.get(type(doc))
+    if scalar is not None:
+        if type(doc) is float and not math.isfinite(doc):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(doc))
+        return scalar(doc)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(doc, dict):
+        text = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in doc.items()])
+        return "{" + inner + text + pad + "}" if text else "{}"
+    # a list or tuple: a run of floats in one join; an "n" in it is an inf or a nan
+    text = sep.join(map(float.__repr__, doc)) if all(type(x) is float for x in doc) else "n"
+    if "n" in text:  # not a run of finite floats: one item at a time
+        text = sep.join([_json_text(v, inner) for v in doc])
+    return "[" + inner + text + pad + "]" if text else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +312,7 @@ def cmd_analyze(cfg: RunConfig, args, out) -> int:
     report = analyze(params, cfg.T_value)
     if not math.isfinite(report.T_star):  # tau_I*p*beta underflowed to 0
         raise ArithmeticError(f"T_star = {report.T_star:g} cannot be written as JSON")
-    out.write(json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
+    out.write(_json_text(report.to_json_dict()) + "\n")
     return EXIT_OK
 
 
@@ -496,7 +524,7 @@ def cmd_validate(cfg: None, args, out) -> int:
     ok = all(r.ok for r in results)
     if args.json:
         doc = {"seed": args.seed, "ok": ok, "suites": [vars(r) for r in results]}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_text(doc) + "\n")
     else:
         for r in results:
             status = "pass" if r.ok else "FAIL"

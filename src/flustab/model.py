@@ -183,7 +183,7 @@ def validate(params: ModelParams) -> list[str]:
         problems.append("D_PCF must be >= 0")
     for name in ("beta", "p", "c", "tau_I", "tau_E", "D_PCF", "v_a", "a"):
         value = getattr(params, name)
-        if value is not None and not np.isfinite(value):
+        if value is not None and not math.isfinite(value):
             problems.append(f"{name} must be finite")
     return problems
 
@@ -247,7 +247,7 @@ class FieldCoefficients:
                 problems.append("all r entries must be > 0")
             if self.r[-1] != 1.0:
                 problems.append("last r entry must equal 1 exactly")
-        if not np.isfinite(self.psi):
+        if not math.isfinite(self.psi):
             problems.append("psi must be finite")
         return problems
 

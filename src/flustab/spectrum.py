@@ -321,7 +321,7 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
     return [x for x, _ in _certified_roots(params, T)]
 
 
-def _certified_roots(params: ModelParams, T: float) -> list[tuple[float, int]]:
+def _certified_roots(params: ModelParams, T: float, row: int | None = None) -> list[tuple[float, int]]:
     """All real roots of the characteristic polynomial, ascending, each with
     its algebraic multiplicity, which the search that finds the root decides.
 
@@ -369,7 +369,7 @@ def _certified_roots(params: ModelParams, T: float) -> list[tuple[float, int]]:
         critical = [(x, 1) for x in _quadratic_roots(*coeffs)]
     endpoints = _interior(lo, critical + ([(-c_I, n_I - 1)] if n_I >= 2 else []), hi)
     near = min(range(1, len(endpoints) - 1), key=lambda i: abs(endpoints[i][0]), default=None)
-    critical_row = _regime_rows(params, T)[0] == 1
+    critical_row = (_regime_rows(params, T)[0] if row is None else row) == 1  # row: the caller's regime row index
     if near is not None and critical_row:
         del endpoints[near]  # the double zero: 0 and its partner are one root
         near = None
@@ -598,6 +598,11 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
     on classify's Critical row, and off it the zero eigenvector is the pure
     W direction. The poles lam = -c_I, -c_E are generically no eigenvalues.
     """
+    return _eigenvector(params, T, lam, None)
+
+
+def _eigenvector(params: ModelParams, T: float, lam: float, row: int | None) -> np.ndarray:
+    # eigenvector's body; row is T's regime row index, decided here when None
     c_E, c_I = params.c_E, params.c_I
     n_E, n_I = params.n_E, params.n_I
     if lam != 0.0 and (abs(c_I + lam) <= 1e-300 or n_E and abs(c_E + lam) <= 1e-300):
@@ -607,7 +612,7 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
     if lam == 0.0:
         if params.v_a != 0.0:
             w = (_viral_pressure(params, T) - params.c) / (-params.v_a)
-        elif classify(params, T) != "Critical":
+        elif (_regime_rows(params, T)[0] if row is None else row) != 1:
             # advection-free and off-critical: the zero eigenvector is the
             # pure W direction instead of the V-scaled family
             v[-1] = 1.0
@@ -624,7 +629,7 @@ def eigenvector(params: ModelParams, T: float, lam: float) -> np.ndarray:
     for k in range(n_E, n_E + n_I):
         x *= rho
         v[k] = x
-    if not math.isfinite(x):
+    if not (math.isfinite(x) and math.isfinite(w)):  # W = (pressure - c)/(-v_a) overflows at a tiny v_a
         raise ArithmeticError(f"eigenvector at lam = {lam!r} overflows at n_E = {n_E}, n_I = {n_I}")
     v[-2] = 1.0
     v[-1] = w
@@ -693,15 +698,16 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
     ArithmeticError. The dense eigenvalues are reported and decide nothing;
     the predicted pattern is given at n_E = 0, where the regime table holds.
     """
-    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
+    k_row, k_col = (int(k) for k in _regime_rows(params, T))  # the report's one regime decision
+    row, col = "<=>"[k_row], "<=>"[k_col]
     w = full_spectrum_numeric(params, T)
     c_E, c_I, n_E = params.c_E, params.c_I, params.n_E
     zero_geometric = 2 if row == "=" and params.v_a == 0.0 else 1
     reports: list[RootReport] = []
-    for r, multiplicity in _certified_roots(params, T):
+    for r, multiplicity in _certified_roots(params, T, k_row):
         vec = None
         if abs(c_I + r) > _POLE_REL * c_I and (not n_E or abs(c_E + r) > _POLE_REL * c_E):
-            vec = [float(x) for x in eigenvector(params, T, r)]
+            vec = _eigenvector(params, T, r, k_row).tolist()
         reports.append(
             RootReport(
                 value=r,
@@ -720,7 +726,7 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
         regime=("even" if params.n_I % 2 == 0 else "odd", col, row),
         real_eigenvalues=reports,
         complex_pair_count=unpaired // 2,
-        numeric_spectrum=[complex(z) for z in w],
+        numeric_spectrum=w.astype(complex).tolist(),
         predicted_pattern=_sign_pattern(params.n_I, row, col) if n_E == 0 else None,
     )
 

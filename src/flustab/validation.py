@@ -29,6 +29,7 @@ from .spectrum import (
     _POLE_REL,
     SignPattern,
     _certified_roots,
+    _regime_rows,
     classify,
     eigenvector,
     full_spectrum_numeric,
@@ -262,9 +263,9 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
         params, T = sample_params(rng, n_E_choices=(0,))
-        if classify(params, T) == "Critical":
-            continue  # measure-zero; the constructed cells cover it
-        for lam, m in _certified_roots(params, T):
+        if (row := int(_regime_rows(params, T)[0])) == 1:
+            continue  # Critical, measure-zero; the constructed cells cover it
+        for lam, m in _certified_roots(params, T, row):
             fd = _finite_difference_multiplicity(params, T, lam)
             result.record(m == 1 == fd, lambda: f"params={params} T={T} lam={lam} m={m} finite differences {fd}")
     for n_I in (2, 3, 4, 5):

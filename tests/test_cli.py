@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -211,6 +212,17 @@ class TestAnalyze:
             v = np.array(e["eigenvector"])
             assert np.all(np.isfinite(v)) and v[-2] == 1.0
             assert np.max(np.abs(A @ v - e["value"] * v)) <= 1e-12 * np.linalg.norm(A, np.inf) * np.max(np.abs(v))
+
+    def test_zero_eigenvector_overflowing_at_tiny_advection_is_named(self, capsys, tmp_path):
+        # W = (beta*T*p*tau_I - c)/(-v_a) passes the float range while every
+        # I entry stays finite; json's own "not JSON compliant" text once
+        # reached the error object
+        doc = {"params": params_doc(beta=1, p=1, c=1, n_I=1, tau_I=1, D_PCF=0, v_a=1e-300, a=0), "T": 1e10}
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        message = error_doc(err)["message"]
+        assert message == "numeric failure: eigenvector at lam = 0.0 overflows at n_E = 0, n_I = 1"
+        assert _OWN_MESSAGES.fullmatch(message)
 
     def test_infinite_threshold_exits_3_with_no_report(self, capsys, tmp_path):
         # tau_I*p*beta underflows to 0, so T* is +inf, which JSON cannot hold
@@ -1142,6 +1154,14 @@ class TestField:
         v = cli._shared_negative_axis(params, 0.5 * params.T_star)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("v_a", [1e-310, -1e-310])
+    def test_overflowing_zero_eigenvector_is_named(self, capsys, tmp_path, v_a):
+        # the below panel's W entry (0.5 T* pressure - c)/(-v_a) passes the float range
+        doc = {"params": params_doc(beta=1, p=1, c=1, n_I=1, tau_I=1, D_PCF=0, v_a=v_a, a=0)}
+        code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert error_doc(err)["message"] == "numeric failure: eigenvector at lam = 0.0 overflows at n_E = 0, n_I = 1"
+
     def test_zero_eigen_direction_is_named(self, capsys, tmp_path, monkeypatch):
         with pytest.raises(ArithmeticError, match="^eigen-direction collapsed to zero$"):
             cli._unit(np.zeros(4))
@@ -1236,6 +1256,65 @@ class TestValidate:
         assert code == 1
         assert "charpoly_equivalence: FAIL (1/2 checks)" in out
         assert out.strip().splitlines()[-1] == "suite failures [seed 3]"
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# the scalars json writes apart: escaped and non-ASCII text, bools beside
+# ints, and floats whose shortest text has an exponent, a sign or no digits
+# after the point
+_json_leaves = (
+    st.text()
+    | st.sampled_from(['"', "\\", 'say "hi"\\', "line\nbreak", "\x00\x1f\t\r\x7f", "é ü", "中文", "\U0001f600", ""])
+    | st.integers() | st.booleans() | st.none()
+    | st.sampled_from([-0.0, 0.0, 5e-324, 0.1, 1e16, 1e22, -1.7976931348623157e308])
+    | _finite_floats
+    | st.lists(_finite_floats)
+)
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_json_docs)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_json_text_is_json_dumps_indent_2(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("doc", [
+    math.inf, -math.inf, math.nan, [1.0, -math.inf], [0.5, math.nan, math.inf], (math.inf,),
+    {"a": [1.0, {"b": (2.0, math.inf)}]}, [[1.0, 2.0], ["x", -math.inf]], {"k": math.nan, "m": math.inf},
+])
+def test_json_text_rejects_a_non_finite_float_as_json_does(doc):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._json_text(doc)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+@pytest.mark.parametrize("n_I", range(1, 9))
+def test_analyze_reports_are_json_dumps_indent_2(capsys, tmp_path, n_I):
+    for row in "<=>":
+        for col in "<=>":
+            params, T = cell_params(n_I, row, col)
+            cfg = write_config(tmp_path, {"params": dataclasses.asdict(params), "T": T})
+            code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+            expected = json.dumps(analyze(params, T).to_json_dict(), indent=2, allow_nan=False) + "\n"
+            assert (code, out, err) == (0, expected, ""), (n_I, row, col)
+
+
+def test_failing_validate_json_is_json_dumps_indent_2(capsys, monkeypatch):
+    results = [SuiteResult("charpoly_equivalence", checks=4),
+               SuiteResult("multiplicities", checks=3, failures=1,
+                           failure_examples=['params=ModelParams(beta="x")\n  lam=-0.0 m=2 \\ é'])]
+    monkeypatch.setattr(cli, "run_all", lambda seed: results)
+    code, out, err = run_cli(capsys, ["validate", "--json", "--seed", "3"])
+    doc = {"seed": 3, "ok": False, "suites": [vars(r) for r in results]}
+    assert (code, out, err) == (1, json.dumps(doc, indent=2) + "\n", "")
 
 
 class TestOutFile:

@@ -21,10 +21,10 @@ EXPORTS = [
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
     "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
-# `wc -l src/flustab/*.py` once the %.17g kernel moved to 32-byte slots and
-# a failed output write became exit 2; a change that grows src/ raises this
-# on purpose
-SRC_LINES = 3010
+# `wc -l src/flustab/*.py` once `analyze` and `validate --json` wrote their
+# indented JSON through cli._json_text and an `analyze` report decided its
+# regime cell once; a change that grows src/ raises this on purpose
+SRC_LINES = 3045
 # each subcommand's flags, so an inert flag cannot come back unseen
 FLAGS = {name: {"-h", "--help", "--config", "--out"} for name in ("analyze", "sweep", "simulate", "surface", "field")}
 FLAGS["validate"] = {"-h", "--help", "--out", "--json", "--seed"}

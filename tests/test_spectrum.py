@@ -1061,6 +1061,21 @@ class TestWorkCounts:
             perron_root(params, Ts)
             assert len(calls) <= 12
 
+    def test_analyze_decides_the_regime_cell_once(self, monkeypatch):
+        # the report, its root search and its zero eigenvector share one
+        # decision: with and without advection, on and off the Critical row,
+        # at T = 0, with eclipse stages, and in every constructed cell
+        calls = _counting(monkeypatch, "_regime_rows")
+        cells = [cell_params(n_I, row, col) for n_I in (1, 2, 5) for row in "<=>" for col in "<=>"]
+        cases = cells + [(dataclasses.replace(params, v_a=0.0), T) for params, T in cells]
+        cases += [(make_params(v_a=0.0), T) for T in (0.0, 1.0, 1.5, 2.0)]
+        rng = np.random.default_rng(5)
+        cases += [sample_params(rng) for _ in range(20)]
+        for params, T in cases:
+            calls.clear()
+            analyze(params, T)
+            assert len(calls) == 1, (params, T)
+
     def test_real_roots_take_few_evaluations_per_root(self, monkeypatch):
         calls = _counting(monkeypatch, "_scaled_charpoly")
         rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from flustab import validation
+from flustab import spectrum, validation
 from flustab.charpoly import coefficient_matrix
 from flustab.model import ModelParams
 from flustab.spectrum import SignPattern, classify, full_spectrum_numeric, predicted_sign_pattern
@@ -365,10 +365,10 @@ class TestSuites:
         # the multiplicities come from the root search, one call per set
         certified = validation._certified_roots
 
-        def simple_at_critical(params, T):
+        def simple_at_critical(params, T, row=None):
             if classify(params, T) == "Critical":
-                return [(lam, 1) for lam, _ in certified(params, T)]
-            return certified(params, T)
+                return [(lam, 1) for lam, _ in certified(params, T, row)]
+            return certified(params, T, row)
 
         honest = suite_multiplicities(seed=0)
         monkeypatch.setattr(validation, "_certified_roots", simple_at_critical)
@@ -380,6 +380,21 @@ class TestSuites:
         monkeypatch.setattr(validation, "_certified_roots", certified)
         monkeypatch.setattr(validation, "_finite_difference_multiplicity", lambda params, T, lam: 3)
         assert suite_multiplicities(seed=0).failures == honest.checks - 12  # all but the geometric checks
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_multiplicities_decide_each_regime_row_once(self, monkeypatch, seed):
+        # one decision per random set, passed on to its root search, and one
+        # inside the root search of each of the 12 constructed Critical cells
+        calls = []
+        inner = spectrum._regime_rows
+        counting = lambda *args: calls.append(1) or inner(*args)
+        monkeypatch.setattr(spectrum, "_regime_rows", counting)
+        monkeypatch.setattr(validation, "_regime_rows", counting)
+        suite_multiplicities(seed=seed, n_sets=0)
+        assert len(calls) == 12
+        calls.clear()
+        assert suite_multiplicities(seed=seed, n_sets=15).ok
+        assert len(calls) == 15 + 12
 
     def test_impossible_tolerance_fails_honestly(self):
         # a tolerance below roundoff must produce recorded failures,
