@@ -35,6 +35,7 @@ from .model import (
     InvalidParamsError,
     ModelParams,
     StateVector,
+    _threshold,
     validate as validate_params,
 )
 from .spectrum import _KIND_BY_ROW, _regime_rows, _viral_pressure
@@ -309,10 +310,9 @@ def cmd_analyze(cfg: RunConfig, args, out) -> int:
     params = _need_params(cfg)
     if cfg.T_value is None:
         raise ConfigError("analyze needs a scalar T in the config")
-    report = analyze(params, cfg.T_value)
-    if not math.isfinite(report.T_star):  # tau_I*p*beta underflowed to 0
-        raise ArithmeticError(f"T_star = {report.T_star:g} cannot be written as JSON")
-    out.write(_json_text(report.to_json_dict()) + "\n")
+    if not math.isfinite(T_star := _threshold(params)):  # tau_I*p*beta underflowed to 0
+        raise ArithmeticError(f"T_star = {T_star:g} cannot be written as JSON")
+    out.write(_json_text(analyze(params, cfg.T_value).to_json_dict()) + "\n")
     return EXIT_OK
 
 

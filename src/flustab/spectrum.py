@@ -1,22 +1,22 @@
 """Eigenvalue analysis of the frozen-T system.
 
 Every real root of the characteristic polynomial P is found one way, for
-any n_E: at beta*T*p = 0 from P's linear factors; otherwise bracketed
-between consecutive critical points, where P is monotone, and reported
-only with a sign change of P across it. The critical points come from
-factored derivatives: P' = (c_I+lam)^(n_I-1) H, with H a quadratic at
-n_E = 0; for n_E > 0, H' = (c_E+lam)^(n_E-2) K with K a cubic, whose
-critical points are closed form. The search that certifies a root also
-gives its multiplicity: a bracketed root is simple, one at a critical
-point has one plus the order of the derivative's zero there. The roots
-sort into four sign classes; at n_E = 0 the class patterns form a 3x3
-grid indexed by the sign of c - beta*T*p*tau_I (clearance versus viral
-pressure) and the sign of c_I^2 - c*c_I - beta*T*p (where -c_I falls
-against the quadratic's roots), decided for every caller by one helper.
-The largest real eigenvalue, whose sign is the stability answer, is the
-Perron root of the (E, I, V) block and solves one monotone scalar
-equation. A dense eigensolver gives the oracle spectrum, which no
-decision here reads.
+any n_E. With q = beta*T*p > 0, P = q c_E^n_E (c_I+lam)^n_I (Phi - Psi),
+Phi = lam (c+lam)(1+lam/c_E)^n_E / q and Psi = 1 - (c_I/(c_I+lam))^n_I,
+and P(-c_I) > 0, so P's real roots are those of E = Phi - Psi. E' = 0
+exactly where prod (1 + lam/w)^k = R0 over a closed-form family of (w, k),
+a log that is strictly concave between its poles and monotone outside, so
+each piece holds at most two critical points. Between them and the pole
+-c_I, E is strictly monotone: each sign change, read from log|Phi| and
+log|Psi|, is a simple root, and a critical point where E is 0 within
+rounding a double one; exact Newton steps put each root on a float next
+to the exact one. The roots sort into four sign classes; at n_E = 0 the
+class patterns form a 3x3 grid indexed by the sign of c - beta*T*p*tau_I
+(clearance versus viral pressure) and of c_I^2 - c*c_I - beta*T*p,
+decided for every caller by one helper. The largest real eigenvalue,
+whose sign is the stability answer, is the Perron root of the (E, I, V)
+block and solves one monotone scalar equation. A dense eigensolver gives
+the oracle spectrum, which no decision here reads.
 
 Sign-class labels used throughout:
     "neg_below_cI"   real root < -c_I
@@ -27,6 +27,7 @@ Sign-class labels used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,11 @@ from .model import InvalidParamsError, ModelParams, _threshold
 # One fixed value per numeric decision; none of them is a parameter.
 _CLASS_REL = 1e-10  # the regime cell's "=" window, relative to the larger term
 _RANK_REL = 1e-7  # the SVD rank cut, relative to the largest singular value
-_ROOT_TOL = 1e-12  # a root's bracket, relative to the root
+_ROOT_TOL = 1e-12  # how far an exact polishing step may move a root or critical point, relative to it
 _ROOT_STEPS = 2200  # more than the bisections from a bracket of 2 * 1.8e308 to a subnormal
 _POLE_REL = 1e-9  # a root this close to -c_I or -c_E, relative to the rate, gets no formula eigenvector
+_ZERO_LOG = 1e-13  # |log F| at a critical point below which it is a double root
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _viral_pressure(params: ModelParams, T: float) -> float:
@@ -84,235 +87,192 @@ def classify(params: ModelParams, T: float) -> str:
     return _KIND_BY_ROW["<=>"[int(_regime_rows(params, T)[0])]]
 
 
-def derivative_quadratic_coeffs(params: ModelParams, T: float) -> tuple[float, float, float]:
-    """Coefficients (A2, A1, A0) of the quadratic factor of the polynomial's
-    derivative: (n_I + 2) lam^2 + (c (n_I + 1) + 2 c_I) lam + (c c_I - q n_I),
-    with q = beta*T*p. The remaining derivative factor is (c_I + lam)^(n_I-1)."""
-    c_I = params.c_I
-    n_I = params.n_I
-    q = params.beta * T * params.p
-    return (n_I + 2.0, params.c * (n_I + 1.0) + 2.0 * c_I, params.c * c_I - q * n_I)
+def _log_ratio(w: float, x: float) -> float:
+    """log|1 + x/w| for w > 0, -inf at x = -w. Off (-w/2, w), w + x is formed
+    directly, exact within a factor 2 of -w, where 1 + x/w loses the digits
+    that set x apart from -w."""
+    if -0.5 * w < x < w:
+        return math.log1p(x / w)
+    u = abs(w + x)
+    r = u / w
+    if _TINY <= r < math.inf:
+        return math.log(r)
+    return math.log(u) - math.log(w) if u else -math.inf
 
 
-def _quadratic_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """The real roots of a2 lam^2 + a1 lam + a0 (a2 > 0), subtraction-free: r1
-    takes a1's sign, r2 = a0/(a2 r1). An overflow raises ArithmeticError."""
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if not math.isfinite(disc):
-        raise ArithmeticError("critical points of the characteristic polynomial overflow")
-    if disc < 0.0:
-        return []
-    rt = math.sqrt(disc)
-    if a1 >= 0:
-        r1 = (-a1 - rt) / (2.0 * a2)
-    else:
-        r1 = (-a1 + rt) / (2.0 * a2)
-    return [r1, a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2]
-
-
-def _slope_cubics(params: ModelParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Coefficients, highest first, of the cubics R and K of an n_E > 0
-    cascade. With u = c_E + lam, w = c_I + lam and q = beta*T*p,
-    P' = w^(n_I - 1) H, H = u^(n_E - 1) R - q c_E^n_E n_I, where
-    R = (2 lam + c) u w + lam (c + lam)(n_E w + n_I u), and
-    H' = u^(n_E - 2) K with K = (n_E - 1) R + u R'."""
-    c, c_E, c_I, n_E, n_I = params.c, params.c_E, params.c_I, params.n_E, params.n_I
-    r = (n_E + n_I + 2.0, (2 + n_I) * c_E + (2 + n_E) * c_I + c * (1 + n_E + n_I),
-         2.0 * c_E * c_I + c * ((1 + n_I) * c_E + (1 + n_E) * c_I), c * c_E * c_I)
-    k = ((n_E + 2) * r[0], (n_E + 1) * r[1] + 3.0 * c_E * r[0], n_E * r[2] + 2.0 * c_E * r[1],
-         (n_E - 1) * r[3] + c_E * r[2])
-    return r, k
-
-
-def _cubic(coeffs, x: float) -> tuple[float, float]:
-    """The cubic of coeffs, highest first, at x, and the sum of its terms' sizes."""
-    a3, a2, a1, a0 = coeffs
-    m = abs(x)
-    return ((a3 * x + a2) * x + a1) * x + a0, ((abs(a3) * m + abs(a2)) * m + abs(a1)) * m + abs(a0)
-
-
-def _scaled_charpoly(c: float, c_I: float, q: float, n_I: int, lam: float,
-                     c_E: float = 0.0, n_E: int = 0) -> tuple[float, float]:
-    """The characteristic polynomial
-    P(lam) = (c_E + lam)^n_E (c_I + lam)^n_I (c + lam) lam
-             + q c_E^n_E (c_I^n_I - (c_I + lam)^n_I),  q = beta*T*p,
-    and the size of its terms, both over M_E^n_E M^n_I with
-    M = max(c_I, |c_I + lam|) and M_E = max(c_E, |c_E + lam|). Over M^n_I
-    one of the two c_I powers is +-1 and the other is e^(-|L|),
-    L = n_I log(|c_I + lam|/c_I), so no depth or rate overflows it; the sign
-    (-1)^n_I of the power below -c_I is taken apart, and where it is +1 the
-    difference of powers is an expm1 of L. The value is an exact 0.0 at
-    lam = 0, and one below ~1e-13 of the size is indistinguishable from 0.
-    """
-    u = c_I + lam
+def _log_f(c: float, c_I: float, q: float, n_I: int, lam: float,
+           c_E: float = 0.0, n_E: int = 0) -> tuple[float, float, float]:
+    """(log|F|, a value with the sign of P, d/dlam log|F|) at a real lam,
+    q > 0, where F = Psi/Phi and P = q c_E^n_E (c_I+lam)^n_I (Phi - Psi).
+    The value is -s log|F| where Phi and Psi share a sign, s being that of
+    (c_I+lam)^n_I Phi, +-inf where they do not, 0.0 where both are 0 and 1.0
+    at -c_I. log F and its slope are _log_perron_f's and _log_perron_slope's
+    forms at any lam; S = Psi/lam is n_I/c_I where |lam/c_I| < 1e-290."""
+    u, w, v = c_I + lam, c + lam, c_E + lam
     if u == 0.0:
-        L = -math.inf
-    else:
-        L = n_I * (math.log1p(lam / c_I) if u > 0.0 else math.log(-u / c_I))
-    # |c_I + lam|^n_I and c_I^n_I over M^n_I: the larger is 1, the other e^(-|L|)
-    pu, pc = (1.0, math.exp(-L)) if L >= 0.0 else (math.exp(L), 1.0)
-    if u < 0.0 and n_I % 2 == 1:  # (c_I + lam)^n_I < 0
-        pu, diff = -pu, pc + pu
-    else:
-        diff = math.expm1(-L) if L >= 0.0 else -math.expm1(L)
-    cascade = pu * (c + lam) * lam
-    if n_E:  # the eclipse powers over M_E^n_E: powers of ratios in [-1, 1]
-        M = max(c_E, abs(c_E + lam))
-        cascade, q = cascade * ((c_E + lam) / M) ** n_E, q * (c_E / M) ** n_E
-    # above -c_I the difference of powers is good to a few eps of itself,
-    # and the powers it cancels overstate its rounding; only eclipse stages
-    # put critical points but the one nearest 0 (tested for an exact 0.0)
-    # at |lam| far below c_I, so at n_E = 0 the size is their sum
-    spread = abs(diff) if n_E and c_I + lam > 0.0 else pc + abs(pu)
-    return cascade + q * diff, abs(cascade) + abs(q) * spread
+        return math.nan, 1.0, math.nan
+    flip = u < 0.0 and n_I % 2 == 1  # (c_I/u)^n_I < 0, so Psi = 1 + |c_I/u|^n_I
+    t = lam / c_I
+    x = -n_I * (math.log1p(t) if -0.5 < t < 1.0 else _log_ratio(c_I, lam))
+    if -1e-290 < t < 1e-290:
+        s, log_s = n_I / c_I, math.log(n_I) - math.log(c_I)
+    elif x <= 0.5:
+        psi = 1.0 + math.exp(x) if flip else -math.expm1(x)
+        s, log_s = psi / lam, (math.log(abs(psi)) if psi else -math.inf) - math.log(abs(lam))
+    else:  # |Psi| = e^x (1 -+ e^-x), positive only below -c_I at odd n_I
+        s = math.copysign(math.inf, lam if flip else -lam)
+        log_s = x + math.log1p(math.exp(-x) if flip else -math.exp(-x)) - math.log(abs(lam))
+    ratio = abs(q * s / w) if w else math.inf
+    g = math.log(ratio) if _TINY <= ratio <= _HUGE else math.log(q) + log_s - (math.log(abs(w)) if w else -math.inf)
+    if n_E:
+        g -= n_E * _log_ratio(c_E, lam)
+    s_lam, s_u = (lam > 0.0) - (lam < 0.0), -1 if flip else 1  # signs of lam and (c_I+lam)^n_I
+    s_psi = s_lam * ((s > 0.0) - (s < 0.0))
+    s_phi = s_lam * ((w > 0.0) - (w < 0.0)) * (((v > 0.0) - (v < 0.0)) ** n_E if n_E else 1)
+    value = (-g * s_phi * s_u if s_phi else 0.0) if s_phi == s_psi else math.copysign(math.inf, s_u * (s_phi or -s_psi))
+    try:
+        if u > 0.0 and -_SLOPE_SERIES_Y < x < _SLOPE_SERIES_Y:
+            slope = (-(n_I + 1) / 2.0 + t * ((n_I + 1) * (n_I + 5) / 12.0 - t * ((n_I + 1) * (n_I + 3) / 8.0))) / c_I
+        else:  # (log|Psi|)' = n_I / (u ((c_I/u)^-n_I - 1)), past e^700 below rounding
+            e = -x if x > -700.0 else 700.0
+            slope = n_I / (u * (-math.exp(e) - 1.0 if flip else math.expm1(e))) - 1.0 / lam
+        slope -= 1.0 / w + n_E / v if n_E else 1.0 / w
+    except ZeroDivisionError:
+        slope = math.nan
+    return g, value, slope
 
 
-def _scaled_slope(c_E: float, q: float, n_E: int, n_I: int, r, lam: float) -> tuple[float, float]:
-    """H(lam) = P'(lam)/(c_I + lam)^(n_I - 1) at n_E > 0 and the size of its
-    terms, over M_E^n_E as in _scaled_charpoly; r is _slope_cubics' R."""
-    u = c_E + lam
-    M = max(c_E, abs(u))
-    eu = (u / M) ** (n_E - 1)
-    value, size = _cubic(r, lam)
-    feedback = q * n_I * c_E * (c_E / M) ** (n_E - 1)
-    return (eu * value - feedback) / M, (abs(eu) * size + abs(feedback)) / M
+def _dyadic(c: float, c_I: float, q: float, lam: float, c_E: float) -> tuple[int, ...]:
+    """(C, C_I, Q, Lam, C_E, k, e): c, c_I, lam and c_E as integers over one
+    2^k, and q as Q/2^e, so that a tiny q does not lengthen the rest."""
+    ratios = [v.as_integer_ratio() for v in (c, c_I, lam, c_E)]
+    k = max(den for _, den in ratios).bit_length() - 1
+    C, CI, X, CE = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    Q, Qd = q.as_integer_ratio()
+    return C, CI, Q, X, CE, k, Qd.bit_length() - 1
 
 
 def _exact_charpoly_ratio(c: float, c_I: float, q: float, n_I: int, lam: float,
                           c_E: float = 0.0, n_E: int = 0) -> float:
-    """P(lam) / (M_E^n_E (c_I + lam)^(n_I - 1)), with P and M_E as in
-    _scaled_charpoly, taken exactly in integers from the float inputs and
-    rounded once; NaN at lam = -c_I or where the ratio is past the float
-    range."""
-    # each float is an integer over a power of 2: c, c_I, lam and c_E over
-    # one 2^k, q = Qn / 2^e over its own, so a tiny q does not lengthen the rest
-    ratios = [v.as_integer_ratio() for v in (c, c_I, lam, c_E)]
-    k = max(den for _, den in ratios).bit_length() - 1
-    C, CI, X, CE = (num << (k - den.bit_length() + 1) for num, den in ratios)
-    Qn, Qd = q.as_integer_ratio()
-    e = Qd.bit_length() - 1
-    U = CI + X
-    if U == 0:
-        return math.nan
-    V = U ** (n_I - 1)
-    # P * 2^(k(n_E + n_I + 2) + e)
-    #   = (CE + X)^n_E U^n_I (C + X) X 2^e + Qn CE^n_E (CI^n_I - U^n_I) 2^(2k)
-    num = (((CE + X) ** n_E * V * U * (C + X) * X) << e) + ((Qn * CE**n_E * (CI**n_I - V * U)) << (2 * k))
+    """1 - F(lam): P over its cascade term (c_E+lam)^n_E (c_I+lam)^n_I (c+lam)
+    lam, exact from the float inputs and rounded once; NaN where the cascade
+    term is 0 or the ratio is past the float range."""
+    C, CI, Q, X, CE, k, e = _dyadic(c, c_I, q, lam, c_E)
+    U = (CI + X) ** n_I
+    cascade = ((CE + X) ** n_E * U * (C + X) * X) << e  # P 2^(k(n_E + n_I + 2) + e) = cascade + Q CE^n_E (CI^n_I - U) 2^(2k)
     try:
-        return num / ((V * max(CE, abs(CE + X)) ** n_E) << (3 * k + e))
-    except OverflowError:
+        return (cascade + ((Q * CE**n_E * (CI**n_I - U)) << (2 * k))) / cascade
+    except (OverflowError, ZeroDivisionError):
         return math.nan
 
 
-def _interior(lo: float, critical: list[tuple[float, int]], hi: float) -> list[tuple[float, int]]:
-    """lo, the ascending critical points inside (lo, hi) and hi, each as
-    (point, order of the derivative's zero there), 0 at lo and hi; a
-    near-duplicate is merged into the point before it, adding its order."""
-    endpoints = [(lo, 0)]
-    for cp, order in sorted(critical):
-        if endpoints[-1][0] + 1e-14 * abs(cp) < cp < hi:
-            endpoints.append((cp, order))
-        elif lo < cp < hi:
-            endpoints[-1] = (endpoints[-1][0], endpoints[-1][1] + order)
-    return endpoints + [(hi, 0)]
+def _exact_critical_ratio(c: float, c_I: float, q: float, n_I: int, lam: float,
+                          c_E: float = 0.0, n_E: int = 0) -> float:
+    """Phi'/Psi' - 1, the critical level over R0 less 1, exact from the float
+    inputs as ((c + 2 lam) v + n_E lam (c + lam)) v^n_E (c_I+lam)^(n_I+1) /
+    (q n_I c_E^n_E c_I^n_I v) - 1, v = c_E + lam, and rounded once; NaN at
+    v = 0 or past the float range."""
+    C, CI, Q, X, CE, k, e = _dyadic(c, c_I, q, lam, c_E)
+    V = CE + X
+    den = (Q * n_I * CE**n_E * CI**n_I * V) << (2 * k)
+    try:
+        return ((((C + 2 * X) * V + n_E * X * (C + X)) * V**n_E * (CI + X) ** (n_I + 1) << e) - den) / den
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
 
-def _rtsafe(f, newton_step, a: float, b: float, fa: float, T: float) -> tuple[float, float, float]:
-    """The root of f in (a, b), where f changes sign (fa is f at a), and the
-    final bracket: Newton steps newton_step(x, f(x)[0]) from the midpoint,
-    bisecting when a step fails, leaves the bracket or does not halve the
-    step before last, until f changes sign across a bracket of _ROOT_TOL
-    relative (or two ulps); still wider after _ROOT_STEPS, ArithmeticError."""
-    x = 0.5 * (a + b)
+def _critical_factors(c: float, c_E: float, n_E: int, c_I: float, n_I: int) -> list[tuple[float, int]]:
+    """The (w, k), w ascending, with E' = 0 where prod (1 + lam/w)^k = R0:
+    (c_E, n_E - 1), (w1, 1), (w2, 1), (c_I, n_I + 1), equal w merged, k = 0
+    dropped. -w1, -w2 are the roots of (2 + n_E) lam^2 + (2 c_E + (1 + n_E) c)
+    lam + c_E c, taken over a power of 2 near max(c, c_E), with no product of
+    rates; at n_E = 0, c_E = 0 makes them -c/2 and 0, which cancels (c_E, -1)."""
+    big = max(c, c_E)
+    s = 2.0 ** (math.frexp(big)[1] - 1)
+    a2, a1, a0 = 2.0 + n_E, 2.0 * (c_E / s) + (1.0 + n_E) * (c / s), (c_E / s) * (c / s)
+    w1 = (a1 + math.sqrt(max(a1 * a1 - 4.0 * a2 * a0, 0.0))) / (2.0 * a2) * s
+    merged: dict[float, int] = {}
+    for w, k in ((c_E, n_E - 1), (w1, 1), (min(c, c_E) * (big / (a2 * w1)), 1), (c_I, n_I + 1)):
+        merged[w] = merged.get(w, 0) + k
+    return sorted((w, k) for w, k in merged.items() if k)
+
+
+def _critical_level(factors: list[tuple[float, int]], lam: float) -> tuple[float, float]:
+    """sum k log|1 + lam/w| over _critical_factors' factors, and its slope
+    sum k/(w + lam), NaN at a -w."""
+    level = slope = 0.0
+    for w, k in factors:
+        level += k * _log_ratio(w, lam)
+        slope = slope + k / (w + lam) if w + lam else math.nan
+    return level, slope
+
+
+def _critical_points(factors: list[tuple[float, int]], log_r0: float, lo: float, hi: float, T: float) -> list[float]:
+    """E's critical points in (lo, hi): where the product of the factors is
+    positive and its log is log_r0. Each k log|1 + lam/w| is concave on
+    either side of -w, so the sum falls left of every -w, rises right of all,
+    and between two is strictly concave, its maximum where its slope is 0.
+    Each monotone piece crossing the level holds one solution, taken by
+    Newton steps in log|lam + w| about the piece's -w."""
+
+    def level(x: float, pole: float) -> tuple[float, float]:
+        value, slope = _critical_level(factors, x)
+        value, d = value - log_r0, x - pole
+        return value, -d * math.expm1(-max(value / (slope * d), -700.0)) if slope * d else math.nan
+
+    def turn(x: float) -> tuple[float, float]:
+        slope, curve = _critical_level(factors, x)[1], sum(k / (w + x) / (w + x) for w, k in factors)
+        return slope, slope / -curve if 0.0 < curve < math.inf else math.nan
+
+    poles = [-w for w, _ in reversed(factors)]
+    edges, sign, found = [-math.inf] + poles + [math.inf], (-1) ** sum(k for _, k in factors), []
+    for i in range(len(edges) - 1):  # sign: the product's, negative left of every -w at odd sum k
+        a, b = edges[i], edges[i + 1]
+        sign *= (-1) ** factors[-i][1] if i else 1
+        if sign > 0 and b > lo and a < hi:
+            pieces = [a, _rtsafe(turn, a, b, 1.0, T)[0], b] if 0 < i < len(edges) - 2 else [a, b]
+            for a, b in zip(pieces, pieces[1:]):  # the level is -inf on a pole
+                f = lambda x, pole=a if a in poles else b: level(x, pole)
+                a, b = max(a, lo), min(b, hi)
+                fa, fb = (-math.inf if x in poles else f(x)[0] for x in (a, b))
+                if a < b and (fa > 0) != (fb > 0):
+                    x = _rtsafe(f, a, b, fa, T)[0]  # off the poles, none of which is E's
+                    found.append(min(max(x, math.nextafter(a, b)), math.nextafter(b, a)))
+    return found
+
+
+def _rtsafe(f, a: float, b: float, fa: float, T: float, x: float | None = None) -> tuple[float, float, float]:
+    """The root of f in (a, b), where f changes sign (fa has f's sign at a),
+    and its final bracket. f(x) gives (value, Newton step). From the midpoint,
+    or x, Newton steps, bisecting where one is not finite, leaves the open
+    bracket or does not halve the one before last; one under two ulps probes
+    a float past its estimate. It stops once f changes sign between adjacent
+    floats, and raises ArithmeticError after _ROOT_STEPS."""
+    x = 0.5 * (a + b) if x is None else x
     dx = dx_old = b - a
     for _ in range(_ROOT_STEPS):
-        value = f(x)[0]
+        value, step = f(x)
         if value == 0.0:
             break
         if (value > 0) == (fa > 0):
             a = x
         else:
             b = x
-        try:
-            step = newton_step(x, value)
-        except (OverflowError, ZeroDivisionError):
-            step = math.nan  # a zero derivative or a step that overflows
         estimate = x - step
-        tol = max(_ROOT_TOL * abs(x), 2.0 * math.ulp(x))  # two ulps at 0 and subnormals
-        if b - a <= tol:
-            x = 0.5 * (a + b) if math.isnan(estimate) else min(max(estimate, a), b)
+        if math.nextafter(a, b) == b:
+            x = min(max(estimate, a), b) if estimate == estimate else a
             break
-        if not (a <= estimate <= b) or abs(2.0 * step) > abs(dx_old):
-            dx_old, dx = dx, 0.5 * (b - a)
-            x = a + dx
-        elif abs(step) < 0.5 * tol:
-            # converged: probe just past the estimate, across the root
-            x = estimate + 0.5 * tol if x == a else estimate - 0.5 * tol
-        else:
+        if 0.0 < abs(step) < 2.0 * math.ulp(x):  # converged: probe across the root
+            estimate = math.nextafter(estimate, b if x == a else a)
+        if a < estimate < b and abs(2.0 * step) <= abs(dx_old):
             dx_old, dx = dx, step
             x = estimate
+        else:
+            dx_old, dx = dx, 0.5 * (b - a)
+            x = a + dx
     else:
         raise ArithmeticError(f"real root in [{a!r}, {b!r}] not certified in {_ROOT_STEPS} steps at T = {T!r}")
     return x, a, b
-
-
-def _bracketed_roots(f, newton_step, endpoints: list[tuple[float, int]], T: float,
-                     near=None, polish=None) -> list[tuple[float, int]]:
-    """The roots of f = (value, size of its terms) with their multiplicities,
-    f strictly monotone between consecutive endpoints (_interior's pairs) or
-    with one root where it changes sign between two nonzero ends. An
-    endpoint is a root of multiplicity 1 + its order where the value is
-    within 1e-13 of the size (the roundoff floor, so that two roots flanking
-    it are not swallowed), and only at an exact 0.0 at the index near. Each
-    other sign change is a simple root, solved by _rtsafe. For P itself,
-    given with polish, the interval around 0 is not searched (its one root
-    is the structural 0) and a bracketed root x in (a, b) becomes
-    polish(x, a, b)."""
-    vals, scales = zip(*(f(e) for e, _ in endpoints))
-    zero_at = [abs(v) <= 1e-13 * s for v, s in zip(vals, scales)]
-    if near is not None:
-        zero_at[near] = vals[near] == 0.0
-    roots = [(e, 1 + order) for (e, order), z in zip(endpoints, zero_at) if z]
-    for i in range(len(endpoints) - 1):
-        if zero_at[i] or zero_at[i + 1]:
-            continue
-        (a, _), (b, _), fa = endpoints[i], endpoints[i + 1], vals[i]
-        if (fa > 0) == (vals[i + 1] > 0) or polish and a < 0.0 < b:
-            continue  # no sign change, or the interval's one root is the structural 0
-        x, a, b = _rtsafe(f, newton_step, a, b, fa, T)
-        roots.append((polish(x, a, b) if polish else x, 1))
-    return roots
-
-
-def _slope_roots(c_E: float, q: float, n_E: int, n_I: int, cubics, lo: float, hi: float,
-                 T: float) -> list[tuple[float, int]]:
-    """The real roots of H in (lo, hi) for n_E > 0 (_slope_cubics), with their
-    multiplicities. Between -c_E and the roots of K', K is monotone, so
-    H' = (c_E + lam)^(n_E - 2) K changes sign at most once: a piece where H
-    changes sign holds one root of H, any other is split at K's root. H''s
-    zero at -c_E has order n_E - 2 plus K's there (at n_E = 1, K = (c_E +
-    lam) R' has a root at -c_E that H' lacks). Coefficients past the float
-    range raise."""
-    r, k = cubics
-    dk = (0.0, 3.0 * k[0], 2.0 * k[1], k[2])  # K'
-    if not math.isfinite(_cubic(k, lo)[1] + _cubic(r, lo)[1] + q * n_I * c_E):  # |lo| >= hi
-        raise ArithmeticError("critical points of the characteristic polynomial overflow")
-    K = lambda x: _cubic(k, x)
-    H = lambda x: _scaled_slope(c_E, q, n_E, n_I, r, x)
-    pieces = _interior(lo, [(x, 1) for x in _quadratic_roots(*dk[1:])] + [(-c_E, 0)], hi)
-    ends = [H(x) for x, _ in pieces]
-    turns = {}  # K's roots; one on the end two pieces share is found twice, kept once
-    for i, ((fa, sa), (fb, sb)) in enumerate(zip(ends, ends[1:])):
-        if (fa > 0) == (fb > 0) or abs(fa) <= 1e-13 * sa or abs(fb) <= 1e-13 * sb:
-            turns.update(_bracketed_roots(K, lambda x, value: value / _cubic(dk, x)[0], pieces[i:i + 2], T))
-
-    def h_step(x: float, value: float) -> float:
-        # H/H' with H = value M_E^n_E and H' = (c_E + x)^(n_E - 2) K(x)
-        M = max(c_E, abs(c_E + x))
-        return value / K(x)[0] * M * M * (M / (c_E + x)) ** (n_E - 2)
-
-    critical = [(x, 0) for x, _ in pieces[1:-1]] + [(-c_E, n_E - 2)] + list(turns.items())
-    return _bracketed_roots(H, h_step, _interior(lo, critical, hi), T)
 
 
 def real_roots(params: ModelParams, T: float) -> list[float]:
@@ -323,24 +283,17 @@ def real_roots(params: ModelParams, T: float) -> list[float]:
 
 def _certified_roots(params: ModelParams, T: float, row: int | None = None) -> list[tuple[float, int]]:
     """All real roots of the characteristic polynomial, ascending, each with
-    its algebraic multiplicity, which the search that finds the root decides.
+    its algebraic multiplicity, which the search that finds it decides.
 
-    At q = beta*T*p = 0, P = (c_E + lam)^n_E (c_I + lam)^n_I (c + lam) lam:
-    its factors' roots, equal ones merged with their multiplicities added.
-    Otherwise, between consecutive critical points, -c_I (n_I >= 2) and the
-    roots of H = P'/(c_I + lam)^(n_I - 1) (closed form at n_E = 0,
-    _slope_roots otherwise), P is strictly monotone, and each sign change is
-    a simple root, solved by _rtsafe on P/P'. One more Newton step, on P
-    taken exactly from the float inputs (_exact_charpoly_ratio), puts the
-    root on one of the two floats around the exact one. A root at a
-    critical point has multiplicity 1 + the order of P''s zero there:
-    n_I - 1 at -c_I plus H's root's multiplicity. The structural root 0 is
-    included exactly, double on the Critical row, and the interval around
-    it is not searched. The critical point nearest 0 lies between 0 and its
-    partner root: on the Critical row it stands for the double zero and is
-    dropped; elsewhere it is a root only where P is exactly 0.0 there.
-    Critical points past the float range raise ArithmeticError.
-    """
+    At q = beta*T*p = 0, the roots of P's factors, equal ones merged.
+    Otherwise they are E's (_log_f). With m = min(c, c_I, c_E), on
+    (-m, inf) they are the structural 0, double on the Critical row (the
+    caller's regime row index), and elsewhere the Perron root, where log F
+    = 0 on (0, hi) on the "<" row, on (-m, 0) on ">". Below -m, E is
+    monotone between consecutive critical points and the pole -c_I: a sign
+    change of P is a simple root, and a critical point where |log F| is
+    within _ZERO_LOG of 0 a double root. Newton steps on P taken exactly
+    put each on a float next to the exact root."""
     c_E, c_I = params.c_E, params.c_I
     c, n_E, n_I = params.c, params.n_E, params.n_I
     q = params.beta * T * params.p
@@ -350,7 +303,8 @@ def _certified_roots(params: ModelParams, T: float, row: int | None = None) -> l
             if multiplicity:
                 factors[root] = factors.get(root, 0) + multiplicity
         return sorted(factors.items())
-    eclipse = (c_E, n_E) if n_E else ()
+    k_row = _regime_rows(params, T)[0] if row is None else row
+    m = min(c, c_I, c_E or math.inf)
     # P keeps its sign outside (lo, hi). With s = |c| + 2|q|^(1/2) + 1 and
     # |lam| >= s, |c + lam| |lam| >= 3|q| + 1 beats the feedback
     # q (c_E/(c_E + lam))^n_E (1 - (c_I/(c_I + lam))^n_I): at most |q| above
@@ -359,47 +313,55 @@ def _certified_roots(params: ModelParams, T: float, row: int | None = None) -> l
     s = abs(c) + 2.0 * math.sqrt(abs(q)) + 1.0
     s += 4.0 * math.ulp(s)  # above the exact sum, whose 1 a large |c| rounds away
     lo, hi = -max(2.0 * c_I, 2.0 * c_E, s), s
-    if n_E:
-        cubics = _slope_cubics(params)
-        slope = lambda x: _scaled_slope(c_E, q, n_E, n_I, cubics[0], x)[0]  # H over M_E^n_E
-        critical = _slope_roots(c_E, q, n_E, n_I, cubics, lo, hi, T)
-    else:
-        a2, a1, a0 = coeffs = derivative_quadratic_coeffs(params, T)
-        slope = lambda x: a2 * x * x + a1 * x + a0
-        critical = [(x, 1) for x in _quadratic_roots(*coeffs)]
-    endpoints = _interior(lo, critical + ([(-c_I, n_I - 1)] if n_I >= 2 else []), hi)
-    near = min(range(1, len(endpoints) - 1), key=lambda i: abs(endpoints[i][0]), default=None)
-    critical_row = (_regime_rows(params, T)[0] if row is None else row) == 1  # row: the caller's regime row index
-    if near is not None and critical_row:
-        del endpoints[near]  # the double zero: 0 and its partner are one root
-        near = None
+    log_f = lambda x: _log_f(c, c_I, q, n_I, x, c_E, n_E)
 
-    def newton_step(x: float, value: float) -> float:
-        # P/P' = value M^n_I / ((c_I + x)^(n_I - 1) slope(x)), with
-        # M^n_I / |c_I + x|^(n_I - 1) = M (M/|c_I + x|)^(n_I - 1)
-        u = abs(c_I + x)
-        M = max(c_I, u)
-        step = value / slope(x) * M * math.exp((n_I - 1) * math.log(M / u))
-        return -step if c_I + x < 0.0 and n_I % 2 == 0 else step  # (c_I + x)^(n_I - 1) < 0
+    def search(x: float) -> tuple[float, float]:  # P's sign, or log F on (-m, inf), and g/g'
+        g, value, slope = _log_f(c, c_I, q, n_I, x, c_E, n_E)
+        return value if x < -m else g, g / slope if slope and -math.inf < value < math.inf else math.nan
 
     def polish(x: float, a: float, b: float) -> float:
-        # one Newton step on the exact value puts x on a float next to the root;
-        # it may leave the bracket by the root's shift under P's rounding
-        tol = max(_ROOT_TOL * abs(x), 2.0 * math.ulp(x))
-        slope_x = slope(x)  # P' over (c_I + x)^(n_I - 1) M_E^n_E
-        if slope_x != 0.0:
-            polished = x - _exact_charpoly_ratio(c, c_I, q, n_I, x, *eclipse) / slope_x
-            if not a - tol <= polished <= b + tol and math.isfinite(polished):
-                try:
-                    tol = max(tol, abs(1e-13 * newton_step(x, P(x)[1])))
-                except (OverflowError, ZeroDivisionError):
-                    pass
-            if a - tol <= polished <= b + tol:
-                return polished
-        return x
+        # Newton steps on P with D = 1 - F exact: P/P' = D/(D (log cascade)'
+        # - (1 - D) (log F)'), until one is under two ulps, three at most.
+        # P(-c_I) > 0: a root bracketed beside the pole stays on its side
+        y = x = (b if x == a else a) if x == -c_I else x
+        slope = log_f(x)[2]
+        tol = max(_ROOT_TOL * abs(x), 2.0 * math.ulp(x), 1e-13 / (abs(slope) or math.inf))  # log F's rounding
+        for k in range(3):
+            D, slope = _exact_charpoly_ratio(c, c_I, q, n_I, y, c_E, n_E), log_f(y)[2] if k else slope
+            try:
+                step = D / (D * (1.0 / y + 1.0 / (c + y) + n_I / (c_I + y) + (n_E / (c_E + y) if n_E else 0.0))
+                            - (1.0 - D) * slope)
+            except ZeroDivisionError:
+                break
+            if not math.isfinite(step):
+                break
+            y -= step
+            if abs(step) <= 2.0 * math.ulp(y):
+                break
+        return y if a - tol <= y <= b + tol and y != -c_I and (y + c_I > 0.0) == (x + c_I > 0.0) else x
 
-    P = lambda lam: _scaled_charpoly(c, c_I, q, n_I, lam, *eclipse)
-    return sorted(_bracketed_roots(P, newton_step, endpoints, T, near, polish) + [(0.0, 2 if critical_row else 1)])
+    roots = [(0.0, 2 if k_row == 1 else 1)]
+    log_r0 = math.log(q) + math.log(n_I) - math.log(c_I) - math.log(c)
+    if k_row != 1:  # from Newton's first step off 0, where log F = log R0
+        a, b = (0.0, hi) if k_row == 0 else (-m, 0.0)
+        x = log_r0 / ((n_I + 1) / (2.0 * c_I) + 1.0 / c + (n_E / c_E if n_E else 0.0))
+        roots.append((polish(*_rtsafe(search, a, b, 1.0, T, x if a < x < b else None)), 1))
+    factors = _critical_factors(c, c_E, n_E, c_I, n_I)
+    ends = [lo] + sorted({x for x in _critical_points(factors, log_r0, lo, -m, T) + [-c_I] if lo < x < -m}) + [-m]
+    # P ~ lam^(n_E + n_I + 2) keeps its sign below lo, and P(-m) > 0
+    values = [(-1.0) ** (n_E + n_I)] + [log_f(x)[1] for x in ends[1:-1]] + [1.0]
+    for i, x in enumerate(ends):
+        if abs(values[i]) <= 1e3 * _ZERO_LOG:  # a double root in question: place the critical point exactly
+            ratio, slope = _exact_critical_ratio(c, c_I, q, n_I, x, c_E, n_E), _critical_level(factors, x)[1]
+            step = math.log1p(ratio) / slope if ratio > -1.0 and slope else math.nan
+            if abs(step) <= _ROOT_TOL * abs(x):
+                ends[i], values[i] = x - step, log_f(x - step)[1]
+    zero = [abs(v) <= _ZERO_LOG for v in values]
+    roots += [(x, 2) for x, z in zip(ends, zero) if z]
+    for i in range(len(ends) - 1):
+        if not (zero[i] or zero[i + 1]) and (values[i] > 0) != (values[i + 1] > 0):
+            roots.append((polish(*_rtsafe(search, ends[i], ends[i + 1], values[i], T)), 1))
+    return sorted(roots)
 
 
 def sign_class(lam: float, c_I: float) -> str:
@@ -471,7 +433,7 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
     """log F(lam) for q = beta*T*p > 0, where
     F(lam) = q * (c_E/(c_E+lam))^n_E * S(lam) / (c+lam) and
     S(lam) = sum_{j<n_I} c_I^j/(c_I+lam)^(j+1) = -expm1(x)/lam with
-    x = -n_I*log1p(lam/c_I), S(0) = n_I/c_I.
+    x = -n_I*log1p(lam/c_I), S(0) = n_I/c_I, taken also where |lam/c_I| < 1e-290.
 
     Up to x = 0.5, wherever q*S/(c+lam) is a normal float, that product is
     formed and logged once, so the value carries a few eps of absolute
@@ -482,10 +444,11 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
     c_E, c_I, n_I = params.c_E, params.c_I, params.n_I
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = -n_I * np.log1p(lam / c_I)
-        ratio = q * np.where(lam == 0.0, n_I / c_I, np.expm1(x) / -lam) / (params.c + lam)
+        near = np.abs(lam / c_I) < 1e-290  # S = S(0) to within lam/c_I, which has lost its digits
+        ratio = q * np.where(near, n_I / c_I, np.expm1(x) / -lam) / (params.c + lam)
         # log|expm1(x)|; past x = 0.5 the form x + log(1 - e^-x) cannot overflow
         log_num = np.where(x > 0.5, x + np.log1p(-np.exp(-x)), np.log(np.abs(np.expm1(x))))
-        log_S = np.where(lam == 0.0, math.log(n_I / c_I), log_num - np.log(np.abs(lam)))
+        log_S = np.where(near, math.log(n_I) - math.log(c_I), log_num - np.log(np.abs(lam)))
         direct = (x <= 0.5) & (ratio >= np.finfo(float).tiny) & (ratio <= np.finfo(float).max)
         out = np.where(direct, np.log(ratio), np.log(q) + log_S - np.log(params.c + lam))
         if params.n_E > 0:
@@ -736,7 +699,6 @@ __all__ = [
     "RootReport",
     "SpectrumReport",
     "classify",
-    "derivative_quadratic_coeffs",
     "real_roots",
     "sign_class",
     "predicted_sign_pattern",

@@ -258,8 +258,8 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     """Algebraic multiplicity 1 for every real root of random off-critical
     sets; the constructed Critical cells must report the double zero. Every
     count, taken with its root from one _certified_roots call per set, must
-    also equal the finite-difference one."""
-    rng = np.random.default_rng(seed)
+    also equal the finite-difference one, on sets of its own stream."""
+    rng = np.random.default_rng([seed, 1])
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
         params, T = sample_params(rng, n_E_choices=(0,))

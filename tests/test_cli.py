@@ -23,7 +23,7 @@ from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.spectrum import analyze, classify, perron_root
 from flustab.validation import SuiteResult, cell_params
-from test_spectrum import uncertified
+from test_spectrum import exact_charpoly, uncertified
 
 
 def _fmt(x: float) -> str:
@@ -137,8 +137,9 @@ class TestAnalyze:
         assert sum(m for _, m in found) == n_real
 
     def test_root_beside_zero_next_to_the_critical_window(self, capsys, tmp_path):
-        # 1.4e-10 relative below T*: H's terms cancel to the regime gap at the
-        # root beside 0, which a second 1e-10 window once called double (exit 3)
+        # 1.4e-10 relative below T*: P's terms cancel to the regime gap at the
+        # root beside 0, which a second 1e-10 window once called double (exit 3).
+        # The root is the float across which exact P changes sign
         params = dict(beta=0.6438176404687572, p=0.1001554263608411, c=0.1634197473122929, n_E=1,
                       tau_E=0.7181056505734725, n_I=4, tau_I=0.9951766372064375, D_PCF=0.1, v_a=1.0, a=0.0)
         doc = {"params": params, "T": 2.5466367760565527}
@@ -146,8 +147,11 @@ class TestAnalyze:
         assert code == 0, err
         report = json.loads(out)
         found = [(e["value"], e["algebraic_multiplicity"]) for e in report["real_eigenvalues"]]
-        assert found == [(-4.937991382378264, 1), (-1.8521180235356107e-11, 1), (0.0, 1)]
+        assert found == [(-4.937991382378264, 1), (-1.852118023535932e-11, 1), (0.0, 1)]
         assert report["complex_pair_count"] == 2
+        model = ModelParams(**params)
+        below, above = (exact_charpoly(model, doc["T"], math.nextafter(found[1][0], side)) for side in (-1.0, 0.0))
+        assert (below > 0) != (above > 0)
 
     def test_missing_T_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"params": params_doc()})
@@ -189,12 +193,14 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert "not certified" in error_doc(err)["message"]
 
-    def test_overflowing_polynomial_exits_3(self, capsys, tmp_path):
-        # beta*T*p*tau_I is finite, but the critical points are past the float range
+    def test_large_pressure_reports(self, capsys, tmp_path):
+        # beta*T*p*tau_I is finite; the derivative quadratic's critical points,
+        # once past the float range here (exit 3), are a sum of logs now
         cfg = write_config(tmp_path, {"params": params_doc(n_I=2), "T": 2.9e306})
         code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
-        assert code == 3 and out == ""
-        assert "overflow" in error_doc(err)["message"]
+        assert code == 0 and err == ""
+        values = [e["value"] for e in json.loads(out)["real_eigenvalues"]]
+        assert len(values) == 4 and values[1:3] == [-4.0, 0.0]
 
     def test_deep_cascade_reports(self, capsys, tmp_path):
         # (c_I + lam)^150 overflows a float; the report must not
@@ -226,6 +232,15 @@ class TestAnalyze:
 
     def test_infinite_threshold_exits_3_with_no_report(self, capsys, tmp_path):
         # tau_I*p*beta underflows to 0, so T* is +inf, which JSON cannot hold
+        doc = {"params": params_doc(beta=1e-200, p=1e-200, c=1.0), "T": 0.5}
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert error_doc(err)["message"] == "numeric failure: T_star = inf cannot be written as JSON"
+
+    def test_infinite_threshold_is_checked_before_the_analysis(self, capsys, tmp_path, monkeypatch):
+        # the check needs no report: a config whose analysis would fail first
+        # still names T_star
+        monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("analyze ran"))
         doc = {"params": params_doc(beta=1e-200, p=1e-200, c=1.0), "T": 0.5}
         code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
         assert (code, out) == (3, "")
@@ -1368,8 +1383,7 @@ class TestOutFile:
 # (exit 4); a library's text ("math domain error", numpy's "Array must not
 # contain infs or NaNs") never passes.
 _OWN_MESSAGES = re.compile(
-    r"numeric failure: (critical points of the characteristic polynomial overflow"
-    r"|real root in \[.*\] not certified in \d+ steps at T = .*"
+    r"numeric failure: (real root in \[.*\] not certified in \d+ steps at T = .*"
     r"|real roots at T = .* leave -?\d+ eigenvalues, not complex pairs"
     r"|eigenvector at lam = .* overflows at n_E = \d+, n_I = \d+"
     r"|eigenvector formula has a pole at lam = -c_I or -c_E"

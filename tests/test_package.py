@@ -21,10 +21,9 @@ EXPORTS = [
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
     "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
-# `wc -l src/flustab/*.py` once `analyze` and `validate --json` wrote their
-# indented JSON through cli._json_text and an `analyze` report decided its
-# regime cell once; a change that grows src/ raises this on purpose
-SRC_LINES = 3045
+# `wc -l src/flustab/*.py` once one log-form search replaced the slope
+# levels of the real-root search; a change that grows src/ raises this on purpose
+SRC_LINES = 3007
 # each subcommand's flags, so an inert flag cannot come back unseen
 FLAGS = {name: {"-h", "--help", "--config", "--out"} for name in ("analyze", "sweep", "simulate", "surface", "field")}
 FLAGS["validate"] = {"-h", "--help", "--out", "--json", "--seed"}

@@ -15,7 +15,6 @@ from flustab.model import InvalidParamsError, ModelParams
 from flustab.spectrum import (
     analyze,
     classify,
-    derivative_quadratic_coeffs,
     eigenvector,
     full_spectrum_numeric,
     geometric_multiplicity,
@@ -26,13 +25,14 @@ from flustab.spectrum import (
 )
 from flustab.spectrum import (
     _certified_roots,
+    _critical_factors,
+    _critical_points,
     _exact_charpoly_ratio,
-    _interior,
+    _exact_critical_ratio,
+    _log_f,
     _log_perron_f,
     _log_perron_slope,
-    _quadratic_roots,
-    _scaled_charpoly,
-    _slope_cubics,
+    _critical_level,
     _viral_pressure,
 )
 from flustab.validation import _finite_difference_multiplicity, cell_params, sample_params
@@ -47,11 +47,6 @@ def make_params(**overrides):
                 D_PCF=0.0, v_a=0.5, a=0.0)
     base.update(overrides)
     return ModelParams(**base)
-
-
-def poly_from(coeffs) -> list[Fraction]:
-    """Exact lowest-first coefficients of float coefficients given highest first."""
-    return [Fraction(a) for a in reversed(coeffs)]
 
 
 def poly_add(a, b):
@@ -151,75 +146,131 @@ class TestClassify:
         assert _viral_pressure(params, 1.1) == 0.7 * 1.1 * 1.3 * 2.0
 
 
+def exact_phi_psi(params: ModelParams, T: float, x) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Phi, Psi and their derivatives in rational arithmetic from the float
+    inputs: Phi = x (c+x) (1+x/c_E)^n_E / q and Psi = 1 - (c_I/(c_I+x))^n_I."""
+    c, c_E, c_I, q, x = map(Fraction, (params.c, params.c_E, params.c_I, params.beta * T * params.p, x))
+    n_E, n_I = params.n_E, params.n_I
+    e = 1 + x / c_E if n_E else Fraction(1)
+    de = Fraction(n_E) / c_E * e ** (n_E - 1) if n_E else Fraction(0)
+    phi = x * (c + x) * e**n_E / q
+    dphi = ((c + 2 * x) * e**n_E + x * (c + x) * de) / q
+    psi = 1 - (c_I / (c_I + x)) ** n_I
+    dpsi = n_I * c_I**n_I / (c_I + x) ** (n_I + 1)
+    return phi, psi, dphi, dpsi
+
+
+def _dyadic_params(rng, n_E: int, n_I: int) -> ModelParams:
+    """Rates whose floats are exact: c a multiple of 1/16, c_E and c_I powers
+    of 2, so that n/(n/c) gives them back exactly."""
+    c = Fraction(int(rng.integers(1, 64)), 16)
+    c_E, c_I = (Fraction(2) ** int(rng.integers(-3, 4)) for _ in range(2))
+    params = make_params(c=float(c), n_E=n_E, tau_E=float(n_E / c_E) if n_E else None, n_I=n_I,
+                         tau_I=float(n_I / c_I), beta=1.0, p=1.0)
+    assert params.c_I == c_I and params.c_E == (c_E if n_E else 0.0)
+    return params
+
+
 class TestDerivative:
+    """E = Phi - Psi carries P's real roots; its critical points solve one
+    concave equation, prod (1 + lam/w)^k = R0, over _critical_factors."""
+
     def test_quadratic_coefficients(self):
+        # n_E = 0: (c/2, 1) and (c_I, n_I + 1); n_E = 2, c = 2, c_E = 1:
+        # 4 lam^2 + 8 lam + 2 has roots -1 -+ 1/sqrt(2), each w simple, and
+        # (c_E, n_E - 1) = (1, 1)
         params = make_params(c=3.0, n_I=2, tau_I=2.0, beta=1.0, p=1.0)  # c_I = 1
-        a2, a1, a0 = derivative_quadratic_coeffs(params, T=1.0)  # q = beta*T*p = 1
-        assert (a2, a1, a0) == (4.0, 11.0, 1.0)
+        assert _critical_factors(params.c, params.c_E, 0, params.c_I, 2) == [(1.0, 3), (1.5, 1)]
+        factors = _critical_factors(2.0, 1.0, 2, 4.0, 3)
+        assert [k for _, k in factors] == [1, 1, 1, 4]
+        assert [w for w, _ in factors] == pytest.approx([1 - 2**-0.5, 1.0, 1 + 2**-0.5, 4.0], rel=1e-15)
 
     def test_critical_points_frozen(self):
-        # P' = (c_I + lam)^(n_I - 1) (4 lam^2 + 11 lam + 1): each critical
-        # point with the order of P''s zero there, between the outer brackets
+        # c = 3, c_I = 1, n_I = 2, q = 1: E' = 0 where (1 + 2 lam/3)(1 + lam)^3 = R0 = 2/3;
+        # below -m = -1 only the outer piece left of -1.5 holds one, where E' changes sign
         params = make_params(c=3.0, n_I=2, tau_I=2.0, beta=1.0, p=1.0)
-        roots = _quadratic_roots(*derivative_quadratic_coeffs(params, T=1.0))
-        endpoints = _interior(-10.0, [(x, 1) for x in roots] + [(-params.c_I, params.n_I - 1)], 10.0)
-        disc = math.sqrt(105.0)
-        expected = [-10.0, (-11.0 - disc) / 8.0, -1.0, (-11.0 + disc) / 8.0, 10.0]
-        assert [x for x, _ in endpoints] == pytest.approx(expected)
-        assert [order for _, order in endpoints] == [0, 1, 1, 1, 0]
-
-    def test_near_duplicate_critical_points_add_their_orders(self):
-        # a point within 1e-14 of the one before it merges into it; points
-        # outside (lo, hi) are dropped
-        critical = [(-1.0, 2), (-1.0 * (1 - 5e-15), 1), (-0.5, 1), (-0.5, 3), (20.0, 1), (-20.0, 1)]
-        assert _interior(-10.0, critical, 10.0) == [(-10.0, 0), (-1.0, 3), (-0.5, 4), (10.0, 0)]
+        factors = _critical_factors(3.0, 0.0, 0, 1.0, 2)
+        x, = _critical_points(factors, math.log(2.0 / 3.0), -10.0, -1.0, 1.0)
+        assert -10.0 < x < -1.5
+        assert (1 + 2 * x / 3) * (1 + x) ** 3 == pytest.approx(2.0 / 3.0, rel=1e-14)
+        slopes = [exact_phi_psi(params, 1.0, y)[2] - exact_phi_psi(params, 1.0, y)[3]
+                  for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))]
+        assert (slopes[0] > 0) != (slopes[1] > 0)
 
     def test_against_finite_differences(self):
+        # the critical level over R0, minus 1, is E'/Psi' - 1: its sign is
+        # that of central differences of E = P/(q c_E^n_E (c_I + lam)^n_I)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            params, T = sample_params(rng, n_E_choices=(0,))
-            lam = rng.uniform(-2.0, 1.0) * (params.c_I + params.c)
+        for _ in range(40):
+            params, T = sample_params(rng)
+            c, c_E, c_I, n_E, n_I = params.c, params.c_E, params.c_I, params.n_E, params.n_I
+            q = params.beta * T * params.p
+            lam = float(rng.uniform(-2.0, 1.0) * (c_I + c))
             h = 1e-6 * max(1.0, abs(lam))
-            fd = (charpoly(params, T, lam + h) - charpoly(params, T, lam - h)) / (2 * h)
-            a2, a1, a0 = derivative_quadratic_coeffs(params, T)
-            exact = (params.c_I + lam) ** (params.n_I - 1) * (a2 * lam * lam + a1 * lam + a0)
-            assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6 * max(1.0, abs(fd)))
+            E = lambda x: charpoly(params, T, x) / (q * c_E**n_E * (c_I + x) ** n_I)
+            fd = (E(lam + h) - E(lam - h)) / (2 * h)
+            level = math.prod((1 + lam / w) ** k for w, k in _critical_factors(c, c_E, n_E, c_I, n_I)) / (q * n_I / (c * c_I))
+            assert abs(level) == pytest.approx(math.exp(_critical_level(_critical_factors(c, c_E, n_E, c_I, n_I), lam)[0])
+                                               / (q * n_I / (c * c_I)), rel=1e-12)
+            psi_slope = n_I * c_I**n_I / (c_I + lam) ** (n_I + 1)
+            assert fd == pytest.approx(psi_slope * (level - 1.0), rel=1e-5, abs=1e-8 * abs(psi_slope * level))
 
     def test_slope_identities_hold_exactly(self):
-        """P' = (c_I+lam)^(n_I-1) H and H' = (c_E+lam)^(n_E-2) K in rational
-        arithmetic at random rational rates and points, with R and K from
-        _slope_cubics (dyadic rates keep its float coefficients exact)."""
+        """In rational arithmetic at dyadic rates and random points:
+        P = q c_E^n_E (c_I+lam)^n_I (Phi - Psi); _exact_charpoly_ratio is
+        1 - Psi/Phi and _exact_critical_ratio is Phi'/Psi' - 1, each rounded
+        once; and, as facts about P for README's bound of 7 real roots,
+        P' = (c_I+lam)^(n_I-1) H, H' = (c_E+lam)^(n_E-2) K with the cubics
+        R = (2 lam + c) u w + lam (c + lam)(n_E w + n_I u) and
+        K = (n_E - 1) R + u R' (u = c_E + lam, w = c_I + lam)."""
         rng = np.random.default_rng(21)
-        for n_E, n_I in [(1, 3), (2, 2), (3, 5), (5, 1), (4, 9)]:
+        for n_E, n_I in [(0, 1), (0, 4), (1, 3), (2, 2), (3, 5), (5, 1), (4, 9)]:
             for _ in range(4):
-                # c_E and c_I powers of 2, so that n/(n/c) gives them back exactly
-                c = Fraction(int(rng.integers(1, 64)), 16)
-                c_E, c_I = (Fraction(2) ** int(rng.integers(-3, 4)) for _ in range(2))
-                q = Fraction(int(rng.integers(0, 200)), 8)
-                params = make_params(c=float(c), n_E=n_E, tau_E=float(n_E / c_E), n_I=n_I, tau_I=float(n_I / c_I))
-                assert (params.c_E, params.c_I) == (c_E, c_I)
-                r, k = (poly_from(coeffs) for coeffs in _slope_cubics(params))
+                params = _dyadic_params(rng, n_E, n_I)
+                c, c_E, c_I = map(Fraction, (params.c, params.c_E, params.c_I))
+                T = float(Fraction(int(rng.integers(1, 200)), 8))
+                q = Fraction(params.beta * T * params.p)
                 u, w, lam = [c_E, 1], [c_I, 1], [0, 1]
                 P = poly_add(poly_mul(poly_pow(u, n_E), poly_pow(w, n_I), [c, 1], lam),
                              poly_mul([q * c_E**n_E], poly_add([c_I**n_I], poly_mul([-1], poly_pow(w, n_I)))))
-                H = poly_add(poly_mul(poly_pow(u, n_E - 1), r), [-q * c_E**n_E * n_I])
-                # R and K from their definitions, not from _slope_cubics
-                assert r == poly_add(poly_mul([c, 2], u, w), poly_mul(lam, [c, 1], poly_add([n_E * c_I, n_E], [n_I * c_E, n_I])))
-                assert k == poly_add(poly_mul([n_E - 1], r), poly_mul(u, poly_deriv(r)))
-                for x in (Fraction(int(rng.integers(-400, 400)), int(rng.integers(1, 50))) for _ in range(5)):
-                    assert poly_eval(poly_deriv(P), x) == (c_I + x) ** (n_I - 1) * poly_eval(H, x)
-                    if x != -c_E:
+                r = poly_add(poly_mul([c, 2], u, w), poly_mul(lam, [c, 1], poly_add([n_E * c_I, n_E], [n_I * c_E, n_I])))
+                k = poly_add(poly_mul([n_E - 1], r), poly_mul(u, poly_deriv(r)))
+                for x in (Fraction(float(Fraction(int(rng.integers(-400, 400)), int(rng.integers(1, 50))))) for _ in range(5)):
+                    if x in (0, -c, -c_I) or n_E and x == -c_E:
+                        continue
+                    phi, psi, dphi, dpsi = exact_phi_psi(params, T, x)
+                    assert poly_eval(P, x) == q * c_E**n_E * (c_I + x) ** n_I * (phi - psi)
+                    args = (params.c, params.c_I, float(q), n_I, float(x), params.c_E, n_E)
+                    assert (_exact_charpoly_ratio(*args), _exact_critical_ratio(*args)) == (float(1 - psi / phi), float(dphi / dpsi - 1))
+                    if n_E:
+                        H = poly_add(poly_mul(poly_pow(u, n_E - 1), r), [-q * c_E**n_E * n_I])
+                        assert poly_eval(poly_deriv(P), x) == (c_I + x) ** (n_I - 1) * poly_eval(H, x)
                         assert poly_eval(poly_deriv(H), x) == (c_E + x) ** (n_E - 2) * poly_eval(k, x)
 
     def test_slope_is_the_quadratic_without_eclipse_stages(self):
-        # at n_E = 0, H = R/lam - q n_I, bit for bit the derivative quadratic
+        # at n_E = 0, c_E = 0 makes the quadratic's roots -c/2 and 0, and the
+        # 0 cancels (c_E, -1): the critical level is (1 + 2 lam/c)(1 + lam/c_I)^(n_I + 1)
         rng = np.random.default_rng(22)
         for _ in range(50):
-            params, T = sample_params(rng, n_E_choices=(0,))
-            r, _ = _slope_cubics(params)
-            q = params.beta * T * params.p
-            assert r[3] == 0.0
-            assert (r[0], r[1], r[2] - q * params.n_I) == derivative_quadratic_coeffs(params, T)
+            params, _ = sample_params(rng, n_E_choices=(0,))
+            factors = _critical_factors(params.c, params.c_E, 0, params.c_I, params.n_I)
+            assert sorted(factors) == sorted([(params.c / 2.0, 1), (params.c_I, params.n_I + 1)])
+
+    def test_quadratic_roots_are_real_and_negative(self):
+        # every w of the family is positive and finite over a grid of rates
+        # 1e-300 to 1e300, and -w1, -w2 are roots of the quadratic to rounding
+        for c in (10.0**k for k in range(-300, 301, 50)):
+            for c_E in (10.0**k for k in range(-300, 301, 50)):
+                for n_E in (1, 2, 5):
+                    factors = _critical_factors(c, c_E, n_E, 1.0, 3)
+                    assert all(0.0 < w < math.inf and k > 0 for w, k in factors), (c, c_E, n_E)
+                    for w, _ in factors:
+                        if w in (c_E, 1.0):
+                            continue
+                        x = -Fraction(w)
+                        Q = (2 + n_E) * x * x + (2 * Fraction(c_E) + (1 + n_E) * Fraction(c)) * x + Fraction(c_E) * Fraction(c)
+                        scale = (2 + n_E) * x * x + (2 * Fraction(c_E) + (1 + n_E) * Fraction(c)) * -x + Fraction(c_E) * Fraction(c)
+                        assert abs(Q) <= Fraction(1, 10**14) * scale, (c, c_E, n_E, w)
 
 
 class TestRealRoots:
@@ -237,19 +288,20 @@ class TestRealRoots:
                 assert a == pytest.approx(b, abs=1e-7 * max(1.0, np.linalg.norm(A, np.inf)))
 
     def test_exact_ratio_matches_rational_arithmetic(self):
-        """P/(c_I + lam)^(n_I - 1) rounded once, on both sides of -c_I, at
-        n_I = 1, a deep cascade and a subnormal lam; NaN at the pole and past
-        the float range."""
+        """P over its cascade term (c_I + lam)^n_I (c + lam) lam, rounded once,
+        on both sides of -c_I, at n_I = 1, a deep cascade and a subnormal lam;
+        NaN at the pole, at -c and past the float range."""
         for c, c_I, q, n_I, lam in [(1.3, 13 / 1.7, 0.77, 13, 0.875), (2.0, 3.0, 4.0, 2, -3.5),
                                     (2.0, 3.0, 4.0, 5, -7.25), (0.4, 2.5, 1.1, 1, -0.3),
                                     (1e3, 3e-3, 1e-3, 200, -1e-2), (0.5, 2.0, 1e-300, 3, 1e-310),
                                     (1e3, 999e3, 5e-324, 999, -1478631.1780471362), (1.3, 2.1, 5e-324, 40, 0.25),
                                     (2.0, 3.0, 1e-310, 7, -3.0000001), (0.5, 2.0, 5e-324, 3, 1e-310)]:
             C, CI, Q, X = map(Fraction, (c, c_I, q, lam))
-            want = ((CI + X) ** n_I * (C + X) * X + Q * (CI**n_I - (CI + X) ** n_I)) / (CI + X) ** (n_I - 1)
-            assert _exact_charpoly_ratio(c, c_I, q, n_I, lam) == float(want)
+            cascade = (CI + X) ** n_I * (C + X) * X
+            assert _exact_charpoly_ratio(c, c_I, q, n_I, lam) == float((cascade + Q * (CI**n_I - (CI + X) ** n_I)) / cascade)
         assert math.isnan(_exact_charpoly_ratio(2.0, 3.0, 4.0, 5, -3.0))
-        assert math.isnan(_exact_charpoly_ratio(1e-3, 999e3, 1e300, 999, -1e150))
+        assert math.isnan(_exact_charpoly_ratio(2.0, 3.0, 4.0, 5, -2.0))
+        assert math.isnan(_exact_charpoly_ratio(1e-300, 1.0, 1e300, 1, 1e-300))
 
     def test_exact_ratio_integers_do_not_grow_with_a_tiny_q(self):
         """q has its own power of two, so a subnormal q at n_I = 999 keeps the
@@ -310,10 +362,13 @@ class TestRealRoots:
 
     def test_outer_bracket_holds_the_root_past_a_large_clearance(self):
         # P = lam ((1 + lam)(c + lam) - 1) has a root just below -c - 1; the
-        # bracket |c| + 2|q|^(1/2) + 1 once rounded to 1e44 and left it out
+        # bracket |c| + 2|q|^(1/2) + 1 once rounded to 1e44 and left it out.
+        # The other root is ~1e-44 above the pole -c_I = -1, where P = 1: it
+        # lies on the float beside the pole
         params = make_params(c=1e44, n_I=1, tau_I=1.0, beta=1.0, p=1.0)
         roots = real_roots(params, 1.0)
-        assert roots == [-1e44, -1.0, 0.0]
+        assert roots == [-1e44, math.nextafter(-1.0, 0.0), 0.0]
+        assert exact_charpoly(params, 1.0, -1.0) > 0 > exact_charpoly(params, 1.0, roots[1])
         assert uncertified(params, 1.0, [(r, 1) for r in roots]) == []
 
     def test_a_root_left_uncertified_raises(self, monkeypatch):
@@ -327,27 +382,32 @@ class TestRealRoots:
         # around the first iterate of the first bracket searched: a Newton
         # step there is tiny, and only P's sign change tells it from a root
         params = make_params()
-        honest, scaled, seen = real_roots(params, T), spectrum._scaled_charpoly, []
-        monkeypatch.setattr(spectrum, "_scaled_charpoly", lambda *args: seen.append(args[-1]) or scaled(*args))
+        honest, log_f, seen = real_roots(params, T), spectrum._log_f, []
+        monkeypatch.setattr(spectrum, "_log_f", lambda *args: seen.append(args[4]) or log_f(*args))
         real_roots(params, T)
-        # the endpoints are evaluated first, in ascending order, then the iterates
-        first = seen[next(k for k in range(1, len(seen)) if seen[k] < seen[k - 1])]
+        # the Perron root's search starts at 0; its next point is a Newton iterate
+        first = next(lam for lam in seen if lam != 0.0)
 
-        def flat(c, c_I, q, n_I, lam):
-            value, size = scaled(c, c_I, q, n_I, lam)
-            return (math.copysign(1e-300, value) if abs(lam - first) <= 1e-11 else value), size
+        def flat(c, c_I, q, n_I, lam, *eclipse):
+            g, value, slope = log_f(c, c_I, q, n_I, lam, *eclipse)
+            if abs(lam - first) <= 1e-11:
+                return math.copysign(1e-300, g), math.copysign(1e-300, value), slope
+            return g, value, slope
 
-        monkeypatch.setattr(spectrum, "_scaled_charpoly", flat)
+        monkeypatch.setattr(spectrum, "_log_f", flat)
         assert all(abs(r - first) > 1e-3 for r in honest)
         assert real_roots(params, T) == pytest.approx(honest, rel=1e-15, abs=1e-15)
 
-    def test_overflowing_critical_points_raise(self):
-        # the derivative quadratic's discriminant, 64T here, passes the float
-        # range long before the pressure does; its infinite root once left
-        # only the structural zero, with no error
-        assert len(real_roots(make_params(), 2.8e306)) == 4
-        with pytest.raises(ArithmeticError, match="overflow"):
-            real_roots(make_params(), 2.9e306)
+    def test_critical_points_do_not_overflow(self):
+        # the derivative quadratic's discriminant, 64T here, once passed the
+        # float range at T = 2.9e306, long before the pressure does, and
+        # raised; the critical level is a sum of logs, up to the largest
+        # finite pressure
+        params = make_params()
+        for T in (2.8e306, 2.9e306, 8.9e307):
+            roots = real_roots(params, T)
+            assert len(roots) == 4 and roots[1] == -4.0
+            assert uncertified(params, T, [(r, 1) for r in roots]) == []
 
     def test_zero_is_exact(self):
         params = make_params()
@@ -486,13 +546,15 @@ class TestEclipseRoots:
 
     def test_critical_points_far_below_c_I_are_not_roots(self):
         # c_E = 1e-31 and |lam| far below c_I = 1e18: c_I^n_I and
-        # (c_I + lam)^n_I cancel to ~1e-48 of either, which _scaled_charpoly
-        # forms by expm1, so they are no scale for P's rounding; as one, they
-        # once made -c_E and the critical point -c_E/2 (double) pass for roots
+        # (c_I + lam)^n_I cancel to ~1e-48 of either, which the log form
+        # takes by expm1, so they are no scale for P's rounding; as one, they
+        # once and the critical point -c_E/2 (double) pass for roots. The
+        # root beside -c_I = -1e18 lies within an ulp of it, on the float below
         params = ModelParams(beta=1.0, p=1.0, c=1e-56, n_E=2, tau_E=2e31, n_I=9, tau_I=9e-18, v_a=1.0)
         report = analyze(params, 8e-42)
         roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
-        assert roots == [(-1.0000000000004424e18, 1), (-9.928e-57, 1), (0.0, 1)]
+        assert roots == [(math.nextafter(-1e18, -math.inf), 1), (-9.928e-57, 1), (0.0, 1)]
+        assert exact_charpoly(params, 8e-42, roots[0][0]) < 0 < exact_charpoly(params, 8e-42, -1e18)
         assert uncertified(params, 8e-42, roots) == [] and report.complex_pair_count == 5
 
     def test_roots_beside_zero_near_the_threshold(self):
@@ -560,15 +622,23 @@ class TestEclipseRoots:
 
     @pytest.mark.parametrize("n_E, n_I, scale", [(1, 7, 1e-64), (1, 5, 1e51), (3, 1, 1e-70), (5, 1, 1e-20)])
     def test_poles_at_the_least_subnormal_T(self, n_E, n_I, scale):
-        # q = 5e-324: P at -c_I and -c_E is within rounding of 0, and the
-        # multiplicities there are the structural orders, n_I - 1 and
-        # n_E - 2 plus H's simple root, each plus one
+        # q = 5e-324: P is nonzero at -c_I (q c_E^n_E c_I^n_I) and changes
+        # sign between it and the float beside it, once at odd n_I; once more
+        # within an ulp of -c and of -c_E (odd n_E), and the rest of the
+        # structural orders n_I and n_E are complex pairs. Each reported root
+        # has exact P changing sign across the floats next to it
         params = ModelParams(beta=1.0, p=1.0, c=1.5 * scale, n_E=n_E, tau_E=n_E / (0.75 * scale), n_I=n_I,
                              tau_I=n_I / (2.5 * scale), v_a=1.0)
         report = analyze(params, 5e-324)
         roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
-        assert roots == [(-params.c_I, n_I), (-params.c, 1), (-params.c_E, n_E), (0.0, 1)]
-        assert report.complex_pair_count == 0
+        beside = roots[0][0]
+        assert beside != -params.c_I and abs(beside + params.c_I) == math.ulp(params.c_I)
+        assert exact_charpoly(params, 5e-324, -params.c_I) > 0 > exact_charpoly(params, 5e-324, beside)
+        assert roots == [(beside, 1), (-params.c, 1), (-params.c_E, 1), (0.0, 1)]
+        for x, _ in roots[:-1]:
+            below, above = (exact_charpoly(params, 5e-324, math.nextafter(x, side)) for side in (-math.inf, math.inf))
+            assert (below > 0) != (above > 0), x
+        assert report.complex_pair_count == (n_E + n_I - 2) // 2
 
     @pytest.mark.parametrize("n_E, n_I", [(1, 1), (1, 4), (2, 3), (5, 2), (13, 40)])
     def test_zero_infection(self, n_E, n_I):
@@ -1007,6 +1077,23 @@ class TestPerronRootOracles:
         at_zero = -(n_I + 1) / (2.0 * c_I) - 1.0 / params.c - (n_E / params.c_E if n_E else 0.0)
         assert _log_perron_slope(params, np.array([0.0]))[0] == pytest.approx(at_zero, rel=1e-15)
 
+    def test_scalar_log_form_matches_log_perron_f(self):
+        """On (-m, inf) _log_f's log F is _log_perron_f's to a few eps of the
+        forms' own conditioning: 1 + lam/w loses eps |lam/w|/|1 + lam/w|
+        near -w, which the scalar form keeps by forming w + lam."""
+        rng, eps = np.random.default_rng(1), np.finfo(float).eps
+        for _ in range(100):
+            params, T = sample_params(rng, n_I_choices=tuple(range(1, 41)))
+            q, m = params.beta * T * params.p, _floor_rate(params)
+            lams = np.concatenate([-m * (1 - 10.0 ** -np.arange(1, 16)), m * np.linspace(-0.9, 3, 40),
+                                   10.0 ** -np.arange(1, 300, 7), -(10.0 ** -np.arange(1, 300, 7))])
+            lams = lams[lams > -m]
+            want = _log_perron_f(params, np.full(lams.shape, q), lams)
+            for lam, w in zip(lams.tolist(), want.tolist()):
+                g = _log_f(params.c, params.c_I, q, params.n_I, lam, params.c_E, params.n_E)[0]
+                kappa = sum(n * abs(lam / r) / abs(1 + lam / r) for n, r in ((params.n_I, params.c_I), (params.n_E, params.c_E)) if n)
+                assert abs(g - w) <= 4 * eps * (1 + abs(w) + kappa), (params, T, lam)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_an_exact_bisection(self, seed):
         """Within 4*eps*max(m, |root|) of a bisection by the exact sign of
@@ -1077,10 +1164,22 @@ class TestWorkCounts:
             assert len(calls) == 1, (params, T)
 
     def test_real_roots_take_few_evaluations_per_root(self, monkeypatch):
-        calls = _counting(monkeypatch, "_scaled_charpoly")
+        # evaluations of the log form, the search's one evaluation of P
+        calls = _counting(monkeypatch, "_log_f")
         rng = np.random.default_rng(0)
-        roots = sum(len(real_roots(*sample_params(rng, n_E_choices=(0,)))) for _ in range(500))
-        assert len(calls) <= 15 * roots
+        for n_E_choices in ((0,), (1, 2, 3)):
+            calls.clear()
+            roots = sum(len(real_roots(*sample_params(rng, n_E_choices=n_E_choices))) for _ in range(500))
+            assert len(calls) <= 15 * roots
+
+    def test_critical_level_takes_few_evaluations_per_set(self, monkeypatch):
+        calls = _counting(monkeypatch, "_critical_level")
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            params, T = sample_params(rng, n_I_choices=tuple(range(1, 13)))
+            calls.clear()
+            real_roots(params, T)
+            assert len(calls) <= 64, (params, T)  # up to four critical points and two maxima
 
 
 class TestDeepCascadeRoots:
@@ -1121,25 +1220,30 @@ def deep_sample(rng):
 
 
 class TestScaledCharpoly:
+    """P in its scaled log form: _log_f's log|F| and a value with P's sign."""
+
     def test_matches_charpoly_over_its_scale(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
-            params, T = sample_params(rng, n_E_choices=(0,))
-            c, c_I, n_I = params.c, params.c_I, params.n_I
+            params, T = sample_params(rng, n_I_choices=tuple(range(1, 13)))
+            c, c_E, c_I, n_E, n_I = params.c, params.c_E, params.c_I, params.n_E, params.n_I
             q = params.beta * T * params.p
             lam = float(rng.uniform(-3.0, 1.0) * (c_I + c))
-            value, scale = _scaled_charpoly(c, c_I, q, n_I, lam)
-            M_n = max(c_I, abs(c_I + lam)) ** n_I
-            terms = abs(c_I + lam) ** n_I * abs(c + lam) * abs(lam) + q * (c_I**n_I + abs(c_I + lam) ** n_I)
-            assert scale == pytest.approx(terms / M_n, rel=1e-14)
-            assert abs(value - charpoly(params, T, lam) / M_n) <= 1e-14 * scale
+            g, value, _ = _log_f(c, c_I, q, n_I, lam, c_E, n_E)
+            P = exact_charpoly(params, T, lam)
+            assert (value > 0) == (P > 0) and (value < 0) == (P < 0)
+            phi, psi, _, _ = exact_phi_psi(params, T, lam)
+            if psi:
+                assert g == pytest.approx(math.log(abs(float(psi / phi))), abs=1e-12)
 
     @pytest.mark.parametrize("n_I", [1, 2, 7, 150])
     def test_exact_at_zero_and_minus_cI(self, n_I):
+        # P(0) = 0 and F(0) = R0; P(-c_I) = q c_I^n_I > 0
         params = make_params(n_I=n_I)
         q = params.beta * 0.75 * params.p
-        assert _scaled_charpoly(params.c, params.c_I, q, n_I, 0.0)[0] == 0.0
-        assert _scaled_charpoly(params.c, params.c_I, q, n_I, -params.c_I)[0] == q
+        g, value, _ = _log_f(params.c, params.c_I, q, n_I, 0.0)
+        assert value == 0.0 and g == pytest.approx(math.log(q * n_I / (params.c_I * params.c)), abs=1e-15)
+        assert _log_f(params.c, params.c_I, q, n_I, -params.c_I)[1] == 1.0
 
 
 class TestDeepDomain:
@@ -1164,3 +1268,106 @@ class TestDeepDomain:
                 v = eigenvector(params, T, lam)
                 resid = np.max(np.abs(A @ v - lam * v))
                 assert resid <= 1e-12 * np.linalg.norm(A, np.inf) * np.max(np.abs(v)), (params, T, lam)
+
+
+def _exact_sign(params: ModelParams, T: float, x: float) -> int:
+    """The sign of P(x), exact in integers from the float inputs as
+    _exact_charpoly_ratio forms them: c, c_I, x and c_E over one 2^k, q over 2^e."""
+    ratios = [v.as_integer_ratio() for v in (params.c, params.c_I, x, params.c_E)]
+    k = max(den for _, den in ratios).bit_length() - 1
+    C, CI, X, CE = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    Q, Qd = (params.beta * T * params.p).as_integer_ratio()
+    e = Qd.bit_length() - 1
+    U = (CI + X) ** params.n_I
+    value = (((CE + X) ** params.n_E * U * (C + X) * X) << e) + ((Q * CE**params.n_E * (CI**params.n_I - U)) << (2 * k))
+    return (value > 0) - (value < 0)
+
+
+def _on_the_float_grid(params: ModelParams, T: float, x: float) -> bool:
+    """Exact P changes sign between the floats on either side of x."""
+    return _exact_sign(params, T, math.nextafter(x, -math.inf)) != _exact_sign(params, T, math.nextafter(x, math.inf))
+
+
+def _misplaced(params: ModelParams, T: float, roots) -> list[float]:
+    """The reported nonzero roots whose windows x(1 +- 1e-12), merged where
+    they overlap, do not show exact P changing sign exactly when the
+    multiplicities inside add up to an odd number."""
+    windows = []
+    for x, m in sorted(r for r in roots if r[0] != 0.0):
+        lo, hi = sorted((x * (1 - 1e-12), x * (1 + 1e-12)))
+        if windows and lo <= windows[-1][1]:
+            windows[-1][1:] = [max(hi, windows[-1][1]), windows[-1][2] + m, windows[-1][3] + [x]]
+        else:
+            windows.append([lo, hi, m, [x]])
+    return [x for lo, hi, m, xs in windows if (_exact_sign(params, T, lo) != _exact_sign(params, T, hi)) != (m % 2 == 1)
+            for x in xs]
+
+
+def _extreme_sample(rng, w: float):
+    """Every rate 10^(w u), u uniform in [-1, 1], n_E in 0-5, n_I in 1-40 and
+    T = T* 10^(3u); None where the parameters are rejected or
+    beta T p tau_I is not finite."""
+    beta, p, c, tau_E, tau_I = (10.0 ** (w * u) for u in rng.uniform(-1, 1, 5))
+    n_E, n_I, u_T = int(rng.integers(0, 6)), int(rng.integers(1, 41)), rng.uniform(-3, 3)
+    try:
+        params = ModelParams(beta=beta, p=p, c=c, n_E=n_E, tau_E=tau_E if n_E else None, n_I=n_I, tau_I=tau_I, v_a=1.0)
+    except InvalidParamsError:
+        return None
+    T = params.T_star * 10.0**u_T
+    return (params, T) if math.isfinite(T) and math.isfinite(params.beta * T * params.p * params.tau_I) else None
+
+
+class TestExtremeRates:
+    """Rates far outside [0.1, 10], every root checked by the exact sign of P."""
+
+    def test_tiny_rates_keep_the_root_beside_minus_c(self):
+        # (c + lam) lam once underflowed to 0.0 in the scaled P, so the
+        # critical point -c/2 passed for a double root and -1.18e-192 was lost
+        params = ModelParams(beta=1.0, p=1.0, c=1.28e-192, n_I=10, tau_I=10 / 1.64e-6, v_a=1.0)
+        roots = _certified_roots(params, 1.62e-200)
+        assert [m for _, m in roots] == [1, 1] and roots[1][0] == 0.0
+        assert roots[0][0] == pytest.approx(-1.18e-192, rel=1e-2) and _on_the_float_grid(params, 1.62e-200, roots[0][0])
+
+    def test_rates_past_1e100_do_not_raise(self):
+        # the slope cubics R and K once passed the float range at the outer
+        # bracket here, and the search raised (exit 3)
+        params = ModelParams(beta=23.146092659921123, p=1.1199680213232238e16, c=4.467710566890254e148, n_I=40,
+                             tau_I=4.5057680624150286e36, n_E=2, tau_E=6.288915567856962e87, v_a=1.0)
+        T = 7.490056222479602e92
+        roots = _certified_roots(params, T)
+        assert [m for _, m in roots] == [1] * 6 and roots[-1] == (0.0, 1)
+        assert all(_on_the_float_grid(params, T, x) for x, _ in roots[:-1])
+        assert roots[-2][0] == perron_root(params, T)
+
+    def test_two_real_roots_beside_the_pole(self):
+        # P = lam ((2 + lam)(1.5 + lam)^2 - 2q), q = 2.25e-100: real roots
+        # -1.5 +- ~3e-50 on either side of the pole -c_I = -1.5, where P > 0,
+        # once reported as a complex pair; each lies on the float beside it
+        params = ModelParams(beta=1.0, p=1.0, c=1.5, n_E=1, tau_E=0.5, n_I=1, tau_I=1 / 1.5, v_a=1.0)
+        T = 1e-100 * params.T_star
+        report = analyze(params, T)
+        roots = [(r.value, r.algebraic_multiplicity) for r in report.real_eigenvalues]
+        assert roots == [(-2.0, 1), (math.nextafter(-1.5, -2.0), 1), (math.nextafter(-1.5, 0.0), 1), (0.0, 1)]
+        assert report.complex_pair_count == 0
+        assert _exact_sign(params, T, -1.5) == 1 and all(_exact_sign(params, T, x) == -1 for x, _ in roots[1:3])
+        assert [r.sign_class for r in report.real_eigenvalues][1:3] == ["neg_below_cI", "neg_in_cI_0"]
+
+    @pytest.mark.parametrize("w", [100, 150, 300])
+    def test_probe(self, w):
+        """60 draws of _extreme_sample: no root that exact P shows beside
+        perron_root's value is missed, the top root is perron_root's, the
+        multiplicities have the degree's parity and, up to 1e150, every root
+        is where exact P shows it."""
+        rng = np.random.default_rng([7, w])
+        for params, T in filter(None, (_extreme_sample(rng, w) for _ in range(60))):
+            roots = _certified_roots(params, T)
+            assert sum(m for _, m in roots) % 2 == (params.n_E + params.n_I) % 2, (params, T)
+            rho = perron_root(params, T)
+            lo, hi = sorted((rho * (1 - 1e-9), rho * (1 + 1e-9)))
+            if _exact_sign(params, T, lo) != _exact_sign(params, T, hi):
+                assert any(abs(x - rho) <= 1e-9 * abs(rho) for x, _ in roots), (params, T)
+            nonzero = [x for x, _ in roots if x != 0.0]
+            if classify(params, T) != "Critical" and math.isfinite(rho):
+                assert abs(max(nonzero) - rho) <= 1e-9 * abs(rho), (params, T)
+            if w <= 150:
+                assert _misplaced(params, T, roots) == [], (params, T)
