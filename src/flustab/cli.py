@@ -91,18 +91,19 @@ def _emit_error(code: int, message: str, details: dict | None = None) -> None:
 
 class _OutFile:
     """The --out file, opened (and truncated) on the first write, so a run
-    that fails before it writes leaves the path as it was."""
+    that fails before it writes leaves the path as it was. A write takes
+    text, written as UTF-8, or bytes."""
 
     def __init__(self, path: str):
         self.path, self.fh = path, None
 
-    def write(self, text: str) -> None:
+    def write(self, data) -> None:
         if self.fh is None:
             try:
-                self.fh = open(self.path, "w", encoding="utf-8", newline="\n")
+                self.fh = open(self.path, "wb")
             except OSError as exc:
                 raise ConfigError(f"cannot open --out path: {exc}") from exc
-        self.fh.write(text)
+        self.fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
     def close(self) -> None:
         if self.fh is not None:
@@ -339,6 +340,18 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
 _CSV_BLOCK_VALUES = 4096  # CSV array values per g17_bytes call
 
 
+def _bytes_writer(out):
+    """out's write of bytes: the --out file's, or stdout's buffer's after the
+    text before is flushed (the decoded text on a stream with no buffer)."""
+    if isinstance(out, _OutFile):
+        return out.write
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        return lambda data: out.write(data.decode("ascii"))
+    out.flush()
+    return buffer.write
+
+
 def _write_csv(out, columns: list) -> None:
     """One CSV line per row, each float the text of "%.17g". columns are
     the CSV's columns, each an array with one value per row, or a float or
@@ -367,8 +380,9 @@ def _write_csv(out, columns: list) -> None:
     gaps = (marks.setdefault(b"," + b",".join(run) + b",", 128 + len(marks)) if run else 44 for run in runs[1:-1])
     seps = np.frombuffer(bytes(gaps) + b"\n", np.uint8)
     rows, total = max(1, _CSV_BLOCK_VALUES // len(arrays)), len(arrays[0])
+    write = _bytes_writer(out)
     if head and total:
-        out.write(head.decode("ascii"))
+        write(head)
     for start in range(0, total, rows):
         text = g17_bytes(np.array([a[start : start + rows] for a in arrays]).T, seps)
         for run, mark in marks.items():
@@ -377,7 +391,7 @@ def _write_csv(out, columns: list) -> None:
             text = text.replace(b"\n", end)
             if start + rows >= total:
                 text = text[: len(text) - len(head)]
-        out.write(text.decode("ascii"))
+        write(text)
 
 
 def _emit_asymptotics_footer(traj: Trajectory, grid: dict) -> None:

@@ -51,7 +51,7 @@ def _viral_pressure(params: ModelParams, T: float) -> float:
     return params.beta * T * params.p * params.tau_I
 
 
-def _regime_rows(params: ModelParams, T) -> tuple[np.ndarray, np.ndarray]:
+def _regime_rows(params: ModelParams, T) -> tuple:
     """The regime cell (row, column) of each T (a float or an array), each
     an index 0, 1, 2 into "<=>". Row: the sign of c - beta*T*p*tau_I.
     Column: the sign of c_I^2 - c*c_I - beta*T*p, where -c_I falls against
@@ -59,18 +59,19 @@ def _regime_rows(params: ModelParams, T) -> tuple[np.ndarray, np.ndarray]:
     of _CLASS_REL of its largest term; a NaN or infinite value lands in
     "<", as an overflowing viral pressure does. By the next-generation
     theorem the row alone says whether an eigenvalue is positive ("<"), the
-    zero is double ("=") or neither (">"); every caller takes it from here."""
+    zero is double ("=") or neither (">"); every caller takes it from here.
+    Its operators act on floats and arrays alike: a float T costs floats."""
     c, c_I = params.c, params.c_I
     q = params.beta * T * params.p
     pressure = q * params.tau_I  # _viral_pressure's evaluation order
 
-    def three_way(value, scale):
-        # only a finite gap can be "=": an infinite one has an infinite window
-        return np.where((np.abs(value) <= _CLASS_REL * scale) & np.isfinite(value), 1, 2 * (value > 0))
+    def three_way(value, a, b):
+        # "=" where |value| <= r*max(a, b) (exact split: r > 0 scales monotonely) and value is finite
+        gap, pos = abs(value), 2 * (value > 0)
+        return pos + ((gap < math.inf) & ((gap <= _CLASS_REL * a) | (gap <= _CLASS_REL * b))) * (1 - pos)
 
-    row = three_way(c - pressure, np.maximum(abs(c), np.abs(pressure)))
-    col_scale = np.maximum(max(c_I * c_I, abs(c) * c_I, 1e-300), np.abs(q))
-    return row, three_way(c_I * c_I - c * c_I - q, col_scale)
+    row = three_way(c - pressure, abs(c), abs(pressure))
+    return row, three_way(c_I * c_I - c * c_I - q, max(c_I * c_I, abs(c) * c_I, 1e-300), abs(q))
 
 
 _KIND_BY_ROW = {"<": "Indefinite", "=": "Critical", ">": "Definite"}
@@ -440,10 +441,17 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
     error however large the logs of its factors are (a sum of those logs
     near lam = 0 cancels ~40-size terms and is off by ~1e-14). Elsewhere
     every power is taken in log form, so deep cascades with extreme rates
-    cannot overflow."""
+    cannot overflow. The c_E and c_I factors log|1 + lam/w| as _log_ratio
+    does, from w + lam formed directly off (-w/2, w)."""
     c_E, c_I, n_I = params.c_E, params.c_I, params.n_I
+
+    def log_ratio(w: float) -> np.ndarray:
+        u = np.abs(w + lam)
+        far = np.where((u / w >= _TINY) & (u / w < math.inf), np.log(u / w), np.log(u) - math.log(w))
+        return np.where((-0.5 * w < lam) & (lam < w), np.log1p(lam / w), far)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = -n_I * np.log1p(lam / c_I)
+        x = -n_I * log_ratio(c_I)
         near = np.abs(lam / c_I) < 1e-290  # S = S(0) to within lam/c_I, which has lost its digits
         ratio = q * np.where(near, n_I / c_I, np.expm1(x) / -lam) / (params.c + lam)
         # log|expm1(x)|; past x = 0.5 the form x + log(1 - e^-x) cannot overflow
@@ -452,7 +460,7 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
         direct = (x <= 0.5) & (ratio >= np.finfo(float).tiny) & (ratio <= np.finfo(float).max)
         out = np.where(direct, np.log(ratio), np.log(q) + log_S - np.log(params.c + lam))
         if params.n_E > 0:
-            out -= params.n_E * np.log1p(lam / c_E)
+            out -= params.n_E * log_ratio(c_E)
     return out
 
 

@@ -7,8 +7,10 @@ order studies are exact. A single trajectory runs through the RK4 step
 kernel of its cascade shape (dynamics): straight-line stage arithmetic on
 Python floats, each stage's field one call of time_rhs, four per step. A
 surface's columns run one at a time through the shape's RK4 run kernel,
-which evaluates the field inline and does the same operations in the same
-order, so every column equals its single run bit for bit. Frozen-T
+which evaluates the field inline and does the same operations on the same
+values, so every column equals its single run bit for bit. Either kernel
+returns a chunk's rows as one flat list of floats, which a run stores with
+one assignment and restarts from its last state. Frozen-T
 linearized runs take RK4's exact step map y <- R y + c, which differs from
 the four stages only by rounding, from a table of its powers: a block of up
 to 64 rows is one matrix product from the block's first state. The table
@@ -103,29 +105,31 @@ def _blown_up(rows: np.ndarray) -> np.ndarray:
 def _run(advancer, y0, span, h: float):
     """Fixed steps over span, at _nodes, from the state y0 (a list of floats
     or an array). advancer(dt, n) returns, for a run of n steps of dt, the
-    map advance(y, k) -> the k states that k steps of dt take from y.
-    Returns (times, states (n + 1, dim), step).
+    map advance(y, k) -> the k states that k steps of dt take from y, flat:
+    k*dim floats in row order (a list or an array), whose last dim start the
+    next call. Returns (times, states (n + 1, dim), step).
 
     Rows are advanced _CHUNK_ROWS at a time, one advance call, stored with
-    one assignment and then tested, by one reduction over the chunk and, only
-    if that fails, row by row: the first row that has _blown_up ends the run
-    with the rows before it, the prefix a test after every step gives. The
-    steps a chunk takes past that row are thrown away, and numpy's
-    floating-point warnings are silenced while the map is built and run, so
-    those steps print nothing.
+    one flat assignment and then tested, by one reduction over the chunk
+    and, only if that fails, row by row: the first row that has _blown_up
+    ends the run with the rows before it, the prefix a test after every step
+    gives. The steps a chunk takes past that row are thrown away, and
+    numpy's floating-point warnings are silenced while the map is built and
+    run, so those steps print nothing.
     """
     times, dt = _nodes(span, h)
     states = np.empty(times.shape + np.shape(y0))
     states[0] = y0
+    dim, flat = states.shape[1], states.reshape(-1)
     with np.errstate(all="ignore"):
         advance = advancer(dt, len(times) - 1)
         y = y0
         for start in range(1, len(times), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, len(times))
             rows = advance(y, stop - start)
+            flat[start * dim : stop * dim] = rows
             chunk = states[start:stop]
-            chunk[...] = rows
-            y = rows[-1]
+            y = rows[-dim:]
             # a NaN fails the chunk's test too
             if not np.abs(chunk).max() <= BLOWUP_LIMIT:
                 k = start + int(_blown_up(chunk).argmax())
@@ -212,9 +216,9 @@ def _power_table(R: np.ndarray, c: np.ndarray, n: int):
 
 def _linear_rk4_advancer(M: np.ndarray, F: np.ndarray):
     """The _run advancer of RK4 on y' = M y + F from the _power_table of
-    its step map (_linear_rk4_map): an advance call returns its rows in
-    blocks of the table's K rows, each one product P y + Q from the state y
-    that starts the block, and the block's last row starts the next."""
+    its step map (_linear_rk4_map): an advance call returns its rows flat,
+    made in blocks of the table's K rows, each one product P y + Q from the
+    state y that starts the block, and the block's last row starts the next."""
 
     def advancer(dt: float, n: int):
         P, Q = _power_table(*_linear_rk4_map(M, F, dt), n)
@@ -228,7 +232,7 @@ def _linear_rk4_advancer(M: np.ndarray, F: np.ndarray):
                 np.matmul(P[: m * d], y, out=block.reshape(m * d))
                 block += Q[:m]
                 y = block[-1]
-            return rows
+            return rows.reshape(k * d)
 
         return advance
 

@@ -208,9 +208,11 @@ def test_numpy_counts_reuse_the_int_shape_kernel(monkeypatch):
 @pytest.mark.parametrize("n_I", [1, 12, 200])
 @pytest.mark.parametrize("n_E", [0, 3])
 def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
-    # the run kernel's stages come from the time field's template, the step
-    # kernel's from time_rhs calls: the rows of both are float RK4 steps with
-    # time_rhs as the field, special values included
+    # the run kernel's stages come from the time field's template, with the
+    # W slot's psi terms taken once per call, the step kernel's from
+    # time_rhs calls: the flat rows of both are float RK4 steps with
+    # time_rhs as the field, special values included, and a psi whose
+    # stage sum overflows gives the same infinite W
     rng = np.random.default_rng([n_E, n_I, 4])
     dim = n_E + n_I + 3
     states = [rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-3, 4) for _ in range(12)]
@@ -218,15 +220,37 @@ def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
         y[rng.integers(0, dim, 2)] = rng.choice([-0.0, np.inf, -np.inf, np.nan, 5e-324], 2)
     states.append(np.array([1.0] + [-0.0] * (n_E + n_I) + [0.0, -0.0]))
     params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, D_PCF=0.0, a=-0.4)
-    coeffs = FieldCoefficients(r=tuple(rng.uniform(0.5, 2.0, dim - 1)), psi=0.05)
-    advances = [dynamics._rk4_advancer(params, coeffs, field)(0.01, 3) for field in (None, time_rhs)]
-    step = _rk4_float_step(lambda y: time_rhs(params, coeffs, y), 0.01)
-    for y in states:
-        rows = [y.tolist()]
-        for _ in range(3):
-            rows.append(step(rows[-1]))
-        for advance in advances:
-            assert same_bits(np.array(rows[1:]), np.array(advance(y.tolist(), 3)))
+    r = tuple(rng.uniform(0.5, 2.0, dim - 1))
+    for psi in (0.0, -0.0, 0.05, 1e308):
+        coeffs = FieldCoefficients(r=r, psi=psi)
+        advances = [dynamics._rk4_advancer(params, coeffs, field)(0.01, 3) for field in (None, time_rhs)]
+        step = _rk4_float_step(lambda y: time_rhs(params, coeffs, y), 0.01)
+        for y in states:
+            rows = [y.tolist()]
+            for _ in range(3):
+                rows.append(step(rows[-1]))
+            for advance in advances:
+                flat = advance(y.tolist(), 3)
+                assert type(flat) is list and len(flat) == 3 * dim
+                assert same_bits(np.array(rows[1:]).reshape(-1), np.array(flat)), psi
+
+
+@pytest.mark.parametrize("n_E,n_I", [(0, 1000), (999, 1)])
+def test_kernels_compile_at_the_parser_cap(monkeypatch, n_E, n_I):
+    # n_E + n_I = 1000 is the deepest shape a config may ask for: both RK4
+    # kernels must compile there (a generated expression that grows with
+    # the shape would reach the compiler's depth limit) and give one float
+    # RK4 step of time_rhs as their first row
+    monkeypatch.setattr(dynamics, "_RK4_KERNELS", {})
+    monkeypatch.setattr(dynamics, "_STEP_KERNELS", {})
+    params = make_params(n_E=n_E, tau_E=0.3 if n_E else None, n_I=n_I, tau_I=1.7, a=-0.4)
+    dim = params.state_dim
+    coeffs = FieldCoefficients(r=(1.0,) * (dim - 1), psi=0.05)
+    y = np.random.default_rng(n_E).uniform(0.0, 1.0, dim).tolist()
+    row = _rk4_float_step(lambda z: time_rhs(params, coeffs, z), 0.01)(y)
+    for field in (None, time_rhs):
+        assert same_bits(np.array(row), np.array(dynamics._rk4_advancer(params, coeffs, field)(0.01, 1)(y, 1)))
+    assert list(dynamics._RK4_KERNELS) == list(dynamics._STEP_KERNELS) == [(n_E, n_I)]
 
 
 def fields_rank(params, coeffs, s, tol=1e-9):

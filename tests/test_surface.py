@@ -70,11 +70,19 @@ def frozen_step(M, F, dt):
 # bit for bit, with time_rhs as the field.
 def _stepwise(stepper):
     """The advancer of stepper(dt), a map that takes one step of dt: an
-    advance call steps it k times."""
+    advance call steps it k times and returns the k rows flat, as _run
+    takes them."""
 
     def advancer(dt: float, n: int):
         step = stepper(dt)
-        return lambda y, k: [y := step(y) for _ in range(k)]
+
+        def advance(y, k):
+            rows = []
+            for _ in range(k):
+                rows.extend(y := step(y))
+            return rows
+
+        return advance
 
     return advancer
 
@@ -255,7 +263,7 @@ class TestPowerTable:
             d, dt = len(M), dt_rho / np.linalg.norm(M, np.inf)
             # a run long enough for the whole table; two blocks and two rows
             advance = surface._linear_rk4_advancer(M, F)(dt, full_table_steps(d))
-            rows = np.vstack([y0, advance(y0, 2 * surface._CHUNK_ROWS + 2)])
+            rows = np.vstack([y0, advance(y0, 2 * surface._CHUNK_ROWS + 2).reshape(-1, d)])
             before, after = rows[:-1], rows[1:]
             f = lambda Y: Y @ M.T + F
             k1 = f(before)
@@ -337,7 +345,7 @@ class TestPowerTable:
         rows, y = [], y0
         for _ in range(70):
             rows.append(y := R @ y + c)
-        np.testing.assert_array_equal(advance(y0, 70), rows)
+        np.testing.assert_array_equal(advance(y0, 70), np.concatenate(rows))
 
     def test_identical_calls_are_bit_identical(self):
         params = make_params(n_I=3, n_E=2, tau_E=0.7, D_PCF=0.2, a=0.3)
@@ -553,9 +561,9 @@ def test_surface_peak_memory_is_two_state_arrays(monkeypatch):
     # opposite order and temporaries far smaller than either at once. A
     # stand-in run kernel that repeats its start state keeps tracemalloc from
     # tracing every float of the real one, which would take ~30 s; the arrays
-    # are the same.
+    # are the same. Its rows are flat, k copies of the start's floats.
     params, coeffs, s0 = deep_setup(6, 2)
-    monkeypatch.setitem(dynamics._RK4_KERNELS, (2, 6), lambda params, coeffs, dt, y, k: [tuple(y)] * k)
+    monkeypatch.setitem(dynamics._RK4_KERNELS, (2, 6), lambda params, coeffs, dt, y, k: list(y) * k)
     tracemalloc.start()
     try:
         grid = trace_surface(params, coeffs, s0, (0.0, 0.8), (0.0, 40.0), 0.05, 0.02)
