@@ -342,7 +342,9 @@ _CSV_BLOCK_VALUES = 4096  # CSV array values per g17_bytes call
 
 def _bytes_writer(out):
     """out's write of bytes: the --out file's, or stdout's buffer's after the
-    text before is flushed (the decoded text on a stream with no buffer)."""
+    text before is flushed. A caller in the same process may swap stdout for
+    a text stream with no buffer (io.StringIO under redirect_stdout, a
+    stand-in writer), which takes the decoded text."""
     if isinstance(out, _OutFile):
         return out.write
     buffer = getattr(out, "buffer", None)

@@ -8,9 +8,8 @@ bits for a state in every form; the I compartments are added in index
 order from 0.0. The same template gives the four stages of the shape's RK4
 run kernel, which advances one float state a chunk of steps per call and
 adds each step's state to one flat list of floats, the chunk's rows in row
-order; the W slot's field is the constant psi, so its stage terms are taken
-once per call. The shape's RK4 step kernel has the run kernel's stage
-updates and combination but takes each stage's field from one call of a
+order. The shape's RK4 step kernel has the run kernel's stage updates,
+combination and row buffer but takes each stage's field from one call of a
 field it is passed (time_rhs, for a single trajectory). Kernels bind only
 the rates their body reads, c_E and c_I as a ModelParams derived them;
 time_rhs finds its kernel by the params' _shape, so a call divides nothing
@@ -125,38 +124,26 @@ def _rk4_kernel(n_E: int, n_I: int, field_call: bool = False):
     as one flat list of k*dim floats: the state in locals, each stage's
     update and the combination straight-line code, a step's row added by one
     statement. The run kernel, (params, coeffs, dt, y, k) kept in
-    _RK4_KERNELS, binds the rates and the W slot's constant-psi terms once a
-    call and writes each stage's field from _field_source, stage 4's inside
-    the combination. The step kernel (field_call), (field, params, coeffs,
+    _RK4_KERNELS, binds the rates once and writes each stage's field from
+    _field_source. The step kernel (field_call), (field, params, coeffs,
     dt, y, k) kept in _STEP_KERNELS, takes each stage's field from one call
-    field(params, coeffs, [z0, z1, ...]). Both do the same operations on the
-    same values, so with time_rhs as the field their rows are equal, bit for
-    bit."""
-    dim = n_E + n_I + 3
-    slots, loop = range(dim), []
-    # the run kernel moves its W slot, whose field is the constant psi, by terms bound before the loop
-    moved = slots if field_call else slots[:-1]
+    field(params, coeffs, [z0, z1, ...]). Both do the same operations in
+    the same order, so with time_rhs as the field their rows are equal, bit
+    for bit."""
+    slots, loop = range(n_E + n_I + 3), []
     for stage, (y, scale) in enumerate((("y", ""), ("z", "half"), ("z", "half"), ("z", "dt")), 1):
         if scale:
-            loop += [f"z{i} = y{i} + {scale} * k{stage - 1}_{i}" for i in moved]
+            loop += [f"z{i} = y{i} + {scale} * k{stage - 1}_{i}" for i in slots]
         if field_call:
             state = ", ".join(f"{y}{i}" for i in slots)
             loop.append(f"{', '.join(f'k{stage}_{i}' for i in slots)}, = field(params, coeffs, [{state}])")
-            last = [f"k4_{i}" for i in slots]
         else:
-            # stage 3's W is stage 2's, y_W + half_psi, still in z_W
-            loop += [f"z{dim - 1} = y{dim - 1} + {scale}_psi"] if stage in (2, 4) else []
             lines, field = _field_source(n_E, n_I, y, {name: name for name in _RATES})
-            loop += lines + [f"k{stage}_{i} = {field[i]}" for i in moved if stage < 4]
-            last = [f"({slot})" for slot in field]  # stage 4's field, read by the combination
-    loop += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + {last[i]})" for i in moved]
-    loop += [] if field_call else [f"y{dim - 1} = y{dim - 1} + sixth_psi"]
+            loop += lines + [f"k{stage}_{i} = {slot}" for i, slot in enumerate(field)]
+    loop += [f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in slots]
     loop.append(f"rows += ({', '.join(f'y{i}' for i in slots)},)")
-    body = ["half, sixth = 0.5 * dt, dt / 6.0"]
-    if not field_call:
-        body += [f"{name} = {rate}" for name, rate in _RATES.items()] + _cascade_rates(n_E)
-        body.append("half_psi, dt_psi, sixth_psi = half * psi, dt * psi, sixth * (psi + 2.0 * psi + 2.0 * psi + psi)")
-    body += ["rows = []", "for _ in range(k):"]
+    body = [] if field_call else [f"{name} = {rate}" for name, rate in _RATES.items()] + _cascade_rates(n_E)
+    body += ["half, sixth = 0.5 * dt, dt / 6.0", "rows = []", "for _ in range(k):"]
     body += [f"    {line}" for line in loop] + ["return rows"]
     if field_call:
         return _compiled(_STEP_KERNELS, "RK4 step kernel", n_E, n_I, "field, params, coeffs, dt, y, k", body)

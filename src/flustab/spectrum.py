@@ -85,7 +85,7 @@ def classify(params: ModelParams, T: float) -> str:
     Critical inside a relative window around equality. Exact equality is
     measure-zero, hence the window.
     """
-    return _KIND_BY_ROW["<=>"[int(_regime_rows(params, T)[0])]]
+    return _KIND_BY_ROW["<=>"[_regime_rows(params, T)[0]]]
 
 
 def _log_ratio(w: float, x: float) -> float:
@@ -411,7 +411,7 @@ def predicted_sign_pattern(params: ModelParams, T: float) -> SignPattern:
     """
     if params.n_E != 0:
         raise InvalidParamsError(["the regime table is stated for n_E = 0"])
-    row, col = ("<=>"[int(k)] for k in _regime_rows(params, T))
+    row, col = ("<=>"[k] for k in _regime_rows(params, T))
     return _sign_pattern(params.n_I, row, col)
 
 
@@ -441,17 +441,10 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
     error however large the logs of its factors are (a sum of those logs
     near lam = 0 cancels ~40-size terms and is off by ~1e-14). Elsewhere
     every power is taken in log form, so deep cascades with extreme rates
-    cannot overflow. The c_E and c_I factors log|1 + lam/w| as _log_ratio
-    does, from w + lam formed directly off (-w/2, w)."""
+    cannot overflow."""
     c_E, c_I, n_I = params.c_E, params.c_I, params.n_I
-
-    def log_ratio(w: float) -> np.ndarray:
-        u = np.abs(w + lam)
-        far = np.where((u / w >= _TINY) & (u / w < math.inf), np.log(u / w), np.log(u) - math.log(w))
-        return np.where((-0.5 * w < lam) & (lam < w), np.log1p(lam / w), far)
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = -n_I * log_ratio(c_I)
+        x = -n_I * np.log1p(lam / c_I)
         near = np.abs(lam / c_I) < 1e-290  # S = S(0) to within lam/c_I, which has lost its digits
         ratio = q * np.where(near, n_I / c_I, np.expm1(x) / -lam) / (params.c + lam)
         # log|expm1(x)|; past x = 0.5 the form x + log(1 - e^-x) cannot overflow
@@ -460,7 +453,7 @@ def _log_perron_f(params: ModelParams, q: np.ndarray, lam: np.ndarray) -> np.nda
         direct = (x <= 0.5) & (ratio >= np.finfo(float).tiny) & (ratio <= np.finfo(float).max)
         out = np.where(direct, np.log(ratio), np.log(q) + log_S - np.log(params.c + lam))
         if params.n_E > 0:
-            out -= params.n_E * log_ratio(c_E)
+            out -= params.n_E * np.log1p(lam / c_E)
     return out
 
 
@@ -669,7 +662,7 @@ def analyze(params: ModelParams, T: float) -> SpectrumReport:
     ArithmeticError. The dense eigenvalues are reported and decide nothing;
     the predicted pattern is given at n_E = 0, where the regime table holds.
     """
-    k_row, k_col = (int(k) for k in _regime_rows(params, T))  # the report's one regime decision
+    k_row, k_col = _regime_rows(params, T)  # the report's one regime decision
     row, col = "<=>"[k_row], "<=>"[k_col]
     w = full_spectrum_numeric(params, T)
     c_E, c_I, n_E = params.c_E, params.c_I, params.n_E

@@ -7,8 +7,8 @@ order studies are exact. A single trajectory runs through the RK4 step
 kernel of its cascade shape (dynamics): straight-line stage arithmetic on
 Python floats, each stage's field one call of time_rhs, four per step. A
 surface's columns run one at a time through the shape's RK4 run kernel,
-which evaluates the field inline and does the same operations on the same
-values, so every column equals its single run bit for bit. Either kernel
+which evaluates the field inline and does the same operations in the same
+order, so every column equals its single run bit for bit. Either kernel
 returns a chunk's rows as one flat list of floats, which a run stores with
 one assignment and restarts from its last state. Frozen-T
 linearized runs take RK4's exact step map y <- R y + c, which differs from

@@ -263,7 +263,7 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
         params, T = sample_params(rng, n_E_choices=(0,))
-        if (row := int(_regime_rows(params, T)[0])) == 1:
+        if (row := _regime_rows(params, T)[0]) == 1:
             continue  # Critical, measure-zero; the constructed cells cover it
         for lam, m in _certified_roots(params, T, row):
             fd = _finite_difference_multiplicity(params, T, lam)

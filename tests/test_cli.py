@@ -669,6 +669,14 @@ class TestSimulate:
         assert error_doc(err)["code"] == 3
 
 
+def _csv_text(columns: list) -> str:
+    # what _write_csv gives standard output: text, then bytes to its buffer
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+    _write_csv(out, columns)
+    out.flush()
+    return out.buffer.getvalue().decode("ascii")
+
+
 @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
 def test_state_csv_matches_fmt_per_row(rows):
     # whole blocks of rows are formatted at once; the text is _fmt's
@@ -676,9 +684,7 @@ def test_state_csv_matches_fmt_per_row(rows):
     table = np.random.default_rng(rows).normal(0.0, 1e3, (rows, 7))
     table[:, 0] = np.resize(extremes, rows)
     table[:, -1] = 0.1
-    out = io.StringIO()
-    _write_csv(out, list(table.T))
-    assert out.getvalue() == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
+    assert _csv_text(list(table.T)) == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 @pytest.mark.parametrize("nx, nt", [(1, 300), (3, 100), (17, 151), (5, 1)])
@@ -692,9 +698,7 @@ def test_state_csv_repeating_t_column_matches_fmt_per_row(nx, nt):
         rng.normal(size=(nx * nt, 4)),
         rng.normal(size=nx * nt),
     ])
-    out = io.StringIO()
-    _write_csv(out, list(table.T))
-    assert out.getvalue() == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
+    assert _csv_text(list(table.T)) == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 def _csv_tables():
@@ -730,9 +734,7 @@ def _csv_tables():
 def test_state_csv_constant_columns_match_fmt_per_row(name):
     # constant, signed-zero, non-finite and strided columns
     table = _csv_tables()[name]
-    out = io.StringIO()
-    _write_csv(out, list(table.T))
-    assert out.getvalue() == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
+    assert _csv_text(list(table.T)) == "".join(",".join(map(_fmt, row)) + "\n" for row in table)
 
 
 def test_state_csv_memory_is_bounded_by_the_block():
@@ -778,9 +780,7 @@ def test_state_csv_float_columns_match_fmt_per_row(layout, blocks, extra):
     rng = np.random.default_rng([len(layout), rows])
     floats = iter(_FLOATS * 2)
     columns = [next(floats) if kind == "f" else rng.normal(0.0, 1e3, rows) for kind in layout]
-    out = io.StringIO()
-    _write_csv(out, columns)
-    assert out.getvalue() == _fmt_csv(columns, rows)
+    assert _csv_text(columns) == _fmt_csv(columns, rows)
 
 
 @pytest.mark.parametrize("layout", ["sAA", "AsA", "AAs", "ssAfsA", "AsfAsA", "sAfsAs", "AsAs"])
@@ -791,9 +791,7 @@ def test_csv_str_columns_match_fmt_per_row(layout, rows):
     rng = np.random.default_rng([len(layout), rows])
     labels = iter(["below", "zero_numeric", "Definite", "1", "0", "at"])
     columns = [next(labels) if kind == "s" else -0.0 if kind == "f" else rng.normal(0.0, 1e3, rows) for kind in layout]
-    out = io.StringIO()
-    _write_csv(out, columns)
-    assert out.getvalue() == _fmt_csv(columns, rows)
+    assert _csv_text(columns) == _fmt_csv(columns, rows)
 
 
 @pytest.mark.parametrize("value", _FLOATS)
@@ -803,9 +801,7 @@ def test_state_csv_float_column_in_every_position(value):
     for rows in (1, cli._CSV_BLOCK_VALUES // 4 + 1):
         arrays = list(np.random.default_rng(rows).normal(size=(4, rows)))
         columns = [value, arrays[0], value, arrays[1], value, value, arrays[2], arrays[3], value]
-        out = io.StringIO()
-        _write_csv(out, columns)
-        assert out.getvalue() == _fmt_csv(columns, rows)
+        assert _csv_text(columns) == _fmt_csv(columns, rows)
 
 
 def test_state_csv_takes_128_distinct_float_runs_between_arrays():
@@ -815,9 +811,7 @@ def test_state_csv_takes_128_distinct_float_runs_between_arrays():
     distinct = [A] + [c for k in range(128) for c in (float(k), A)]
     repeated = [A] + [c for _ in range(300) for c in (0.5, A)]
     for columns in (distinct, repeated):
-        out = io.StringIO()
-        _write_csv(out, columns)
-        assert out.getvalue() == _fmt_csv(columns, 3)
+        assert _csv_text(columns) == _fmt_csv(columns, 3)
     with pytest.raises(ValueError):
         _write_csv(io.StringIO(), distinct + [128.0, A])
 

@@ -208,11 +208,10 @@ def test_numpy_counts_reuse_the_int_shape_kernel(monkeypatch):
 @pytest.mark.parametrize("n_I", [1, 12, 200])
 @pytest.mark.parametrize("n_E", [0, 3])
 def test_run_kernel_rows_are_float_rk4_steps(n_E, n_I):
-    # the run kernel's stages come from the time field's template, with the
-    # W slot's psi terms taken once per call, the step kernel's from
-    # time_rhs calls: the flat rows of both are float RK4 steps with
-    # time_rhs as the field, special values included, and a psi whose
-    # stage sum overflows gives the same infinite W
+    # the run kernel's stages come from the time field's template, the step
+    # kernel's from time_rhs calls: the flat rows of both are float RK4
+    # steps with time_rhs as the field, special values included, and a psi
+    # whose stage sum overflows gives the same infinite W
     rng = np.random.default_rng([n_E, n_I, 4])
     dim = n_E + n_I + 3
     states = [rng.uniform(-2.0, 2.0, dim) * 10.0 ** rng.integers(-3, 4) for _ in range(12)]

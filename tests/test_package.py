@@ -21,10 +21,9 @@ EXPORTS = [
     "perron_root", "predicted_sign_pattern", "real_roots", "run_all", "sample_params", "sign_class",
     "time_rhs", "trace_surface", "validate", "x_rhs",
 ]
-# `wc -l src/flustab/*.py` once the RK4 kernels returned flat rows, CSV
-# bytes went out undecoded and the array log form took w + lam directly;
-# a change that grows src/ raises this on purpose
-SRC_LINES = 3049
+# `wc -l src/flustab/*.py` once the RK4 kernels returned flat rows and CSV
+# bytes went out undecoded; a change that grows src/ raises this on purpose
+SRC_LINES = 3031
 # each subcommand's flags, so an inert flag cannot come back unseen
 FLAGS = {name: {"-h", "--help", "--config", "--out"} for name in ("analyze", "sweep", "simulate", "surface", "field")}
 FLAGS["validate"] = {"-h", "--help", "--out", "--json", "--seed"}
