@@ -153,7 +153,10 @@ class RunConfig:
 def _as_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as exc:  # an int past the float range, as 1e400 is inf
+        raise ConfigError(f"{what} must be finite") from exc
     if not math.isfinite(out):
         raise ConfigError(f"{what} must be finite")
     return out
@@ -276,11 +279,13 @@ def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:  # strict UTF-8, so a BOM is left for json to reject
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an int, too deep a nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -586,11 +591,20 @@ def _parser() -> argparse.ArgumentParser:
         if name == "validate":
             p.add_argument("--json", action="store_true", help="print the suite results as JSON")
             p.add_argument("--seed", type=int, default=0, help="seed of the suites' random draws (default 0)")
+    parser.subcommands = sub.choices  # each subcommand's parser by name, for main
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h or an unknown command: the top-level usage and errors
+        args = parser.parse_args(argv)
+    else:  # what parse_args does past a command name, without the top-level parse
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     out = sys.stdout if args.out is None else _OutFile(args.out)
     try:
         try:

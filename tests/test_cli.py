@@ -51,6 +51,9 @@ def run_cli(capsys, args):
     return code, captured.out, captured.err
 
 
+_HUGE = 10**400  # an int that json writes and reads back, past the float range
+
+
 def error_doc(err: str) -> dict:
     doc = json.loads(err.strip().splitlines()[-1])
     assert set(doc) == {"error"}
@@ -321,6 +324,42 @@ class TestConfigRejection:
         code, out, err = run_cli(capsys, ["analyze", "--config", str(path)])
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert error_doc(err)["details"]["problems"] == [f"{key} must be finite"]
+
+    @pytest.mark.parametrize("doc, what", [
+        ({"T": _HUGE}, "T"),
+        ({"T": {"from": _HUGE, "to": 2.0, "steps": 3}}, "T.from"),
+        ({"T": {"from": 0.0, "to": _HUGE, "steps": 3}}, "T.to"),
+        ({"initial_state": [0.5, _HUGE, 0.0, 0.0]}, "initial_state entry"),
+        ({"coeffs": {"r": [1.0, _HUGE, 1.0]}}, "coeffs.r entry"),
+        ({"coeffs": {"psi": _HUGE}}, "coeffs.psi"),
+        ({"grid": {"x_span": [0.0, _HUGE]}}, "grid.x_span"),
+        ({"grid": {"t_span": _HUGE}}, "grid.t_span"),
+        ({"grid": {"h_x": _HUGE}}, "grid.h_x"),
+        ({"grid": {"h_t": _HUGE}}, "grid.h_t"),
+        ({"grid": {"asymptotics_window": _HUGE}}, "grid.asymptotics_window"),
+    ], ids=lambda case: case if isinstance(case, str) else None)
+    def test_config_numbers_past_the_float_range(self, capsys, tmp_path, doc, what):
+        # float(10**400) raises OverflowError, once a "numeric failure" (exit 3)
+        cfg = write_config(tmp_path, {"params": params_doc(), **doc})
+        code, out, err = run_cli(capsys, ["analyze", "--config", cfg])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert error_doc(err)["message"] == f"{what} must be finite"
+
+    @pytest.mark.parametrize("data, reason", [
+        (b'{"T": 1.0, "\xff": 1}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+        (b'{"T": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b"\xef\xbb\xbf" + json.dumps({"params": params_doc(), "T": 1.0}).encode(), "Unexpected UTF-8 BOM"),
+    ], ids=["not_utf8", "nested_too_deep", "int_too_long", "utf8_bom"])
+    def test_unreadable_json(self, capsys, tmp_path, data, reason):
+        # the first three once exited 3 ("numeric failure: ...") or 1 (a
+        # RecursionError traceback); a BOM was already rejected as bad JSON
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, ["analyze", "--config", str(path)])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        message = error_doc(err)["message"]
+        assert message.startswith("config is not valid JSON: ") and reason in message
 
     @pytest.mark.parametrize("command, overrides, T, problem", [
         ("analyze", {"n_I": 3, "tau_I": 1e-320}, 1.0, "n_I/tau_I must be finite"),
@@ -1265,6 +1304,63 @@ class TestValidate:
         assert code == 1
         assert "charpoly_equivalence: FAIL (1/2 checks)" in out
         assert out.strip().splitlines()[-1] == "suite failures [seed 3]"
+
+
+# argv cases whose parse main must give exactly as the top-level parser does:
+# its usage and errors, a subcommand's own, flags after "--", abbreviations
+_ARGV_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["Analyze"], [""], ["--"], ["--", "analyze"], ["-h", "analyze"],
+    ["--out", "o.csv", "analyze"], ["analyze", "--bogus"], ["analyze", "-x"], ["analyze", "-5"], ["analyze", ""],
+    ["analyze", "--config"], ["analyze", "--config", "--out"], ["analyze", "-h"], ["analyze", "-hx"],
+    ["analyze", "--help", "--bogus"], ["analyze", "--", "--config", "c.json"], ["analyze", "--config", "c.json", "--"],
+    ["analyze", "--config", "c.json", "x", "y"], ["analyze", "--conf", "c.json"], ["analyze", "--config=c.json"],
+    ["analyze", "--config", "a.json", "--config", "c.json", "--out", "-"], ["sweep", "extra"], ["simulate", "--json"],
+    ["surface", "--conf"], ["field", "--out"], ["validate"], ["validate", "--json", "--help"], ["validate", "--config", "c.json"],
+    ["validate", "--seed", "three"], ["validate", "--seed", "1e3"], ["validate", "--seed", "-1", "--json"],
+    ["validate", "--se", "2"], ["validate", "--seed=2", "--json", "--bogus", "1"], ["validate", "--", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_CASES, ids=lambda argv: " ".join(argv) or "no_args")
+def test_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # main parses a named subcommand with that subcommand's parser alone; the
+    # namespace, exit code and text must be the two-level parse's
+    seen = []
+    monkeypatch.setattr(cli, "_load_config", lambda path: None)
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, args, out: seen.append(vars(args)) or 0)
+
+    def outcome(parse):
+        try:
+            parsed = parse(argv)
+        except SystemExit as exc:
+            parsed = ("exit", exc.code)
+        return parsed, *capsys.readouterr()
+
+    assert outcome(lambda a: main(a) or seen.pop()) == outcome(lambda a: vars(cli._parser().parse_args(a)))
+    assert not seen
+
+
+def test_subcommands_skip_the_top_level_parse(capsys, monkeypatch, tmp_path):
+    # a subcommand named first runs with the top-level parser's parse switched off
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setitem(vars(cli._parser()), "parse_args", refuse)
+    monkeypatch.setitem(vars(cli._parser()), "parse_known_args", refuse)
+    configs = {
+        "analyze": {"params": params_doc(), "T": 1.0},
+        "sweep": {"params": params_doc(), "T": {"from": 0.5, "to": 2.5, "steps": 5}},
+        "simulate": {"params": params_doc(), "initial_state": [1.0, 0.0, 0.01, 0.0], "grid": {"t_span": 0.1, "h_t": 0.05}},
+        "surface": {"params": params_doc(), "initial_state": [1.0, 0.0, 0.01, 0.0],
+                    "grid": {"x_span": 0.1, "t_span": 0.1, "h_x": 0.05, "h_t": 0.05}},
+        "field": {"params": params_doc()},
+    }
+    for command, doc in configs.items():
+        code, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, doc)])
+        assert code == 0 and out, command
+    code, out, err = run_cli(capsys, ["validate", "--json", "--seed", "2"])
+    assert code == 0 and json.loads(out)["seed"] == 2
 
 
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
