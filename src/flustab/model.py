@@ -135,7 +135,10 @@ class ModelParams:
         # tau_E is optional only for eclipse-free models
         if values["n_E"] > 0 and "tau_E" not in values:
             raise InvalidParamsError(["missing parameter key: tau_E"])
-        return cls(**values)
+        try:
+            return cls(**values)
+        except OverflowError:  # n/tau of a count past the float range, so far past validate's depth cap
+            raise InvalidParamsError(["n_E + n_I must be <= 1000"]) from None
 
 
 def _structural_problems(params: ModelParams) -> list[str]:

@@ -1,14 +1,14 @@
 """Small central-difference toolkit for derivatives of scalar callables.
 Nothing here knows about the model; the validation suites use it as the
-oracle the root search's multiplicities are checked against."""
+oracle the root search's multiplicities are checked against. A stencil is a
+few points, so it is formed in Python floats, without numpy."""
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
-import numpy as np
-
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
 def _central_diff(f: Callable[[float], float], x: float, order: int, h: float):
@@ -19,10 +19,9 @@ def _central_diff(f: Callable[[float], float], x: float, order: int, h: float):
     binomials of the order-th forward difference. Returns the difference
     quotient and the max |f| seen on the stencil.
     """
-    w = np.array([(-1) ** k * math.comb(order, k) for k in range(order + 1)])
-    offsets = np.array([order / 2.0 - k for k in range(order + 1)])
-    vals = np.array([f(x + o * h) for o in offsets], dtype=float)
-    return float(w @ vals) / h**order, float(np.max(np.abs(vals)))
+    vals = [float(f(x + (order / 2.0 - k) * h)) for k in range(order + 1)]
+    total = sum((-1) ** k * math.comb(order, k) * value for k, value in enumerate(vals))
+    return total / h**order, max(map(abs, vals))
 
 
 def derivative_is_zero(

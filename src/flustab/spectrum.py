@@ -600,15 +600,20 @@ def _eigenvector(params: ModelParams, T: float, lam: float, row: int | None) -> 
     return v
 
 
-def geometric_multiplicity(A: np.ndarray, lam: float) -> int:
+def geometric_multiplicity(A: np.ndarray, lam: float | np.ndarray) -> int | np.ndarray:
     """Eigenspace dimension n - rank(A - lam*I) of the square matrix A, rank
-    by singular values above _RANK_REL times the largest. Raises if lam is
-    not an eigenvalue within that cut. The validate suites' oracle."""
-    sv = np.linalg.svd(A - lam * np.eye(len(A)), compute_uv=False)
-    gm = len(A) - int(np.sum(sv > _RANK_REL * sv[0]))
-    if gm == 0:
-        raise ValueError(f"{lam} is not an eigenvalue of the matrix within tolerance")
-    return gm
+    by singular values above _RANK_REL times the largest. Raises ValueError
+    if lam is not an eigenvalue within that cut. The validate suites' oracle.
+    A 1-D array lam gives an int array, raising at its first value that is
+    not an eigenvalue: one SVD call takes the stack of A - lam_k*I, running
+    the float call's LAPACK routine on each matrix, so each count is the same."""
+    lams = np.asarray(lam, dtype=float)
+    sv = np.linalg.svd(A - lams[..., None, None] * np.eye(len(A)), compute_uv=False)
+    gm = len(A) - np.count_nonzero(sv > _RANK_REL * sv[..., :1], axis=-1)
+    for x, g in zip(np.atleast_1d(lam).tolist(), np.atleast_1d(gm).tolist()):
+        if g == 0:
+            raise ValueError(f"{x} is not an eigenvalue of the matrix within tolerance")
+    return int(gm) if lams.ndim == 0 else gm
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ formula eigenvectors against the matrix, predicted sign patterns against the
 numeric spectrum, and the root search's multiplicities against adaptive
 central differences of the characteristic polynomial (numdiff, used only
 here). Each suite returns a SuiteResult with per-check counts so failures
-are countable and reproducible from the seed.
+are countable and reproducible from the seed. LAPACK calls take stacks: the
+nine sign-table cells of an n_I, the multiplicities of a random set's roots.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .spectrum import (
     _regime_rows,
     classify,
     eigenvector,
-    full_spectrum_numeric,
     geometric_multiplicity,
     predicted_sign_pattern,
     real_roots,
@@ -104,9 +104,9 @@ def suite_charpoly_equivalence(
         summed = charpoly_sum_form(params, T, lams)
         tol = rel_tol * (1.0 + np.abs(direct))
         ok = (np.abs(closed - direct) <= tol) & (np.abs(summed - direct) <= tol)
-        for k in range(n_lambda):
+        for k, passed in enumerate(ok.tolist()):
             result.record(
-                bool(ok[k]),
+                passed,
                 lambda: f"params={params} T={T} lam={lams[k]} closed={closed[k]} sum={summed[k]} direct={direct[k]}",
             )
     return result
@@ -157,8 +157,9 @@ def pattern_matches(
     within ztol of -c_I may count on either side of it, so the roots in
     that band are split between the two negative classes.
     """
-    reals = sorted(float(z.real) for z in eigvals if abs(z.imag) <= ztol)
-    n_complex = int(len(eigvals) - len(reals))
+    values = eigvals.tolist()  # floats, or complex numbers when any value of the stack is complex
+    reals = sorted(z.real for z in values if abs(z.imag) <= ztol)
+    n_complex = len(values) - len(reals)
     if len(reals) + n_complex != dim:
         return False, f"dimension bookkeeping broke: {len(reals)} reals + {n_complex} complex != {dim}"
     if n_complex % 2 != 0:
@@ -191,25 +192,25 @@ def suite_sign_tables(
 ) -> SuiteResult:
     """All 9 regime cells at each listed n_I: the constructed parameters must
     land in the intended cell and the numeric spectrum must match the cell's
-    predicted sign pattern."""
+    predicted sign pattern. The nine cell matrices of each n_I go to one
+    eigvals call, which runs the same LAPACK routine on each matrix."""
     result = SuiteResult("sign_tables")
+    cells = [(row, col) for row in "<=>" for col in "<=>"]
     for n_I in tuple(even_n_I) + tuple(odd_n_I):
-        for row in ("<", "=", ">"):
-            for col in ("<", "=", ">"):
-                params, T = cell_params(n_I, row, col)
-                pattern = predicted_sign_pattern(params, T)
-                landed = (pattern.clearance_vs_pressure, pattern.quadratic_at_minus_cI) == (row, col)
-                result.record(landed, lambda: f"n_I={n_I} intended ({row},{col}) landed ({pattern.clearance_vs_pressure},{pattern.quadratic_at_minus_cI})")
-                if not landed:
-                    continue
-                A = coefficient_matrix(params, T)
-                ztol = ztol_rel * np.linalg.norm(A, np.inf)
-                w = full_spectrum_numeric(params, T)
-                ok, detail = pattern_matches(pattern, w, params.c_I, ztol, len(A))
-                result.record(ok, lambda: f"n_I={n_I} cell ({row},{col}): {detail}")
-                kind = classify(params, T)
-                expected_kind = _KIND_BY_ROW[row]
-                result.record(kind == expected_kind, lambda: f"n_I={n_I} cell ({row},{col}) classification {kind} != {expected_kind}")
+        sets = [cell_params(n_I, row, col) for row, col in cells]
+        A = np.array([coefficient_matrix(params, T) for params, T in sets])
+        ztols = (ztol_rel * np.linalg.norm(A, np.inf, axis=(1, 2))).tolist()
+        for (row, col), (params, T), w, ztol in zip(cells, sets, np.linalg.eigvals(A), ztols):
+            pattern = predicted_sign_pattern(params, T)
+            landed = (pattern.clearance_vs_pressure, pattern.quadratic_at_minus_cI) == (row, col)
+            result.record(landed, lambda: f"n_I={n_I} intended ({row},{col}) landed ({pattern.clearance_vs_pressure},{pattern.quadratic_at_minus_cI})")
+            if not landed:
+                continue
+            ok, detail = pattern_matches(pattern, w, params.c_I, ztol, A.shape[-1])
+            result.record(ok, lambda: f"n_I={n_I} cell ({row},{col}): {detail}")
+            kind = classify(params, T)
+            expected_kind = _KIND_BY_ROW[row]
+            result.record(kind == expected_kind, lambda: f"n_I={n_I} cell ({row},{col}) classification {kind} != {expected_kind}")
     return result
 
 
@@ -219,23 +220,28 @@ def suite_eigenvector_residuals(
     resid_rel: float = 1e-8,
 ) -> SuiteResult:
     """Formula eigenvectors must satisfy the eigen-relation to resid_rel and
-    every real eigenvalue must have a one-dimensional eigenspace."""
+    every real eigenvalue must have a one-dimensional eigenspace. A set's
+    multiplicities come from one stacked SVD over its roots."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("eigenvector_residuals")
     for _ in range(n_sets):
         params, T = sample_params(rng, n_E_choices=(0,))
         A = coefficient_matrix(params, T)
-        for lam in real_roots(params, T):
-            if abs(params.c_I + lam) <= _POLE_REL * params.c_I:
-                continue  # formula pole; not an eigenvalue generically
-            v = eigenvector(params, T, lam)
+        # a root at the formula pole is no eigenvalue generically
+        lams = [lam for lam in real_roots(params, T) if abs(params.c_I + lam) > _POLE_REL * params.c_I]
+        vectors = []
+        try:
+            for lam in lams:
+                vectors.append(eigenvector(params, T, lam))
+        finally:  # on a raise too, so the roots before it are checked first, as a per-root loop would
+            gms = geometric_multiplicity(A, np.array(lams[:len(vectors)])).tolist()
+        for lam, v, gm in zip(lams, vectors, gms):
             resid = float(np.max(np.abs(A @ v - lam * v)))
             vnorm = float(np.max(np.abs(v)))
             result.record(
                 resid <= resid_rel * vnorm,
                 lambda: f"params={params} T={T} lam={lam} resid={resid} norm={vnorm}",
             )
-            gm = geometric_multiplicity(A, lam)
             result.record(gm == 1, lambda: f"params={params} T={T} lam={lam} gm={gm}")
     return result
 

@@ -403,6 +403,17 @@ class TestConfigRejection:
         code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, {"params": params, "T": sweep})])
         assert code == 2 and out == ""
         assert error_doc(err)["details"]["problems"] == ["n_E + n_I must be <= 1000"]
+        params["beta"] = -1.0  # and a config past the cap names its other problems too
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, {"params": params, "T": sweep})])
+        assert error_doc(err)["details"]["problems"] == ["n_E + n_I must be <= 1000", "beta must be > 0"]
+
+    @pytest.mark.parametrize("key", ["n_E", "n_I"])
+    def test_count_past_the_float_range_is_past_the_depth_cap(self, capsys, tmp_path, key):
+        # n/tau of such a count has no float, so no ModelParams is made
+        params = params_doc(**{"n_E": 1, "tau_E": 1.0, key: _HUGE})
+        code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, {"params": params, "T": 1.0})])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert error_doc(err)["details"]["problems"] == ["n_E + n_I must be <= 1000"]
 
     def test_unparseable_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

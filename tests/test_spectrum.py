@@ -794,6 +794,27 @@ class TestEigenvectors:
         assert (zero.algebraic_multiplicity, zero.geometric_multiplicity) == (2, 1)
         assert geometric_multiplicity(A, 0.0) == 1
 
+    @pytest.mark.parametrize("overrides, T", [({}, 1.0), ({"v_a": 0.0}, 1.5), ({"n_E": 2, "tau_E": 0.7, "n_I": 4}, 2.5)],
+                             ids=["simple", "critical_no_advection", "n_E=2"])
+    def test_on_an_array_equals_float_calls(self, overrides, T):
+        # one stacked SVD gives each value's count, as a float call would; at
+        # the Critical row without advection the zero's eigenspace is 2-D
+        params = make_params(**overrides)
+        A = coefficient_matrix(params, T)
+        roots = np.array(real_roots(params, T))
+        counts = geometric_multiplicity(A, roots)
+        assert counts.shape == roots.shape
+        assert counts.tolist() == [geometric_multiplicity(A, lam) for lam in roots.tolist()]
+        assert (2 in counts.tolist()) == ("v_a" in overrides)
+        assert geometric_multiplicity(A, roots[:0]).tolist() == []
+        # it raises at the first value that is not an eigenvalue, with the float call's message
+        for bogus in ([123.45, -98.5], [-98.5, 123.45]):
+            with pytest.raises(ValueError) as err:
+                geometric_multiplicity(A, np.array([*roots.tolist(), *bogus]))
+            with pytest.raises(ValueError) as first:
+                geometric_multiplicity(A, bogus[0])
+            assert str(err.value) == str(first.value) == f"{bogus[0]} is not an eigenvalue of the matrix within tolerance"
+
 
 class TestAnalyze:
     def test_analytic_report(self):

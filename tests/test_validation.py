@@ -1,12 +1,14 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
 
-from flustab import spectrum, validation
-from flustab.charpoly import coefficient_matrix
+from flustab import numdiff, spectrum, validation
+from flustab.charpoly import charpoly, coefficient_matrix
 from flustab.model import ModelParams
-from flustab.spectrum import SignPattern, classify, full_spectrum_numeric, predicted_sign_pattern
+from flustab.spectrum import SignPattern, classify, full_spectrum_numeric, predicted_sign_pattern, real_roots
 from flustab.validation import (
     SuiteResult,
     cell_params,
@@ -341,7 +343,127 @@ def test_class_counts_agree_with_the_general_matcher(n_I):
     assert guards >= {"dimension", "odd complex", "zero count"}
 
 
+@pytest.mark.parametrize("n_I", [2, 3, 4, 5])
+def test_stacked_lapack_calls_equal_per_matrix_calls_bit_for_bit(n_I):
+    # the sign tables take nine cells' spectra from one eigvals call, and the
+    # eigenvector suite a set's multiplicities from one SVD call: LAPACK runs
+    # the same routine on each matrix of a stack
+    rng = np.random.default_rng(n_I)
+    cells = [cell_params(n_I, row, col) for row in "<=>" for col in "<=>"]
+    drawn = [sample_params(rng, n_E_choices=(n_I - 2,), n_I_choices=(n_I,)) for _ in range(9)]
+    for sets in (cells, drawn):
+        A = np.array([coefficient_matrix(params, T) for params, T in sets])
+        assert np.linalg.norm(A, np.inf, axis=(1, 2)).tolist() == [np.linalg.norm(M, np.inf) for M in A]
+        for (params, T), M, w in zip(sets, A, np.linalg.eigvals(A)):
+            single = np.linalg.eigvals(M)
+            assert w.astype(complex).tobytes() == single.astype(complex).tobytes()
+            # a stack is complex when any of its spectra is; the verdict is not
+            pattern = predicted_sign_pattern(params, T) if params.n_E == 0 else None
+            for ztol in (1e-8 * np.linalg.norm(M, np.inf), 0.5) if pattern else ():
+                assert pattern_matches(pattern, w, params.c_I, ztol, len(M)) == pattern_matches(
+                    pattern, single, params.c_I, ztol, len(M))
+            lams = np.array(real_roots(params, T))
+            stacked = np.linalg.svd(M - lams[:, None, None] * np.eye(len(M)), compute_uv=False)
+            for sv, lam in zip(stacked, lams.tolist()):
+                assert sv.tobytes() == np.linalg.svd(M - lam * np.eye(len(M)), compute_uv=False).tobytes()
+    assert any(not np.isrealobj(np.linalg.eigvals(coefficient_matrix(*s))) for s in cells + drawn)
+
+
+def numpy_central_diff(f, x, order, h):
+    """_central_diff as it was in numpy: weight, offset and value arrays and
+    one dot product."""
+    w = np.array([(-1) ** k * math.comb(order, k) for k in range(order + 1)])
+    offsets = np.array([order / 2.0 - k for k in range(order + 1)])
+    vals = np.array([f(x + o * h) for o in offsets], dtype=float)
+    return float(w @ vals) / h**order, float(np.max(np.abs(vals)))
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_central_diff_in_floats_matches_the_numpy_form(order):
+    # the same terms and the same max; the sum may round differently from
+    # numpy's dot product, by a few eps of the sum of |terms| per term
+    rng = np.random.default_rng(order)
+    for _ in range(40):
+        params, T = sample_params(rng)
+        f = lambda x: charpoly(params, T, x)
+        x, h = float(rng.uniform(-3.0, 3.0)), float(10.0 ** rng.uniform(-4.0, -1.0))
+        d, m = numdiff._central_diff(f, x, order, h)
+        d_ref, m_ref = numpy_central_diff(f, x, order, h)
+        terms = sum(math.comb(order, k) * abs(f(x + (order / 2.0 - k) * h)) for k in range(order + 1))
+        assert m == m_ref
+        assert abs(d - d_ref) <= 2 * (order + 1) * sys.float_info.epsilon * terms / h**order
+
+
+def reference_eigenvector_residuals(seed, n_sets, resid_rel=1e-8):
+    """suite_eigenvector_residuals as one loop over each set's roots, an
+    eigenvector and then a float multiplicity call for each."""
+    rng = np.random.default_rng(seed)
+    result = SuiteResult("eigenvector_residuals")
+    for _ in range(n_sets):
+        params, T = sample_params(rng, n_E_choices=(0,))
+        A = coefficient_matrix(params, T)
+        for lam in validation.real_roots(params, T):
+            if abs(params.c_I + lam) <= spectrum._POLE_REL * params.c_I:
+                continue
+            v = validation.eigenvector(params, T, lam)
+            resid = float(np.max(np.abs(A @ v - lam * v)))
+            vnorm = float(np.max(np.abs(v)))
+            result.record(resid <= resid_rel * vnorm, f"params={params} T={T} lam={lam} resid={resid} norm={vnorm}")
+            gm = spectrum.geometric_multiplicity(A, lam)
+            result.record(gm == 1, f"params={params} T={T} lam={lam} gm={gm}")
+    return result
+
+
+def outcome(suite, *args):
+    try:
+        return vars(suite(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_eigenvector_suite_raises_where_one_loop_would(monkeypatch):
+    # a root that is no eigenvalue (a multiplicity error) and an eigenvector
+    # that overflows, at every pair of places in a set's roots: the stacked
+    # suite raises the error a loop of float calls meets first
+    roots, eigenvector = spectrum.real_roots, spectrum.eigenvector
+    raised = set()
+    for bad, overflow in itertools.product(range(4), range(5)):
+        def with_bogus_root(params, T):
+            found = roots(params, T)
+            return found[:bad] + [12345.5] + found[bad:]
+
+        def overflowing(params, T, lam):
+            if with_bogus_root(params, T)[overflow:overflow + 1] == [lam]:
+                raise ArithmeticError(f"eigenvector at lam = {lam!r} overflows")
+            return eigenvector(params, T, lam)
+
+        monkeypatch.setattr(validation, "real_roots", with_bogus_root)
+        monkeypatch.setattr(validation, "eigenvector", overflowing)
+        want = outcome(reference_eigenvector_residuals, 3, 4)
+        assert outcome(validation.suite_eigenvector_residuals, 3, 4) == want
+        raised.add(want[0])
+    assert raised == {ValueError, ArithmeticError}
+    monkeypatch.setattr(validation, "eigenvector", eigenvector)
+    for resid_rel in (1e-8, 1e-17):  # and without a raise, the same checks and failure texts
+        monkeypatch.setattr(validation, "real_roots", roots)
+        want = outcome(reference_eigenvector_residuals, 7, 20, resid_rel)
+        assert outcome(validation.suite_eigenvector_residuals, 7, 20, resid_rel) == want
+    assert want["failures"] > 0
+
+
 class TestSuites:
+    @pytest.mark.parametrize("seed, checks", [
+        (0, [1200, 104, 108, 61]),
+        (1, [1200, 100, 108, 57]),
+        (5, [1200, 96, 108, 63]),
+        (7, [1200, 100, 108, 64]),
+        (123, [1200, 100, 108, 63]),
+    ])
+    def test_check_counts_are_pinned(self, seed, checks):
+        # a changed draw, root count or verdict shows here
+        results = run_all(seed)
+        assert [(r.checks, r.failures) for r in results] == [(n, 0) for n in checks]
+
     def test_run_all_passes_and_names(self):
         results = run_all(seed=0)
         assert [r.name for r in results] == [
