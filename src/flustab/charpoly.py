@@ -5,7 +5,11 @@ The (n_E + n_I + 2)-square matrix acts on the (E, I, V, W) block of the state
 at a frozen target-cell fraction T. Its characteristic polynomial has a
 closed form; a telescoped sum form of the same polynomial avoids the
 cancellation the closed form suffers near lambda = 0; and a dense LU
-determinant serves as an oracle that shares no algebra with either.
+determinant serves as an oracle that shares no algebra with either. Each
+route is one private body, which the per-set functions here and validate's
+charpoly suite share: the suite evaluates the forms once per cascade shape,
+each set's coefficients a column, and the determinant once per matrix size,
+on the stack of every set's A - lambda_k*I.
 
 Sign convention: every evaluation returns (-1)^(n_E + n_I) * det(A - lambda*I),
 which makes the leading coefficient +1.
@@ -52,14 +56,37 @@ def coefficient_matrix(params: ModelParams, T: float) -> np.ndarray:
     return A
 
 
+# The forms' bodies. The rates, q = beta*T*c_E^n_E*p and the powers of c_I
+# are floats, or (k, 1) columns against a (k, m) lam, one row per set; the
+# caller takes q and the powers in floats.
+def _cascade(c_E, c_I, c, n_E: int, n_I: int, lam):
+    return (c_E + lam) ** n_E * (c_I + lam) ** n_I * (c + lam) * lam
+
+
+def _closed(cascade, q, c_I, c_I_n, n_I: int, lam):
+    return cascade + q * (c_I_n - (c_I + lam) ** n_I)
+
+
+def _sum_form(cascade, q, c_I, c_I_powers, lam):
+    # c_I_powers: c_I^j for j < n_I, summed in that order
+    top = len(c_I_powers) - 1
+    return cascade + q * (-lam) * sum((w * (c_I + lam) ** (top - j) for j, w in enumerate(c_I_powers)), 0.0)
+
+
+def _lu_charpoly(A, lam: np.ndarray):
+    """(-1)^n det(A - lam*I) of the n-square matrices A broadcast against
+    lam's shape, from one slogdet call on the stack."""
+    n = A.shape[-1]
+    sign, logabs = np.linalg.slogdet(A - lam[..., None, None] * np.eye(n))
+    return (-1.0 if n % 2 else 1.0) * (sign * np.exp(logabs))
+
+
 def charpoly_closed(params: ModelParams, T: float, lam: float) -> float:
     """Closed-form characteristic polynomial value at lam, a scalar or an
     array of values."""
-    c_E, c_I = params.c_E, params.c_I
-    n_E, n_I = params.n_E, params.n_I
-    cascade = (c_E + lam) ** n_E * (c_I + lam) ** n_I * (params.c + lam) * lam
-    feedback = params.beta * T * c_E**n_E * params.p * (c_I**n_I - (c_I + lam) ** n_I)
-    return cascade + feedback
+    c_E, c_I, n_E, n_I = params.c_E, params.c_I, params.n_E, params.n_I
+    cascade = _cascade(c_E, c_I, params.c, n_E, n_I, lam)
+    return _closed(cascade, params.beta * T * c_E**n_E * params.p, c_I, c_I**n_I, n_I, lam)
 
 
 def charpoly_sum_form(params: ModelParams, T: float, lam: float) -> float:
@@ -71,13 +98,9 @@ def charpoly_sum_form(params: ModelParams, T: float, lam: float) -> float:
     rather than a cancellation of two equal powers. lam is a scalar or an
     array of values.
     """
-    c_E, c_I = params.c_E, params.c_I
-    n_E, n_I = params.n_E, params.n_I
-    cascade = (c_E + lam) ** n_E * (c_I + lam) ** n_I * (params.c + lam) * lam
-    s = 0.0
-    for j in range(n_I):
-        s += c_I**j * (c_I + lam) ** (n_I - 1 - j)
-    return cascade + params.beta * T * c_E**n_E * params.p * (-lam) * s
+    c_E, c_I, n_E, n_I = params.c_E, params.c_I, params.n_E, params.n_I
+    cascade = _cascade(c_E, c_I, params.c, n_E, n_I, lam)
+    return _sum_form(cascade, params.beta * T * c_E**n_E * params.p, c_I, [c_I**j for j in range(n_I)], lam)
 
 
 def charpoly_direct(params: ModelParams, T: float, lam):
@@ -88,12 +111,7 @@ def charpoly_direct(params: ModelParams, T: float, lam):
     same shape. The matrix is assembled once and the stack of A - lam_k*I is
     factored by one slogdet call, which runs the same LAPACK routine on each
     matrix, so every value equals the scalar call's bit for bit."""
-    A = coefficient_matrix(params, T)
-    M = A - np.asarray(lam, dtype=float)[..., None, None] * np.eye(len(A))
-    sign, logabs = np.linalg.slogdet(M)
-    det = sign * np.exp(logabs)
-    parity = -1.0 if (params.n_E + params.n_I) % 2 else 1.0
-    return parity * det
+    return _lu_charpoly(coefficient_matrix(params, T), np.asarray(lam, dtype=float))
 
 
 def charpoly(params: ModelParams, T: float, lam: float) -> float:

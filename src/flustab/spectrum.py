@@ -601,19 +601,21 @@ def _eigenvector(params: ModelParams, T: float, lam: float, row: int | None) -> 
 
 
 def geometric_multiplicity(A: np.ndarray, lam: float | np.ndarray) -> int | np.ndarray:
-    """Eigenspace dimension n - rank(A - lam*I) of the square matrix A, rank
+    """Eigenspace dimension n - rank(A - lam*I) of the n-square matrix A, rank
     by singular values above _RANK_REL times the largest. Raises ValueError
     if lam is not an eigenvalue within that cut. The validate suites' oracle.
-    A 1-D array lam gives an int array, raising at its first value that is
-    not an eigenvalue: one SVD call takes the stack of A - lam_k*I, running
-    the float call's LAPACK routine on each matrix, so each count is the same."""
+    A stack of matrices A, or an array lam, gives an int array of the
+    broadcast shape, raising at its first value that is not an eigenvalue:
+    one SVD call takes the stack of A - lam_k*I, running the single call's
+    LAPACK routine on each matrix, so each count is the same."""
     lams = np.asarray(lam, dtype=float)
-    sv = np.linalg.svd(A - lams[..., None, None] * np.eye(len(A)), compute_uv=False)
-    gm = len(A) - np.count_nonzero(sv > _RANK_REL * sv[..., :1], axis=-1)
-    for x, g in zip(np.atleast_1d(lam).tolist(), np.atleast_1d(gm).tolist()):
-        if g == 0:
-            raise ValueError(f"{x} is not an eigenvalue of the matrix within tolerance")
-    return int(gm) if lams.ndim == 0 else gm
+    n = A.shape[-1]
+    sv = np.linalg.svd(A - lams[..., None, None] * np.eye(n), compute_uv=False)
+    gm = n - np.count_nonzero(sv > _RANK_REL * sv[..., :1], axis=-1)
+    if not gm.all():
+        x = np.broadcast_to(lam, gm.shape)[gm == 0].tolist()[0]
+        raise ValueError(f"{x} is not an eigenvalue of the matrix within tolerance")
+    return int(gm) if gm.ndim == 0 else gm
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ numeric spectrum, and the root search's multiplicities against adaptive
 central differences of the characteristic polynomial (numdiff, used only
 here). Each suite returns a SuiteResult with per-check counts so failures
 are countable and reproducible from the seed. LAPACK calls take stacks: the
-nine sign-table cells of an n_I, the multiplicities of a random set's roots.
+charpoly suite's determinants of a matrix size, the nine sign-table cells of
+an n_I, the multiplicities of a random set's roots or of the three Critical
+cells of an n_I.
 """
 from __future__ import annotations
 
@@ -17,13 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .charpoly import (
-    charpoly,
-    charpoly_closed,
-    charpoly_direct,
-    charpoly_sum_form,
-    coefficient_matrix,
-)
+from .charpoly import _cascade, _closed, _lu_charpoly, _sum_form, charpoly, coefficient_matrix
 from .model import ModelParams
 from .spectrum import (
     _KIND_BY_ROW,
@@ -61,6 +57,9 @@ class SuiteResult:
         return self.failures == 0
 
 
+_LOG_LO, _LOG_HI = np.log(0.1), np.log(10.0)  # sample_params' log-uniform rate range
+
+
 def sample_params(
     rng: np.random.Generator,
     n_E_choices=(0, 1, 2, 3),
@@ -73,16 +72,15 @@ def sample_params(
     draws it; the rates (tau_E only when n_E > 0) and a then come from one
     rng.random vector, mapped as rng.uniform maps a draw, lo + (hi - lo)*u,
     so the generator yields the same sets as one loguniform call per rate
-    and a uniform a would."""
+    and a uniform a would. T is 2 T* times one rng.random draw, which is
+    rng.uniform(0, 2 T*)'s value from the same draw."""
     n_E = int(n_E_choices[rng.integers(len(n_E_choices))])
     n_I = int(n_I_choices[rng.integers(len(n_I_choices))])
     names = ("beta", "p", "c") + (("tau_E",) if n_E > 0 else ()) + ("tau_I", "D_PCF", "v_a")
     u = rng.random(len(names) + 1)
-    lo, hi = np.log(0.1), np.log(10.0)
-    rates = np.exp(lo + (hi - lo) * u[:-1]).tolist()
+    rates = np.exp(_LOG_LO + (_LOG_HI - _LOG_LO) * u[:-1]).tolist()
     params = ModelParams(n_E=n_E, n_I=n_I, a=float(-2.0 + 4.0 * u[-1]), **dict(zip(names, rates)))
-    T = float(rng.uniform(0, 2 * params.T_star))
-    return params, T
+    return params, 2 * params.T_star * rng.random()
 
 
 def suite_charpoly_equivalence(
@@ -92,23 +90,42 @@ def suite_charpoly_equivalence(
     rel_tol: float = 1e-9,
 ) -> SuiteResult:
     """Closed form and sum form against the LU determinant on random inputs;
-    lambda sampled uniformly in +-2(c_E + c_I + c)."""
+    lambda sampled uniformly in +-2(c_E + c_I + c). The sets are drawn
+    first; one slogdet call per matrix size and one evaluation of the forms'
+    bodies per cascade shape, each set's coefficients a column with its
+    powers taken in floats, then give every value a per-set call's bits."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("charpoly_equivalence")
-    for _ in range(n_sets):
+    sets, lams, shapes, sizes = [], np.empty((n_sets, n_lambda)), {}, {}
+    for i in range(n_sets):
         params, T = sample_params(rng)
         span = 2.0 * (params.c_E + params.c_I + params.c)
-        lams = rng.uniform(-span, span, size=n_lambda)
-        direct = charpoly_direct(params, T, lams)
-        closed = charpoly_closed(params, T, lams)
-        summed = charpoly_sum_form(params, T, lams)
-        tol = rel_tol * (1.0 + np.abs(direct))
-        ok = (np.abs(closed - direct) <= tol) & (np.abs(summed - direct) <= tol)
-        for k, passed in enumerate(ok.tolist()):
-            result.record(
-                passed,
-                lambda: f"params={params} T={T} lam={lams[k]} closed={closed[k]} sum={summed[k]} direct={direct[k]}",
-            )
+        lams[i] = rng.uniform(-span, span, size=n_lambda)
+        sets.append((params, T))
+        shapes.setdefault((params.n_E, params.n_I), []).append(i)
+        sizes.setdefault(params.n_E + params.n_I, []).append(i)
+    direct, closed, summed = np.empty((3, n_sets, n_lambda))
+    for rows in sizes.values():
+        A = np.array([coefficient_matrix(*sets[i]) for i in rows])
+        direct[rows] = _lu_charpoly(A[:, None], lams[rows])
+    for (n_E, n_I), rows in shapes.items():
+        c_E, c_I, c, q, *c_I_powers = np.array([
+            [params.c_E, params.c_I, params.c, params.beta * T * params.c_E**n_E * params.p]
+            + [params.c_I**j for j in range(n_I + 1)]
+            for params, T in (sets[i] for i in rows)
+        ]).T[..., None]
+        lam = lams[rows]
+        cascade = _cascade(c_E, c_I, c, n_E, n_I, lam)
+        closed[rows] = _closed(cascade, q, c_I, c_I_powers[n_I], n_I, lam)
+        summed[rows] = _sum_form(cascade, q, c_I, c_I_powers[:n_I], lam)
+    tol = rel_tol * (1.0 + np.abs(direct))
+    ok = (np.abs(closed - direct) <= tol) & (np.abs(summed - direct) <= tol)
+    passing = ok.all(axis=1)
+    # a passing set counts n_lambda checks; a failing one is recorded check by check, in draw order
+    result = SuiteResult("charpoly_equivalence", checks=n_lambda * int(passing.sum()))
+    for i in np.flatnonzero(~passing).tolist():
+        (params, T), lam = sets[i], lams[i]
+        for k, passed in enumerate(ok[i].tolist()):
+            result.record(passed, lambda: f"params={params} T={T} lam={lam[k]} closed={closed[i, k]} sum={summed[i, k]} direct={direct[i, k]}")
     return result
 
 
@@ -264,7 +281,9 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
     """Algebraic multiplicity 1 for every real root of random off-critical
     sets; the constructed Critical cells must report the double zero. Every
     count, taken with its root from one _certified_roots call per set, must
-    also equal the finite-difference one, on sets of its own stream."""
+    also equal the finite-difference one, on sets of its own stream. The
+    three Critical cells of an n_I take their geometric multiplicity of
+    zero from one SVD call on their stacked matrices."""
     rng = np.random.default_rng([seed, 1])
     result = SuiteResult("multiplicities")
     for _ in range(n_sets):
@@ -275,12 +294,12 @@ def suite_multiplicities(seed: int = 0, n_sets: int = 15) -> SuiteResult:
             fd = _finite_difference_multiplicity(params, T, lam)
             result.record(m == 1 == fd, lambda: f"params={params} T={T} lam={lam} m={m} finite differences {fd}")
     for n_I in (2, 3, 4, 5):
-        for col in ("<", "=", ">"):
-            params, T = cell_params(n_I, "=", col)
-            m = dict(_certified_roots(params, T))[0.0]
-            fd = _finite_difference_multiplicity(params, T, 0.0)
+        cells = [cell_params(n_I, "=", col) for col in "<=>"]
+        counts = [(dict(_certified_roots(params, T))[0.0], _finite_difference_multiplicity(params, T, 0.0))
+                  for params, T in cells]
+        gms = geometric_multiplicity(np.array([coefficient_matrix(params, T) for params, T in cells]), 0.0)
+        for col, (m, fd), gm in zip("<=>", counts, gms.tolist()):
             result.record(m == 2 == fd, lambda: f"critical cell n_I={n_I} col={col}: zero multiplicity {m} (finite differences {fd}) != 2")
-            gm = geometric_multiplicity(coefficient_matrix(params, T), 0.0)
             result.record(gm == 1, lambda: f"critical cell n_I={n_I} col={col}: gm {gm} != 1")
     return result
 

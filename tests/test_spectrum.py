@@ -815,6 +815,28 @@ class TestEigenvectors:
                 geometric_multiplicity(A, bogus[0])
             assert str(err.value) == str(first.value) == f"{bogus[0]} is not an eigenvalue of the matrix within tolerance"
 
+    def test_on_a_stack_equals_per_matrix_calls(self):
+        # a stack of matrices goes to one SVD call too, with one lam for all
+        # or one per matrix, and raises at the first matrix whose lam is not
+        # an eigenvalue, with that matrix's float call's message
+        cells = [cell_params(4, row, col) for row in "<=>" for col in "<=>"]
+        A = np.array([coefficient_matrix(params, T) for params, T in cells])
+        zero = geometric_multiplicity(A, 0.0)  # the structural zero of every cell
+        assert zero.shape == (9,) and zero.tolist() == [geometric_multiplicity(M, 0.0) for M in A]
+        assert geometric_multiplicity(A[:1], 0.0).tolist() == [geometric_multiplicity(A[0], 0.0)]
+        tops = np.array([max(real_roots(params, T)) for params, T in cells])
+        assert geometric_multiplicity(A, tops).tolist() == [geometric_multiplicity(M, lam) for M, lam in zip(A, tops.tolist())]
+        for bogus in ([123.45, -98.5], [-98.5, 123.45]):
+            lams = tops.copy()
+            lams[[3, 5]] = bogus
+            with pytest.raises(ValueError) as err:
+                geometric_multiplicity(A, lams)
+            with pytest.raises(ValueError) as first:
+                geometric_multiplicity(A[3], bogus[0])
+            assert str(err.value) == str(first.value) == f"{bogus[0]} is not an eigenvalue of the matrix within tolerance"
+        with pytest.raises(ValueError, match="^123.45 is not an eigenvalue"):
+            geometric_multiplicity(A, 123.45)
+
 
 class TestAnalyze:
     def test_analytic_report(self):

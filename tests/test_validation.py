@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from flustab import numdiff, spectrum, validation
-from flustab.charpoly import charpoly, coefficient_matrix
+from flustab.charpoly import (
+    _cascade,
+    _closed,
+    _lu_charpoly,
+    _sum_form,
+    charpoly,
+    charpoly_closed,
+    charpoly_direct,
+    charpoly_sum_form,
+    coefficient_matrix,
+)
 from flustab.model import ModelParams
 from flustab.spectrum import SignPattern, classify, full_spectrum_numeric, predicted_sign_pattern, real_roots
 from flustab.validation import (
@@ -366,7 +376,87 @@ def test_stacked_lapack_calls_equal_per_matrix_calls_bit_for_bit(n_I):
             stacked = np.linalg.svd(M - lams[:, None, None] * np.eye(len(M)), compute_uv=False)
             for sv, lam in zip(stacked, lams.tolist()):
                 assert sv.tobytes() == np.linalg.svd(M - lam * np.eye(len(M)), compute_uv=False).tobytes()
+        # the charpoly suite's determinants of a matrix size come from one
+        # slogdet call, and the Critical cells' zero multiplicities of an n_I
+        # from one SVD call
+        lams = rng.uniform(-9.0, 9.0, size=(len(sets), 20))
+        for (params, T), det, lam in zip(sets, _lu_charpoly(A[:, None], lams), lams):
+            assert det.tobytes() == charpoly_direct(params, T, lam).tobytes()
+        assert spectrum.geometric_multiplicity(A, 0.0).tolist() == [spectrum.geometric_multiplicity(M, 0.0) for M in A]
     assert any(not np.isrealobj(np.linalg.eigvals(coefficient_matrix(*s))) for s in cells + drawn)
+
+
+@pytest.mark.parametrize("seed, choices", [(seed, {}) for seed in range(30)] + [(0, {"n_E_choices": (2,), "n_I_choices": (13,)})])
+def test_grouped_bodies_equal_per_set_calls_bit_for_bit(seed, choices):
+    # the charpoly suite's evaluation: the determinants of each matrix size
+    # from one slogdet call, and both forms of each cascade shape from the
+    # bodies with a column of each set's coefficients, powers in floats
+    rng = np.random.default_rng(seed)
+    sets, lams = [], []
+    for _ in range(60):
+        params, T = sample_params(rng, **choices)
+        span = 2.0 * (params.c_E + params.c_I + params.c)
+        sets.append((params, T))
+        lams.append(rng.uniform(-span, span, size=20))
+    lams = np.array(lams)
+    by_size, by_shape = {}, {}
+    for i, (params, _) in enumerate(sets):
+        by_size.setdefault(params.n_E + params.n_I, []).append(i)
+        by_shape.setdefault((params.n_E, params.n_I), []).append(i)
+    for rows in by_size.values():
+        dets = _lu_charpoly(np.array([coefficient_matrix(*sets[i]) for i in rows])[:, None], lams[rows])
+        for i, det in zip(rows, dets):
+            assert det.tobytes() == charpoly_direct(*sets[i], lams[i]).tobytes()
+    for (n_E, n_I), rows in by_shape.items():
+        group = [sets[i] for i in rows]
+        column = lambda values: np.array(values)[:, None]
+        c_I = column([params.c_I for params, _ in group])
+        q = column([params.beta * T * params.c_E**n_E * params.p for params, T in group])
+        powers = [column([params.c_I**j for params, _ in group]) for j in range(n_I + 1)]
+        lam = lams[rows]
+        cascade = _cascade(column([params.c_E for params, _ in group]), c_I, column([params.c for params, _ in group]), n_E, n_I, lam)
+        closed = _closed(cascade, q, c_I, powers[n_I], n_I, lam)
+        summed = _sum_form(cascade, q, c_I, powers[:n_I], lam)
+        for i, c_row, s_row in zip(rows, closed, summed):
+            assert c_row.tobytes() == charpoly_closed(*sets[i], lams[i]).tobytes()
+            assert s_row.tobytes() == charpoly_sum_form(*sets[i], lams[i]).tobytes()
+    assert len(by_shape) > 1 or choices
+
+
+def reference_charpoly_equivalence(seed, n_sets, n_lambda=20, rel_tol=1e-9):
+    """suite_charpoly_equivalence as one loop over the sets: the three
+    public per-set functions and a record for each check."""
+    rng = np.random.default_rng(seed)
+    result = SuiteResult("charpoly_equivalence")
+    for _ in range(n_sets):
+        params, T = sample_params(rng)
+        span = 2.0 * (params.c_E + params.c_I + params.c)
+        lams = rng.uniform(-span, span, size=n_lambda)
+        direct = charpoly_direct(params, T, lams)
+        closed = charpoly_closed(params, T, lams)
+        summed = charpoly_sum_form(params, T, lams)
+        tol = rel_tol * (1.0 + np.abs(direct))
+        ok = (np.abs(closed - direct) <= tol) & (np.abs(summed - direct) <= tol)
+        for k, passed in enumerate(ok.tolist()):
+            result.record(
+                passed,
+                lambda: f"params={params} T={T} lam={lams[k]} closed={closed[k]} sum={summed[k]} direct={direct[k]}",
+            )
+    return result
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-16, 1e-30])
+def test_charpoly_suite_equals_one_loop_over_the_sets(rel_tol):
+    # the same checks, and at the tolerances where checks fail the same
+    # failure texts in the same order
+    checks = failures = 0
+    for seed in range(50):
+        want = vars(reference_charpoly_equivalence(seed, 60, rel_tol=rel_tol))
+        assert vars(suite_charpoly_equivalence(seed, n_sets=60, rel_tol=rel_tol)) == want
+        checks, failures = checks + want["checks"], failures + want["failures"]
+    assert checks == 50 * 60 * 20
+    assert failures == 0 if rel_tol == 1e-9 else 0 < failures < checks
+    assert vars(suite_charpoly_equivalence(3, n_sets=0)) == vars(reference_charpoly_equivalence(3, 0))
 
 
 def numpy_central_diff(f, x, order, h):
