@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .charpoly import coefficient_matrix
 from .dynamics import time_rhs, x_rhs
 from .model import (
     FieldCoefficients,
@@ -472,14 +471,11 @@ def cmd_surface(cfg: RunConfig, args, out) -> int:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
+    # v is an eigenvector result: finite, with an exact 1.0 entry, so only its squares can overflow
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not math.isfinite(norm):
-        # squares past the float range: the norm of v over its largest entry
-        scale = float(np.max(np.abs(v)))
-        if not 0.0 < scale < math.inf:
-            raise ArithmeticError("eigen-direction collapsed to zero" if scale == 0.0 else "eigen-direction is not finite")
-        v = v / scale
+    if not math.isfinite(norm):  # the norm of v over its largest entry
+        v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
     return v / norm
 
@@ -498,18 +494,15 @@ def _shared_negative_axis(params: ModelParams, T_below: float) -> np.ndarray:
 
 
 def _panel_axis(params: ModelParams, label: str, T: float) -> tuple[np.ndarray, str]:
-    if label == "below":
-        return _unit(eigenvector(params, T, 0.0)), "zero"
     if label == "above":
         positives = [r for r in real_roots(params, T) if r > 0.0]
         if not positives:
             raise ArithmeticError(f"no positive eigen-direction at T = {T:g}")
         return _unit(eigenvector(params, T, max(positives))), "positive"
-    # at the threshold the zero direction is taken from the numeric
-    # eigensolver; the double zero has a single eigen-direction
-    w, vecs = np.linalg.eig(coefficient_matrix(params, T))
-    idx = int(np.argmin(np.abs(w)))
-    return _unit(vecs[:, idx].real), "zero_numeric"
+    # below T* and at it, the closed-form zero mode; T* is on the Critical
+    # row, so at v_a = 0 too it is the V family, not the pure W direction.
+    # The "at" axis keeps its pinned CSV name zero_numeric
+    return _unit(eigenvector(params, T, 0.0)), "zero" if label == "below" else "zero_numeric"
 
 
 def cmd_field(cfg: RunConfig, args, out) -> int:

@@ -22,7 +22,7 @@ from flustab.cli import EXIT_BROKEN_PIPE, _write_csv, main
 from flustab.dynamics import time_rhs, x_rhs
 from flustab.model import FieldCoefficients, ModelParams, StateVector
 from flustab.spectrum import analyze, classify, perron_root
-from flustab.validation import SuiteResult, cell_params
+from flustab.validation import SuiteResult, cell_params, sample_params
 from test_spectrum import exact_charpoly, uncertified
 
 
@@ -1222,34 +1222,64 @@ class TestField:
         assert error_doc(err)["message"] == "numeric failure: eigenvector at lam = 0.0 overflows at n_E = 0, n_I = 1"
 
     def test_zero_eigen_direction_is_named(self, capsys, tmp_path, monkeypatch):
-        with pytest.raises(ArithmeticError, match="^eigen-direction collapsed to zero$"):
-            cli._unit(np.zeros(4))
-        # the last panel's axis fails after two panels' fields are computed
-        monkeypatch.setattr(cli, "eigenvector", lambda params, T, lam: np.zeros(params.state_dim) if lam > 0 else
-                            spectrum.eigenvector(params, T, lam))
+        # the last panel's axis fails after two panels' fields are computed:
+        # with no positive root at 1.5 T* the run exits 3 and writes nothing
+        T_above = 1.5 * ModelParams.from_json_dict(params_doc()).T_star
+        monkeypatch.setattr(cli, "real_roots", lambda params, T: [r for r in spectrum.real_roots(params, T)
+                                                                  if T != T_above or r <= 0.0])
+        fields = []
+        monkeypatch.setattr(cli, "time_rhs", lambda *args: fields.append(args) or time_rhs(*args))
         code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, {"params": params_doc()})])
-        assert (code, out) == (3, "")
-        assert error_doc(err) == {"code": 3, "message": "numeric failure: eigen-direction collapsed to zero",
+        assert (code, out, len(fields)) == (3, "", 2)
+        assert error_doc(err) == {"code": 3, "message": f"numeric failure: no positive eigen-direction at T = {T_above:g}",
                                   "details": {}}
 
-    def test_eclipse_stages(self, capsys, tmp_path):
-        # n_E = 2: the panels' axes are unit eigenvectors of the frozen-T matrix
-        doc = {"params": params_doc(n_E=2, tau_E=0.5, n_I=3, tau_I=0.8)}
+    @pytest.mark.parametrize("n_I", [1, 7, 16])
+    @pytest.mark.parametrize("n_E", [0, 2])
+    def test_advection_free_threshold_axis_is_the_v_family(self, capsys, tmp_path, n_E, n_I):
+        # at v_a = 0 the zero eigenspace at T* holds W and the V family; the
+        # axis is the Critical row's V family, not the pure W direction
+        doc = {"params": params_doc(n_E=n_E, tau_E=0.4 if n_E else None, n_I=n_I, v_a=0.0)}
         code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
-        assert code == 0
-        header, *rows = out.splitlines()
-        assert len(rows) == 243 and header.split(",")[5:7] == ["dt_T", "dt_E1"]
+        assert (code, err) == (0, "")
         params = ModelParams.from_json_dict(doc["params"])
-        assert rows == field_reference(params, FieldCoefficients.default_for(params))
-        T_star = params.T_star
-        axes = [(0.5 * T_star, cli._shared_negative_axis(params, 0.5 * T_star))]
-        axes += [(T, cli._panel_axis(params, label, T)[0]) for label, T in
-                 (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star))]
-        for T, v in axes:
-            A = coefficient_matrix(params, T)
-            lam = float(v @ A @ v)  # the Rayleigh quotient of a unit eigenvector
-            assert v.shape == (7,) and abs(np.linalg.norm(v) - 1.0) <= 1e-15
-            assert np.max(np.abs(A @ v - lam * v)) <= 1e-8
+        v, axis_name = cli._panel_axis(params, "at", params.T_star)
+        assert axis_name == "zero_numeric" and v[-1] == 0.0 and v[-2] > 0.0
+        assert np.max(np.abs(coefficient_matrix(params, params.T_star) @ v)) <= 1e-12
+
+    def test_every_axis_has_a_positive_v_entry(self):
+        # each axis is a closed-form eigenvector with V = 1 over its norm,
+        # so no axis takes an arbitrary sign
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            params, _ = sample_params(rng, n_I_choices=tuple(range(1, 17)))
+            T_star = params.T_star
+            axes = [cli._shared_negative_axis(params, 0.5 * T_star)]
+            axes += [cli._panel_axis(params, label, T)[0] for label, T in
+                     (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star))]
+            assert all(v[-2] > 0.0 for v in axes)
+
+    def test_eclipse_stages(self, capsys, tmp_path, monkeypatch):
+        # the panels' axes are unit eigenvectors of the frozen-T matrix, at
+        # n_E = 2 and at n_I = 300, and no dense eigensolve draws them
+        monkeypatch.setattr(np.linalg, "eig", lambda *args: pytest.fail("np.linalg.eig ran"))
+        for doc, first_stage in (({"params": params_doc(n_E=2, tau_E=0.5, n_I=3, tau_I=0.8)}, "dt_E1"),
+                                 ({"params": params_doc(n_I=300)}, "dt_I1")):
+            code, out, err = run_cli(capsys, ["field", "--config", write_config(tmp_path, doc)])
+            assert (code, err) == (0, "")
+            header, *rows = out.splitlines()
+            assert len(rows) == 243 and header.split(",")[5:7] == ["dt_T", first_stage]
+            params = ModelParams.from_json_dict(doc["params"])
+            assert rows == field_reference(params, FieldCoefficients.default_for(params))
+            T_star = params.T_star
+            axes = [(0.5 * T_star, cli._shared_negative_axis(params, 0.5 * T_star))]
+            axes += [(T, cli._panel_axis(params, label, T)[0]) for label, T in
+                     (("below", 0.5 * T_star), ("at", T_star), ("above", 1.5 * T_star))]
+            for T, v in axes:
+                A = coefficient_matrix(params, T)
+                lam = float(v @ A @ v)  # the Rayleigh quotient of a unit eigenvector
+                assert v.shape == (params.state_dim - 1,) and abs(np.linalg.norm(v) - 1.0) <= 1e-15
+                assert np.max(np.abs(A @ v - lam * v)) <= 1e-8
 
 
 class TestValidate:
@@ -1489,7 +1519,7 @@ _OWN_MESSAGES = re.compile(
     r"|eigenvector at lam = .* overflows at n_E = \d+, n_I = \d+"
     r"|eigenvector formula has a pole at lam = -c_I or -c_E"
     r"|T_star = inf cannot be written as JSON"
-    r"|eigen-direction (collapsed to zero|is not finite)|no negative real eigen-direction at T = .*"
+    r"|no negative real eigen-direction at T = .*"
     r"|no positive eigen-direction at T = .*)"
     r"|state exceeded .*"
 )
